@@ -172,6 +172,43 @@ func (s *Simulator) QueueLen() int { return len(s.q) }
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
+// PendingBy reports whether a scheduled, uncancelled event is due at or
+// before time t. It visits only the heap nodes due by t (plus their
+// children), so asking about the current instant costs a handful of
+// comparisons. Safe to call from a firing callback.
+func (s *Simulator) PendingBy(t float64) bool {
+	q := s.q
+	if len(q) == 0 || q[0].time > t {
+		return false
+	}
+	if ev := q[0].ev; ev != nil && !ev.cancelled {
+		return true
+	}
+	// The root is the replace-top hole of the firing callback (ev == nil)
+	// or a cancelled slot: not pending itself, but its children may be.
+	for c := 1; c <= 4 && c < len(q); c++ {
+		if q[c].time <= t && s.pendingBy(c, t) {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *Simulator) pendingBy(i int, t float64) bool {
+	if i >= len(s.q) || s.q[i].time > t {
+		return false
+	}
+	if ev := s.q[i].ev; ev != nil && !ev.cancelled {
+		return true
+	}
+	for c := 4*i + 1; c <= 4*i+4; c++ {
+		if s.pendingBy(c, t) {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *Simulator) alloc() *Event {
 	if e := s.scratch; e != nil {
 		s.scratch = nil

@@ -487,3 +487,57 @@ func BenchmarkScheduleCancelRun(b *testing.B) {
 		s.Run()
 	}
 }
+
+// PendingBy must agree with a brute-force scan over every handle at every
+// firing — including inside callbacks, where the fired root is a
+// replace-top hole, and after cancellations left dead slots in the heap.
+// Integer times make ties frequent.
+func TestPendingByMatchesScan(t *testing.T) {
+	f := func(seed uint64) bool {
+		src := rng.New(seed)
+		s := New()
+		type rec struct {
+			h    Handle
+			time float64
+		}
+		var all []rec
+		ok := true
+		var cb func()
+		schedule := func(at float64) {
+			all = append(all, rec{h: s.At(at, cb), time: at})
+		}
+		cb = func() {
+			now := s.Now()
+			if src.Float64() < 0.5 {
+				schedule(now + float64(src.Intn(3)))
+			}
+			if len(all) > 0 && src.Float64() < 0.3 {
+				s.Cancel(all[src.Intn(len(all))].h)
+			}
+			for _, dt := range []float64{0, 0.5, 1} {
+				want := false
+				for _, r := range all {
+					if r.h.Scheduled() && r.time <= now+dt {
+						want = true
+					}
+				}
+				if s.PendingBy(now+dt) != want {
+					ok = false
+				}
+			}
+		}
+		for i := 0; i < 1+src.Intn(200); i++ {
+			schedule(float64(src.Intn(15)))
+		}
+		for i := range all {
+			if src.Float64() < 0.3 {
+				s.Cancel(all[i].h)
+			}
+		}
+		s.Run()
+		return ok && !s.PendingBy(math.Inf(1))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

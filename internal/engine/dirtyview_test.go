@@ -9,61 +9,18 @@ import (
 	"rumr/internal/rng"
 )
 
-// TestSyncViewMatchesFullCopy is the differential property test for the
-// dirty-tracked view sync: at every single syncView call, across
-// randomized fault schedules, recovery settings and parallel-send
-// widths, the incrementally maintained View must equal the full copy it
-// replaced — view.Workers[i] == workers[i].state for every worker. A
-// missing touch() at any worker-state mutation site shows up here as
-// the first sync after that mutation serving a stale entry.
-func TestSyncViewMatchesFullCopy(t *testing.T) {
-	audits := 0
-	syncViewAudit = func(r *run) {
-		audits++
-		if r.view.Time != r.sim.Now() {
-			t.Fatalf("audit %d: view.Time = %v, now = %v", audits, r.view.Time, r.sim.Now())
-		}
-		for i := range r.workers {
-			if r.view.Workers[i] != r.workers[i].state {
-				t.Fatalf("audit %d: stale view for worker %d:\nview   %+v\ntruth  %+v",
-					audits, i, r.view.Workers[i], r.workers[i].state)
-			}
-		}
-	}
-	defer func() { syncViewAudit = nil }()
-
-	src := rng.New(2026)
-	for rep := 0; rep < 40; rep++ {
-		n := 3 + src.Intn(8)
-		p := platform.Homogeneous(n, 1, 20, 0.2, 0.2)
-		sched := fault.Scenario{
-			Horizon: 200, CrashProb: 0.4,
-			RejoinProb: 0.6, RejoinDelayMin: 5, RejoinDelayMax: 50,
-			OutageProb: 0.3, OutageMin: 1, OutageMax: 20,
-			StragglerProb: 0.3, SlowMin: 2, SlowMax: 6,
-		}.Generate(n, src.Split())
-		_, err := Run(p, &demandDispatcher{remaining: 60, size: 3}, Options{
-			CommModel:     perferr.NewTruncNormal(0.3, src.Split()),
-			CompModel:     perferr.NewTruncNormal(0.3, src.Split()),
-			Faults:        sched,
-			Recovery:      fault.Recovery{Enabled: true, TimeoutFactor: 3, TimeoutSlack: 1},
-			ParallelSends: 1 + src.Intn(3),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if audits == 0 {
-		t.Fatal("audit hook never ran")
-	}
-}
-
-// TestSyncViewForMatchesFullCopy is the multi-job counterpart: at every
-// syncViewFor(j), job j's own view must carry the shared ground truth
-// for every worker with job j's own completion accounting substituted
-// in — exactly what the pre-dirty-tracking full rebuild produced. Jobs
-// arrive staggered under every link policy, so consults alternate
-// between jobs constantly, exercising every job's private dirty set.
+// TestSyncViewForMatchesFullCopy is the differential property test for
+// the dirty-tracked view sync: at every syncViewFor(j), job j's own view
+// must carry the shared ground truth for every worker, with job j's own
+// completion counts in place of the shared totals (the jobs' counts must
+// add up to them), and the shared idle mask must agree with the state. A
+// missing touch() at any worker-state mutation site shows up here as the
+// first sync after that mutation serving a stale entry. Two drivers cover
+// every mutation site: single-job runs through Run under randomized fault
+// schedules, recovery settings and parallel-send widths; and multi-job
+// runs with staggered arrivals under every link policy, so consults
+// alternate between jobs constantly, exercising every job's private dirty
+// set.
 func TestSyncViewForMatchesFullCopy(t *testing.T) {
 	audits := 0
 	syncViewForAudit = func(mr *multiRun, j int) {
@@ -73,23 +30,61 @@ func TestSyncViewForMatchesFullCopy(t *testing.T) {
 			t.Fatalf("audit %d: view.Time = %v, now = %v", audits, js.view.Time, mr.sim.Now())
 		}
 		for i := range mr.workers {
-			want := mr.workers[i].state
-			want.CompletedChunks = js.doneChunks[i]
-			want.CompletedWork = js.doneWork[i]
-			if js.view.Workers[i] != want {
-				t.Fatalf("audit %d: stale view for job %d worker %d:\nview   %+v\ntruth  %+v",
-					audits, j, i, js.view.Workers[i], want)
+			truth := mr.workers[i].state
+			got := js.view.Workers[i]
+			if len(mr.jobs) > 1 {
+				// Completions in a job's view are its own; they are
+				// checked against the shared totals below.
+				got.CompletedChunks, got.CompletedWork = truth.CompletedChunks, truth.CompletedWork
 			}
-			if got := js.view.WorkerIdle(i); got != want.Idle() {
+			if got != truth {
+				t.Fatalf("audit %d: stale view for job %d worker %d:\nview   %+v\ntruth  %+v",
+					audits, j, i, js.view.Workers[i], truth)
+			}
+			if idle := js.view.WorkerIdle(i); idle != truth.Idle() {
 				t.Fatalf("audit %d: idle mask for job %d worker %d = %v, state says %v",
-					audits, j, i, got, want.Idle())
+					audits, j, i, idle, truth.Idle())
+			}
+			done := 0
+			for k := range mr.jobs {
+				done += mr.jobs[k].view.Workers[i].CompletedChunks
+			}
+			if done != truth.CompletedChunks {
+				t.Fatalf("audit %d: jobs' views count %d completions on worker %d, shared state %d",
+					audits, done, i, truth.CompletedChunks)
 			}
 		}
 		if js.view.IdleMask == nil {
-			t.Fatalf("audit %d: multi-job view lost its IdleMask", audits)
+			t.Fatalf("audit %d: view lost its IdleMask", audits)
 		}
 	}
 	defer func() { syncViewForAudit = nil }()
+
+	faultSrc := rng.New(2026)
+	for rep := 0; rep < 40; rep++ {
+		n := 3 + faultSrc.Intn(8)
+		p := platform.Homogeneous(n, 1, 20, 0.2, 0.2)
+		sched := fault.Scenario{
+			Horizon: 200, CrashProb: 0.4,
+			RejoinProb: 0.6, RejoinDelayMin: 5, RejoinDelayMax: 50,
+			OutageProb: 0.3, OutageMin: 1, OutageMax: 20,
+			StragglerProb: 0.3, SlowMin: 2, SlowMax: 6,
+		}.Generate(n, faultSrc.Split())
+		_, err := Run(p, &demandDispatcher{remaining: 60, size: 3}, Options{
+			CommModel:     perferr.NewTruncNormal(0.3, faultSrc.Split()),
+			CompModel:     perferr.NewTruncNormal(0.3, faultSrc.Split()),
+			Faults:        sched,
+			Recovery:      fault.Recovery{Enabled: true, TimeoutFactor: 3, TimeoutSlack: 1},
+			ParallelSends: 1 + faultSrc.Intn(3),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultAudits := audits
+	if faultAudits == 0 {
+		t.Fatal("audit hook never ran on the fault-injected runs")
+	}
 
 	src := rng.New(40912)
 	for _, pol := range LinkPolicies() {
@@ -115,7 +110,7 @@ func TestSyncViewForMatchesFullCopy(t *testing.T) {
 			}
 		}
 	}
-	if audits == 0 {
-		t.Fatal("audit hook never ran")
+	if audits == faultAudits {
+		t.Fatal("audit hook never ran on the multi-job runs")
 	}
 }

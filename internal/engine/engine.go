@@ -1,4 +1,4 @@
-// Package engine simulates the execution of a divisible workload on the
+// Package engine simulates the execution of divisible workloads on the
 // paper's star platform. It is the substrate standing in for SimGrid: it
 // implements exactly the timing semantics of §3.1 —
 //
@@ -17,33 +17,37 @@
 // precalculated schedules (UMR, MI) and demand-driven ones (Factoring,
 // FSC, RUMR's phase 2).
 //
-// Beyond the paper's model, the engine injects faults (Options.Faults):
+// One simulation core hosts N >= 1 loads on one DES timeline: RunMulti
+// runs several jobs that share the platform, arbitrating the master's port
+// under a LinkPolicy, and Run is the one-job case of the same core.
+//
+// Beyond the paper's model, the core injects faults (Options.Faults):
 // worker crashes with rejoin, link outages and compute slowdowns, replayed
 // deterministically from a fault.Schedule. Chunks on a crashed worker, or
 // arriving over a dead link, are lost; with Options.Recovery enabled the
-// engine detects losses (including stuck chunks, via per-chunk completion
+// core detects losses (including stuck chunks, via per-chunk completion
 // timeouts with exponential backoff) and re-dispatches the lost work to
 // live workers, so the full workload still completes as long as capacity
 // survives. Every fault and recovery action is emitted on the event
 // stream and recorded in the trace, where Trace.Validate independently
 // checks that no unit of work is silently dropped or double-counted.
+// Only Run configures faults so far; MultiOptions does not expose them.
 //
 // The hot path is allocation-free in steady state: run state (the DES
-// kernel, worker runtimes, the dispatcher view, pending-chunk structs) is
-// pooled and reset between runs, and every per-chunk callback is a shared
-// top-level function scheduled through des.AfterCall with the chunk as its
-// argument — no closures are captured per chunk-hop. BenchmarkEngineRun
-// (internal/bench) pins 0 allocs/op; pooling is invisible to results:
-// same-seed runs stay byte-identical (see TestGoldenTracesByteIdentical).
+// kernel, workers, per-job views, chunk structs) is pooled and reset
+// between runs, and every per-chunk callback is a shared top-level
+// function scheduled through des.AfterCall with the chunk as its argument
+// — no closures are captured per chunk-hop. BenchmarkEngineRun and
+// BenchmarkMultiJobRun (internal/bench) pin 0 allocs/op; pooling is
+// invisible to results: same-seed runs stay byte-identical (see
+// TestGoldenTracesByteIdentical and TestEngineDigest).
 package engine
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
-	"rumr/internal/des"
 	"rumr/internal/fault"
 	"rumr/internal/metrics"
 	"rumr/internal/obs"
@@ -102,11 +106,11 @@ type View struct {
 	Time float64
 	// Workers holds one state per worker; dispatchers must not mutate it.
 	Workers []WorkerState
-	// IdleMask, when non-nil, is an engine-maintained bitset with bit i
-	// set exactly when Workers[i].Idle() — kept current at every state
-	// change, so dispatchers that only need "the first idle worker" skip
-	// the per-worker scan. Nil when the hosting run does not maintain it
-	// (the single-job path); use FirstIdle/WorkerIdle, which fall back to
+	// IdleMask is an engine-maintained bitset with bit i set exactly when
+	// Workers[i].Idle() — kept current at every state change, so
+	// dispatchers that only need "the first idle worker" skip the
+	// per-worker scan. The engine always sets it; it is nil only on
+	// hand-built Views, for which FirstIdle/WorkerIdle fall back to
 	// scanning Workers.
 	IdleMask []uint64
 }
@@ -211,7 +215,7 @@ type Options struct {
 	// RecordTrace makes Run return a full per-chunk trace.
 	RecordTrace bool
 	// ExpectedChunks, when positive, sizes the trace-record buffer (and
-	// the pending-chunk arena on a cold pool) up front, so tracing a run
+	// the chunk arena on a cold pool) up front, so tracing a run
 	// whose chunk count is known — a memoized plan, a repeat of the
 	// previous repetition — does not regrow slices chunk by chunk. It is
 	// a hint: runs may dispatch more or fewer chunks.
@@ -281,791 +285,84 @@ type Result struct {
 	Events uint64
 }
 
-type workerRuntime struct {
-	state     WorkerState
-	queue     []*pendingChunk // arrived, not yet computed (FIFO)
-	current   *pendingChunk
-	compEvent des.Handle // completion of current, cancellable on faults
-	slow      float64    // compute slowdown factor (1 = nominal)
-}
-
-// chunkPhase is the engine-internal life-cycle state of a pending chunk.
-type chunkPhase uint8
-
-const (
-	chSending chunkPhase = iota // send or pipeline tail in progress
-	chQueued                    // arrived, waiting for the CPU
-	chComputing
-	chDone
-	chLost
-)
-
-type pendingChunk struct {
-	run     *run // owning (pooled) run state; fixed for the struct's lifetime
-	chunk   Chunk
-	record  int // index into records for the current attempt, -1 when tracing is off
-	seq     int // dispatch index of the first attempt; stable chunk identity
-	attempt int // 0 = original send, +1 per re-dispatch
-	phase   chunkPhase
-	timeout des.Handle // completion timer, cancellable
-	// predicted and effective are the in-progress computation's durations,
-	// captured at compute start for the completion callback and Observer.
-	predicted, effective float64
-}
-
-// run is the complete state of one simulation. Instances are pooled: Run
-// borrows one, resets every field, executes, and returns it — so in
-// steady state a run performs no heap allocation at all. pendingChunk
-// structs are pooled per run (arena + free-list); their back-pointer to
-// the owning run is set once and stays valid because chunks never migrate
-// between run instances.
-type run struct {
-	sim *des.Simulator
-	p   *platform.Platform
-	d   Dispatcher
-	// obsD and faD cache the dispatcher's optional interfaces, asserted
-	// once per run instead of once per completion/fault.
-	obsD       Observer
-	faD        FaultAware
-	comm, comp perferr.Model
-	rec        fault.Recovery
-	ev         obs.Sink
-	tr         *trace.Trace
-	faults     []fault.Event
-
-	// ctr is Options.Counters; commDraws/compDraws point at the counter
-	// field matching each model's distribution (classified once per run by
-	// drawCounter), so the per-draw cost is a nil check and an add.
-	ctr                  *Counters
-	commDraws, compDraws *int64
-
-	n         int
-	slots     int
-	maxChunks int
-	sending   int
-
-	workers []workerRuntime
-	view    View
-	// dirty is a bitset over workers: bit i set means workers[i].state
-	// changed since the last syncView, so the next syncView copies only
-	// that entry into the dispatcher's View. Every state mutation calls
-	// touch(i); a run reset marks all workers dirty (the pooled view may
-	// hold a previous run's snapshot).
-	dirty     []uint64
-	lostQueue []*pendingChunk // awaiting re-dispatch, FIFO
-
-	// pcs is the arena of chunks handed out this run; pcFree holds
-	// recycled structs from prior runs of this instance.
-	pcs    []*pendingChunk
-	pcFree []*pendingChunk
-
-	res         Result
-	dispatchErr error
-}
-
-var runPool = sync.Pool{New: func() any { return &run{sim: des.New()} }}
-
-// aux packing for the send/arrive event chain: one des callback argument
-// carries both the attempt number and the destination worker of that
-// attempt. The worker index must be carried per attempt — a chunk can be
-// re-dispatched to a new worker while a stale transfer towards the old
-// one is still in flight, and the stale arrival must release the old
-// worker's in-flight counter.
-const auxWorkerBits = 20
-
-func packAux(attempt, worker int) int { return attempt<<auxWorkerBits | worker }
-func unpackAux(aux int) (attempt, worker int) {
-	return aux >> auxWorkerBits, aux & (1<<auxWorkerBits - 1)
-}
-
-// Shared des callbacks: one top-level function per event kind for the
-// whole process, so scheduling a chunk-hop allocates nothing.
-func sendEndCB(arg any, aux int) { arg.(*pendingChunk).onSendEnd(aux) }
-func arriveCB(arg any, aux int)  { arg.(*pendingChunk).onArrive(aux) }
-func compEndCB(arg any, _ int)   { arg.(*pendingChunk).onCompEnd() }
-func timeoutCB(arg any, _ int)   { pc := arg.(*pendingChunk); pc.run.onTimeout(pc) }
-func faultCB(arg any, aux int)   { r := arg.(*run); r.applyFault(r.faults[aux]) }
-
-// Run simulates dispatching on p according to d and returns the result.
-// It returns an error for invalid platforms or misbehaving dispatchers
-// (out-of-range worker, non-positive size, runaway chunk count).
+// Run simulates dispatching on p according to d, as the core's lone job
+// arriving at time 0. It returns an error for invalid platforms or fault
+// schedules and for misbehaving dispatchers (out-of-range worker,
+// non-positive size, runaway chunk count).
 func Run(p *platform.Platform, d Dispatcher, opts Options) (Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := validate(p, opts.Faults, nil); err != nil {
 		return Result{}, err
 	}
-	n := p.N()
-	if n >= 1<<auxWorkerBits {
-		return Result{}, fmt.Errorf("engine: %d workers exceed the supported maximum %d", n, 1<<auxWorkerBits-1)
+	mr := multiRunPool.Get().(*multiRun)
+	lone := [1]Job{{Dispatcher: d, CommModel: opts.CommModel, CompModel: opts.CompModel}}
+	mopts := MultiOptions{
+		ParallelSends: opts.ParallelSends,
+		RecordTrace:   opts.RecordTrace,
+		// Headroom for fault-recovery re-dispatch attempts.
+		ExpectedChunks: opts.ExpectedChunks + opts.ExpectedChunks/4,
+		MaxChunks:      opts.MaxChunks,
+		Metrics:        opts.Metrics,
+		Counters:       opts.Counters,
 	}
-	if err := opts.Faults.Validate(n); err != nil {
-		return Result{}, err
+	if opts.Events != nil {
+		mr.loneSink.Sink = opts.Events
+		mopts.Events = &mr.loneSink
 	}
-	r := runPool.Get().(*run)
-	res, err := r.exec(p, d, opts)
-	r.release()
-	runPool.Put(r)
+	var res Result
+	err := mr.exec(p, lone[:], mopts, opts.Faults, opts.Recovery)
+	if err == nil {
+		jr := &mr.jobs[0].res
+		res = Result{
+			Makespan:         mr.makespan,
+			Chunks:           mr.chunks,
+			DispatchedWork:   jr.DispatchedWork,
+			CompletedWork:    jr.CompletedWork,
+			LostChunks:       mr.lostChunks,
+			LostWork:         mr.lostWork,
+			Redispatches:     mr.redispatches,
+			RedispatchedWork: mr.redispatchedWork,
+			Trace:            mr.tr,
+			Events:           mr.sim.Processed(),
+		}
+	}
+	mr.release()
+	multiRunPool.Put(mr)
 	return res, err
 }
 
-// exec resets the pooled state for (p, d, opts) and plays the simulation.
-func (r *run) exec(p *platform.Platform, d Dispatcher, opts Options) (Result, error) {
-	n := p.N()
-	r.p = p
-	r.d = d
-	r.obsD, _ = d.(Observer)
-	r.faD, _ = d.(FaultAware)
-	r.comm = opts.CommModel
-	if r.comm == nil {
-		r.comm = perferr.Perfect{}
-	}
-	r.comp = opts.CompModel
-	if r.comp == nil {
-		r.comp = perferr.Perfect{}
-	}
-	r.ctr = opts.Counters
-	r.commDraws = drawCounter(r.ctr, r.comm)
-	r.compDraws = drawCounter(r.ctr, r.comp)
-	r.maxChunks = opts.MaxChunks
-	if r.maxChunks <= 0 {
-		r.maxChunks = 10_000_000
-	}
-	r.slots = opts.ParallelSends
-	if r.slots <= 0 {
-		r.slots = 1
-	}
-	r.rec = opts.Recovery
-	r.n = n
-	r.sending = 0
-	r.res = Result{}
-	r.dispatchErr = nil
-	r.sim.Reset()
+// loneSink adapts Run's plain obs.Sink to the core's JobSink: a lone
+// job's events need no tag.
+type loneSink struct{ obs.Sink }
 
-	if cap(r.workers) < n {
-		r.workers = make([]workerRuntime, n)
+func (s *loneSink) EmitJob(_ int, e obs.Event) { s.Emit(e) }
+
+// validate checks the inputs Run and RunMulti share: the worker count the
+// attempt-stamped event payload can address (see packAux; checked first,
+// so a huge platform is rejected without walking it), the platform, the
+// fault schedule and each job's spec.
+func validate(p *platform.Platform, faults *fault.Schedule, jobs []Job) error {
+	if n := len(p.Workers); n >= 1<<auxWorkerBits {
+		return fmt.Errorf("engine: %d workers exceed the supported maximum %d", n, 1<<auxWorkerBits-1)
 	}
-	r.workers = r.workers[:n]
-	for i := range r.workers {
-		w := &r.workers[i]
-		w.state = WorkerState{}
-		if w.queue != nil {
-			w.queue = w.queue[:0]
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := faults.Validate(p.N()); err != nil {
+		return err
+	}
+	for j, job := range jobs {
+		if job.Dispatcher == nil {
+			return fmt.Errorf("engine: job %d has no dispatcher", j)
 		}
-		w.current = nil
-		w.compEvent = des.Handle{}
-		w.slow = 1
-	}
-	if cap(r.view.Workers) < n {
-		r.view.Workers = make([]WorkerState, n)
-	}
-	r.view.Workers = r.view.Workers[:n]
-	r.view.Time = 0
-	words := (n + 63) / 64
-	if cap(r.dirty) < words {
-		r.dirty = make([]uint64, words)
-	}
-	r.dirty = r.dirty[:words]
-	for i := range r.dirty {
-		r.dirty[i] = ^uint64(0) // all dirty: the pooled view is stale
-	}
-	if rem := n & 63; rem != 0 {
-		r.dirty[words-1] = 1<<rem - 1
-	}
-
-	r.tr = nil
-	if opts.RecordTrace {
-		r.tr = &trace.Trace{ParallelSends: r.slots}
-		if opts.ExpectedChunks > 0 {
-			// Leave headroom for fault-recovery re-dispatch attempts.
-			r.tr.Records = make([]trace.ChunkRecord, 0, opts.ExpectedChunks+opts.ExpectedChunks/4)
+		if job.Total <= 0 || math.IsNaN(job.Total) || math.IsInf(job.Total, 0) {
+			return fmt.Errorf("engine: job %d has invalid workload %g", j, job.Total)
+		}
+		if job.Arrival < 0 || math.IsNaN(job.Arrival) || math.IsInf(job.Arrival, 0) {
+			return fmt.Errorf("engine: job %d has invalid arrival time %g", j, job.Arrival)
+		}
+		if job.Weight < 0 || math.IsNaN(job.Weight) {
+			return fmt.Errorf("engine: job %d has invalid weight %g", j, job.Weight)
 		}
 	}
-	r.lostQueue = r.lostQueue[:0]
-	r.pcs = r.pcs[:0]
-	if opts.ExpectedChunks > 0 && cap(r.pcs) == 0 {
-		r.pcs = make([]*pendingChunk, 0, opts.ExpectedChunks)
-	}
-
-	r.ev = opts.Events
-	if r.ev != nil {
-		if em, ok := d.(obs.Emitter); ok {
-			em.AttachEvents(r.ev)
-		}
-	}
-
-	r.faults = nil
-	if !opts.Faults.Empty() {
-		r.faults = opts.Faults.Events
-		for i, fe := range r.faults {
-			r.sim.AtCall(fe.Time, faultCB, r, i)
-		}
-	}
-
-	r.kick()
-	r.sim.Run()
-	if r.dispatchErr != nil {
-		return Result{}, r.dispatchErr
-	}
-	// Chunks still awaiting re-dispatch when the simulation drains (every
-	// surviving worker unreachable) are permanently lost.
-	for _, pc := range r.lostQueue {
-		r.res.LostWork += pc.chunk.Size
-	}
-	r.res.Events = r.sim.Processed()
-	if r.ctr != nil {
-		// The DES kernel keeps its own always-on counters; fold them in
-		// once per run rather than branching per event in the inner loop.
-		st := r.sim.Stats()
-		r.ctr.EventsPushed += int64(st.Pushed)
-		r.ctr.EventsPopped += int64(st.Fired)
-		r.ctr.EventsReplaced += int64(st.Replaced)
-		r.ctr.LazyCancels += int64(st.Cancelled)
-		if d := int64(st.MaxDepth); d > r.ctr.MaxHeapDepth {
-			r.ctr.MaxHeapDepth = d
-		}
-		r.ctr.Redispatches += int64(r.res.Redispatches)
-	}
-	if r.tr != nil {
-		r.tr.Makespan = r.res.Makespan
-		r.res.Trace = r.tr
-	}
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: obs.KindRunDone, Time: r.res.Makespan, Worker: -1,
-			Seq: r.res.Chunks, Size: r.res.DispatchedWork})
-	}
-	if opts.Metrics != nil {
-		opts.Metrics.AddRun(r.res.Chunks, r.res.Events, r.res.Makespan)
-	}
-	return r.res, nil
-}
-
-// release drops every borrowed reference before the run instance goes
-// back to the pool, and recycles this run's pending chunks into the
-// free-list. Capacities (heap, arena, queues) are retained — that is the
-// point of pooling.
-func (r *run) release() {
-	for _, pc := range r.pcs {
-		pc.chunk = Chunk{}
-		pc.record = -1
-		pc.seq = 0
-		pc.attempt = 0
-		pc.phase = chSending
-		pc.timeout = des.Handle{}
-		pc.predicted = 0
-		pc.effective = 0
-		r.pcFree = append(r.pcFree, pc)
-	}
-	r.pcs = r.pcs[:0]
-	for i := range r.workers {
-		w := &r.workers[i]
-		for j := range w.queue {
-			w.queue[j] = nil
-		}
-		w.queue = w.queue[:0]
-		w.current = nil
-	}
-	for i := range r.lostQueue {
-		r.lostQueue[i] = nil
-	}
-	r.lostQueue = r.lostQueue[:0]
-	r.p = nil
-	r.d = nil
-	r.obsD = nil
-	r.faD = nil
-	r.comm = nil
-	r.comp = nil
-	r.ev = nil
-	r.tr = nil
-	r.faults = nil
-	r.ctr = nil
-	r.commDraws = nil
-	r.compDraws = nil
-	r.dispatchErr = nil
-	r.res = Result{}
-}
-
-// allocPC hands out a pending chunk from the free-list (or grows the
-// arena on a cold pool) with all lifecycle fields zeroed.
-func (r *run) allocPC() *pendingChunk {
-	var pc *pendingChunk
-	if k := len(r.pcFree); k > 0 {
-		pc = r.pcFree[k-1]
-		r.pcFree[k-1] = nil
-		r.pcFree = r.pcFree[:k-1]
-	} else {
-		pc = &pendingChunk{run: r, record: -1}
-	}
-	r.pcs = append(r.pcs, pc)
-	return pc
-}
-
-// touch marks worker wi's state as changed since the last syncView.
-// Every mutation of workers[wi].state must be paired with a touch — the
-// differential test TestSyncViewMatchesFullCopy audits that pairing.
-func (r *run) touch(wi int) {
-	r.dirty[wi>>6] |= 1 << (wi & 63)
-}
-
-// syncView brings the dispatcher's View up to date incrementally: only
-// workers touched since the previous sync are copied. On the dispatch
-// hot path at most one or two workers change between consecutive Next
-// calls, so this turns the former O(n) struct copy into a couple of
-// word tests plus the actual changed entries — SyncViewBytes counts the
-// bytes really copied, which is how the win shows up in -counters.
-func (r *run) syncView() {
-	r.view.Time = r.sim.Now()
-	copied := 0
-	for wi, word := range r.dirty {
-		if word == 0 {
-			continue
-		}
-		r.dirty[wi] = 0
-		base := wi << 6
-		for word != 0 {
-			i := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			r.view.Workers[i] = r.workers[i].state
-			copied++
-		}
-	}
-	if r.ctr != nil {
-		r.ctr.SyncViewCopies++
-		r.ctr.SyncViewBytes += int64(copied) * workerStateBytes
-	}
-	if syncViewAudit != nil {
-		syncViewAudit(r)
-	}
-}
-
-// syncViewAudit and syncViewForAudit, when non-nil, run after every view
-// sync. They exist for the differential dirty-tracking tests (which
-// compare the incremental view against a full ground-truth copy at every
-// sync point) and stay nil outside tests: the cost on the hot path is
-// one nil check.
-var (
-	syncViewAudit    func(r *run)
-	syncViewForAudit func(mr *multiRun, j int)
-)
-
-func (r *run) fail(err error) {
-	if r.dispatchErr == nil {
-		r.dispatchErr = err
-	}
-	r.sim.Stop()
-}
-
-// lose marks pc's current attempt as lost and queues it for re-dispatch
-// (or writes its work off, past the attempt cap or with recovery
-// disabled). Worker-state bookkeeping is the caller's job.
-func (r *run) lose(pc *pendingChunk, at float64, reason string) {
-	pc.phase = chLost
-	r.sim.Cancel(pc.timeout)
-	pc.timeout = des.Handle{}
-	if r.tr != nil && pc.record >= 0 {
-		rec := &r.tr.Records[pc.record]
-		rec.Lost = true
-		rec.LostAt = at
-	}
-	r.res.LostChunks++
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: obs.KindChunkLost, Time: at, Worker: pc.chunk.Worker,
-			Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase,
-			Attempt: pc.attempt, Reason: reason})
-	}
-	if r.rec.Enabled && (r.rec.MaxAttempts <= 0 || pc.attempt < r.rec.MaxAttempts) {
-		r.lostQueue = append(r.lostQueue, pc)
-	} else {
-		r.res.LostWork += pc.chunk.Size
-	}
-}
-
-func (r *run) startCompute(wi int) {
-	w := &r.workers[wi]
-	if w.state.Down || w.state.Computing || len(w.queue) == 0 {
-		return
-	}
-	pc := w.queue[0]
-	// Shift down rather than re-slice from the front: w.queue[1:] would
-	// walk the slice off its backing array and force the next append to
-	// reallocate. Queues are a handful of chunks, so the copy is free.
-	copy(w.queue, w.queue[1:])
-	w.queue[len(w.queue)-1] = nil
-	w.queue = w.queue[:len(w.queue)-1]
-	w.state.Queued--
-	w.state.Computing = true
-	r.touch(wi)
-	w.current = pc
-	pc.phase = chComputing
-	spec := r.p.Workers[wi]
-	pc.predicted = spec.CLat + pc.chunk.Size/spec.S
-	if r.compDraws != nil {
-		*r.compDraws++
-	}
-	pc.effective = r.comp.Perturb(pc.predicted) * w.slow
-	start := r.sim.Now()
-	if r.tr != nil && pc.record >= 0 {
-		r.tr.Records[pc.record].CompStart = start
-	}
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: obs.KindCompStart, Time: start, Worker: wi,
-			Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase,
-			Attempt: pc.attempt})
-	}
-	w.compEvent = r.sim.AfterCall(pc.effective, compEndCB, pc, 0)
-}
-
-// onCompEnd is the computation-completed des callback.
-func (pc *pendingChunk) onCompEnd() {
-	r := pc.run
-	wi := pc.chunk.Worker
-	w := &r.workers[wi]
-	w.compEvent = des.Handle{}
-	w.current = nil
-	pc.phase = chDone
-	r.sim.Cancel(pc.timeout)
-	pc.timeout = des.Handle{}
-	w.state.Computing = false
-	w.state.CompletedChunks++
-	w.state.CompletedWork += pc.chunk.Size
-	r.touch(wi)
-	r.res.CompletedWork += pc.chunk.Size
-	end := r.sim.Now()
-	if end > r.res.Makespan {
-		r.res.Makespan = end
-	}
-	if r.tr != nil && pc.record >= 0 {
-		r.tr.Records[pc.record].CompEnd = end
-	}
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: obs.KindCompEnd, Time: end, Worker: wi,
-			Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase,
-			Attempt: pc.attempt})
-	}
-	if r.obsD != nil {
-		r.obsD.OnComplete(wi, pc.chunk, end, pc.predicted, pc.effective)
-	}
-	r.startCompute(wi) // pull the next queued chunk, if any
-	r.kick()
-}
-
-// killCompute abandons the chunk a worker is computing (crash or
-// timeout): the partial computation is recorded as busy time up to
-// `at` and the worker's CPU is freed.
-func (r *run) killCompute(wi int, at float64) *pendingChunk {
-	w := &r.workers[wi]
-	pc := w.current
-	if pc == nil {
-		return nil
-	}
-	r.sim.Cancel(w.compEvent)
-	w.compEvent = des.Handle{}
-	w.current = nil
-	w.state.Computing = false
-	r.touch(wi)
-	if r.tr != nil && pc.record >= 0 {
-		r.tr.Records[pc.record].CompEnd = at
-	}
-	return pc
-}
-
-// canReceive reports whether worker i can accept a new transfer.
-func (r *run) canReceive(i int) bool {
-	return !r.workers[i].state.Down && !r.workers[i].state.LinkDown
-}
-
-// pickTarget selects the re-dispatch destination: the live, reachable
-// worker with the least pending work, preferring any worker other
-// than the one that just failed the chunk; ties break on the lowest
-// index, so recovery is deterministic.
-func (r *run) pickTarget(avoid int) int {
-	best, bestLoad := -1, 0
-	for pass := 0; pass < 2 && best < 0; pass++ {
-		for i := 0; i < r.n; i++ {
-			if !r.canReceive(i) || (pass == 0 && i == avoid) {
-				continue
-			}
-			load := r.workers[i].state.Queued + r.workers[i].state.InFlight
-			if r.workers[i].state.Computing {
-				load++
-			}
-			if best < 0 || load < bestLoad {
-				best, bestLoad = i, load
-			}
-		}
-	}
-	return best
-}
-
-// armTimeout starts pc's completion timer: the predicted time for the
-// transfer, the destination's current backlog and the computation,
-// scaled by the recovery policy (doubling per attempt).
-func (r *run) armTimeout(pc *pendingChunk) {
-	if !r.rec.Enabled || r.rec.TimeoutFactor <= 0 {
-		return
-	}
-	wi := pc.chunk.Worker
-	spec := r.p.Workers[wi]
-	w := &r.workers[wi]
-	backlog := 0.0
-	queued := len(w.queue)
-	for _, q := range w.queue {
-		backlog += q.chunk.Size
-	}
-	if w.current != nil {
-		backlog += w.current.chunk.Size
-		queued++
-	}
-	pred := spec.NLat + pc.chunk.Size/spec.B + spec.TLat +
-		float64(queued+1)*spec.CLat + (backlog+pc.chunk.Size)/spec.S
-	pc.timeout = r.sim.AfterCall(r.rec.TimeoutFor(pred, pc.attempt), timeoutCB, pc, 0)
-}
-
-func (r *run) onTimeout(pc *pendingChunk) {
-	pc.timeout = des.Handle{}
-	now := r.sim.Now()
-	switch pc.phase {
-	case chDone, chLost:
-		return
-	case chSending:
-		// Still in transit: written off now; the arrival callback
-		// sees chLost and only drops the in-flight counter.
-		r.lose(pc, now, "completion timeout in transit")
-	case chQueued:
-		w := &r.workers[pc.chunk.Worker]
-		for i, q := range w.queue {
-			if q == pc {
-				w.queue = append(w.queue[:i], w.queue[i+1:]...)
-				break
-			}
-		}
-		w.state.Queued--
-		r.touch(pc.chunk.Worker)
-		r.lose(pc, now, "completion timeout while queued")
-	case chComputing:
-		r.killCompute(pc.chunk.Worker, now)
-		r.lose(pc, now, "completion timeout: task killed")
-		r.startCompute(pc.chunk.Worker)
-	}
-	r.kick()
-}
-
-func (r *run) emitFault(kind obs.Kind, worker int, at float64, reason string) {
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: kind, Time: at, Worker: worker, Seq: -1, Reason: reason})
-	}
-}
-
-func (r *run) applyFault(fe fault.Event) {
-	w := &r.workers[fe.Worker]
-	now := r.sim.Now()
-	switch fe.Kind {
-	case fault.Crash:
-		if w.state.Down {
-			return
-		}
-		w.state.Down = true
-		r.touch(fe.Worker)
-		r.emitFault(obs.KindWorkerCrash, fe.Worker, now, "worker crashed")
-		if pc := r.killCompute(fe.Worker, now); pc != nil {
-			r.lose(pc, now, "worker crashed while computing")
-		}
-		for i, pc := range w.queue {
-			r.lose(pc, now, "worker crashed with chunk queued")
-			w.queue[i] = nil
-		}
-		w.queue = w.queue[:0]
-		w.state.Queued = 0
-		// In-flight data is heading to a dead machine; it is lost on
-		// arrival, where the arrival callback checks liveness.
-		if r.faD != nil {
-			r.syncView()
-			r.faD.OnWorkerDown(fe.Worker, now, &r.view)
-		}
-		r.kick() // lost work may be re-dispatched elsewhere right away
-	case fault.Rejoin:
-		if !w.state.Down {
-			return
-		}
-		w.state.Down = false
-		w.state.LinkDown = false
-		w.slow = 1
-		r.touch(fe.Worker)
-		r.emitFault(obs.KindWorkerRejoin, fe.Worker, now, "worker rejoined")
-		if r.faD != nil {
-			r.syncView()
-			r.faD.OnWorkerUp(fe.Worker, now, &r.view)
-		}
-		r.kick()
-	case fault.LinkDown:
-		if w.state.Down || w.state.LinkDown {
-			return
-		}
-		w.state.LinkDown = true
-		r.touch(fe.Worker)
-		r.emitFault(obs.KindLinkDown, fe.Worker, now, "link outage")
-	case fault.LinkUp:
-		if w.state.Down || !w.state.LinkDown {
-			return
-		}
-		w.state.LinkDown = false
-		r.touch(fe.Worker)
-		r.emitFault(obs.KindLinkUp, fe.Worker, now, "link restored")
-		r.kick()
-	case fault.SlowStart:
-		if w.state.Down {
-			return
-		}
-		w.slow = fe.Factor
-		if r.ev != nil {
-			r.emitFault(obs.KindSlowdown, fe.Worker, now, fmt.Sprintf("straggler: compute slowed %gx", fe.Factor))
-		}
-	case fault.SlowEnd:
-		if w.state.Down {
-			return
-		}
-		w.slow = 1
-		r.emitFault(obs.KindSlowdown, fe.Worker, now, "straggler recovered")
-	}
-}
-
-// send transmits pc to pc.chunk.Worker: occupies a port slot, appends
-// the attempt's trace record, arms the completion timer and schedules
-// the send-completion event. Shared by first dispatches and re-dispatches.
-func (r *run) send(pc *pendingChunk) {
-	c := pc.chunk
-	wi := c.Worker
-	spec := r.p.Workers[wi]
-	if r.commDraws != nil {
-		*r.commDraws++
-	}
-	sendDur := r.comm.Perturb(spec.NLat + c.Size/spec.B)
-	r.sending++
-	pc.phase = chSending
-	r.workers[wi].state.InFlight++
-	r.touch(wi)
-	pc.record = -1
-	if r.tr != nil {
-		r.tr.Records = append(r.tr.Records, trace.ChunkRecord{
-			ChunkID: pc.seq, Attempt: pc.attempt,
-			Worker: wi, Size: c.Size, Round: c.Round, Phase: c.Phase,
-			SendStart: r.sim.Now(), SendEnd: r.sim.Now() + sendDur,
-			Arrive: r.sim.Now() + sendDur + spec.TLat,
-		})
-		pc.record = len(r.tr.Records) - 1
-	}
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: obs.KindSendStart, Time: r.sim.Now(), Worker: wi,
-			Seq: pc.seq, Size: c.Size, Round: c.Round, Phase: c.Phase, Attempt: pc.attempt})
-	}
-	r.armTimeout(pc)
-	// The send slot frees when the non-overlappable part completes; the
-	// worker holds the data tLat later (scheduled from onSendEnd).
-	r.sim.AfterCall(sendDur, sendEndCB, pc, packAux(pc.attempt, wi))
-}
-
-// onSendEnd is the port-freed des callback for one attempt. aux carries
-// the attempt's (attempt, worker): both can differ from the chunk's
-// current fields when the attempt was written off and re-dispatched
-// while still in transit.
-func (pc *pendingChunk) onSendEnd(aux int) {
-	r := pc.run
-	attempt, wi := unpackAux(aux)
-	r.sending--
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: obs.KindSendEnd, Time: r.sim.Now(), Worker: wi,
-			Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase, Attempt: attempt})
-	}
-	r.sim.AfterCall(r.p.Workers[wi].TLat, arriveCB, pc, aux)
-	r.kick()
-}
-
-// onArrive is the data-arrival des callback for one attempt.
-func (pc *pendingChunk) onArrive(aux int) {
-	r := pc.run
-	attempt, wi := unpackAux(aux)
-	w := &r.workers[wi]
-	w.state.InFlight--
-	r.touch(wi)
-	if pc.phase == chLost || pc.attempt != attempt {
-		// This attempt was written off (timeout in transit) — and
-		// possibly already re-dispatched elsewhere, which resets the
-		// phase; the attempt counter tells a stale arrival from the
-		// live one. The data arrives to no one.
-		r.kick()
-		return
-	}
-	if w.state.Down || w.state.LinkDown {
-		reason := "arrived at crashed worker"
-		if !w.state.Down {
-			reason = "arrived during link outage"
-		}
-		r.lose(pc, r.sim.Now(), reason)
-		r.kick()
-		return
-	}
-	w.state.Queued++
-	pc.phase = chQueued
-	w.queue = append(w.queue, pc)
-	if r.ev != nil {
-		r.ev.Emit(obs.Event{Kind: obs.KindArrive, Time: r.sim.Now(), Worker: wi,
-			Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase, Attempt: pc.attempt})
-	}
-	r.startCompute(wi)
-	r.kick()
-}
-
-func (r *run) kick() {
-	// With spare slots the master may start several transfers now:
-	// re-dispatch lost work first, then consult the dispatcher.
-	for r.sending < r.slots && r.dispatchErr == nil {
-		var pc *pendingChunk
-		if r.rec.Enabled && len(r.lostQueue) > 0 {
-			if target := r.pickTarget(r.lostQueue[0].chunk.Worker); target >= 0 {
-				pc = r.lostQueue[0]
-				copy(r.lostQueue, r.lostQueue[1:])
-				r.lostQueue[len(r.lostQueue)-1] = nil
-				r.lostQueue = r.lostQueue[:len(r.lostQueue)-1]
-				if r.tr != nil && pc.record >= 0 {
-					r.tr.Records[pc.record].Redispatched = true
-				}
-				pc.chunk.Worker = target
-				pc.attempt++
-				r.res.Redispatches++
-				r.res.RedispatchedWork += pc.chunk.Size
-				if r.res.Redispatches > r.maxChunks {
-					r.fail(fmt.Errorf("engine: recovery exceeded %d re-dispatches; livelocked fault scenario?", r.maxChunks))
-					return
-				}
-				if r.ev != nil {
-					r.ev.Emit(obs.Event{Kind: obs.KindRedispatch, Time: r.sim.Now(), Worker: target,
-						Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase,
-						Attempt: pc.attempt, Reason: "re-dispatching lost chunk to least-loaded live worker"})
-				}
-			}
-		}
-		if pc == nil {
-			r.syncView()
-			c, ok := r.d.Next(&r.view)
-			if !ok {
-				return
-			}
-			if c.Worker < 0 || c.Worker >= r.n {
-				r.fail(fmt.Errorf("engine: dispatcher sent chunk to worker %d of %d", c.Worker, r.n))
-				return
-			}
-			if c.Size <= 0 || math.IsNaN(c.Size) || math.IsInf(c.Size, 0) {
-				r.fail(fmt.Errorf("engine: dispatcher produced invalid chunk size %g", c.Size))
-				return
-			}
-			r.res.Chunks++
-			if r.res.Chunks > r.maxChunks {
-				r.fail(fmt.Errorf("engine: dispatcher exceeded %d chunks; runaway policy?", r.maxChunks))
-				return
-			}
-			r.res.DispatchedWork += c.Size
-			pc = r.allocPC()
-			pc.chunk = c
-			pc.seq = r.res.Chunks - 1
-		}
-		r.send(pc)
-	}
+	return nil
 }

@@ -1,25 +1,14 @@
 package engine
 
-// Multi-job simulation: one DES run hosting N divisible loads that share
-// the star platform. Each job brings its own dispatcher, workload and
+// The simulation core: one DES run hosting N >= 1 divisible loads that
+// share the star platform. Each job brings its own dispatcher, workload and
 // perturbation streams; all contend for the serialised master port under a
 // pluggable LinkPolicy and for the workers' CPUs (chunks from different
-// jobs queue FIFO at each worker, in arrival order, exactly as in the
-// single-job model). Jobs enter the system at their Arrival time — before
-// it, a job's dispatcher is never consulted — which is what open-arrival
-// scenarios are built from.
-//
-// The single-job Run keeps its own pooled, allocation-free implementation;
-// RunMulti is a separate path over the same DES kernel, platform model and
-// trace/event vocabulary, so the single-job hot path stays byte-identical
-// (the goldens pin it). The multi path carries the same steady-state
-// contract as the single-job one: run state (workers, view, dirty bitset,
-// per-job accounting, candidate scratch, chunk structs) is pooled and
-// reset between runs, chunk callbacks are shared top-level functions, and
-// with MultiOptions.JobResults supplied a steady-state RunMulti performs
-// no heap allocation at all (BenchmarkMultiJobRun pins 0 allocs/op).
-// Faults are not injected into multi-job runs yet; traces are therefore
-// fault-free and every dispatch attempt is attempt 0.
+// jobs queue FIFO at each worker, in arrival order). Jobs enter the system
+// at their Arrival time — before it, a job's dispatcher is never consulted
+// — which is what open-arrival scenarios are built from. RunMulti exposes
+// the N-job case; Run (engine.go) is the one-job case. Faults and recovery
+// act on the same run state (faults.go).
 
 import (
 	"fmt"
@@ -28,6 +17,7 @@ import (
 	"sync"
 
 	"rumr/internal/des"
+	"rumr/internal/fault"
 	"rumr/internal/metrics"
 	"rumr/internal/obs"
 	"rumr/internal/perferr"
@@ -79,10 +69,12 @@ type JobResult struct {
 	// Response is Finish - Arrival: the job's makespan as its owner
 	// experiences it.
 	Response float64
-	// Chunks is the number of chunks the job dispatched.
+	// Chunks is the number of chunks the job dispatched (first attempts
+	// only).
 	Chunks int
 	// DispatchedWork and CompletedWork account the job's workload units
-	// (equal in fault-free multi-job runs once the run drains).
+	// (equal in fault-free runs once the run drains). Fault-recovery
+	// re-sends are not counted again in DispatchedWork.
 	DispatchedWork float64
 	CompletedWork  float64
 }
@@ -111,8 +103,8 @@ type MultiOptions struct {
 	Metrics *metrics.Collector
 	// Counters, when non-nil, accumulates the engine's hot-path telemetry
 	// (events, syncView bytes, RNG draws) into the pointed-to struct with
-	// plain integer adds, exactly as Options.Counters does for the
-	// single-job path. Not safe to share across concurrent runs.
+	// plain integer adds, exactly as Options.Counters does for Run. Not
+	// safe to share across concurrent runs.
 	Counters *Counters
 	// JobResults, when non-nil and with capacity for every job, becomes
 	// the backing store of MultiResult.Jobs, so batch callers avoid the
@@ -143,33 +135,48 @@ type MultiResult struct {
 // ExhaustedDispatcher is an optional Dispatcher capability. Exhausted
 // reports that Next can never again return a chunk, no matter how the
 // platform evolves — the dispatcher's workload is fully dispatched and no
-// mechanism can hand it more. The multi-job engine uses it to stop
-// consulting (and view-syncing) drained jobs for the rest of the run. The
-// report must be permanent: a dispatcher that might still receive work
-// mid-run (a fault-tolerance transfer, an adaptive split decision) must
-// answer false until that can no longer happen, or not implement the
-// interface at all.
+// mechanism can hand it more. The engine uses it to stop consulting (and
+// view-syncing) drained jobs for the rest of the run. The report must be
+// permanent: a dispatcher that might still receive work mid-run (a
+// fault-tolerance transfer, an adaptive split decision) must answer false
+// until that can no longer happen, or not implement the interface at all.
 type ExhaustedDispatcher interface {
 	Exhausted() bool
 }
 
-// mjChunk is the life-cycle state of one multi-job chunk. The chain is the
-// single-job one minus faults: send → pipeline tail → queue → compute.
+// chunkPhase is the life-cycle state of a chunk's current attempt.
+type chunkPhase uint8
+
+const (
+	chSending chunkPhase = iota // send or pipeline tail in progress
+	chQueued                    // arrived, waiting for the CPU
+	chComputing
+	chDone
+	chLost
+)
+
+// mjChunk is the life-cycle state of one chunk: send → pipeline tail →
+// queue → compute, with faults able to cut the chain at any hop.
 type mjChunk struct {
-	mr     *multiRun
-	job    int
-	chunk  Chunk
-	seq    int // global dispatch index across jobs
-	record int // trace record index, -1 when tracing is off
+	mr      *multiRun
+	job     int
+	chunk   Chunk
+	seq     int // global dispatch index across jobs; stable chunk identity
+	record  int // trace record of the current attempt, -1 when tracing is off
+	attempt int // 0 = original send, +1 per re-dispatch
+	phase   chunkPhase
+	timeout des.Handle // completion timer, cancellable
 	// predicted and effective are captured at compute start for the
 	// completion callback and the job's Observer.
 	predicted, effective float64
 }
 
 type mjWorker struct {
-	state   WorkerState // the shared ground truth every job's view sees
-	queue   []*mjChunk  // arrived, not yet computed (FIFO across jobs)
-	current *mjChunk
+	state     WorkerState // the shared ground truth every job's view sees
+	queue     []*mjChunk  // arrived, not yet computed (FIFO across jobs)
+	current   *mjChunk
+	compEvent des.Handle // completion of current, cancellable on faults
+	slow      float64    // compute slowdown factor (1 = nominal)
 }
 
 type mjJob struct {
@@ -177,17 +184,13 @@ type mjJob struct {
 	comm perferr.Model
 	comp perferr.Model
 	obsD Observer
+	faD  FaultAware
 	exh  ExhaustedDispatcher
 	// commDraws/compDraws point at the counter field matching each
 	// model's distribution (classified once per run by drawCounter), so
 	// the per-draw cost is a nil check and an add.
 	commDraws, compDraws *int64
 	link                 LinkState
-	started              bool // first send recorded
-	// Per-worker completion accounting, surfaced in this job's View in
-	// place of the shared totals.
-	doneChunks []int
-	doneWork   []float64
 	// view is this job's incrementally maintained View: shared worker
 	// occupancy with the job's own completion accounting substituted in.
 	// The job's staleness bitset lives in multiRun.dirtyJ — touch() raises
@@ -202,12 +205,11 @@ type mjJob struct {
 	res  JobResult
 }
 
-// multiRun is the complete state of one multi-job simulation. Instances
-// are pooled exactly like the single-job run: RunMulti borrows one,
-// resets every field, executes, and returns it. mjChunk structs are
-// pooled per instance (a cursor-recycled arena); their back-pointer to
-// the owning run is set once and stays valid because chunks never
-// migrate between instances.
+// multiRun is the complete state of one simulation. Instances are
+// pooled: Run and RunMulti borrow one, reset every field, execute, and
+// return it. mjChunk structs are pooled per instance (a cursor-recycled
+// arena); their back-pointer to the owning run is set once and stays
+// valid because chunks never migrate between instances.
 type multiRun struct {
 	sim    *des.Simulator
 	p      *platform.Platform
@@ -221,7 +223,7 @@ type multiRun struct {
 	slots     int
 	sending   int
 	maxChunks int
-	chunks    int // global dispatch counter
+	chunks    int // global dispatch counter (first attempts)
 	makespan  float64
 
 	workers []mjWorker
@@ -250,11 +252,22 @@ type multiRun struct {
 	// of an interface call per pair.
 	polKind uint8
 
+	// Fault injection and recovery (faults.go). Lost attempts wait in
+	// lostQueue, FIFO, and are re-sent before any job's fresh dispatch.
+	faults                     []fault.Event
+	rec                        fault.Recovery
+	lostQueue                  []*mjChunk
+	lostChunks, redispatches   int
+	lostWork, redispatchedWork float64
+
 	// mcs is the persistent chunk arena. Structs are handed out by cursor
 	// (mcUsed); every lifecycle field is rewritten on dispatch, so
 	// recycling the whole arena between runs is a cursor reset.
 	mcs    []*mjChunk
 	mcUsed int
+
+	// loneSink adapts Run's event sink without allocating.
+	loneSink loneSink
 
 	err error
 }
@@ -270,50 +283,75 @@ const (
 
 var multiRunPool = sync.Pool{New: func() any { return &multiRun{sim: des.New()} }}
 
-// Shared top-level des callbacks, mirroring the single-job ones.
+// aux packing for the send/arrive event chain: the des callback argument
+// carries the attempt number and that attempt's destination worker. A
+// chunk can be re-dispatched while a stale transfer to its old worker is
+// in flight, and the stale arrival must release that worker's counter.
+const auxWorkerBits = 20
+
+func packAux(attempt, worker int) int { return attempt<<auxWorkerBits | worker }
+func unpackAux(aux int) (attempt, worker int) {
+	return aux >> auxWorkerBits, aux & (1<<auxWorkerBits - 1)
+}
+
+// Shared des callbacks: one top-level function per event kind for the
+// whole process, so scheduling a chunk-hop allocates nothing.
 func mjActivateCB(arg any, aux int) { mr := arg.(*multiRun); mr.activate(aux) }
-func mjSendEndCB(arg any, _ int)    { pc := arg.(*mjChunk); pc.mr.onSendEnd(pc) }
-func mjArriveCB(arg any, _ int)     { pc := arg.(*mjChunk); pc.mr.onArrive(pc) }
+func mjSendEndCB(arg any, aux int)  { pc := arg.(*mjChunk); pc.mr.onSendEnd(pc, aux) }
+func mjArriveCB(arg any, aux int)   { pc := arg.(*mjChunk); pc.mr.onArrive(pc, aux) }
 func mjCompEndCB(arg any, _ int)    { pc := arg.(*mjChunk); pc.mr.onCompEnd(pc) }
+func mjTimeoutCB(arg any, _ int)    { pc := arg.(*mjChunk); pc.mr.onTimeout(pc) }
+func mjFaultCB(arg any, aux int)    { mr := arg.(*multiRun); mr.applyFault(mr.faults[aux]) }
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Old contents are kept; callers reset what they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // RunMulti simulates the concurrent execution of several divisible loads
 // on p and returns per-job and overall results. It returns an error for
 // invalid platforms, malformed job specs or misbehaving dispatchers.
 func RunMulti(p *platform.Platform, jobs []Job, opts MultiOptions) (MultiResult, error) {
-	if err := p.Validate(); err != nil {
+	if err := validate(p, nil, jobs); err != nil {
 		return MultiResult{}, err
 	}
 	if len(jobs) == 0 {
 		return MultiResult{}, fmt.Errorf("engine: multi-job run needs at least one job")
 	}
-	for j, job := range jobs {
-		if job.Dispatcher == nil {
-			return MultiResult{}, fmt.Errorf("engine: job %d has no dispatcher", j)
+	mr := multiRunPool.Get().(*multiRun)
+	var res MultiResult
+	err := mr.exec(p, jobs, opts, nil, fault.Recovery{})
+	if err == nil {
+		out := resize(opts.JobResults, len(jobs))
+		for j := range mr.jobs {
+			out[j] = mr.jobs[j].res
 		}
-		if job.Total <= 0 || math.IsNaN(job.Total) || math.IsInf(job.Total, 0) {
-			return MultiResult{}, fmt.Errorf("engine: job %d has invalid workload %g", j, job.Total)
-		}
-		if job.Arrival < 0 || math.IsNaN(job.Arrival) || math.IsInf(job.Arrival, 0) {
-			return MultiResult{}, fmt.Errorf("engine: job %d has invalid arrival time %g", j, job.Arrival)
-		}
-		if job.Weight < 0 || math.IsNaN(job.Weight) {
-			return MultiResult{}, fmt.Errorf("engine: job %d has invalid weight %g", j, job.Weight)
+		res = MultiResult{
+			Jobs:     out,
+			Makespan: mr.makespan,
+			Chunks:   mr.chunks,
+			Trace:    mr.tr,
+			Events:   mr.sim.Processed(),
 		}
 	}
-	mr := multiRunPool.Get().(*multiRun)
-	res, err := mr.exec(p, jobs, opts)
 	mr.release()
 	multiRunPool.Put(mr)
 	return res, err
 }
 
-// exec resets the pooled state for (p, jobs, opts) and plays the
-// simulation.
-func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions) (MultiResult, error) {
+// exec resets the pooled state for (p, jobs, opts, faults, rec) and plays
+// the simulation, leaving the outcome in the run state for the caller to
+// read before release.
+func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, faults *fault.Schedule, rec fault.Recovery) error {
 	mr.p = p
 	mr.policy = opts.Policy
 	mr.ev = opts.Events
 	mr.ctr = opts.Counters
+	mr.rec = rec
 	mr.n = p.N()
 	mr.slots = opts.ParallelSends
 	mr.maxChunks = opts.MaxChunks
@@ -339,10 +377,10 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions) (M
 	mr.sending = 0
 	mr.chunks = 0
 	mr.makespan = 0
-	mr.err = nil
+	mr.lostChunks, mr.redispatches = 0, 0
+	mr.lostWork, mr.redispatchedWork = 0, 0
 	mr.sim.Reset()
 
-	mr.tr = nil
 	if opts.RecordTrace {
 		mr.tr = &trace.Trace{ParallelSends: mr.slots}
 		if opts.ExpectedChunks > 0 {
@@ -354,30 +392,18 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions) (M
 		mr.mcs = make([]*mjChunk, 0, opts.ExpectedChunks)
 	}
 
-	if cap(mr.workers) < mr.n {
-		mr.workers = make([]mjWorker, mr.n)
-	}
-	mr.workers = mr.workers[:mr.n]
+	mr.workers = resize(mr.workers, mr.n)
 	for i := range mr.workers {
 		w := &mr.workers[i]
 		w.state = WorkerState{}
-		if w.queue != nil {
-			w.queue = w.queue[:0]
-		}
-		w.current = nil
+		w.compEvent = des.Handle{}
+		w.slow = 1
 	}
-	if cap(mr.cand) < len(jobs) {
-		mr.cand = make([]int, 0, len(jobs))
-		mr.active = make([]int, 0, len(jobs))
-	}
-	mr.cand = mr.cand[:0]
-	mr.active = mr.active[:0]
+	mr.cand = resize(mr.cand, len(jobs))[:0]
+	mr.active = resize(mr.active, len(jobs))[:0]
 
 	idleWords := (mr.n + 63) / 64
-	if cap(mr.idle) < idleWords {
-		mr.idle = make([]uint64, idleWords)
-	}
-	mr.idle = mr.idle[:idleWords]
+	mr.idle = resize(mr.idle, idleWords)
 	for i := range mr.idle {
 		mr.idle[i] = ^uint64(0) // every worker starts idle
 	}
@@ -388,100 +414,88 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions) (M
 	// Every job starts with its whole dirty block raised: the pooled
 	// views are stale until the first sync.
 	mr.dWords = idleWords
-	if need := len(jobs) * idleWords; cap(mr.dirtyJ) < need {
-		mr.dirtyJ = make([]uint64, need)
-	} else {
-		mr.dirtyJ = mr.dirtyJ[:need]
-	}
+	mr.dirtyJ = resize(mr.dirtyJ, len(jobs)*idleWords)
 	for j := 0; j < len(jobs); j++ {
 		copy(mr.dirtyJ[j*idleWords:(j+1)*idleWords], mr.idle)
 	}
-	if cap(mr.selKey) < len(jobs) {
-		mr.selKey = make([]float64, len(jobs))
-		mr.selPrio = make([]int, len(jobs))
-	}
-	mr.selKey = mr.selKey[:len(jobs)]
-	mr.selPrio = mr.selPrio[:len(jobs)]
+	mr.selKey = resize(mr.selKey, len(jobs))
+	mr.selPrio = resize(mr.selPrio, len(jobs))
 
-	if cap(mr.jobs) < len(jobs) {
-		mr.jobs = make([]mjJob, len(jobs))
+	// Fault events are scheduled before anything else, so a fault fires
+	// ahead of any chunk event due at the same instant.
+	if !faults.Empty() {
+		mr.faults = faults.Events
+		for i, fe := range mr.faults {
+			mr.sim.AtCall(fe.Time, mjFaultCB, mr, i)
+		}
 	}
-	mr.jobs = mr.jobs[:len(jobs)]
-	for j := range jobs {
+
+	mr.jobs = resize(mr.jobs, len(jobs))
+	for j, spec := range jobs {
 		js := &mr.jobs[j]
-		js.spec = jobs[j]
-		js.comm = jobs[j].CommModel
+		// The occupancy fields of the pooled view are refreshed by the
+		// first sync (the dirty block starts fully raised), but the
+		// completion fields are only ever written by onCompEnd, so the
+		// entries must be zeroed.
+		vw := resize(js.view.Workers, mr.n)
+		clear(vw)
+		*js = mjJob{
+			spec: spec, comm: spec.CommModel, comp: spec.CompModel,
+			link: LinkState{Index: j, Arrival: spec.Arrival, Priority: spec.Priority, Weight: spec.Weight},
+			view: View{Workers: vw, IdleMask: mr.idle},
+			res:  JobResult{Name: spec.Name, Arrival: spec.Arrival},
+		}
 		if js.comm == nil {
 			js.comm = perferr.Perfect{}
 		}
-		js.comp = jobs[j].CompModel
 		if js.comp == nil {
 			js.comp = perferr.Perfect{}
 		}
-		js.obsD, _ = jobs[j].Dispatcher.(Observer)
-		js.exh, _ = jobs[j].Dispatcher.(ExhaustedDispatcher)
+		js.obsD, _ = spec.Dispatcher.(Observer)
+		js.faD, _ = spec.Dispatcher.(FaultAware)
+		js.exh, _ = spec.Dispatcher.(ExhaustedDispatcher)
 		js.commDraws = drawCounter(mr.ctr, js.comm)
 		js.compDraws = drawCounter(mr.ctr, js.comp)
-		js.link = LinkState{Index: j, Arrival: jobs[j].Arrival, Priority: jobs[j].Priority, Weight: jobs[j].Weight}
 		if js.link.Weight <= 0 {
 			js.link.Weight = 1
 		}
+		mr.selKey[j] = spec.Arrival
 		if mr.polKind == polWeighted {
 			mr.selKey[j] = 0 // Granted/Weight at Granted = 0
-		} else {
-			mr.selKey[j] = js.link.Arrival
 		}
-		mr.selPrio[j] = js.link.Priority
-		js.started = false
-		if cap(js.view.Workers) < mr.n {
-			js.view.Workers = make([]WorkerState, mr.n)
-		}
-		js.view.Workers = js.view.Workers[:mr.n]
-		// The occupancy fields are refreshed by the first sync (the dirty
-		// block starts fully raised), but the completion fields are only
-		// ever written by onCompEnd, so the pooled entries must be zeroed.
-		clear(js.view.Workers)
-		js.view.Time = 0
-		js.view.IdleMask = mr.idle
-		if cap(js.doneChunks) < mr.n {
-			js.doneChunks = make([]int, mr.n)
-			js.doneWork = make([]float64, mr.n)
-		} else {
-			js.doneChunks = js.doneChunks[:mr.n]
-			js.doneWork = js.doneWork[:mr.n]
-			for i := range js.doneChunks {
-				js.doneChunks[i] = 0
-				js.doneWork[i] = 0
-			}
-		}
-		js.res = JobResult{Name: jobs[j].Name, Arrival: jobs[j].Arrival}
-		if mr.ev != nil {
-			if em, ok := jobs[j].Dispatcher.(obs.Emitter); ok {
+		mr.selPrio[j] = spec.Priority
+		if em, ok := spec.Dispatcher.(obs.Emitter); ok && mr.ev != nil {
+			// Run's dispatcher emits straight into its caller's sink.
+			if ls, lone := mr.ev.(*loneSink); lone {
+				em.AttachEvents(ls.Sink)
+			} else {
 				em.AttachEvents(obs.ForJob(j, mr.ev))
 			}
 		}
-		mr.sim.AtCall(jobs[j].Arrival, mjActivateCB, mr, j)
+		if spec.Arrival > 0 {
+			mr.sim.AtCall(spec.Arrival, mjActivateCB, mr, j)
+		}
+	}
+	// Jobs present from the start enter now, in index order — exactly
+	// where their activation events would fire, as every other event of
+	// the run is scheduled after them.
+	for j := range jobs {
+		if jobs[j].Arrival == 0 {
+			mr.activate(j)
+		}
 	}
 
 	mr.sim.Run()
 	if mr.err != nil {
-		return MultiResult{}, mr.err
+		return mr.err
 	}
-
-	out := opts.JobResults
-	if cap(out) >= len(jobs) {
-		out = out[:len(jobs)]
-	} else {
-		out = make([]JobResult, len(jobs))
-	}
-	res := MultiResult{
-		Jobs:     out,
-		Makespan: mr.makespan,
-		Chunks:   mr.chunks,
-		Events:   mr.sim.Processed(),
+	// Chunks still awaiting re-dispatch when the simulation drains (every
+	// surviving worker unreachable) are permanently lost.
+	for _, pc := range mr.lostQueue {
+		mr.lostWork += pc.chunk.Size
 	}
 	for j := range mr.jobs {
-		jr := mr.jobs[j].res
+		jr := &mr.jobs[j].res
 		if jr.Chunks == 0 {
 			jr.Start = jr.Arrival
 		}
@@ -489,11 +503,8 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions) (M
 			jr.Finish = jr.Arrival
 		}
 		jr.Response = jr.Finish - jr.Arrival
-		res.Jobs[j] = jr
-		if mr.ev != nil {
-			mr.ev.EmitJob(j, obs.Event{Kind: obs.KindRunDone, Time: jr.Finish, Worker: -1,
-				Seq: jr.Chunks, Size: jr.DispatchedWork})
-		}
+		mr.emit(j, obs.Event{Kind: obs.KindRunDone, Time: jr.Finish, Worker: -1,
+			Seq: jr.Chunks, Size: jr.DispatchedWork})
 	}
 	if mr.ctr != nil {
 		// The DES kernel keeps its own always-on counters; fold them in
@@ -506,23 +517,23 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions) (M
 		if d := int64(st.MaxDepth); d > mr.ctr.MaxHeapDepth {
 			mr.ctr.MaxHeapDepth = d
 		}
+		mr.ctr.Redispatches += int64(mr.redispatches)
 	}
 	if mr.tr != nil {
 		mr.tr.Makespan = mr.makespan
-		res.Trace = mr.tr
 	}
 	if opts.Metrics != nil {
-		opts.Metrics.AddRun(res.Chunks, res.Events, res.Makespan)
+		opts.Metrics.AddRun(mr.chunks, mr.sim.Processed(), mr.makespan)
 	}
-	return res, nil
+	return nil
 }
 
 // release drops every borrowed reference before the instance goes back to
 // the pool, and recycles this run's chunks by resetting the arena cursor
 // (chunk structs hold no pointers besides the intentional back-pointer to
-// this instance, and send/startCompute rewrite every lifecycle field, so
-// no per-chunk scrub is needed). Capacities (heap, arena, queues, per-job
-// accounting) are retained — that is the point of pooling.
+// this instance, and kick/send/beginCompute rewrite every lifecycle field,
+// so no per-chunk scrub is needed). Capacities (heap, arena, queues, views)
+// are retained — that is the point of pooling.
 func (mr *multiRun) release() {
 	mr.mcUsed = 0
 	for i := range mr.workers {
@@ -533,28 +544,26 @@ func (mr *multiRun) release() {
 		w.queue = w.queue[:0]
 		w.current = nil
 	}
+	clear(mr.lostQueue)
+	mr.lostQueue = mr.lostQueue[:0]
 	for j := range mr.jobs {
-		js := &mr.jobs[j]
-		js.spec = Job{}
-		js.comm = nil
-		js.comp = nil
-		js.obsD = nil
-		js.exh = nil
-		js.commDraws = nil
-		js.compDraws = nil
+		mr.jobs[j] = mjJob{view: View{Workers: mr.jobs[j].view.Workers}}
 	}
+	mr.loneSink.Sink = nil
 	mr.p = nil
 	mr.policy = nil
 	mr.ev = nil
 	mr.tr = nil
 	mr.ctr = nil
+	mr.faults = nil
 	mr.err = nil
 }
 
 // allocMC hands out the next chunk struct from the arena, growing it only
 // on a cold pool. Recycled structs come back with stale lifecycle fields;
-// send (job, chunk, seq, record) and startCompute (predicted, effective)
-// rewrite all of them before any reader sees the struct.
+// kick (job, chunk, seq, attempt), send (phase, record, timeout) and
+// beginCompute (predicted, effective) rewrite all of them before any
+// reader sees the struct.
 func (mr *multiRun) allocMC() *mjChunk {
 	if mr.mcUsed < len(mr.mcs) {
 		pc := mr.mcs[mr.mcUsed]
@@ -578,6 +587,21 @@ func (mr *multiRun) emit(job int, e obs.Event) {
 	if mr.ev != nil {
 		mr.ev.EmitJob(job, e)
 	}
+}
+
+// emitChunk reports a life-cycle step of one attempt of pc, on worker wi,
+// at the current time. It stays small enough to inline, so a run without
+// events pays one branch per step.
+func (mr *multiRun) emitChunk(kind obs.Kind, pc *mjChunk, wi, attempt int, reason string) {
+	if mr.ev != nil {
+		mr.emitChunkEvent(kind, pc, wi, attempt, reason)
+	}
+}
+
+func (mr *multiRun) emitChunkEvent(kind obs.Kind, pc *mjChunk, wi, attempt int, reason string) {
+	c := &pc.chunk
+	mr.ev.EmitJob(pc.job, obs.Event{Kind: kind, Time: mr.sim.Now(), Worker: wi, Seq: pc.seq,
+		Size: c.Size, Round: c.Round, Phase: c.Phase, Attempt: attempt, Reason: reason})
 }
 
 func (mr *multiRun) activate(j int) {
@@ -674,6 +698,11 @@ func (mr *multiRun) syncViewFor(j int) {
 	}
 }
 
+// syncViewForAudit, when non-nil, runs after every view sync: the
+// differential dirty-tracking test checks the view against the ground
+// truth there. Nil outside tests.
+var syncViewForAudit func(mr *multiRun, j int)
+
 // selectBest returns the position in mr.cand of the policy minimum —
 // first among ties, the job a stable sort would consult next. The
 // built-in policies compare inlined keys (the exact values their Less
@@ -709,14 +738,18 @@ func (mr *multiRun) selectBest() int {
 }
 
 // kick offers free port slots to the jobs in policy order until either the
-// port is saturated or every arrived job declines. The policy order is
-// realised lazily: instead of sorting the whole candidate list per offer,
-// kick repeatedly extracts the policy minimum (first among ties, matching
-// a stable sort) and consults it, stopping at the first job that accepts.
-// In the common case — the best-ranked job takes the port — that is one
-// linear scan instead of a sort plus a scan.
+// port is saturated or every arrived job declines; lost work waiting for
+// re-dispatch goes first. The policy order is realised lazily: instead of
+// sorting the whole candidate list per offer, kick repeatedly extracts the
+// policy minimum (first among ties, matching a stable sort) and consults
+// it, stopping at the first job that accepts. In the common case — the
+// best-ranked job takes the port — that is one linear scan instead of a
+// sort plus a scan.
 func (mr *multiRun) kick() {
 	for mr.sending < mr.slots && mr.err == nil {
+		if len(mr.lostQueue) > 0 && mr.redispatch() {
+			continue
+		}
 		mr.cand = append(mr.cand[:0], mr.active...)
 		dispatched := false
 		for len(mr.cand) > 0 {
@@ -724,12 +757,13 @@ func (mr *multiRun) kick() {
 			j := mr.cand[best]
 			mr.cand = append(mr.cand[:best], mr.cand[best+1:]...)
 			mr.syncViewFor(j)
-			c, ok := mr.jobs[j].spec.Dispatcher.Next(&mr.jobs[j].view)
+			js := &mr.jobs[j]
+			c, ok := js.spec.Dispatcher.Next(&js.view)
 			if !ok {
 				// A permanently drained job leaves the candidate set for
 				// good: skipping it only skips consults that could never
 				// produce a chunk, so the dispatch sequence is unchanged.
-				if ex := mr.jobs[j].exh; ex != nil && ex.Exhausted() {
+				if js.exh != nil && js.exh.Exhausted() {
 					mr.deactivate(j)
 				}
 				continue
@@ -747,7 +781,17 @@ func (mr *multiRun) kick() {
 				mr.fail(fmt.Errorf("engine: dispatchers exceeded %d chunks across jobs; runaway policy?", mr.maxChunks))
 				return
 			}
-			mr.send(j, c)
+			if js.res.Chunks == 0 {
+				js.res.Start = mr.sim.Now()
+			}
+			js.res.Chunks++
+			js.res.DispatchedWork += c.Size
+			pc := mr.allocMC()
+			pc.job = j
+			pc.chunk = c
+			pc.seq = mr.chunks - 1
+			pc.attempt = 0
+			mr.send(pc)
 			dispatched = true
 			break
 		}
@@ -757,11 +801,13 @@ func (mr *multiRun) kick() {
 	}
 }
 
-// send grants the port to job j's chunk: occupies a slot, accounts the
-// grant for weighted arbitration, records the trace record and schedules
-// the transfer completion.
-func (mr *multiRun) send(j int, c Chunk) {
-	js := &mr.jobs[j]
+// send grants the port to one attempt of pc: occupies a slot, accounts
+// the grant for weighted arbitration, appends the attempt's trace record,
+// arms the completion timer and schedules the transfer completion. Shared
+// by first dispatches and re-dispatches.
+func (mr *multiRun) send(pc *mjChunk) {
+	js := &mr.jobs[pc.job]
+	c := pc.chunk
 	wi := c.Worker
 	spec := &mr.p.Workers[wi]
 	if js.commDraws != nil {
@@ -769,63 +815,87 @@ func (mr *multiRun) send(j int, c Chunk) {
 	}
 	sendDur := js.comm.Perturb(spec.NLat + c.Size/spec.B)
 	now := mr.sim.Now()
-
-	pc := mr.allocMC()
-	pc.job = j
-	pc.chunk = c
-	pc.seq = mr.chunks - 1
-	pc.record = -1
 	mr.sending++
+	pc.phase = chSending
+	pc.record = -1
+	pc.timeout = des.Handle{}
 	mr.workers[wi].state.InFlight++
 	mr.touchBusy(wi)
 	js.link.Granted += c.Size
 	if mr.polKind == polWeighted {
-		mr.selKey[j] = js.link.Granted / js.link.Weight
-	}
-	js.res.Chunks++
-	js.res.DispatchedWork += c.Size
-	if !js.started {
-		js.started = true
-		js.res.Start = now
+		mr.selKey[pc.job] = js.link.Granted / js.link.Weight
 	}
 	if mr.tr != nil {
 		mr.tr.Records = append(mr.tr.Records, trace.ChunkRecord{
-			ChunkID: pc.seq, Job: j,
+			ChunkID: pc.seq, Attempt: pc.attempt, Job: pc.job,
 			Worker: wi, Size: c.Size, Round: c.Round, Phase: c.Phase,
 			SendStart: now, SendEnd: now + sendDur,
 			Arrive: now + sendDur + spec.TLat,
 		})
 		pc.record = len(mr.tr.Records) - 1
 	}
-	mr.emit(j, obs.Event{Kind: obs.KindSendStart, Time: now, Worker: wi,
-		Seq: pc.seq, Size: c.Size, Round: c.Round, Phase: c.Phase})
-	mr.sim.AfterCall(sendDur, mjSendEndCB, pc, 0)
+	mr.emitChunk(obs.KindSendStart, pc, wi, pc.attempt, "")
+	// The send slot frees when the non-overlappable part completes; the
+	// worker holds the data tLat later (scheduled from onSendEnd). The
+	// send end is scheduled before the far-off completion timer so that,
+	// when it fills the DES replace-top slot, the sift is short.
+	mr.sim.AfterCall(sendDur, mjSendEndCB, pc, packAux(pc.attempt, wi))
+	if mr.rec.Enabled && mr.rec.TimeoutFactor > 0 {
+		mr.armTimeout(pc)
+	}
 }
 
-func (mr *multiRun) onSendEnd(pc *mjChunk) {
+// onSendEnd is the port-freed des callback for one attempt. aux carries
+// the attempt's (attempt, worker): both can differ from the chunk's
+// current fields when the attempt was written off and re-dispatched
+// while still in transit.
+func (mr *multiRun) onSendEnd(pc *mjChunk, aux int) {
+	attempt, wi := unpackAux(aux)
 	mr.sending--
-	mr.emit(pc.job, obs.Event{Kind: obs.KindSendEnd, Time: mr.sim.Now(), Worker: pc.chunk.Worker,
-		Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase})
-	if tl := mr.p.Workers[pc.chunk.Worker].TLat; tl != 0 {
-		mr.sim.AfterCall(tl, mjArriveCB, pc, 0)
+	mr.emitChunk(obs.KindSendEnd, pc, wi, attempt, "")
+	if tl := mr.p.Workers[wi].TLat; tl != 0 || mr.sim.PendingBy(mr.sim.Now()) {
+		mr.sim.AfterCall(tl, mjArriveCB, pc, aux)
 		mr.kick()
 		return
 	}
-	// TLat == 0 (every sweep platform): the arrival would be the very next
-	// event, at this same timestamp. Offer the freed port slot first — the
-	// dispatch decision must see the pre-arrival view, exactly as when the
-	// arrival popped as its own event — then deliver the chunk inline,
-	// saving one simulator event per chunk.
+	// TLat == 0 (every sweep platform) and no other event due at this
+	// instant: the arrival would be the very next event, at this same
+	// timestamp. Offer the freed port slot first — the dispatch decision
+	// must see the pre-arrival view, exactly as when the arrival popped as
+	// its own event — then deliver the chunk inline, saving one simulator
+	// event per chunk. Anything the offer schedules at this instant would
+	// fire after the arrival anyway; an event already due now would fire
+	// before it, which is why that case schedules the arrival instead.
 	mr.kick()
 	if mr.err == nil {
-		mr.onArrive(pc)
+		mr.onArrive(pc, aux)
 	}
 }
 
-func (mr *multiRun) onArrive(pc *mjChunk) {
-	wi := pc.chunk.Worker
+// onArrive is the data-arrival des callback for one attempt.
+func (mr *multiRun) onArrive(pc *mjChunk, aux int) {
+	attempt, wi := unpackAux(aux)
 	w := &mr.workers[wi]
 	w.state.InFlight--
+	if pc.phase == chLost || pc.attempt != attempt {
+		// This attempt was written off (timeout in transit) — and
+		// possibly already re-dispatched elsewhere, which resets the
+		// phase; the attempt counter tells a stale arrival from the
+		// live one. The data arrives to no one.
+		mr.touch(wi)
+		mr.kick()
+		return
+	}
+	if w.state.Down || w.state.LinkDown {
+		mr.touch(wi)
+		reason := "arrived at crashed worker"
+		if !w.state.Down {
+			reason = "arrived during link outage"
+		}
+		mr.lose(pc, reason)
+		mr.kick()
+		return
+	}
 	if !w.state.Computing && len(w.queue) == 0 {
 		// Fast path: the chunk goes straight to the idle CPU. The Queued
 		// 1-then-0 round-trip through the FIFO is unobservable — no
@@ -833,27 +903,29 @@ func (mr *multiRun) onArrive(pc *mjChunk) {
 		// it is skipped along with its extra dirty-bit pass.
 		w.state.Computing = true
 		mr.touchBusy(wi)
-		mr.emit(pc.job, obs.Event{Kind: obs.KindArrive, Time: mr.sim.Now(), Worker: wi,
-			Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase})
+		mr.emitChunk(obs.KindArrive, pc, wi, pc.attempt, "")
 		mr.beginCompute(wi, pc)
-		mr.kick()
-		return
+	} else {
+		w.state.Queued++
+		pc.phase = chQueued
+		w.queue = append(w.queue, pc)
+		mr.touchBusy(wi)
+		mr.emitChunk(obs.KindArrive, pc, wi, pc.attempt, "")
+		mr.startCompute(wi)
 	}
-	w.state.Queued++
-	mr.touchBusy(wi)
-	w.queue = append(w.queue, pc)
-	mr.emit(pc.job, obs.Event{Kind: obs.KindArrive, Time: mr.sim.Now(), Worker: wi,
-		Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase})
-	mr.startCompute(wi)
 	mr.kick()
 }
 
+// startCompute pulls the worker's next queued chunk onto its CPU, if the
+// worker is up and free.
 func (mr *multiRun) startCompute(wi int) {
 	w := &mr.workers[wi]
-	if w.state.Computing || len(w.queue) == 0 {
+	if w.state.Down || w.state.Computing || len(w.queue) == 0 {
 		return
 	}
 	pc := w.queue[0]
+	// Shift down rather than re-slice, so the next append can reuse the
+	// backing array.
 	copy(w.queue, w.queue[1:])
 	w.queue[len(w.queue)-1] = nil
 	w.queue = w.queue[:len(w.queue)-1]
@@ -868,38 +940,40 @@ func (mr *multiRun) startCompute(wi int) {
 func (mr *multiRun) beginCompute(wi int, pc *mjChunk) {
 	w := &mr.workers[wi]
 	w.current = pc
+	pc.phase = chComputing
 	js := &mr.jobs[pc.job]
 	spec := &mr.p.Workers[wi]
 	pc.predicted = spec.CLat + pc.chunk.Size/spec.S
 	if js.compDraws != nil {
 		*js.compDraws++
 	}
-	pc.effective = js.comp.Perturb(pc.predicted)
-	start := mr.sim.Now()
+	pc.effective = js.comp.Perturb(pc.predicted) * w.slow
 	if mr.tr != nil && pc.record >= 0 {
-		mr.tr.Records[pc.record].CompStart = start
+		mr.tr.Records[pc.record].CompStart = mr.sim.Now()
 	}
-	mr.emit(pc.job, obs.Event{Kind: obs.KindCompStart, Time: start, Worker: wi,
-		Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase})
-	mr.sim.AfterCall(pc.effective, mjCompEndCB, pc, 0)
+	mr.emitChunk(obs.KindCompStart, pc, wi, pc.attempt, "")
+	w.compEvent = mr.sim.AfterCall(pc.effective, mjCompEndCB, pc, 0)
 }
 
 func (mr *multiRun) onCompEnd(pc *mjChunk) {
 	wi := pc.chunk.Worker
 	w := &mr.workers[wi]
+	w.compEvent = des.Handle{}
 	w.current = nil
+	pc.phase = chDone
+	if pc.timeout != (des.Handle{}) {
+		mr.sim.Cancel(pc.timeout)
+		pc.timeout = des.Handle{}
+	}
 	w.state.Computing = false
 	w.state.CompletedChunks++
 	w.state.CompletedWork += pc.chunk.Size
 	mr.touch(wi)
+	// The job's own view carries its completion fields directly; sync
+	// refreshes occupancy only.
 	js := &mr.jobs[pc.job]
-	js.doneChunks[wi]++
-	js.doneWork[wi] += pc.chunk.Size
-	// The job's own view carries its completion fields directly (sync
-	// refreshes occupancy only); doneChunks/doneWork stay the auditable
-	// ground truth.
-	js.view.Workers[wi].CompletedChunks = js.doneChunks[wi]
-	js.view.Workers[wi].CompletedWork = js.doneWork[wi]
+	js.view.Workers[wi].CompletedChunks++
+	js.view.Workers[wi].CompletedWork += pc.chunk.Size
 	js.res.CompletedWork += pc.chunk.Size
 	end := mr.sim.Now()
 	if end > js.res.Finish {
@@ -911,8 +985,7 @@ func (mr *multiRun) onCompEnd(pc *mjChunk) {
 	if mr.tr != nil && pc.record >= 0 {
 		mr.tr.Records[pc.record].CompEnd = end
 	}
-	mr.emit(pc.job, obs.Event{Kind: obs.KindCompEnd, Time: end, Worker: wi,
-		Seq: pc.seq, Size: pc.chunk.Size, Round: pc.chunk.Round, Phase: pc.chunk.Phase})
+	mr.emitChunk(obs.KindCompEnd, pc, wi, pc.attempt, "")
 	if js.obsD != nil {
 		js.obsD.OnComplete(wi, pc.chunk, end, pc.predicted, pc.effective)
 	}

@@ -19,47 +19,6 @@ func multiTestPlatform() *platform.Platform {
 	}}
 }
 
-// A lone job in a multi-job run must behave exactly like the single-job
-// engine: same makespan, same chunk count, same per-record times.
-func TestRunMultiLoneJobMatchesSingleRun(t *testing.T) {
-	p := multiTestPlatform()
-	single, err := Run(p, &demandDispatcher{remaining: 30, size: 2.5}, Options{RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := RunMulti(p, []Job{{
-		Name: "solo", Total: 30,
-		Dispatcher: &demandDispatcher{remaining: 30, size: 2.5},
-	}}, MultiOptions{RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Makespan != single.Makespan {
-		t.Fatalf("multi makespan %v != single %v", multi.Makespan, single.Makespan)
-	}
-	if multi.Chunks != single.Chunks {
-		t.Fatalf("multi chunks %d != single %d", multi.Chunks, single.Chunks)
-	}
-	if len(multi.Trace.Records) != len(single.Trace.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(multi.Trace.Records), len(single.Trace.Records))
-	}
-	for i := range multi.Trace.Records {
-		m, s := multi.Trace.Records[i], single.Trace.Records[i]
-		m.Job, m.ChunkID = 0, 0 // single-job path stamps neither
-		s.ChunkID = 0
-		if m != s {
-			t.Fatalf("record %d differs:\nmulti  %+v\nsingle %+v", i, m, s)
-		}
-	}
-	jr := multi.Jobs[0]
-	if jr.Response != multi.Makespan || jr.Finish != multi.Makespan || jr.Arrival != 0 {
-		t.Fatalf("job result: %+v", jr)
-	}
-	if math.Abs(jr.DispatchedWork-30) > 1e-9 || math.Abs(jr.CompletedWork-30) > 1e-9 {
-		t.Fatalf("work accounting: %+v", jr)
-	}
-}
-
 // Three jobs with open arrivals under every built-in policy: all work is
 // conserved per job, the trace passes the multi-job validator, and per-job
 // results are internally consistent.
@@ -298,21 +257,27 @@ func TestRunMultiEventTagging(t *testing.T) {
 func TestRunMultiInputValidation(t *testing.T) {
 	p := multiTestPlatform()
 	d := func() Dispatcher { return &demandDispatcher{remaining: 1, size: 1} }
+	// A platform one worker past what the attempt-stamped event payload
+	// can address. The zero-valued slice is never walked: the size check
+	// runs before per-worker validation, so its pages stay untouched.
+	huge := &platform.Platform{Workers: make([]platform.Worker, 1<<auxWorkerBits)}
 	cases := []struct {
 		name string
+		p    *platform.Platform
 		jobs []Job
 		want string
 	}{
-		{"no jobs", nil, "at least one job"},
-		{"nil dispatcher", []Job{{Total: 1}}, "no dispatcher"},
-		{"bad total", []Job{{Total: 0, Dispatcher: d()}}, "invalid workload"},
-		{"negative arrival", []Job{{Total: 1, Arrival: -1, Dispatcher: d()}}, "invalid arrival"},
-		{"nan arrival", []Job{{Total: 1, Arrival: math.NaN(), Dispatcher: d()}}, "invalid arrival"},
-		{"negative weight", []Job{{Total: 1, Weight: -2, Dispatcher: d()}}, "invalid weight"},
+		{"no jobs", p, nil, "at least one job"},
+		{"nil dispatcher", p, []Job{{Total: 1}}, "no dispatcher"},
+		{"bad total", p, []Job{{Total: 0, Dispatcher: d()}}, "invalid workload"},
+		{"negative arrival", p, []Job{{Total: 1, Arrival: -1, Dispatcher: d()}}, "invalid arrival"},
+		{"nan arrival", p, []Job{{Total: 1, Arrival: math.NaN(), Dispatcher: d()}}, "invalid arrival"},
+		{"negative weight", p, []Job{{Total: 1, Weight: -2, Dispatcher: d()}}, "invalid weight"},
+		{"too many workers", huge, []Job{{Total: 1, Dispatcher: d()}}, "exceed the supported maximum"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RunMulti(p, tc.jobs, MultiOptions{})
+			_, err := RunMulti(tc.p, tc.jobs, MultiOptions{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
@@ -320,9 +285,10 @@ func TestRunMultiInputValidation(t *testing.T) {
 	}
 }
 
-// The single-job hot path must stay allocation-free with multi-job runs
-// interleaved between (and during warmup of) its pooled runs — RunMulti
-// deliberately does not touch the single-job run pool, and this pins it.
+// Run and RunMulti share one pool of run states, so a state that last
+// hosted several jobs must come back clean and right-sized for a lone job:
+// the single-job hot path stays allocation-free with multi-job runs
+// interleaved between (and during warmup of) its pooled runs.
 func TestSingleRunZeroAllocInterleavedWithMulti(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -202,8 +202,10 @@ func (d *dispatcher) Next(v *engine.View) (engine.Chunk, bool) {
 // Exhausted implements engine.ExhaustedDispatcher: both phases drained.
 // The informed dispatcher fixes the phase split at construction and never
 // moves work between phases mid-run, so the condition is permanent. (The
-// adaptive and fault-tolerant variants deliberately do not implement the
-// interface: they can create or refill phase 2 mid-run.)
+// adaptive variant deliberately does not implement the interface: it can
+// create phase 2 mid-run. The fault-tolerant variant inherits it through
+// embedding, which is sound: its re-planning only moves phase-1 work that
+// is still undispatched, so once both phases drain nothing refills them.)
 func (d *dispatcher) Exhausted() bool {
 	return (d.phase1 == nil || d.phase1.Exhausted()) &&
 		(d.phase2 == nil || d.phase2.Exhausted())
