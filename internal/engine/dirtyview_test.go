@@ -9,25 +9,21 @@ import (
 	"rumr/internal/rng"
 )
 
-// TestSyncViewForMatchesFullCopy is the differential property test for
-// the dirty-tracked view sync: at every syncViewFor(j), job j's own view
-// must carry the shared ground truth for every worker, with job j's own
-// completion counts in place of the shared totals (the jobs' counts must
-// add up to them), and the shared idle mask must agree with the state. A
-// missing touch() at any worker-state mutation site shows up here as the
-// first sync after that mutation serving a stale entry. Two drivers cover
-// every mutation site: single-job runs through Run under randomized fault
-// schedules, recovery settings and parallel-send widths; and multi-job
-// runs with staggered arrivals under every link policy, so consults
-// alternate between jobs constantly, exercising every job's private dirty
-// set.
-func TestSyncViewForMatchesFullCopy(t *testing.T) {
-	audits := 0
+// auditSyncViewFor installs a syncViewFor hook that is the differential
+// property check for the dirty-tracked view sync: at every syncViewFor(j),
+// job j's own view must carry the shared ground truth for every worker,
+// with job j's own completion counts in place of the shared totals (the
+// jobs' counts must add up to them), and the shared idle mask must agree
+// with the state. A missing touch() at any worker-state mutation site
+// shows up as the first sync after that mutation serving a stale entry.
+// The returned func removes the hook.
+func auditSyncViewFor(t *testing.T, audits *int) func() {
+	t.Helper()
 	syncViewForAudit = func(mr *multiRun, j int) {
-		audits++
+		*audits++
 		js := &mr.jobs[j]
 		if js.view.Time != mr.sim.Now() {
-			t.Fatalf("audit %d: view.Time = %v, now = %v", audits, js.view.Time, mr.sim.Now())
+			t.Fatalf("audit %d: view.Time = %v, now = %v", *audits, js.view.Time, mr.sim.Now())
 		}
 		for i := range mr.workers {
 			truth := mr.workers[i].state
@@ -39,11 +35,11 @@ func TestSyncViewForMatchesFullCopy(t *testing.T) {
 			}
 			if got != truth {
 				t.Fatalf("audit %d: stale view for job %d worker %d:\nview   %+v\ntruth  %+v",
-					audits, j, i, js.view.Workers[i], truth)
+					*audits, j, i, js.view.Workers[i], truth)
 			}
 			if idle := js.view.WorkerIdle(i); idle != truth.Idle() {
 				t.Fatalf("audit %d: idle mask for job %d worker %d = %v, state says %v",
-					audits, j, i, idle, truth.Idle())
+					*audits, j, i, idle, truth.Idle())
 			}
 			done := 0
 			for k := range mr.jobs {
@@ -51,40 +47,56 @@ func TestSyncViewForMatchesFullCopy(t *testing.T) {
 			}
 			if done != truth.CompletedChunks {
 				t.Fatalf("audit %d: jobs' views count %d completions on worker %d, shared state %d",
-					audits, done, i, truth.CompletedChunks)
+					*audits, done, i, truth.CompletedChunks)
 			}
 		}
 		if js.view.IdleMask == nil {
-			t.Fatalf("audit %d: view lost its IdleMask", audits)
+			t.Fatalf("audit %d: view lost its IdleMask", *audits)
 		}
 	}
-	defer func() { syncViewForAudit = nil }()
+	return func() { syncViewForAudit = nil }
+}
 
-	faultSrc := rng.New(2026)
+// TestSyncViewMatchesFullCopy drives the view-sync audit with single-job
+// runs through Run under randomized fault schedules, recovery settings
+// and parallel-send widths: at every sync the incrementally maintained
+// View must equal a full copy of the worker states.
+func TestSyncViewMatchesFullCopy(t *testing.T) {
+	audits := 0
+	defer auditSyncViewFor(t, &audits)()
+
+	src := rng.New(2026)
 	for rep := 0; rep < 40; rep++ {
-		n := 3 + faultSrc.Intn(8)
+		n := 3 + src.Intn(8)
 		p := platform.Homogeneous(n, 1, 20, 0.2, 0.2)
 		sched := fault.Scenario{
 			Horizon: 200, CrashProb: 0.4,
 			RejoinProb: 0.6, RejoinDelayMin: 5, RejoinDelayMax: 50,
 			OutageProb: 0.3, OutageMin: 1, OutageMax: 20,
 			StragglerProb: 0.3, SlowMin: 2, SlowMax: 6,
-		}.Generate(n, faultSrc.Split())
+		}.Generate(n, src.Split())
 		_, err := Run(p, &demandDispatcher{remaining: 60, size: 3}, Options{
-			CommModel:     perferr.NewTruncNormal(0.3, faultSrc.Split()),
-			CompModel:     perferr.NewTruncNormal(0.3, faultSrc.Split()),
+			CommModel:     perferr.NewTruncNormal(0.3, src.Split()),
+			CompModel:     perferr.NewTruncNormal(0.3, src.Split()),
 			Faults:        sched,
 			Recovery:      fault.Recovery{Enabled: true, TimeoutFactor: 3, TimeoutSlack: 1},
-			ParallelSends: 1 + faultSrc.Intn(3),
+			ParallelSends: 1 + src.Intn(3),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	faultAudits := audits
-	if faultAudits == 0 {
-		t.Fatal("audit hook never ran on the fault-injected runs")
+	if audits == 0 {
+		t.Fatal("audit hook never ran")
 	}
+}
+
+// TestSyncViewForMatchesFullCopy is the multi-job counterpart: jobs
+// arrive staggered under every link policy, so consults alternate
+// between jobs constantly, exercising every job's private dirty set.
+func TestSyncViewForMatchesFullCopy(t *testing.T) {
+	audits := 0
+	defer auditSyncViewFor(t, &audits)()
 
 	src := rng.New(40912)
 	for _, pol := range LinkPolicies() {
@@ -110,7 +122,7 @@ func TestSyncViewForMatchesFullCopy(t *testing.T) {
 			}
 		}
 	}
-	if audits == faultAudits {
-		t.Fatal("audit hook never ran on the multi-job runs")
+	if audits == 0 {
+		t.Fatal("audit hook never ran")
 	}
 }
