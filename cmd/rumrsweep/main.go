@@ -89,7 +89,10 @@ type artifact struct {
 type sweepCtx struct {
 	ctx      context.Context
 	grid     rumr.Grid
-	opts     rumr.SweepOptions
+	workers  int
+	model    experiment.ErrorModelKind
+	unknown  bool
+	met      *rumr.Metrics
 	outDir   string
 	ckptDir  string
 	cacheDir string
@@ -189,10 +192,6 @@ func main() {
 	}
 
 	met := rumr.NewMetrics()
-	opts := rumr.SweepOptions{Workers: *workers, UnknownError: *unknown, Metrics: met}
-	if *uniform {
-		opts.Model = rumr.UniformError
-	}
 
 	if *serve != "" && *join != "" {
 		logger.Error("-serve and -join are mutually exclusive")
@@ -213,11 +212,7 @@ func main() {
 		}
 		logger.Info("coordinator listening; workers join with -join",
 			"addr", ln.Addr().String())
-		go func() {
-			if err := http.Serve(ln, coord.Handler()); err != nil {
-				logger.Error("coordinator server stopped", "err", err)
-			}
-		}()
+		go serveHTTP(ln, coord.Handler(), "coordinator")
 	}
 
 	// The debug server shares the sweep's metrics collector, so /metrics
@@ -239,11 +234,7 @@ func main() {
 			endpoints += " /shards /trace"
 		}
 		logger.Info("debug server listening", "addr", ln.Addr().String(), "endpoints", endpoints)
-		go func() {
-			if err := http.Serve(ln, metrics.DebugHandler(met, extra...)); err != nil {
-				logger.Error("debug server stopped", "err", err)
-			}
-		}()
+		go serveHTTP(ln, metrics.DebugHandler(met, extra...), "debug")
 	}
 
 	// Progress is rendered by a snapshot loop over the shared metrics
@@ -281,8 +272,11 @@ func main() {
 			}
 		}
 	}
-	sc := &sweepCtx{ctx: ctx, grid: grid, opts: opts, outDir: *outDir,
-		ckptDir: *ckptDir, cacheDir: *cacheDir, coord: coord}
+	sc := &sweepCtx{ctx: ctx, grid: grid, workers: *workers, unknown: *unknown, met: met,
+		outDir: *outDir, ckptDir: *ckptDir, cacheDir: *cacheDir, coord: coord}
+	if *uniform {
+		sc.model = experiment.UniformError
+	}
 
 	all := []artifact{
 		{"table2", runTable2}, {"table3", runTable3},
@@ -409,6 +403,16 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// serveHTTP serves h on ln until the process exits. ReadHeaderTimeout
+// stops a client that opens a connection and never finishes its headers
+// from holding it forever.
+func serveHTTP(ln net.Listener, h http.Handler, name string) {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	if err := srv.Serve(ln); err != nil {
+		logger.Error(name+" server stopped", "err", err)
+	}
+}
+
 // writeFleetTrace validates the coordinator's fused sweep trace and writes
 // it as Perfetto JSON — the -trace-out path. Validation failure is fatal by
 // design: a trace that does not validate indicates a propagation bug, not a
@@ -446,49 +450,46 @@ func logProgress(s rumr.MetricsSnapshot) {
 		"chunks_p50", s.ChunksPerRun.P50)
 }
 
-// sweepOpts returns the shared options with the per-artifact checkpoint
-// path filled in. Each distinct sweep (different grid or algorithm set)
-// checkpoints to its own file, keyed by name, because checkpoint files are
-// fingerprinted per sweep. The cache directory, by contrast, is shared by
-// every artifact: its keys already encode the sweep parameters.
-func (sc *sweepCtx) sweepOpts(name string) rumr.SweepOptions {
-	opts := sc.opts
-	if sc.ckptDir != "" {
-		opts.CheckpointPath = filepath.Join(sc.ckptDir, name+".jsonl")
-	}
-	opts.CachePath = sc.cacheDir
-	return opts
-}
-
-// sweep runs one sweep locally, or — in -serve mode — through the
-// coordinator and its joined workers. Both paths produce byte-identical
-// Results.
-func (sc *sweepCtx) sweep(g rumr.Grid, opts rumr.SweepOptions) (*rumr.SweepResults, error) {
-	if sc.coord == nil {
-		return rumr.SweepContext(sc.ctx, g, opts)
-	}
-	algos := opts.Algorithms
+// runner returns the Runner of one study: the shared options, the
+// study's algorithms (nil selects the standard seven) and a per-artifact
+// checkpoint path. Each distinct study (different grid or algorithm set)
+// checkpoints to its own file, keyed by name, because checkpoint files
+// are fingerprinted per study. The cache directory, by contrast, is
+// shared by every artifact: its keys already encode the study
+// parameters.
+func (sc *sweepCtx) runner(name string, algos []rumr.Scheduler) *experiment.Runner {
 	if algos == nil {
 		algos = rumr.StandardAlgorithms()
 	}
-	names := make([]string, len(algos))
-	for i, a := range algos {
-		names[i] = a.Name()
+	r := &experiment.Runner{Algorithms: algos, Workers: sc.workers, ErrorModel: sc.model,
+		UnknownError: sc.unknown, Metrics: sc.met, CachePath: sc.cacheDir}
+	if sc.ckptDir != "" {
+		r.CheckpointPath = filepath.Join(sc.ckptDir, name+".jsonl")
 	}
-	kind := experiment.NormalError
-	if opts.Model == rumr.UniformError {
-		kind = experiment.UniformError
+	return r
+}
+
+// sweep runs one paper sweep locally, or — in -serve mode — through the
+// coordinator and its joined workers. Both paths produce byte-identical
+// Results. The other studies always run locally.
+func (sc *sweepCtx) sweep(g rumr.Grid, name string, algos []rumr.Scheduler) (*rumr.SweepResults, error) {
+	r := sc.runner(name, algos)
+	if sc.coord == nil {
+		return r.SweepContext(sc.ctx, g)
+	}
+	names := make([]string, len(r.Algorithms))
+	for i, a := range r.Algorithms {
+		names[i] = a.Name()
 	}
 	return sc.coord.Run(sc.ctx, shard.SweepJob{
 		Grid:         g,
 		Algorithms:   names,
-		Model:        kind,
-		UnknownError: opts.UnknownError,
+		Model:        r.ErrorModel,
+		UnknownError: r.UnknownError,
 	}, shard.RunOptions{
-		CheckpointPath: opts.CheckpointPath,
-		CachePath:      opts.CachePath,
-		Metrics:        opts.Metrics,
-		Progress:       opts.Progress,
+		CheckpointPath: r.CheckpointPath,
+		CachePath:      r.CachePath,
+		Metrics:        r.Metrics,
 	})
 }
 
@@ -497,7 +498,7 @@ func (sc *sweepCtx) standardSweep() (*rumr.SweepResults, error) {
 	if sc.std != nil {
 		return sc.std, nil
 	}
-	res, err := sc.sweep(sc.grid, sc.sweepOpts("std"))
+	res, err := sc.sweep(sc.grid, "std", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +592,7 @@ func runFig4b(sc *sweepCtx) error {
 
 func runFig5(sc *sweepCtx) error {
 	// Fig 5 always uses its own paper-exact grid.
-	res, err := sc.sweep(rumr.Fig5Grid(), sc.sweepOpts("fig5"))
+	res, err := sc.sweep(rumr.Fig5Grid(), "fig5", nil)
 	if err != nil {
 		return err
 	}
@@ -613,9 +614,7 @@ func runFig5(sc *sweepCtx) error {
 }
 
 func runFig6(sc *sweepCtx) error {
-	opts := sc.sweepOpts("fig6")
-	opts.Algorithms = experiment.Fig6Algorithms()
-	res, err := sc.sweep(sc.grid, opts)
+	res, err := sc.sweep(sc.grid, "fig6", experiment.Fig6Algorithms())
 	if err != nil {
 		return err
 	}
@@ -634,9 +633,7 @@ func runFig6(sc *sweepCtx) error {
 }
 
 func runFig7(sc *sweepCtx) error {
-	opts := sc.sweepOpts("fig7")
-	opts.Algorithms = experiment.Fig7Algorithms()
-	res, err := sc.sweep(sc.grid, opts)
+	res, err := sc.sweep(sc.grid, "fig7", experiment.Fig7Algorithms())
 	if err != nil {
 		return err
 	}
@@ -655,9 +652,7 @@ func runFig7(sc *sweepCtx) error {
 }
 
 func runFSC(sc *sweepCtx) error {
-	opts := sc.sweepOpts("fsc")
-	opts.Algorithms = []rumr.Scheduler{rumr.Factoring(), rumr.FSC()}
-	res, err := sc.sweep(sc.grid, opts)
+	res, err := sc.sweep(sc.grid, "fsc", []rumr.Scheduler{rumr.Factoring(), rumr.FSC()})
 	if err != nil {
 		return err
 	}
@@ -670,9 +665,7 @@ func runUMRBase(sc *sweepCtx) error {
 	grid := sc.grid
 	grid.Errors = []float64{0}
 	grid.Reps = 1
-	opts := sc.sweepOpts("umrbase")
-	opts.Algorithms = []rumr.Scheduler{rumr.UMR(), rumr.MI(1), rumr.MI(2), rumr.MI(3), rumr.MI(4)}
-	res, err := sc.sweep(grid, opts)
+	res, err := sc.sweep(grid, "umrbase", []rumr.Scheduler{rumr.UMR(), rumr.MI(1), rumr.MI(2), rumr.MI(3), rumr.MI(4)})
 	if err != nil {
 		return err
 	}
@@ -690,11 +683,7 @@ func runResilience(sc *sweepCtx) error {
 	if sc.grid.Reps > 0 && sc.grid.Reps < g.Reps {
 		g.Reps = sc.grid.Reps // -smoke / -reps shrink the study too
 	}
-	r := &experiment.Runner{
-		Algorithms: append(experiment.StandardAlgorithms(), rumr.RUMRFaultTolerant()),
-		Workers:    sc.opts.Workers,
-		Metrics:    sc.opts.Metrics,
-	}
+	r := sc.runner("resilience", append(experiment.StandardAlgorithms(), rumr.RUMRFaultTolerant()))
 	res, err := r.ResilienceContext(sc.ctx, g)
 	if err != nil {
 		return err
@@ -752,12 +741,7 @@ func runMultiJob(sc *sweepCtx) error {
 	if sc.grid.Reps > 0 && sc.grid.Reps < g.Reps {
 		g.Reps = sc.grid.Reps // -smoke / -reps shrink the study too
 	}
-	r := &experiment.Runner{
-		Algorithms: []rumr.Scheduler{rumr.RUMR(), rumr.Factoring(), rumr.MI(1)},
-		Workers:    sc.opts.Workers,
-		Metrics:    sc.opts.Metrics,
-		CachePath:  sc.cacheDir,
-	}
+	r := sc.runner("multijob", []rumr.Scheduler{rumr.RUMR(), rumr.Factoring(), rumr.MI(1)})
 	res, err := r.MultiJobContext(sc.ctx, g)
 	if err != nil {
 		return err

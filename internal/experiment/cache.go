@@ -37,7 +37,7 @@ import (
 // CellKey returns the content address of one configuration's mean block
 // under the given sweep parameters.
 func CellKey(g Grid, algorithms []string, model ErrorModelKind, unknownError bool, cfg Config) string {
-	blob, err := json.Marshal(struct {
+	return hashJSON(struct {
 		BaseSeed     uint64
 		Total        float64
 		Reps         int
@@ -46,12 +46,7 @@ func CellKey(g Grid, algorithms []string, model ErrorModelKind, unknownError boo
 		Model        ErrorModelKind
 		UnknownError bool
 		Config       Config
-	}{g.BaseSeed, g.Total, g.Reps, g.Errors, algorithms, model, unknownError, cfg})
-	if err != nil {
-		panic("experiment: cell key marshal: " + err.Error()) // plain values always marshal
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:16])
+	}{g.BaseSeed, g.Total, g.Reps, g.Errors, algorithms, model, unknownError, cfg}, 16)
 }
 
 // MultiCellKey returns the content address of one multi-job (policy,
@@ -61,7 +56,7 @@ func CellKey(g Grid, algorithms []string, model ErrorModelKind, unknownError boo
 // cells. The field set differs from CellKey's, so single- and multi-job
 // entries can never collide in a shared directory.
 func MultiCellKey(g MultiJobGrid, algorithms []string, model ErrorModelKind, unknownError bool, policy string, rate float64) string {
-	blob, err := json.Marshal(struct {
+	return hashJSON(struct {
 		BaseSeed     uint64
 		Jobs         int
 		Total        float64
@@ -73,12 +68,18 @@ func MultiCellKey(g MultiJobGrid, algorithms []string, model ErrorModelKind, unk
 		Model        ErrorModelKind
 		UnknownError bool
 		Config       Config
-	}{g.BaseSeed, g.Jobs, g.Total, g.Error, g.Reps, policy, rate, algorithms, model, unknownError, g.Config})
+	}{g.BaseSeed, g.Jobs, g.Total, g.Error, g.Reps, policy, rate, algorithms, model, unknownError, g.Config}, 16)
+}
+
+// hashJSON returns the hex of the first n bytes of the sha256 of v's JSON
+// — the content addresses of cache entries and the study fingerprints.
+func hashJSON(v any, n int) string {
+	blob, err := json.Marshal(v)
 	if err != nil {
-		panic("experiment: multi cell key marshal: " + err.Error()) // plain values always marshal
+		panic("experiment: hash marshal: " + err.Error()) // plain values always marshal
 	}
 	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:16])
+	return hex.EncodeToString(sum[:n])
 }
 
 // cacheEntry is the on-disk schema of one cell file. The key is repeated

@@ -27,8 +27,7 @@ import (
 // them; external callers (the benchmark harness) create one with
 // NewCellState and pass it to ComputeCellInto.
 type CellState struct {
-	p    *platform.Platform
-	memo *sched.Memo
+	p *platform.Platform
 
 	// Prototype identity: prototypes are rebuilt only when the runner,
 	// configuration or the problem-shaping grid fields change; repeating
@@ -45,18 +44,12 @@ type CellState struct {
 	// hold pointers into it, so it is indexed, never reallocated, while
 	// prepared.
 	probs []sched.Problem
-	// protos[ei*nAlg+ai] is the dispatcher prototype, nil when
-	// construction failed — which short-circuits the algorithm for the
-	// whole (configuration, error) block instead of retrying the
-	// construction on every repetition.
-	protos []engine.Dispatcher
-	// replay[i] is protos[i]'s Reset handle when it supports replay;
-	// prototypes without one are rebuilt per repetition.
-	replay []sched.Replayable
-	// expected[i] is the ExpectedChunks hint: the prototype's planned
-	// chunk count at first, then the observed count of the previous run.
-	expected []int
-	acc      []stats.Welford
+	// protos slot ei*nAlg+ai holds the (error, algorithm) prototype; a
+	// failed construction short-circuits the algorithm for the whole
+	// (configuration, error) block instead of retrying the construction
+	// on every repetition.
+	protos protoSet
+	acc    []stats.Welford
 
 	// src is the per-(config, error, rep) stream; the engine's comm and
 	// comp streams are split from it exactly as the unbatched path did.
@@ -101,13 +94,75 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// buildDispatcher constructs algo's dispatcher for pr, through the memo
+// protoSet holds one dispatcher prototype per slot, built once through
+// the plan memo, and hands out the dispatcher of each repetition: the
+// prototype Reset when it is sched.Replayable, a fresh build otherwise.
+// Every study batches its repetitions through one.
+type protoSet struct {
+	memo   *sched.Memo
+	protos []engine.Dispatcher // nil where construction failed
+	replay []sched.Replayable  // protos[i]'s Reset handle, if any
+	// hint[i] is the ExpectedChunks hint: the prototype's planned chunk
+	// count (sched.Planned) at first; callers overwrite it with the
+	// observed count of the previous run.
+	hint []int
+}
+
+// reset empties the set to n slots over platform p. Plans memoized for a
+// previous platform fill are dropped.
+func (ps *protoSet) reset(p *platform.Platform, n int) {
+	if ps.memo == nil {
+		ps.memo = sched.NewMemo(p)
+	} else {
+		ps.memo.Reset(p)
+	}
+	ps.protos = resize(ps.protos, n)
+	ps.replay = resize(ps.replay, n)
+	ps.hint = resize(ps.hint, n)
+}
+
+// newDispatcher constructs algo's dispatcher for pr, through the memo
 // when the algorithm supports it.
-func buildDispatcher(algo sched.Scheduler, pr *sched.Problem, memo *sched.Memo) (engine.Dispatcher, error) {
+func (ps *protoSet) newDispatcher(algo sched.Scheduler, pr *sched.Problem) (engine.Dispatcher, error) {
 	if mz, ok := algo.(sched.Memoizer); ok {
-		return mz.NewDispatcherMemo(pr, memo)
+		return mz.NewDispatcherMemo(pr, ps.memo)
 	}
 	return algo.NewDispatcher(pr)
+}
+
+// build constructs slot i's prototype and reports whether construction
+// succeeded. Construction is deterministic and consumes no randomness, so
+// hoisting it out of the repetition loop cannot change results.
+func (ps *protoSet) build(i int, algo sched.Scheduler, pr *sched.Problem) bool {
+	d, err := ps.newDispatcher(algo, pr)
+	if err != nil {
+		return false
+	}
+	ps.protos[i] = d
+	ps.replay[i], _ = d.(sched.Replayable)
+	if pl, ok := d.(sched.Planned); ok {
+		ps.hint[i] = pl.PlannedChunks()
+	}
+	return true
+}
+
+// built reports whether slot i's prototype was constructed.
+func (ps *protoSet) built(i int) bool { return ps.protos[i] != nil }
+
+// dispatcher returns built slot i's dispatcher for one repetition: the
+// reset prototype when it is replayable, otherwise a fresh build, exactly
+// like constructing per repetition. Construction is deterministic, so a
+// rebuild cannot fail after build succeeded.
+func (ps *protoSet) dispatcher(i int, algo sched.Scheduler, pr *sched.Problem) (engine.Dispatcher, error) {
+	if rp := ps.replay[i]; rp != nil {
+		rp.Reset()
+		return ps.protos[i], nil
+	}
+	d, err := ps.newDispatcher(algo, pr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: construction failed after succeeding: %w", algo.Name(), err)
+	}
+	return d, nil
 }
 
 // preparedFor reports whether the current prototypes are valid for
@@ -141,17 +196,9 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 	// One memo per configuration: plan construction (UMR's round
 	// optimisation, MI's linear solve) is repetition- and mostly
 	// error-independent, so memoizing schedulers solve once and share the
-	// cached plan across the whole (error × repetition) block. Entries
-	// must not outlive the platform fill, hence the reset.
-	if cs.memo == nil {
-		cs.memo = sched.NewMemo(cs.p)
-	} else {
-		cs.memo.Reset(cs.p)
-	}
+	// cached plan across the whole (error × repetition) block.
+	cs.protos.reset(cs.p, nErr*nAlg)
 	cs.probs = resize(cs.probs, nErr)
-	cs.protos = resize(cs.protos, nErr*nAlg)
-	cs.replay = resize(cs.replay, nErr*nAlg)
-	cs.expected = resize(cs.expected, nErr*nAlg)
 	cs.acc = resize(cs.acc, nAlg)
 	cs.errs = resize(cs.errs, nErr)
 	copy(cs.errs, g.Errors)
@@ -170,16 +217,7 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 	for ei := range g.Errors {
 		pr := &cs.probs[ei]
 		for ai, algo := range r.Algorithms {
-			idx := ei*nAlg + ai
-			d, err := buildDispatcher(algo, pr, cs.memo)
-			if err != nil {
-				continue // protos[idx] stays nil: NaN for the block
-			}
-			cs.protos[idx] = d
-			cs.replay[idx], _ = d.(sched.Replayable)
-			if pl, ok := d.(sched.Planned); ok {
-				cs.expected[idx] = pl.PlannedChunks()
-			}
+			cs.protos.build(ei*nAlg+ai, algo, pr) // a failure leaves the slot nil: NaN for the block
 		}
 	}
 	cs.owner = r
@@ -250,24 +288,14 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			for ai := range r.Algorithms {
+			for ai, algo := range r.Algorithms {
 				idx := ei*nAlg + ai
-				d := cs.protos[idx]
-				if d == nil {
+				if !cs.protos.built(idx) {
 					continue // construction failed once; whole block is NaN
 				}
-				if rp := cs.replay[idx]; rp != nil {
-					rp.Reset()
-				} else {
-					// No replay contract: rebuild per repetition, exactly
-					// like the unbatched path. Construction is deterministic,
-					// so it cannot fail here after succeeding in prepare.
-					var err error
-					d, err = buildDispatcher(r.Algorithms[ai], &cs.probs[ei], cs.memo)
-					if err != nil {
-						return fmt.Errorf("experiment: %s on %s: construction failed after succeeding: %w",
-							r.Algorithms[ai].Name(), cfg, err)
-					}
+				d, err := cs.protos.dispatcher(idx, algo, &cs.probs[ei])
+				if err != nil {
+					return fmt.Errorf("experiment: %s: %w", cfg, err)
 				}
 				// Each algorithm sees identical fresh streams per
 				// (error, rep) — common random numbers, same split order as
@@ -280,21 +308,21 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 					CompModel:      compM,
 					Metrics:        r.Metrics,
 					Counters:       &cs.counters,
-					ExpectedChunks: cs.expected[idx],
+					ExpectedChunks: cs.protos.hint[idx],
 				})
 				if err != nil {
-					return fmt.Errorf("experiment: %s on %s: %w", r.Algorithms[ai].Name(), cfg, err)
+					return fmt.Errorf("experiment: %s on %s: %w", algo.Name(), cfg, err)
 				}
 				if math.Abs(out.DispatchedWork-g.Total) > 1e-6*g.Total {
 					return fmt.Errorf("experiment: %s on %s dispatched %g of %g",
-						r.Algorithms[ai].Name(), cfg, out.DispatchedWork, g.Total)
+						algo.Name(), cfg, out.DispatchedWork, g.Total)
 				}
-				cs.expected[idx] = out.Chunks
+				cs.protos.hint[idx] = out.Chunks
 				cs.acc[ai].Add(out.Makespan)
 			}
 		}
 		for ai := range r.Algorithms {
-			if cs.protos[ei*nAlg+ai] == nil {
+			if !cs.protos.built(ei*nAlg + ai) {
 				dst[ei][ai] = math.NaN()
 			} else {
 				// Sum()/Reps is plain left-to-right accumulation — bit-

@@ -15,8 +15,6 @@ package experiment
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,18 +29,19 @@ import (
 // schedulers. Two sweeps share a checkpoint file iff they agree on all of
 // these.
 func Fingerprint(g Grid, algorithms []string, model ErrorModelKind, unknownError bool) string {
-	blob, err := json.Marshal(struct {
-		Grid         Grid
+	return studyFingerprint(g, algorithms, model, unknownError)
+}
+
+// studyFingerprint is Fingerprint for any study's grid type: the grid
+// marshals under the same field name, so a paper-sweep fingerprint is
+// unchanged and studies of different kinds cannot share a checkpoint.
+func studyFingerprint(grid any, algorithms []string, model ErrorModelKind, unknownError bool) string {
+	return hashJSON(struct {
+		Grid         any
 		Algorithms   []string
 		Model        ErrorModelKind
 		UnknownError bool
-	}{g, algorithms, model, unknownError})
-	if err != nil {
-		// Grid and []string always marshal; keep the signature clean.
-		panic("experiment: fingerprint marshal: " + err.Error())
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:8])
+	}{grid, algorithms, model, unknownError}, 8)
 }
 
 // ckptFloat marshals NaN (an algorithm that failed on a configuration) as

@@ -4,8 +4,11 @@
 // into the paper's tables (win percentages per error bucket) and figures
 // (mean makespan normalised to RUMR versus error).
 //
-// The sweep is embarrassingly parallel; Runner fans configurations out to
-// a pool of goroutines (one per CPU by default). Reproducibility is exact:
+// The sweep is embarrassingly parallel. Every Runner study — this sweep,
+// the multi-job study and the resilience study — is a list of keyed cells
+// that runs through one worker pool (one goroutine per CPU by default)
+// and one SweepState, which restores and persists cells through the
+// checkpoint and the result cache. Reproducibility is exact:
 // the error streams are seeded from (base seed, configuration, error
 // index, repetition), independent of scheduling order, and the same
 // streams are shared by all algorithms at a given triple (common random
@@ -251,29 +254,29 @@ type Runner struct {
 	// paper's "error is known" scenario). When false, schedulers see
 	// KnownError = -1 (unknown) and fall back to their fixed defaults.
 	UnknownError bool
-	// Progress, when non-nil, receives the number of finished
-	// configurations out of the total after each configuration completes.
-	// Concurrency contract: Progress is invoked from the pool's worker
-	// goroutines but never concurrently — calls are serialized under a
-	// runner-internal mutex and the reported done count is strictly
-	// increasing. Configurations restored from a checkpoint are included
-	// in the first reported done value but do not trigger callbacks of
-	// their own.
+	// Progress, when non-nil, receives the number of finished cells of a
+	// study (configurations of the paper sweep) out of the total after
+	// each cell completes. Concurrency contract: Progress is invoked from
+	// the pool's worker goroutines but never concurrently — calls are
+	// serialized under a runner-internal mutex and the reported done count
+	// is strictly increasing. Cells restored from a checkpoint are
+	// included in the first reported done value but do not trigger
+	// callbacks of their own.
 	Progress func(done, total int)
-	// CheckpointPath, when non-empty, enables checkpoint/resume: every
-	// completed configuration's mean block is appended to this JSONL file,
-	// and a sweep restarted with the same grid, algorithms and error model
-	// skips the configurations already on record. Seeding per (BaseSeed,
-	// config, error, rep) makes a resumed sweep bit-identical to an
-	// uninterrupted one. A checkpoint written by a different sweep
-	// (mismatched fingerprint) is rejected.
+	// CheckpointPath, when non-empty, enables checkpoint/resume for every
+	// study: each completed cell's block is appended to this JSONL file,
+	// and a study restarted with the same grid, algorithms and error model
+	// skips the cells already on record. Seeding per cell and repetition
+	// makes a resumed study bit-identical to an uninterrupted one. A
+	// checkpoint written by a different study (mismatched fingerprint) is
+	// rejected.
 	CheckpointPath string
 	// CachePath, when non-empty, is the directory of a content-addressed
-	// result cache shared across sweeps (and with the shard coordinator):
-	// every completed configuration's mean block is stored under a key
-	// derived from the sweep parameters and the configuration's values —
-	// not its grid position — so extending a grid with new configurations
-	// and re-sweeping computes only the added cells. Restored blocks are
+	// result cache shared across studies (and with the shard coordinator):
+	// every completed cell's block is stored under a key derived from the
+	// study parameters and the cell's values — for the paper sweep not its
+	// grid position — so extending a grid with new configurations and
+	// re-sweeping computes only the added cells. Restored blocks are
 	// bit-identical to recomputed ones.
 	CachePath string
 	// Metrics, when non-nil, collects live counters — simulations
@@ -284,8 +287,8 @@ type Runner struct {
 	// cells pools CellStates across the configurations this runner
 	// computes, so the platform, memo, dispatcher prototypes and RNG
 	// buffers of a finished cell are recycled by the next one instead of
-	// reallocated. sync.Pool is concurrency-safe, matching the worker-pool
-	// fan-out; each CellState is used by one goroutine at a time.
+	// reallocated. sync.Pool is concurrency-safe, matching the worker
+	// pool; each CellState is used by one goroutine at a time.
 	cells sync.Pool
 	// mcells pools MultiCellStates the same way for the multi-job sweep's
 	// (policy, arrival rate) cells.
@@ -314,30 +317,46 @@ func (r *Runner) Sweep(g Grid) (*Results, error) {
 // sweep was cut short, the returned error is the cause (ctx.Err() for
 // external cancellation) and the partial Results must not be used — resume
 // via CheckpointPath instead.
-func (r *Runner) SweepContext(parent context.Context, g Grid) (*Results, error) {
+func (r *Runner) SweepContext(ctx context.Context, g Grid) (*Results, error) {
 	if len(r.Algorithms) == 0 {
-		return nil, fmt.Errorf("experiment: no algorithms")
+		return nil, errNoAlgorithms
 	}
-	names := make([]string, len(r.Algorithms))
-	for i, a := range r.Algorithms {
-		names[i] = a.Name()
-	}
-	st, err := OpenSweepState(g, names, r.ErrorModel, r.UnknownError, r.CheckpointPath, r.CachePath)
+	st, err := OpenSweepState(g, r.names(), r.ErrorModel, r.UnknownError, r.CheckpointPath, r.CachePath)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	res := st.Results
-	configs := res.Configs
-	pending := st.Pending
-	// Both progress denominators count the whole grid: restored
-	// configurations are reported as already done (and as skipped in the
-	// metrics, so rate/ETA reflect only real compute).
-	if r.Metrics != nil {
-		r.Metrics.AddTotalConfigs(len(configs))
-		r.Metrics.SkipConfigs(len(configs) - len(pending))
+	configs := st.Results.Configs
+	if err := r.runCells(ctx, st, func(ctx context.Context, ci int) ([][]float64, error) {
+		return r.computeCell(ctx, g, configs[ci])
+	}); err != nil {
+		return nil, err
 	}
+	return st.Results, nil
+}
 
+// names returns the algorithms' names, the column labels of every study.
+func (r *Runner) names() []string {
+	names := make([]string, len(r.Algorithms))
+	for i, a := range r.Algorithms {
+		names[i] = a.Name()
+	}
+	return names
+}
+
+// runCells computes st's pending cells on the runner's worker pool and
+// completes each into st — the one fan-out every study runs through. The
+// first hard error cancels the remaining cells and is returned; a cell
+// cut short by cancellation is not an error of its own, the cause
+// (ctx.Err() for external cancellation) is. Both progress denominators
+// count every cell of the study: cells restored by the last restore are
+// reported as done (and as skipped in the metrics, so rate/ETA reflect
+// only real compute). Progress calls are serialized.
+func (r *Runner) runCells(parent context.Context, st *SweepState, compute func(ctx context.Context, i int) ([][]float64, error)) error {
+	if r.Metrics != nil {
+		r.Metrics.AddTotalConfigs(st.staged)
+		r.Metrics.SkipConfigs(st.Restored())
+	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -346,45 +365,46 @@ func (r *Runner) SweepContext(parent context.Context, g Grid) (*Results, error) 
 	defer cancel()
 
 	jobs := make(chan int)
-	var wg sync.WaitGroup
-	// mu guards firstErr and done, and serializes Progress callbacks.
-	var mu sync.Mutex
-	var firstErr error
-	done := len(configs) - len(pending)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel() // first hard error stops the whole sweep
-		}
-		mu.Unlock()
+	// One value holds the pool's shared state, so it costs one allocation.
+	// Its mutex guards err and st.done and serializes Progress callbacks.
+	var pool struct {
+		sync.Mutex
+		sync.WaitGroup
+		err error
 	}
-
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		pool.Add(1)
 		go func() {
-			defer wg.Done()
-			for ci := range jobs {
+			defer pool.Done()
+			fail := func(err error) {
+				pool.Lock()
+				if pool.err == nil {
+					pool.err = err
+					cancel() // first hard error stops the whole study
+				}
+				pool.Unlock()
+			}
+			for i := range jobs {
 				if ctx.Err() != nil {
 					continue // drain the queue without working
 				}
-				cfgStart := time.Now()
-				cell, err := r.computeCell(ctx, g, configs[ci])
+				start := time.Now()
+				block, err := compute(ctx, i)
 				switch {
 				case err == nil:
-					if aerr := st.Complete(ci, cell); aerr != nil {
-						fail(aerr)
+					if err := st.Complete(i, block); err != nil {
+						fail(err)
 						continue
 					}
 					if r.Metrics != nil {
-						r.Metrics.ConfigDone(time.Since(cfgStart))
+						r.Metrics.ConfigDone(time.Since(start))
 					}
-					mu.Lock()
-					done++
+					pool.Lock()
+					st.done++
 					if r.Progress != nil {
-						r.Progress(done, len(configs))
+						r.Progress(st.done, len(st.blocks))
 					}
-					mu.Unlock()
+					pool.Unlock()
 				case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 					// Cut short, not failed; the cause is reported below.
 				default:
@@ -394,22 +414,19 @@ func (r *Runner) SweepContext(parent context.Context, g Grid) (*Results, error) 
 		}()
 	}
 feed:
-	for _, ci := range pending {
+	for _, i := range st.Pending {
 		select {
-		case jobs <- ci:
+		case jobs <- i:
 		case <-ctx.Done():
 			break feed
 		}
 	}
 	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	pool.Wait()
+	if pool.err != nil {
+		return pool.err
 	}
-	if err := parent.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return parent.Err()
 }
 
 // cellShapeOK validates a checkpoint-restored mean block against the

@@ -17,7 +17,7 @@ import (
 )
 
 // runMultiJobCellReference is the pre-batch per-repetition implementation
-// of runMultiJobCell, kept verbatim as the reference the batched
+// of a multi-job cell, kept verbatim as the reference the batched
 // MultiCellState path must match bit for bit: platform built per cell,
 // every dispatcher constructed inside the repetition loop with plain
 // NewDispatcher, RNG sources allocated per (rep, algorithm), explicit

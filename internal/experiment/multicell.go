@@ -48,8 +48,7 @@ const MultiCellRows = multiCellRows
 // sync.Pool of them; external callers (the benchmark harness) create one
 // with NewMultiCellState and pass it to ComputeMultiJobCellInto.
 type MultiCellState struct {
-	p    *platform.Platform
-	memo *sched.Memo
+	p *platform.Platform
 
 	// Prototype identity: prototypes are rebuilt only when the runner,
 	// configuration or the problem-shaping grid fields change. The policy
@@ -67,11 +66,10 @@ type MultiCellState struct {
 	prob  sched.Problem
 	names []string // "job0", "job1", ... precomputed once
 
-	// protos[ai*nJobs+j] is job j's dispatcher prototype under algorithm
-	// ai; failed[ai] marks an algorithm whose construction failed, which
+	// protos slot ai*nJobs+j holds job j's prototype under algorithm ai;
+	// failed[ai] marks an algorithm whose construction failed, which
 	// short-circuits it for every cell instead of retrying per repetition.
-	protos []engine.Dispatcher
-	replay []sched.Replayable
+	protos protoSet
 	failed []bool
 	// expected[ai] is the ExpectedChunks hint for the whole run: the sum
 	// of the prototypes' planned chunk counts at first, then the observed
@@ -127,11 +125,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	nJ := g.Jobs
 	cfg := g.Config
 	cs.p.FillHomogeneous(cfg.N, 1, cfg.R*float64(cfg.N), cfg.CLat, cfg.NLat)
-	if cs.memo == nil {
-		cs.memo = sched.NewMemo(cs.p)
-	} else {
-		cs.memo.Reset(cs.p)
-	}
+	cs.protos.reset(cs.p, nAlg*nJ)
 	known := g.Error
 	if r.UnknownError {
 		known = -1
@@ -141,25 +135,17 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	for j := range cs.names {
 		cs.names[j] = fmt.Sprintf("job%d", j)
 	}
-	cs.protos = resize(cs.protos, nAlg*nJ)
-	cs.replay = resize(cs.replay, nAlg*nJ)
 	cs.failed = resize(cs.failed, nAlg)
 	cs.expected = resize(cs.expected, nAlg)
 	for ai, algo := range r.Algorithms {
 		for j := 0; j < nJ; j++ {
-			d, err := buildDispatcher(algo, &cs.prob, cs.memo)
-			if err != nil {
+			if !cs.protos.build(ai*nJ+j, algo, &cs.prob) {
 				// The algorithm cannot handle the configuration at all;
 				// the whole cell is NaN, like the unbatched path.
 				cs.failed[ai] = true
 				break
 			}
-			idx := ai*nJ + j
-			cs.protos[idx] = d
-			cs.replay[idx], _ = d.(sched.Replayable)
-			if pl, ok := d.(sched.Planned); ok {
-				cs.expected[ai] += pl.PlannedChunks()
-			}
+			cs.expected[ai] += cs.protos.hint[ai*nJ+j]
 		}
 	}
 	cs.accResp = resize(cs.accResp, nAlg)
@@ -245,7 +231,7 @@ func (cs *MultiCellState) instanceSeed(g MultiJobGrid, rate float64, rep int) ui
 // buffers. dst must have multiCellRows (response, slowdown, fairness,
 // makespan) rows of len(r.Algorithms) columns — the shape NewCellBlock
 // (multiCellRows, nAlg) allocates. It is the allocation-free core that
-// both runMultiJobCell and BenchmarkMultiJobCell drive; results are
+// both MultiJobContext and BenchmarkMultiJobCell drive; results are
 // bit-identical to the unbatched per-repetition construction, which
 // TestBatchedMultiCellMatchesReference pins.
 func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, pol engine.LinkPolicy, rate float64, cs *MultiCellState, dst [][]float64) error {
@@ -289,21 +275,9 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 			cs.seed[0] = seed
 			cs.src.ReseedFrom(cs.seed[:1]...)
 			for j := 0; j < g.Jobs; j++ {
-				idx := ai*g.Jobs + j
-				d := cs.protos[idx]
-				if rp := cs.replay[idx]; rp != nil {
-					rp.Reset()
-				} else {
-					// No replay contract: rebuild per repetition, exactly
-					// like the unbatched path. Construction is
-					// deterministic, so it cannot fail here after
-					// succeeding in prepare.
-					var err error
-					d, err = buildDispatcher(algo, &cs.prob, cs.memo)
-					if err != nil {
-						return fmt.Errorf("experiment: %s on %s: construction failed after succeeding: %w",
-							algo.Name(), g.Config, err)
-					}
+				d, err := cs.protos.dispatcher(ai*g.Jobs+j, algo, &cs.prob)
+				if err != nil {
+					return fmt.Errorf("experiment: %s: %w", g.Config, err)
 				}
 				cs.src.SplitInto(&cs.commSrc[j])
 				cs.src.SplitInto(&cs.compSrc[j])

@@ -14,9 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"time"
 
 	"rumr/internal/arrivals"
 	"rumr/internal/engine"
@@ -132,105 +129,64 @@ func (r *Runner) MultiJob(g MultiJobGrid) (*MultiJobResults, error) {
 }
 
 // MultiJobContext runs the multi-job sweep under ctx, fanning
-// (policy, arrival rate) cells out to the runner's worker pool. The
+// (policy, arrival rate) cells out to the runner's worker pool. Cell
+// pi*len(ArrivalRates)+ri is policy pi at rate ri; cells are restored
+// from the runner's checkpoint and cache like the paper sweep's. The
 // shared Metrics collector (if any) sees every run's per-job responses,
 // slowdowns and fairness.
-func (r *Runner) MultiJobContext(parent context.Context, g MultiJobGrid) (*MultiJobResults, error) {
+func (r *Runner) MultiJobContext(ctx context.Context, g MultiJobGrid) (*MultiJobResults, error) {
 	if len(r.Algorithms) == 0 {
-		return nil, fmt.Errorf("experiment: no algorithms")
+		return nil, errNoAlgorithms
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	pols := g.policies()
+	names := r.names()
+	nR := len(g.ArrivalRates)
+	st, err := openState(len(pols)*nR, multiCellRows, len(names), func() string {
+		return studyFingerprint(g, names, r.ErrorModel, r.UnknownError)
+	}, r.CheckpointPath, r.CachePath)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	st.restore(0, len(pols)*nR, func(i int) (string, Config) {
+		return MultiCellKey(g, names, r.ErrorModel, r.UnknownError, pols[i/nR].Name(), g.ArrivalRates[i%nR]), g.Config
+	})
+	if err := r.runCells(ctx, st, func(ctx context.Context, i int) ([][]float64, error) {
+		cs, _ := r.mcells.Get().(*MultiCellState)
+		if cs == nil {
+			cs = NewMultiCellState()
+		}
+		defer r.mcells.Put(cs)
+		cell := NewCellBlock(multiCellRows, len(names))
+		return cell, r.ComputeMultiJobCellInto(ctx, g, pols[i/nR], g.ArrivalRates[i%nR], cs, cell)
+	}); err != nil {
+		return nil, err
+	}
 	res := &MultiJobResults{
 		Grid:         g,
-		Algorithms:   make([]string, len(r.Algorithms)),
+		Algorithms:   names,
 		Policies:     make([]string, len(pols)),
 		MeanResponse: make([][][]float64, len(pols)),
 		MeanSlowdown: make([][][]float64, len(pols)),
 		MeanFairness: make([][][]float64, len(pols)),
 		MeanMakespan: make([][][]float64, len(pols)),
 	}
-	for i, a := range r.Algorithms {
-		res.Algorithms[i] = a.Name()
-	}
 	for pi, pol := range pols {
 		res.Policies[pi] = pol.Name()
-		res.MeanResponse[pi] = make([][]float64, len(g.ArrivalRates))
-		res.MeanSlowdown[pi] = make([][]float64, len(g.ArrivalRates))
-		res.MeanFairness[pi] = make([][]float64, len(g.ArrivalRates))
-		res.MeanMakespan[pi] = make([][]float64, len(g.ArrivalRates))
-	}
-
-	type cell struct{ pi, ri int }
-	cells := make([]cell, 0, len(pols)*len(g.ArrivalRates))
-	for pi := range pols {
+		res.MeanResponse[pi] = make([][]float64, nR)
+		res.MeanSlowdown[pi] = make([][]float64, nR)
+		res.MeanFairness[pi] = make([][]float64, nR)
+		res.MeanMakespan[pi] = make([][]float64, nR)
 		for ri := range g.ArrivalRates {
-			cells = append(cells, cell{pi, ri})
+			cell := st.blocks[pi*nR+ri]
+			res.MeanResponse[pi][ri] = cell[multiRowResponse]
+			res.MeanSlowdown[pi][ri] = cell[multiRowSlowdown]
+			res.MeanFairness[pi][ri] = cell[multiRowFairness]
+			res.MeanMakespan[pi][ri] = cell[multiRowMakespan]
 		}
-	}
-	var cache *Cache
-	if r.CachePath != "" {
-		c, err := OpenCache(r.CachePath)
-		if err != nil {
-			return nil, err
-		}
-		cache = c
-	}
-	if r.Metrics != nil {
-		r.Metrics.AddTotalConfigs(len(cells))
-	}
-
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	feedCh := make(chan cell)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range feedCh {
-				if ctx.Err() != nil {
-					continue
-				}
-				if err := r.runMultiJobCell(ctx, g, pols[c.pi], c.pi, c.ri, res, cache); err != nil {
-					if ctx.Err() == nil {
-						fail(err)
-					}
-				}
-			}
-		}()
-	}
-feed:
-	for _, c := range cells {
-		select {
-		case feedCh <- c:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(feedCh)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := parent.Err(); err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -253,53 +209,4 @@ func multiJobArrivals(g MultiJobGrid, rate float64, rep int) []float64 {
 func multiJobSeed(g MultiJobGrid, rate float64, rep int) uint64 {
 	return rng.NewFrom(g.BaseSeed, 0x657272, // "err"
 		math.Float64bits(rate), uint64(rep)).Uint64()
-}
-
-// runMultiJobCell fills one (policy, rate) cell: Reps instances per
-// algorithm, means across jobs and repetitions. The heavy lifting runs
-// through the batched MultiCellState path (pooled platform, dispatcher
-// prototypes Reset between repetitions, in-place reseeding), which
-// TestBatchedMultiCellMatchesReference pins bit-identical to the original
-// per-repetition construction. A content-addressed cache hit restores the
-// cell without simulating at all.
-func (r *Runner) runMultiJobCell(ctx context.Context, g MultiJobGrid, pol engine.LinkPolicy, pi, ri int, res *MultiJobResults, cache *Cache) error {
-	rate := g.ArrivalRates[ri]
-	nA := len(r.Algorithms)
-	key := ""
-	if cache != nil {
-		key = MultiCellKey(g, res.Algorithms, r.ErrorModel, r.UnknownError, pol.Name(), rate)
-		if cell, ok := cache.Get(key, multiCellRows, nA); ok {
-			res.MeanResponse[pi][ri] = cell[multiRowResponse]
-			res.MeanSlowdown[pi][ri] = cell[multiRowSlowdown]
-			res.MeanFairness[pi][ri] = cell[multiRowFairness]
-			res.MeanMakespan[pi][ri] = cell[multiRowMakespan]
-			if r.Metrics != nil {
-				r.Metrics.SkipConfigs(1)
-			}
-			return nil
-		}
-	}
-	cs, _ := r.mcells.Get().(*MultiCellState)
-	if cs == nil {
-		cs = NewMultiCellState()
-	}
-	defer r.mcells.Put(cs)
-	start := time.Now()
-	cell := NewCellBlock(multiCellRows, nA)
-	if err := r.ComputeMultiJobCellInto(ctx, g, pol, rate, cs, cell); err != nil {
-		return err
-	}
-	res.MeanResponse[pi][ri] = cell[multiRowResponse]
-	res.MeanSlowdown[pi][ri] = cell[multiRowSlowdown]
-	res.MeanFairness[pi][ri] = cell[multiRowFairness]
-	res.MeanMakespan[pi][ri] = cell[multiRowMakespan]
-	if cache != nil {
-		if err := cache.Put(key, g.Config, cell); err != nil {
-			return err
-		}
-	}
-	if r.Metrics != nil {
-		r.Metrics.ConfigDone(time.Since(start))
-	}
-	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"rumr/internal/engine"
 	"rumr/internal/fault"
@@ -93,39 +91,61 @@ func (r *Runner) Resilience(g ResilienceGrid) (*ResilienceResults, error) {
 	return r.ResilienceContext(context.Background(), g)
 }
 
-// ResilienceContext runs the resilience sweep under ctx, fanning crash
-// rates out to the runner's worker pool. The shared Metrics collector (if
-// any) sees every simulation.
-func (r *Runner) ResilienceContext(parent context.Context, g ResilienceGrid) (*ResilienceResults, error) {
+// Rows of a resilience cell block. Cell 0 is the fault-free baseline,
+// cell 1+ri crash rate ri; the baseline's completion and re-send rows
+// are recorded but not reported.
+const (
+	resRowMean = iota
+	resRowCompletion
+	resRowRedispatches
+	resCellRows
+)
+
+// ResilienceContext runs the resilience sweep under ctx, fanning its
+// cells out to the runner's worker pool: the fault-free baseline first
+// — it normalises degradation and sizes the default horizon — then every
+// crash rate. Cells are restored from the runner's checkpoint and cache
+// like the paper sweep's; a crash-rate cell's cache key includes the
+// derived horizon. The shared Metrics collector (if any) sees every
+// simulation.
+func (r *Runner) ResilienceContext(ctx context.Context, g ResilienceGrid) (*ResilienceResults, error) {
 	if len(r.Algorithms) == 0 {
-		return nil, fmt.Errorf("experiment: no algorithms")
+		return nil, errNoAlgorithms
 	}
 	if len(g.CrashRates) == 0 || g.Reps <= 0 || g.Total <= 0 {
 		return nil, fmt.Errorf("experiment: empty resilience grid")
 	}
-	res := &ResilienceResults{
-		Grid:         g,
-		Algorithms:   make([]string, len(r.Algorithms)),
-		Baseline:     make([]float64, len(r.Algorithms)),
-		Mean:         make([][]float64, len(g.CrashRates)),
-		Degradation:  make([][]float64, len(g.CrashRates)),
-		Completion:   make([][]float64, len(g.CrashRates)),
-		Redispatches: make([][]float64, len(g.CrashRates)),
-	}
-	for i, a := range r.Algorithms {
-		res.Algorithms[i] = a.Name()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	// Fault-free baselines first: they normalise degradation and size the
-	// default horizon.
-	if err := r.resilienceBaselines(ctx, g, res); err != nil {
+	names := r.names()
+	k := len(g.CrashRates)
+	st, err := openState(1+k, resCellRows, len(names), func() string {
+		return studyFingerprint(g, names, r.ErrorModel, r.UnknownError)
+	}, r.CheckpointPath, r.CachePath)
+	if err != nil {
 		return nil, err
 	}
-	horizon := g.Horizon
+	defer st.Close()
+	horizon := 0.0
+	key := func(i int) (string, Config) {
+		return hashJSON(struct {
+			Grid         ResilienceGrid
+			Algorithms   []string
+			Model        ErrorModelKind
+			UnknownError bool
+			Cell         int
+			Horizon      float64
+		}{g, names, r.ErrorModel, r.UnknownError, i, horizon}, 16), g.Config
+	}
+	cell := func(ctx context.Context, i int) ([][]float64, error) {
+		return r.resilienceCell(ctx, g, i, horizon)
+	}
+	st.restore(0, 1, key)
+	if err := r.runCells(ctx, st, cell); err != nil {
+		return nil, err
+	}
+	baseline := st.blocks[0][resRowMean]
+	horizon = g.Horizon
 	if horizon <= 0 {
-		for _, b := range res.Baseline {
+		for _, b := range baseline {
 			if !math.IsNaN(b) && 1.5*b > horizon {
 				horizon = 1.5 * b
 			}
@@ -134,200 +154,98 @@ func (r *Runner) ResilienceContext(parent context.Context, g ResilienceGrid) (*R
 			return nil, fmt.Errorf("experiment: no algorithm produced a baseline to derive a horizon from")
 		}
 	}
-
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ri := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				if err := r.runCrashRate(ctx, g, horizon, ri, res); err != nil {
-					if ctx.Err() == nil {
-						fail(err)
-					}
-				}
-			}
-		}()
-	}
-feed:
-	for ri := range g.CrashRates {
-		select {
-		case jobs <- ri:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := parent.Err(); err != nil {
+	st.restore(1, 1+k, key)
+	if err := r.runCells(ctx, st, cell); err != nil {
 		return nil, err
+	}
+	res := &ResilienceResults{
+		Grid:         g,
+		Algorithms:   names,
+		Baseline:     baseline,
+		Mean:         make([][]float64, k),
+		Degradation:  make([][]float64, k),
+		Completion:   make([][]float64, k),
+		Redispatches: make([][]float64, k),
+	}
+	for ri := range g.CrashRates {
+		b := st.blocks[1+ri]
+		res.Mean[ri] = b[resRowMean]
+		res.Completion[ri] = b[resRowCompletion]
+		res.Redispatches[ri] = b[resRowRedispatches]
+		res.Degradation[ri] = make([]float64, len(names))
+		for ai, m := range b[resRowMean] {
+			res.Degradation[ri][ai] = m / baseline[ai]
+		}
 	}
 	return res, nil
 }
 
-// resilienceProtos constructs one dispatcher prototype per algorithm for
-// pr, once per sweep leg instead of once per repetition. protos[ai] is
-// nil when construction failed (the algorithm is NaN for the leg);
-// replay[ai] is the Reset handle of prototypes that support replay —
-// dispatchers without one are rebuilt per repetition, the pre-batch
-// behaviour. Construction is deterministic and draws no randomness, so
-// the hoisting cannot change results.
-func (r *Runner) resilienceProtos(pr *sched.Problem) (protos []engine.Dispatcher, replay []sched.Replayable) {
-	protos = make([]engine.Dispatcher, len(r.Algorithms))
-	replay = make([]sched.Replayable, len(r.Algorithms))
+// resilienceCell simulates every (rep, algorithm) run of cell i: the
+// fault-free baseline (i = 0, no faults, no recovery) or crash rate i-1
+// under the given fault horizon. Scenarios are derived from (BaseSeed,
+// rate index, rep) and the error streams from (BaseSeed, rep) alone —
+// common random numbers across crash rates and the baseline — so
+// degradation isolates the fault effect and results are independent of
+// pool scheduling.
+func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, horizon float64) ([][]float64, error) {
+	p := g.Config.Platform()
+	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: g.Error, MinUnit: 1}
+	var protos protoSet
+	protos.reset(p, len(r.Algorithms))
 	for ai, algo := range r.Algorithms {
-		d, err := algo.NewDispatcher(pr)
-		if err != nil {
-			continue
-		}
-		protos[ai] = d
-		replay[ai], _ = d.(sched.Replayable)
+		protos.build(ai, algo, pr) // a failure leaves the slot nil: NaN for the cell
 	}
-	return protos, replay
-}
-
-// resilienceDispatcher returns the dispatcher for one repetition: the
-// reset prototype when it is replayable, a fresh build otherwise.
-func resilienceDispatcher(algo sched.Scheduler, proto engine.Dispatcher, rp sched.Replayable, pr *sched.Problem) (engine.Dispatcher, error) {
-	if rp != nil {
-		rp.Reset()
-		return proto, nil
-	}
-	return algo.NewDispatcher(pr)
-}
-
-// resilienceBaselines fills res.Baseline with fault-free mean makespans.
-func (r *Runner) resilienceBaselines(ctx context.Context, g ResilienceGrid, res *ResilienceResults) error {
-	p := g.Config.Platform()
-	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: g.Error, MinUnit: 1}
-	protos, replay := r.resilienceProtos(pr)
-	sums := make([]float64, len(r.Algorithms))
-	for rep := 0; rep < g.Reps; rep++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for ai, algo := range r.Algorithms {
-			if protos[ai] == nil {
-				continue
-			}
-			d, err := resilienceDispatcher(algo, protos[ai], replay[ai], pr)
-			if err != nil {
-				return fmt.Errorf("experiment: baseline %s: construction failed after succeeding: %w", algo.Name(), err)
-			}
-			src := rng.NewFrom(g.BaseSeed, uint64(rep))
-			out, err := engine.Run(p, d, engine.Options{
-				CommModel: r.model(g.Error, src.Split()),
-				CompModel: r.model(g.Error, src.Split()),
-				Metrics:   r.Metrics,
-			})
-			if err != nil {
-				return fmt.Errorf("experiment: baseline %s: %w", algo.Name(), err)
-			}
-			sums[ai] += out.Makespan
-		}
-	}
-	for ai := range r.Algorithms {
-		if protos[ai] == nil {
-			res.Baseline[ai] = math.NaN()
-		} else {
-			res.Baseline[ai] = sums[ai] / float64(g.Reps)
-		}
-	}
-	return nil
-}
-
-// runCrashRate simulates every (rep, algorithm) cell of one crash rate.
-// Scenarios are derived from (BaseSeed, rate index, rep) and the error
-// streams from (BaseSeed, rep) alone — common random numbers across crash
-// rates and the baseline — so degradation isolates the fault effect (it is
-// exactly 1 at crash rate 0) and results are independent of pool
-// scheduling.
-func (r *Runner) runCrashRate(ctx context.Context, g ResilienceGrid, horizon float64, ri int, res *ResilienceResults) error {
-	p := g.Config.Platform()
-	rate := g.CrashRates[ri]
-	k := len(r.Algorithms)
-	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: g.Error, MinUnit: 1}
-	protos, replay := r.resilienceProtos(pr)
-	sums := make([]float64, k)
-	comp := make([]float64, k)
-	redisp := make([]float64, k)
-	rec := g.recovery()
-	for rep := 0; rep < g.Reps; rep++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		scenario := fault.Scenario{
+	label := "baseline"
+	opts := engine.Options{Metrics: r.Metrics}
+	var scenario fault.Scenario
+	if i > 0 {
+		label = fmt.Sprintf("crash rate %g", g.CrashRates[i-1])
+		opts.Recovery = g.recovery()
+		scenario = fault.Scenario{
 			Horizon:    horizon,
-			CrashProb:  rate,
+			CrashProb:  g.CrashRates[i-1],
 			RejoinProb: g.RejoinProb,
 			// Rejoins spread over the second half of the horizon.
 			RejoinDelayMin: horizon * 0.1,
 			RejoinDelayMax: horizon * 0.5,
 		}
-		faults := scenario.Generate(p.N(), rng.NewFrom(g.BaseSeed, uint64(ri), uint64(rep), 0xFA))
+	}
+	block := NewCellBlock(resCellRows, len(r.Algorithms))
+	for rep := 0; rep < g.Reps; rep++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			opts.Faults = scenario.Generate(p.N(), rng.NewFrom(g.BaseSeed, uint64(i-1), uint64(rep), 0xFA))
+		}
 		for ai, algo := range r.Algorithms {
-			if protos[ai] == nil {
+			if !protos.built(ai) {
 				continue
 			}
-			d, err := resilienceDispatcher(algo, protos[ai], replay[ai], pr)
+			d, err := protos.dispatcher(ai, algo, pr)
 			if err != nil {
-				return fmt.Errorf("experiment: %s at crash rate %g: construction failed after succeeding: %w",
-					algo.Name(), rate, err)
+				return nil, fmt.Errorf("experiment: %s: %w", label, err)
 			}
 			src := rng.NewFrom(g.BaseSeed, uint64(rep))
-			out, err := engine.Run(p, d, engine.Options{
-				CommModel: r.model(g.Error, src.Split()),
-				CompModel: r.model(g.Error, src.Split()),
-				Faults:    faults,
-				Recovery:  rec,
-				Metrics:   r.Metrics,
-			})
+			opts.CommModel = r.model(g.Error, src.Split())
+			opts.CompModel = r.model(g.Error, src.Split())
+			out, err := engine.Run(p, d, opts)
 			if err != nil {
-				return fmt.Errorf("experiment: %s at crash rate %g: %w", algo.Name(), rate, err)
+				return nil, fmt.Errorf("experiment: %s at %s: %w", algo.Name(), label, err)
 			}
-			sums[ai] += out.Makespan
-			comp[ai] += out.CompletedWork / g.Total
-			redisp[ai] += float64(out.Redispatches)
+			block[resRowMean][ai] += out.Makespan
+			block[resRowCompletion][ai] += out.CompletedWork / g.Total
+			block[resRowRedispatches][ai] += float64(out.Redispatches)
 		}
 	}
-	mean := make([]float64, k)
-	deg := make([]float64, k)
-	cf := make([]float64, k)
-	rd := make([]float64, k)
 	for ai := range r.Algorithms {
-		if protos[ai] == nil {
-			mean[ai], deg[ai], cf[ai], rd[ai] = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-			continue
+		for _, row := range block {
+			if !protos.built(ai) {
+				row[ai] = math.NaN()
+			} else {
+				row[ai] /= float64(g.Reps)
+			}
 		}
-		mean[ai] = sums[ai] / float64(g.Reps)
-		deg[ai] = mean[ai] / res.Baseline[ai]
-		cf[ai] = comp[ai] / float64(g.Reps)
-		rd[ai] = redisp[ai] / float64(g.Reps)
 	}
-	res.Mean[ri] = mean
-	res.Degradation[ri] = deg
-	res.Completion[ri] = cf
-	res.Redispatches[ri] = rd
-	return nil
+	return block, nil
 }

@@ -11,31 +11,48 @@ var (
 	errEmptyGrid    = errors.New("experiment: empty grid")
 )
 
-// SweepState is the scaffolding one sweep execution shares between the
-// local Runner pool and the shard coordinator: the result skeleton with
-// every already-known configuration restored from the checkpoint and the
-// content-addressed cache, the remaining configurations as a
-// cost-descending work queue, and the persistence layers that completed
+// SweepState is the scaffolding one study execution shares between the
+// local Runner pool and the shard coordinator. A study is a list of
+// cells, each with a fixed rows × cols result block: the paper sweep's
+// cells are configurations with [error][algorithm] mean blocks, the
+// multi-job study's are (policy, arrival rate) points, the resilience
+// study's are its fault-free baseline and its crash rates. The state
+// holds every cell's block — restored from the checkpoint and the
+// content-addressed cache, or completed since — the cells still to
+// compute as a work queue, and the persistence layers that completed
 // blocks are written back to.
 //
-// Complete may be called concurrently as long as no configuration index is
+// Complete may be called concurrently as long as no cell index is
 // completed twice — the Runner's job feed and the coordinator's done-set
 // both guarantee that.
 type SweepState struct {
 	// Results has Mean[ci] filled for every restored configuration and nil
-	// for every pending one.
+	// for every pending one. Only the paper sweep (OpenSweepState) has it.
 	Results *Results
 	// Fingerprint identifies the sweep (grid, algorithms, error model).
+	// Other studies compute it only when they checkpoint.
 	Fingerprint string
-	// Pending lists the configuration indices still to compute, most
-	// expensive first, so the longest configurations cannot land last and
-	// stretch the sweep's tail. Ordering is wall-clock-only: cell seeding
-	// is position-independent, so results are unaffected.
+	// Pending lists the cell indices still to compute. OpenSweepState
+	// orders them most expensive first, so the longest configurations
+	// cannot land last and stretch the sweep's tail. Ordering is
+	// wall-clock-only: cell seeding is position-independent, so results
+	// are unaffected.
 	Pending []int
 
-	cp    *Checkpoint
-	cache *Cache
-	keys  map[int]string // pending ci -> cache key, precomputed
+	blocks     [][][]float64
+	rows, cols int
+	cp         *Checkpoint
+	cache      *Cache
+	keys       []cellKey // per cell, filled by restore when a cache is open
+	staged     int       // cells the last restore looked at
+	done       int       // cells restored or completed, for Progress
+}
+
+// cellKey is a cell's content address and the configuration that labels
+// its cache entry.
+type cellKey struct {
+	key string
+	cfg Config
 }
 
 // OpenSweepState validates the grid, builds the result skeleton, restores
@@ -49,18 +66,29 @@ func OpenSweepState(g Grid, algorithms []string, model ErrorModelKind, unknownEr
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	fp := Fingerprint(g, algorithms, model, unknownError)
 	configs := g.Configs()
-	res := &Results{
-		Grid:       g,
-		Configs:    configs,
-		Algorithms: algorithms,
-		Mean:       make([][][]float64, len(configs)),
+	st, err := openState(len(configs), len(g.Errors), len(algorithms), func() string { return fp }, checkpointPath, cachePath)
+	if err != nil {
+		return nil, err
 	}
-	st := &SweepState{
-		Results:     res,
-		Fingerprint: Fingerprint(g, algorithms, model, unknownError),
-	}
+	st.Fingerprint = fp
+	st.Results = &Results{Grid: g, Configs: configs, Algorithms: algorithms, Mean: st.blocks}
+	st.restore(0, len(configs), func(ci int) (string, Config) {
+		return CellKey(g, algorithms, model, unknownError, configs[ci]), configs[ci]
+	})
+	orderByCost(g, configs, len(algorithms), st.Pending)
+	return st, nil
+}
+
+// openState opens the persistence layers of an n-cell study with
+// rows × cols blocks. fingerprint is called only when a checkpoint is
+// opened, because hashing the study costs allocations a small study
+// without persistence would feel.
+func openState(n, rows, cols int, fingerprint func() string, checkpointPath, cachePath string) (*SweepState, error) {
+	st := &SweepState{blocks: make([][][]float64, n), rows: rows, cols: cols}
 	if checkpointPath != "" {
+		st.Fingerprint = fingerprint()
 		cp, err := OpenCheckpoint(checkpointPath, st.Fingerprint)
 		if err != nil {
 			return nil, err
@@ -74,53 +102,59 @@ func OpenSweepState(g Grid, algorithms []string, model ErrorModelKind, unknownEr
 			return nil, err
 		}
 		st.cache = cache
+		st.keys = make([]cellKey, n)
 	}
-	for ci := range configs {
-		if st.cp != nil {
-			if cell, ok := st.cp.Completed(ci); ok && cellShapeOK(cell, len(g.Errors), len(algorithms)) {
-				res.Mean[ci] = cell
-				continue
-			}
-		}
-		if st.cache != nil {
-			key := CellKey(g, algorithms, model, unknownError, configs[ci])
-			if cell, ok := st.cache.Get(key, len(g.Errors), len(algorithms)); ok {
-				res.Mean[ci] = cell
-				continue
-			}
-		}
-		st.Pending = append(st.Pending, ci)
-	}
-	st.keys = make(map[int]string, len(st.Pending))
-	if st.cache != nil {
-		for _, ci := range st.Pending {
-			st.keys[ci] = CellKey(g, algorithms, model, unknownError, configs[ci])
-		}
-	}
-	orderByCost(g, configs, len(algorithms), st.Pending)
 	return st, nil
 }
 
-// Complete records configuration ci's computed mean block in the results
-// and persists it to the checkpoint and the cache (whichever are enabled).
-func (s *SweepState) Complete(ci int, mean [][]float64) error {
-	s.Results.Mean[ci] = mean
+// restore stages cells [from, to): each is restored from the checkpoint,
+// then the cache, and otherwise queued on Pending, which restore
+// replaces. key is called only when a cache is open. A study whose later
+// cells depend on earlier results restores and runs them in stages.
+func (s *SweepState) restore(from, to int, key func(i int) (string, Config)) {
+	s.Pending = s.Pending[:0]
+	s.staged = to - from
+	for i := from; i < to; i++ {
+		if s.cp != nil {
+			if b, ok := s.cp.Completed(i); ok && cellShapeOK(b, s.rows, s.cols) {
+				s.blocks[i] = b
+				s.done++
+				continue
+			}
+		}
+		if s.cache != nil {
+			k, cfg := key(i)
+			s.keys[i] = cellKey{k, cfg}
+			if b, ok := s.cache.Get(k, s.rows, s.cols); ok {
+				s.blocks[i] = b
+				s.done++
+				continue
+			}
+		}
+		s.Pending = append(s.Pending, i)
+	}
+}
+
+// Complete records cell ci's computed block and persists it to the
+// checkpoint and the cache (whichever are enabled).
+func (s *SweepState) Complete(ci int, block [][]float64) error {
+	s.blocks[ci] = block
 	if s.cp != nil {
-		if err := s.cp.Append(ci, mean); err != nil {
+		if err := s.cp.Append(ci, block); err != nil {
 			return err
 		}
 	}
 	if s.cache != nil {
-		if err := s.cache.Put(s.keys[ci], s.Results.Configs[ci], mean); err != nil {
+		if err := s.cache.Put(s.keys[ci].key, s.keys[ci].cfg, block); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Restored returns how many configurations were loaded from the
-// checkpoint/cache rather than queued.
-func (s *SweepState) Restored() int { return len(s.Results.Configs) - len(s.Pending) }
+// Restored returns how many of the cells the last restore staged were
+// loaded from the checkpoint/cache rather than queued.
+func (s *SweepState) Restored() int { return s.staged - len(s.Pending) }
 
 // Close releases the checkpoint file. The cache needs no teardown.
 func (s *SweepState) Close() error {
