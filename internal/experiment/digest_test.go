@@ -103,6 +103,16 @@ func studyDigest(t *testing.T) string {
 		}
 		row(fmt.Sprintf("resilience workers=%d", workers), blob)
 	}
+	r := &Runner{Algorithms: append(StandardAlgorithms(), rumr.FaultTolerant{}), UnknownError: true}
+	res, err := r.Resilience(rg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row("resilience unknown=true", blob)
 	return out.String()
 }
 

@@ -189,7 +189,11 @@ func (r *Runner) ResilienceContext(ctx context.Context, g ResilienceGrid) (*Resi
 // pool scheduling.
 func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, horizon float64) ([][]float64, error) {
 	p := g.Config.Platform()
-	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: g.Error, MinUnit: 1}
+	known := g.Error
+	if r.UnknownError {
+		known = -1
+	}
+	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: known, MinUnit: 1}
 	var protos protoSet
 	protos.reset(p, len(r.Algorithms))
 	for ai, algo := range r.Algorithms {
