@@ -50,6 +50,29 @@ func (g ResilienceGrid) recovery() fault.Recovery {
 	return g.Recovery
 }
 
+// Validate rejects degenerate grids before any simulation runs.
+func (g ResilienceGrid) Validate() error {
+	if len(g.CrashRates) == 0 {
+		return fmt.Errorf("%w: no crash rates", errEmptyGrid)
+	}
+	for _, p := range append([]float64{g.RejoinProb}, g.CrashRates...) {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("experiment: resilience probability %g outside [0,1]", p)
+		}
+	}
+	switch {
+	case !(g.Error >= 0):
+		return fmt.Errorf("experiment: resilience grid needs Error >= 0, got %g", g.Error)
+	case g.Horizon < 0 || math.IsNaN(g.Horizon):
+		return fmt.Errorf("experiment: resilience grid needs Horizon >= 0, got %g", g.Horizon)
+	case g.Reps <= 0:
+		return fmt.Errorf("experiment: resilience grid needs Reps > 0, got %d", g.Reps)
+	case !(g.Total > 0):
+		return fmt.Errorf("experiment: resilience grid needs Total > 0, got %g", g.Total)
+	}
+	return nil
+}
+
 // DefaultResilienceGrid is the resilience counterpart of ReducedGrid: the
 // Fig. 5 platform (the regime where scheduling policy matters most), a
 // crash-rate axis from fault-free to "every other worker dies", moderate
@@ -112,8 +135,8 @@ func (r *Runner) ResilienceContext(ctx context.Context, g ResilienceGrid) (*Resi
 	if len(r.Algorithms) == 0 {
 		return nil, errNoAlgorithms
 	}
-	if len(g.CrashRates) == 0 || g.Reps <= 0 || g.Total <= 0 {
-		return nil, fmt.Errorf("experiment: empty resilience grid")
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	names := r.names()
 	k := len(g.CrashRates)

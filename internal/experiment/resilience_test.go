@@ -100,3 +100,42 @@ func TestResilienceRejectsEmpty(t *testing.T) {
 		t.Fatal("no algorithms accepted")
 	}
 }
+
+func TestResilienceGridValidate(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*ResilienceGrid)
+	}{
+		{"no crash rates", func(g *ResilienceGrid) { g.CrashRates = nil }},
+		{"negative crash rate", func(g *ResilienceGrid) { g.CrashRates = []float64{0, -0.1} }},
+		{"crash rate above 1", func(g *ResilienceGrid) { g.CrashRates = []float64{1.5} }},
+		{"NaN crash rate", func(g *ResilienceGrid) { g.CrashRates = []float64{math.NaN()} }},
+		{"negative rejoin", func(g *ResilienceGrid) { g.RejoinProb = -0.5 }},
+		{"rejoin above 1", func(g *ResilienceGrid) { g.RejoinProb = 2 }},
+		{"NaN rejoin", func(g *ResilienceGrid) { g.RejoinProb = math.NaN() }},
+		{"negative error", func(g *ResilienceGrid) { g.Error = -0.1 }},
+		{"negative horizon", func(g *ResilienceGrid) { g.Horizon = -1 }},
+		{"NaN horizon", func(g *ResilienceGrid) { g.Horizon = math.NaN() }},
+		{"no reps", func(g *ResilienceGrid) { g.Reps = 0 }},
+		{"no total", func(g *ResilienceGrid) { g.Total = 0 }},
+	}
+	r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := resilienceTestGrid()
+			tc.mutate(&g)
+			if err := g.Validate(); err == nil {
+				t.Fatal("Validate accepted a degenerate grid")
+			}
+			if _, err := r.Resilience(g); err == nil {
+				t.Fatal("degenerate grid accepted")
+			}
+		})
+	}
+	if err := resilienceTestGrid().Validate(); err != nil {
+		t.Fatalf("valid grid rejected: %v", err)
+	}
+	if err := DefaultResilienceGrid().Validate(); err != nil {
+		t.Fatalf("default grid rejected: %v", err)
+	}
+}
