@@ -1,0 +1,71 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+
+	"rumr/internal/metrics"
+)
+
+// runMainEnv makes the test binary run main instead of the tests, so a
+// test can drive the command end to end in a child process.
+const runMainEnv = "RUMRSWEEP_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// rumrsweep runs the command with args and returns its stdout and final
+// metrics snapshot.
+func rumrsweep(t *testing.T, args ...string) ([]byte, metrics.Snapshot) {
+	t.Helper()
+	metOut := filepath.Join(t.TempDir(), "metrics.json")
+	cmd := exec.Command(os.Args[0], append(args, "-metrics", metOut)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("rumrsweep %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	blob, err := os.ReadFile(metOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap metrics.Snapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return out, snap
+}
+
+// TestCheckpointResumeRestoresEveryStudy runs the paper sweep, the
+// multi-job study and the resilience study twice against one checkpoint
+// directory: the second run must restore every cell of every study
+// instead of computing it, and print byte-identical output.
+func TestCheckpointResumeRestoresEveryStudy(t *testing.T) {
+	args := []string{"-smoke", "-table2", "-multijob", "-resilience", "-q", "-workers", "2",
+		"-checkpoint", filepath.Join(t.TempDir(), "ckpt")}
+	first, cold := rumrsweep(t, args...)
+	if cold.ConfigsTotal == 0 || cold.ConfigsSkipped != 0 {
+		t.Fatalf("cold run: %d cells, %d restored; want a computed sweep", cold.ConfigsTotal, cold.ConfigsSkipped)
+	}
+	second, warm := rumrsweep(t, args...)
+	if warm.ConfigsTotal != cold.ConfigsTotal || warm.ConfigsSkipped != warm.ConfigsTotal {
+		t.Fatalf("resumed run restored %d of %d cells, want all %d", warm.ConfigsSkipped, warm.ConfigsTotal, cold.ConfigsTotal)
+	}
+	if warm.Simulations != 0 {
+		t.Fatalf("resumed run simulated %d times, want 0", warm.Simulations)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("resumed output differs:\n%s\nvs\n%s", second, first)
+	}
+}

@@ -2,10 +2,14 @@ package experiment
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"rumr/internal/engine"
 	"rumr/internal/metrics"
 	"rumr/internal/sched"
 	"rumr/internal/sched/factoring"
@@ -129,5 +133,60 @@ func TestMultiJobSweepCancellation(t *testing.T) {
 	g := smallMultiJobGrid()
 	if _, err := multiJobRunner(nil).MultiJobContext(ctx, g); err == nil {
 		t.Fatal("cancelled sweep returned no error")
+	}
+}
+
+// TestMultiJobCheckpointResumeBitIdentical is the multi-job twin of
+// TestCheckpointResumeBitIdentical: a study cancelled mid-sweep and
+// resumed from its checkpoint restores the finished cells, computes only
+// the rest, and ends bit-identical to an uninterrupted study.
+func TestMultiJobCheckpointResumeBitIdentical(t *testing.T) {
+	g := smallMultiJobGrid()
+	g.ArrivalRates = []float64{0, 0.02, 0.05, 0.1} // 3 policies x 4 rates = 12 cells
+	ckpt := filepath.Join(t.TempDir(), "multijob.jsonl")
+
+	// Phase 1: cancel after 5 cells.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r1 := multiJobRunner(nil)
+	r1.CheckpointPath = ckpt
+	r1.Progress = func(done, total int) {
+		if done == 5 {
+			cancel()
+		}
+	}
+	if _, err := r1.MultiJobContext(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted study err = %v, want context.Canceled", err)
+	}
+
+	// Phase 2: resume; only the cells missing from the checkpoint run.
+	m := metrics.New()
+	r2 := multiJobRunner(m)
+	r2.CheckpointPath = ckpt
+	resumed, err := r2.MultiJob(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := int64(len(engine.LinkPolicies()) * len(g.ArrivalRates))
+	s := m.Snapshot()
+	if s.ConfigsTotal != cells || s.ConfigsSkipped < 5 || s.ConfigsSkipped >= cells || s.ConfigsDone != cells {
+		t.Fatalf("resume metrics done/skipped/total = %d/%d/%d, want %d/[5,%d)/%d",
+			s.ConfigsDone, s.ConfigsSkipped, s.ConfigsTotal, cells, cells, cells)
+	}
+	if want := (cells - s.ConfigsSkipped) * int64(g.Reps*len(r2.Algorithms)); s.MultiJobRuns != want {
+		t.Fatalf("resumed study simulated %d runs, want %d (missing cells only)", s.MultiJobRuns, want)
+	}
+
+	// Reference: one uninterrupted study, no checkpoint.
+	full, err := multiJobRunner(nil).MultiJob(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi := range full.Policies {
+		for ri := range g.ArrivalRates {
+			assertCellsIdentical(t, fmt.Sprintf("%s/rate%g", full.Policies[pi], g.ArrivalRates[ri]),
+				[][]float64{resumed.MeanResponse[pi][ri], resumed.MeanSlowdown[pi][ri], resumed.MeanFairness[pi][ri], resumed.MeanMakespan[pi][ri]},
+				[][]float64{full.MeanResponse[pi][ri], full.MeanSlowdown[pi][ri], full.MeanFairness[pi][ri], full.MeanMakespan[pi][ri]})
+		}
 	}
 }
