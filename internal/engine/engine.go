@@ -93,8 +93,8 @@ type WorkerState struct {
 // Idle reports whether the worker has nothing to do and nothing on the
 // way — the paper's "finished prematurely" condition for out-of-order
 // dispatch. Crashed and disconnected workers are never idle, which is how
-// faults surface to fault-oblivious dispatchers: dead workers simply
-// disappear from View.IdleWorkers.
+// faults surface to fault-oblivious dispatchers: dead workers are never
+// returned by View.FirstIdle or reported by View.WorkerIdle.
 func (w WorkerState) Idle() bool {
 	return !w.Down && !w.LinkDown && !w.Computing && w.Queued == 0 && w.InFlight == 0
 }
@@ -140,29 +140,6 @@ func (v *View) WorkerIdle(i int) bool {
 		return v.IdleMask[i>>6]&(1<<(uint(i)&63)) != 0
 	}
 	return v.Workers[i].Idle()
-}
-
-// IdleWorkers returns the indices of idle workers, in worker order.
-func (v *View) IdleWorkers() []int {
-	var idle []int
-	for i, w := range v.Workers {
-		if w.Idle() {
-			idle = append(idle, i)
-		}
-	}
-	return idle
-}
-
-// LiveWorkers returns the indices of workers that are up and reachable
-// (not crashed, link intact), in worker order.
-func (v *View) LiveWorkers() []int {
-	var live []int
-	for i, w := range v.Workers {
-		if !w.Down && !w.LinkDown {
-			live = append(live, i)
-		}
-	}
-	return live
 }
 
 // Dispatcher decides the next chunk to send. Implementations see the

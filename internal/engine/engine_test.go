@@ -303,16 +303,29 @@ func TestObserverCallback(t *testing.T) {
 	}
 }
 
+// TestViewIdleWorkers checks FirstIdle and WorkerIdle on a hand-built
+// View, whose nil IdleMask makes both fall back to WorkerState.Idle.
 func TestViewIdleWorkers(t *testing.T) {
 	v := &View{Workers: []WorkerState{
-		{},                // idle
 		{Computing: true}, // busy
 		{Queued: 1},       // has work queued
 		{InFlight: 1},     // data on the way
+		{Down: true},      // crashed
+		{LinkDown: true},  // unreachable
+		{},                // idle
+		{},                // idle
 	}}
-	idle := v.IdleWorkers()
-	if len(idle) != 1 || idle[0] != 0 {
-		t.Fatalf("idle = %v", idle)
+	if got := v.FirstIdle(); got != 5 {
+		t.Fatalf("FirstIdle = %d, want 5", got)
+	}
+	for i := range v.Workers {
+		if got, want := v.WorkerIdle(i), i >= 5; got != want {
+			t.Errorf("WorkerIdle(%d) = %v, want %v", i, got, want)
+		}
+	}
+	v.Workers = v.Workers[:5]
+	if got := v.FirstIdle(); got != -1 {
+		t.Fatalf("FirstIdle with no idle worker = %d, want -1", got)
 	}
 }
 
