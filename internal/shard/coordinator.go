@@ -329,7 +329,10 @@ func (c *Coordinator) TraceHandler() http.Handler {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !decodeBody(w, r, &req, "lease request") {
+		return
+	}
+	if req.Worker == "" {
 		http.Error(w, "bad lease request", http.StatusBadRequest)
 		return
 	}
@@ -390,8 +393,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var res Result
-	if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-		http.Error(w, "bad result", http.StatusBadRequest)
+	if !decodeBody(w, r, &res, "result") {
 		return
 	}
 	mean, decodeErr := experiment.DecodeCell(res.Mean)
@@ -465,8 +467,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
-		http.Error(w, "bad heartbeat", http.StatusBadRequest)
+	if !decodeBody(w, r, &hb, "heartbeat") {
 		return
 	}
 	c.mu.Lock()
@@ -548,6 +549,28 @@ func badRows(mean [][]float64, algorithms int) bool {
 }
 
 // noWork answers a lease request when nothing is grantable right now.
+// maxBodyBytes caps the body of every request the coordinator accepts.
+// A worker's largest post, a result with its piggybacked spans, is
+// orders of magnitude smaller.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers 413 for an oversized body and 400 for a
+// malformed one, and returns false; the active sweep is unaffected.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, what+" too large", http.StatusRequestEntityTooLarge)
+		return false
+	case err != nil:
+		http.Error(w, "bad "+what, http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 func noWork(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 	http.Error(w, "no work available", http.StatusServiceUnavailable)

@@ -344,3 +344,62 @@ func TestCoordinatorProgressContract(t *testing.T) {
 	}
 	cl.shutdown(t, 2)
 }
+
+// TestCoordinatorRejectsOversizedPosts: a body over the size cap on any
+// endpoint gets 413 while a sweep is being served, and the sweep then
+// finishes byte-identical to a single-process run.
+func TestCoordinatorRejectsOversizedPosts(t *testing.T) {
+	job := testJob()
+	want := localJSON(t, job)
+	coord := NewCoordinator()
+	server := httptest.NewServer(coord.Handler())
+	defer server.Close()
+
+	type outcome struct {
+		res *experiment.Results
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := coord.Run(context.Background(), job, RunOptions{})
+		done <- outcome{res, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !coord.Status().Active; {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep never became active")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	huge := append([]byte(`{"worker":"w","pad":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)
+	huge = append(huge, `"}`...)
+	for _, path := range []string{"/v1/lease", "/v1/result", "/v1/heartbeat"} {
+		t.Run(path, func(t *testing.T) {
+			resp, err := http.Post(server.URL+path, "application/json", bytes.NewReader(huge))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversized post to %s: status %d, want 413", path, resp.StatusCode)
+			}
+		})
+	}
+
+	w := &Worker{Base: server.URL, ID: "w0", Procs: 1, Client: server.Client(), Backoff: 5 * time.Millisecond}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.Run(ctx) }()
+	out := <-done
+	coord.Close()
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker exited with %v", err)
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if got := resultsJSON(t, out.res); !bytes.Equal(got, want) {
+		t.Fatal("aggregate after oversized posts differs from single-process run")
+	}
+}
