@@ -19,6 +19,10 @@
 //	rumrsweep -full -checkpoint ckpt   # kill it any time...
 //	rumrsweep -full -checkpoint ckpt   # ...and pick up where it left off
 //
+// -checkpoint, -cache, -uniform and -unknown-error apply to every study
+// that runs through the experiment Runner: the paper sweep, -multijob and
+// -resilience (not -hetero).
+//
 // Progress (configurations done, simulations/sec, DES events, ETA) prints
 // to stderr once per second; -metrics dumps the final counters as JSON,
 // and -cpuprofile/-memprofile write pprof profiles.
@@ -47,6 +51,9 @@
 //
 //	rumrsweep -serve :9090 -cache cache -table2   # terminal 1: coordinator
 //	rumrsweep -join localhost:9090                # terminal 2..N: workers
+//
+// -serve distributes only the paper sweep; -multijob and -resilience run
+// in the serving process.
 //
 // While serving with -debug-addr, /shards reports per-worker lease
 // accounting next to /metrics, and /trace serves the fused distributed
