@@ -68,51 +68,42 @@ func studyDigest(t *testing.T) string {
 		Total:        200,
 		BaseSeed:     2003,
 	}
+	jsonRow := func(name string, res any, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row(name, blob)
+	}
 	for _, workers := range []int{1, 4} {
 		r := &Runner{
 			Algorithms: []sched.Scheduler{rumr.Scheduler{}, factoring.Scheduler{}, mi.Scheduler{Installments: 1}},
 			Workers:    workers,
 		}
 		res, err := r.MultiJob(mg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		row(fmt.Sprintf("multijob workers=%d", workers), blob)
+		jsonRow(fmt.Sprintf("multijob workers=%d", workers), res, err)
 	}
 
 	rg := DefaultResilienceGrid()
 	rg.Config = Config{N: 10, R: 1.8, CLat: 0.3, NLat: 0.9}
 	rg.CrashRates = []float64{0, 0.2, 0.4}
 	rg.Reps = 4
-	for _, workers := range []int{1, 4} {
+	for _, v := range []struct {
+		name    string
+		workers int
+		unknown bool
+	}{{"workers=1", 1, false}, {"workers=4", 4, false}, {"unknown=true", 0, true}} {
 		r := &Runner{
-			Algorithms: append(StandardAlgorithms(), rumr.FaultTolerant{}),
-			Workers:    workers,
+			Algorithms:   append(StandardAlgorithms(), rumr.FaultTolerant{}),
+			Workers:      v.workers,
+			UnknownError: v.unknown,
 		}
 		res, err := r.Resilience(rg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		row(fmt.Sprintf("resilience workers=%d", workers), blob)
+		jsonRow("resilience "+v.name, res, err)
 	}
-	r := &Runner{Algorithms: append(StandardAlgorithms(), rumr.FaultTolerant{}), UnknownError: true}
-	res, err := r.Resilience(rg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row("resilience unknown=true", blob)
 	return out.String()
 }
 

@@ -376,6 +376,7 @@ func (r *Runner) runCells(parent context.Context, st *SweepState, compute func(c
 		pool.Add(1)
 		go func() {
 			defer pool.Done()
+			// Declared per worker, so the closure stays on its stack.
 			fail := func(err error) {
 				pool.Lock()
 				if pool.err == nil {
