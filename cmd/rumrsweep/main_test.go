@@ -69,3 +69,17 @@ func TestCheckpointResumeRestoresEveryStudy(t *testing.T) {
 		t.Fatalf("resumed output differs:\n%s\nvs\n%s", second, first)
 	}
 }
+
+// TestMetricsDumpCountsPlans checks the plan counters of the -metrics
+// dump. The smoke grid's 8 configurations share 2 (N, r) pairs, so its
+// 8 × 5 errors × 4 MI prototypes are served by 2 × 4 = 8 MI solves,
+// the other 152 by the runner's shared plan tier.
+func TestMetricsDumpCountsPlans(t *testing.T) {
+	_, snap := rumrsweep(t, "-smoke", "-table2", "-q", "-workers", "2")
+	if snap.PlansShared != 152 {
+		t.Fatalf("plans_shared = %d, want 152", snap.PlansShared)
+	}
+	if snap.PlansBuilt < 8 {
+		t.Fatalf("plans_built = %d, want at least the 8 MI solves", snap.PlansBuilt)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"rumr/internal/engine"
+	"rumr/internal/metrics"
 	"rumr/internal/perferr"
 	"rumr/internal/platform"
 	"rumr/internal/rng"
@@ -108,14 +109,16 @@ type protoSet struct {
 	hint []int
 }
 
-// reset empties the set to n slots over platform p. Plans memoized for a
-// previous platform fill are dropped.
-func (ps *protoSet) reset(p *platform.Platform, n int) {
+// reset empties the set to n slots over platform p, with r's shared plan
+// tier behind the memo. Plans memoized per cell for a previous platform
+// fill are dropped.
+func (ps *protoSet) reset(r *Runner, p *platform.Platform, n int) {
 	if ps.memo == nil {
 		ps.memo = sched.NewMemo(p)
 	} else {
 		ps.memo.Reset(p)
 	}
+	ps.memo.Share(&r.plans)
 	ps.protos = resize(ps.protos, n)
 	ps.replay = resize(ps.replay, n)
 	ps.hint = resize(ps.hint, n)
@@ -144,6 +147,16 @@ func (ps *protoSet) build(i int, algo sched.Scheduler, pr *sched.Problem) bool {
 		ps.hint[i] = pl.PlannedChunks()
 	}
 	return true
+}
+
+// flushPlans adds the plans built and shared since the last flush to
+// met, if any. Called once after the prototype builds, it never counts
+// the per-repetition rebuilds of non-replayable dispatchers.
+func (ps *protoSet) flushPlans(met *metrics.Collector) {
+	built, shared := ps.memo.TakeCounts()
+	if met != nil {
+		met.AddPlans(built, shared)
+	}
 }
 
 // built reports whether slot i's prototype was constructed.
@@ -196,8 +209,9 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 	// One memo per configuration: plan construction (UMR's round
 	// optimisation, MI's linear solve) is repetition- and mostly
 	// error-independent, so memoizing schedulers solve once and share the
-	// cached plan across the whole (error × repetition) block.
-	cs.protos.reset(cs.p, nErr*nAlg)
+	// cached plan across the whole (error × repetition) block — and MI's
+	// latency-free plans across every configuration of the runner.
+	cs.protos.reset(r, cs.p, nErr*nAlg)
 	cs.probs = resize(cs.probs, nErr)
 	cs.acc = resize(cs.acc, nAlg)
 	cs.errs = resize(cs.errs, nErr)
@@ -220,6 +234,7 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 			cs.protos.build(ei*nAlg+ai, algo, pr) // a failure leaves the slot nil: NaN for the block
 		}
 	}
+	cs.protos.flushPlans(r.Metrics)
 	cs.owner = r
 	cs.cfg = cfg
 	cs.total = g.Total

@@ -293,6 +293,10 @@ type Runner struct {
 	// mcells pools MultiCellStates the same way for the multi-job sweep's
 	// (policy, arrival rate) cells.
 	mcells sync.Pool
+	// plans is the shared plan tier behind every cell's memo: MI's
+	// latency-free plans, solved once per (N, B, S, workload, x) for the
+	// runner's lifetime rather than once per cell.
+	plans sched.SharedPlans
 }
 
 func (r *Runner) model(errMag float64, src *rng.Source) perferr.Model {

@@ -125,7 +125,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	nJ := g.Jobs
 	cfg := g.Config
 	cs.p.FillHomogeneous(cfg.N, 1, cfg.R*float64(cfg.N), cfg.CLat, cfg.NLat)
-	cs.protos.reset(cs.p, nAlg*nJ)
+	cs.protos.reset(r, cs.p, nAlg*nJ)
 	known := g.Error
 	if r.UnknownError {
 		known = -1
@@ -148,6 +148,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 			cs.expected[ai] += cs.protos.hint[ai*nJ+j]
 		}
 	}
+	cs.protos.flushPlans(r.Metrics)
 	cs.accResp = resize(cs.accResp, nAlg)
 	cs.accSlow = resize(cs.accSlow, nAlg)
 	cs.accFair = resize(cs.accFair, nAlg)

@@ -218,10 +218,11 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 	}
 	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: known, MinUnit: 1}
 	var protos protoSet
-	protos.reset(p, len(r.Algorithms))
+	protos.reset(r, p, len(r.Algorithms))
 	for ai, algo := range r.Algorithms {
 		protos.build(ai, algo, pr) // a failure leaves the slot nil: NaN for the cell
 	}
+	protos.flushPlans(r.Metrics)
 	label := "baseline"
 	opts := engine.Options{Metrics: r.Metrics}
 	var scenario fault.Scenario

@@ -58,6 +58,21 @@ func TestDebugHandlerMetrics(t *testing.T) {
 	}
 }
 
+func TestDebugHandlerMetricsPlans(t *testing.T) {
+	c := New()
+	c.AddPlans(2, 7)
+	srv := httptest.NewServer(DebugHandler(c))
+	defer srv.Close()
+	_, body := debugGet(t, srv, "/metrics")
+	var s map[string]any
+	if err := json.Unmarshal(body, &s); err != nil {
+		t.Fatalf("/metrics not JSON: %v\n%s", err, body)
+	}
+	if s["plans_built"] != 2.0 || s["plans_shared"] != 7.0 {
+		t.Fatalf("/metrics plans_built = %v, plans_shared = %v; want 2 and 7", s["plans_built"], s["plans_shared"])
+	}
+}
+
 func TestDebugHandlerExpvarAndPprof(t *testing.T) {
 	c := New()
 	c.AddRun(3, 30, 7)

@@ -32,6 +32,9 @@ type Collector struct {
 
 	multiJobRuns atomic.Int64
 
+	plansBuilt  atomic.Int64
+	plansShared atomic.Int64
+
 	makespans    *Histogram // per-run makespan
 	chunksPerRun *Histogram // per-run dispatched chunk count
 	configWall   *Histogram // per-configuration wall time, seconds
@@ -70,6 +73,15 @@ func (c *Collector) AddRun(chunks int, events uint64, makespan float64) {
 func (c *Collector) ConfigDone(wall time.Duration) {
 	c.configsDone.Add(1)
 	c.configWall.Observe(wall.Seconds())
+}
+
+// AddPlans records the plan constructions of one batch of dispatcher
+// prototype builds: built plans were constructed, shared ones were served
+// by a sweep runner's shared plan tier without being built. Callers add
+// per prototype build, never per simulated run.
+func (c *Collector) AddPlans(built, shared int) {
+	c.plansBuilt.Add(int64(built))
+	c.plansShared.Add(int64(shared))
 }
 
 // AddTotalConfigs grows the expected-configuration total. Sequential
@@ -122,6 +134,12 @@ type Snapshot struct {
 	JobResponse  HistSummary `json:"job_response"`
 	JobSlowdown  HistSummary `json:"job_slowdown"`
 	Fairness     HistSummary `json:"fairness"`
+	// PlansBuilt counts plan constructions (UMR's round optimisation,
+	// RUMR's phase-1 share, MI's linear solve) run while building
+	// dispatcher prototypes; PlansShared counts prototype builds served a
+	// plan by the runner's shared tier instead (see AddPlans).
+	PlansBuilt  int64 `json:"plans_built"`
+	PlansShared int64 `json:"plans_shared"`
 	// Engine aggregates the engine hot-path counters fed through
 	// AddEngineCounters — in a distributed sweep, across every worker.
 	Engine EngineCounters `json:"engine"`
@@ -145,6 +163,8 @@ func (c *Collector) Snapshot() Snapshot {
 		JobResponse:   c.jobResponse.Summary(),
 		JobSlowdown:   c.jobSlowdown.Summary(),
 		Fairness:      c.fairness.Summary(),
+		PlansBuilt:    c.plansBuilt.Load(),
+		PlansShared:   c.plansShared.Load(),
 		Engine:        c.eng.snapshot(),
 	}
 	if s.ElapsedSec > 0 {

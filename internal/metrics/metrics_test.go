@@ -129,3 +129,12 @@ func TestHumanCount(t *testing.T) {
 		}
 	}
 }
+
+func TestCollectorPlanCounts(t *testing.T) {
+	c := New()
+	c.AddPlans(3, 5)
+	c.AddPlans(1, 0)
+	if s := c.Snapshot(); s.PlansBuilt != 4 || s.PlansShared != 5 {
+		t.Fatalf("plans built %d, shared %d; want 4 and 5", s.PlansBuilt, s.PlansShared)
+	}
+}

@@ -120,57 +120,59 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 }
 
 // SolveLinear solves A x = rhs in place using Gaussian elimination with
-// partial pivoting. A is row-major, n x n, and is destroyed; rhs is
-// overwritten with the solution, which is also returned.
-func SolveLinear(a [][]float64, rhs []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 {
-		return rhs, nil
-	}
-	if len(rhs) != n {
-		return nil, fmt.Errorf("numeric: matrix is %dx%d but rhs has %d entries", n, len(a[0]), len(rhs))
-	}
-	for _, row := range a {
-		if len(row) != n {
-			return nil, fmt.Errorf("numeric: non-square matrix (row length %d, n=%d)", len(row), n)
-		}
+// partial pivoting. A is n x n with n = len(rhs), stored row-major in one
+// contiguous slab of n*n entries (row r is a[r*n : (r+1)*n]); it is
+// destroyed, and rhs is overwritten with the solution, which is also
+// returned.
+func SolveLinear(a, rhs []float64) ([]float64, error) {
+	n := len(rhs)
+	if len(a) != n*n {
+		return nil, fmt.Errorf("numeric: matrix has %d entries but rhs has %d (want %dx%d)", len(a), n, n, n)
 	}
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		p := col
-		best := math.Abs(a[col][col])
+		best := math.Abs(a[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a[r][col]); v > best {
+			if v := math.Abs(a[r*n+col]); v > best {
 				best, p = v, r
 			}
 		}
 		if best < 1e-13 {
 			return nil, ErrSingular
 		}
+		pivRow := a[col*n : (col+1)*n]
 		if p != col {
-			a[p], a[col] = a[col], a[p]
+			other := a[p*n : (p+1)*n]
+			for c := range pivRow {
+				pivRow[c], other[c] = other[c], pivRow[c]
+			}
 			rhs[p], rhs[col] = rhs[col], rhs[p]
 		}
-		pivot := a[col][col]
+		pivot := pivRow[col]
+		tail := pivRow[col+1:]
 		for r := col + 1; r < n; r++ {
-			factor := a[r][col] / pivot
+			row := a[r*n : (r+1)*n]
+			factor := row[col] / pivot
 			if factor == 0 {
 				continue
 			}
-			a[r][col] = 0
-			for c := col + 1; c < n; c++ {
-				a[r][c] -= factor * a[col][c]
+			row[col] = 0
+			dst := row[col+1 : col+1+len(tail)]
+			for c, v := range tail {
+				dst[c] -= factor * v
 			}
 			rhs[r] -= factor * rhs[col]
 		}
 	}
 	// Back substitution.
 	for row := n - 1; row >= 0; row-- {
+		ar := a[row*n : (row+1)*n]
 		sum := rhs[row]
 		for c := row + 1; c < n; c++ {
-			sum -= a[row][c] * rhs[c]
+			sum -= ar[c] * rhs[c]
 		}
-		rhs[row] = sum / a[row][row]
+		rhs[row] = sum / ar[row]
 	}
 	return rhs, nil
 }

@@ -64,10 +64,10 @@ func TestBrentNoBracket(t *testing.T) {
 }
 
 func TestSolveLinearKnown(t *testing.T) {
-	a := [][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
+	a := []float64{
+		2, 1, -1,
+		-3, -1, 2,
+		-2, 1, 2,
 	}
 	rhs := []float64{8, -11, -3}
 	x, err := SolveLinear(a, rhs)
@@ -84,11 +84,10 @@ func TestSolveLinearKnown(t *testing.T) {
 
 func TestSolveLinearIdentity(t *testing.T) {
 	n := 5
-	a := make([][]float64, n)
+	a := make([]float64, n*n)
 	rhs := make([]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-		a[i][i] = 1
+	for i := range rhs {
+		a[i*n+i] = 1
 		rhs[i] = float64(i + 1)
 	}
 	x, err := SolveLinear(a, rhs)
@@ -103,9 +102,9 @@ func TestSolveLinearIdentity(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	a := [][]float64{
-		{1, 2},
-		{2, 4},
+	a := []float64{
+		1, 2,
+		2, 4,
 	}
 	_, err := SolveLinear(a, []float64{1, 2})
 	if !errors.Is(err, ErrSingular) {
@@ -114,11 +113,11 @@ func TestSolveLinearSingular(t *testing.T) {
 }
 
 func TestSolveLinearDimensionMismatch(t *testing.T) {
-	a := [][]float64{{1, 0}, {0, 1}}
+	a := []float64{1, 0, 0, 1}
 	if _, err := SolveLinear(a, []float64{1}); err == nil {
 		t.Fatal("want error for rhs length mismatch")
 	}
-	bad := [][]float64{{1, 0, 0}, {0, 1, 0}}
+	bad := []float64{1, 0, 0, 0, 1, 0}
 	if _, err := SolveLinear(bad, []float64{1, 2}); err == nil {
 		t.Fatal("want error for non-square matrix")
 	}
@@ -136,19 +135,16 @@ func TestSolveLinearRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		n := 1 + src.Intn(12)
-		orig := make([][]float64, n)
-		a := make([][]float64, n)
+		orig := make([]float64, n*n)
 		b := make([]float64, n)
 		for i := 0; i < n; i++ {
-			orig[i] = make([]float64, n)
-			a[i] = make([]float64, n)
 			for j := 0; j < n; j++ {
-				orig[i][j] = src.Uniform(-1, 1)
+				orig[i*n+j] = src.Uniform(-1, 1)
 			}
-			orig[i][i] += float64(n) // diagonal dominance => well conditioned
-			copy(a[i], orig[i])
+			orig[i*n+i] += float64(n) // diagonal dominance => well conditioned
 			b[i] = src.Uniform(-10, 10)
 		}
+		a := append([]float64(nil), orig...)
 		rhs := make([]float64, n)
 		copy(rhs, b)
 		x, err := SolveLinear(a, rhs)
@@ -158,7 +154,7 @@ func TestSolveLinearRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			sum := 0.0
 			for j := 0; j < n; j++ {
-				sum += orig[i][j] * x[j]
+				sum += orig[i*n+j] * x[j]
 			}
 			if math.Abs(sum-b[i]) > 1e-8 {
 				return false

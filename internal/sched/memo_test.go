@@ -135,3 +135,137 @@ func TestMemoCachesErrors(t *testing.T) {
 		t.Fatalf("cached error differs: %v vs %v", err1, err2)
 	}
 }
+
+// sharedProblem is a homogeneous MI problem with non-zero latencies.
+func sharedProblem() *sched.Problem {
+	p := platform.Homogeneous(10, 1, 15, 0.1, 0.2)
+	for i := range p.Workers {
+		p.Workers[i].TLat = 0.05
+	}
+	return &sched.Problem{Platform: p, Total: 1000, MinUnit: 1}
+}
+
+// planThrough builds s's dispatcher for pr through a fresh memo with
+// shared attached, and returns the dispatcher's plan with the memo's
+// plan counts.
+func planThrough(t *testing.T, s sched.Memoizer, pr *sched.Problem, shared *sched.SharedPlans) (plan []engine.Chunk, built, served int) {
+	t.Helper()
+	memo := sched.NewMemo(pr.Platform)
+	memo.Share(shared)
+	d, err := s.NewDispatcherMemo(pr, memo)
+	if err != nil {
+		t.Fatalf("%s: %v", s.Name(), err)
+	}
+	if st, ok := d.(*sched.Static); ok {
+		plan = st.Plan
+	}
+	built, served = memo.TakeCounts()
+	return plan, built, served
+}
+
+// TestSharedPlansKeyIsComplete guards the shared plan tier against
+// serving stale plans: it may merge only problems whose plans cannot
+// differ. MI plans of platforms that differ in latencies alone are one
+// plan; a difference in N, B, S, workload, minimal unit or installment
+// count is never merged; heterogeneous platforms and the latency-
+// dependent UMR and RUMR plans never reach the tier at all.
+func TestSharedPlansKeyIsComplete(t *testing.T) {
+	mi2 := mi.Scheduler{Installments: 2}
+	var shared sched.SharedPlans
+	ref, built, _ := planThrough(t, mi2, sharedProblem(), &shared)
+	if built != 1 || shared.Len() != 1 {
+		t.Fatalf("first MI-2 plan: built %d, tier holds %d keys; want 1 and 1", built, shared.Len())
+	}
+	same := func(a, b []engine.Chunk) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+	for name, mutate := range map[string]func(*sched.Problem){
+		"CLat": func(pr *sched.Problem) { pr.Platform.FillHomogeneous(10, 1, 15, 0.7, 0.2) },
+		"NLat": func(pr *sched.Problem) { pr.Platform.FillHomogeneous(10, 1, 15, 0.1, 0.9) },
+		"TLat": func(pr *sched.Problem) {
+			for i := range pr.Platform.Workers {
+				pr.Platform.Workers[i].TLat = 0.4
+			}
+		},
+	} {
+		pr := sharedProblem()
+		mutate(pr)
+		plan, built, served := planThrough(t, mi2, pr, &shared)
+		if built != 0 || served != 1 || !same(plan, ref) {
+			t.Errorf("%s differs: built %d, served %d, same plan %v; want the shared plan", name, built, served, same(plan, ref))
+		}
+	}
+
+	for name, c := range map[string]struct {
+		s      sched.Memoizer
+		mutate func(*sched.Problem)
+	}{
+		"N":            {mi2, func(pr *sched.Problem) { pr.Platform.FillHomogeneous(11, 1, 15, 0.1, 0.2) }},
+		"B":            {mi2, func(pr *sched.Problem) { pr.Platform.FillHomogeneous(10, 1, 16, 0.1, 0.2) }},
+		"S":            {mi2, func(pr *sched.Problem) { pr.Platform.FillHomogeneous(10, 1.5, 15, 0.1, 0.2) }},
+		"Total":        {mi2, func(pr *sched.Problem) { pr.Total = 900 }},
+		"MinUnit":      {mi2, func(pr *sched.Problem) { pr.MinUnit = 2 }},
+		"installments": {mi.Scheduler{Installments: 3}, func(*sched.Problem) {}},
+	} {
+		pr := sharedProblem()
+		c.mutate(pr)
+		keys := shared.Len()
+		plan, built, served := planThrough(t, c.s, pr, &shared)
+		if built != 1 || served != 0 || same(plan, ref) || shared.Len() != keys+1 {
+			t.Errorf("%s differs: built %d, served %d, same plan %v, new keys %d; want a plan of its own",
+				name, built, served, same(plan, ref), shared.Len()-keys)
+			continue
+		}
+		fresh, err := c.s.NewDispatcher(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan, fresh.(*sched.Static).Plan) {
+			t.Errorf("%s differs: shared-tier plan is not the plan of its own problem", name)
+		}
+	}
+
+	keys := shared.Len()
+	for name, mutate := range map[string]func(*sched.Problem){
+		"B": func(pr *sched.Problem) { pr.Platform.Workers[3].B = 20 },
+		"S": func(pr *sched.Problem) { pr.Platform.Workers[7].S = 2 },
+	} {
+		pr := sharedProblem()
+		mutate(pr)
+		for i := 0; i < 2; i++ { // each memo must build its own plan
+			if _, built, served := planThrough(t, mi2, pr, &shared); built != 1 || served != 0 {
+				t.Errorf("heterogeneous %s: built %d, served %d; want the per-cell tier", name, built, served)
+			}
+		}
+	}
+	for _, s := range []sched.Memoizer{umr.Scheduler{}, rumr.Scheduler{}, rumr.Scheduler{FixedPhase1Fraction: 0.7}} {
+		planThrough(t, s, sharedProblem(), &shared)
+	}
+	if shared.Len() != keys {
+		t.Fatalf("heterogeneous, UMR or RUMR plans added %d keys to the shared tier", shared.Len()-keys)
+	}
+}
+
+// TestSharedPlansHitAllocatesNothing pins the shared tier's hit path at
+// zero allocations: a lock, a map lookup and a completed once.
+func TestSharedPlansHitAllocatesNothing(t *testing.T) {
+	pr := sharedProblem()
+	var shared sched.SharedPlans
+	memo := sched.NewMemo(pr.Platform)
+	memo.Share(&shared)
+	key := sched.MemoKey{Scheduler: "MI-2/plan", Total: pr.Total, MinUnit: 1}
+	val := []engine.Chunk{{Size: 1000}}
+	build := func() (any, error) { return val, nil }
+	if _, err := memo.DoShared(pr, key, build); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := memo.DoShared(pr, key, build); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("shared-tier hit allocated %v times, want 0", allocs)
+	}
+	if built, served := memo.TakeCounts(); built != 1 || served != 101 {
+		t.Fatalf("counts: built %d, served %d; want 1 and 101", built, served)
+	}
+}

@@ -204,8 +204,11 @@ func TestGridFeasibility(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildMI4(b *testing.B) {
-	pr := paperProblem(20, 1.5)
+// BenchmarkMIBuild times one MI-4 plan on the largest sweep platform:
+// the dense (N·x)² solve a shared-tier miss pays.
+func BenchmarkMIBuild(b *testing.B) {
+	pr := paperProblem(50, 1.5)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(pr, 4); err != nil {
 			b.Fatal(err)

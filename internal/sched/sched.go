@@ -8,6 +8,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"rumr/internal/engine"
 	"rumr/internal/obs"
@@ -91,27 +92,57 @@ type memoEntry struct {
 }
 
 // Memo caches expensive plan construction (UMR's round optimisation,
-// MI's linear solve) across the repetitions of a sweep cell. It is bound
-// to one platform and intended for one goroutine — the sweep runner keeps
-// one Memo per configuration, which is already per-goroutine, so no
-// locking is needed. Cached artifacts are shared by every dispatcher
-// built from them and must be treated as immutable (Static never mutates
-// its Plan slice).
+// MI's linear solve) in two tiers:
+//
+//   - the per-cell tier (Do) serves the repetitions of one sweep cell. It
+//     is bound to one platform and intended for one goroutine — the sweep
+//     runner keeps one Memo per cell, which is already per-goroutine, so
+//     it needs no locking;
+//   - the shared tier (DoShared), when attached with Share, outlives the
+//     cell: a SharedPlans is owned by a sweep runner and serves every cell
+//     it computes, concurrently. Only plans that read nothing of the
+//     platform but its size and its (uniform) B and S may use it — MI's,
+//     which is planned without latencies. On any other platform DoShared
+//     falls back to the per-cell tier.
+//
+// Cached artifacts of either tier are shared by every dispatcher built
+// from them and must be treated as immutable (Static never mutates its
+// Plan slice).
 type Memo struct {
 	platform *platform.Platform
 	entries  map[MemoKey]memoEntry
+	shared   *SharedPlans
+	// built and served count plan constructions run through this memo and
+	// requests the shared tier answered from its cache, since the last
+	// TakeCounts or Reset.
+	built, served int
 }
 
-// NewMemo returns a memo bound to p.
+// NewMemo returns a memo bound to p, with no shared tier.
 func NewMemo(p *platform.Platform) *Memo { return &Memo{platform: p} }
 
-// Reset rebinds the memo to p and drops every cached entry (keeping the
-// map's storage), so one Memo allocation can serve successive sweep cells
-// on a recycled platform value. Entries must be dropped even when p is
-// the same pointer: the caller may have refilled the platform in place.
+// Reset rebinds the memo to p, drops every per-cell entry (keeping the
+// map's storage) and zeroes the counts, so one Memo allocation can serve
+// successive sweep cells on a recycled platform value. Entries must be
+// dropped even when p is the same pointer: the caller may have refilled
+// the platform in place. The shared tier stays attached; its keys carry
+// the platform values they depend on.
 func (m *Memo) Reset(p *platform.Platform) {
 	m.platform = p
 	clear(m.entries)
+	m.built, m.served = 0, 0
+}
+
+// Share attaches the shared tier s to the memo; nil detaches it.
+func (m *Memo) Share(s *SharedPlans) { m.shared = s }
+
+// TakeCounts returns how many plans this memo built (in either tier) and
+// how many requests the shared tier served without building, since the
+// last TakeCounts or Reset, and zeroes both.
+func (m *Memo) TakeCounts() (built, served int) {
+	built, served = m.built, m.served
+	m.built, m.served = 0, 0
+	return built, served
 }
 
 // Do returns the cached result for key, invoking build and caching its
@@ -126,11 +157,102 @@ func (m *Memo) Do(pr *Problem, key MemoKey, build func() (any, error)) (any, err
 		return e.val, e.err
 	}
 	val, err := build()
+	m.built++
 	if m.entries == nil {
 		m.entries = make(map[MemoKey]memoEntry)
 	}
 	m.entries[key] = memoEntry{val: val, err: err}
 	return val, err
+}
+
+// DoShared is Do through the shared tier: when a SharedPlans is attached
+// and every worker of pr.Platform has the same B and S, the result is
+// cached there under key plus the platform's size, B and S, and built
+// once for all the memos sharing it. The caller guarantees that build
+// reads nothing else of the platform — no latency, no per-worker
+// difference. Otherwise DoShared is Do.
+func (m *Memo) DoShared(pr *Problem, key MemoKey, build func() (any, error)) (any, error) {
+	if m == nil || m.shared == nil || pr.Platform != m.platform {
+		return m.Do(pr, key, build)
+	}
+	b, s, ok := uniformRates(pr.Platform)
+	if !ok {
+		return m.Do(pr, key, build)
+	}
+	e := m.shared.entry(sharedKey{MemoKey: key, n: pr.Platform.N(), b: b, s: s})
+	ran := false
+	e.once.Do(func() {
+		e.val, e.err = build()
+		ran = true
+	})
+	if ran {
+		m.built++
+	} else {
+		m.served++
+	}
+	return e.val, e.err
+}
+
+// uniformRates returns the B and S every worker of p shares; ok is false
+// when p is empty or its workers differ in either.
+func uniformRates(p *platform.Platform) (b, s float64, ok bool) {
+	if len(p.Workers) == 0 {
+		return 0, 0, false
+	}
+	b, s = p.Workers[0].B, p.Workers[0].S
+	for _, w := range p.Workers[1:] {
+		if w.B != b || w.S != s {
+			return 0, 0, false
+		}
+	}
+	return b, s, true
+}
+
+// SharedPlans is the shared tier of plan memoization: latency-free plans
+// keyed by every input they read, built once and served to every Memo it
+// is attached to for as long as its owner — a sweep runner — lives. It is
+// safe for concurrent use: each key is built exactly once, by the first
+// requester, outside the map lock, while concurrent requesters of the
+// same key wait for that build. A hit allocates nothing. The zero value
+// is ready to use.
+type SharedPlans struct {
+	mu      sync.Mutex
+	entries map[sharedKey]*sharedEntry
+}
+
+// sharedKey is a MemoKey plus the platform values a shared plan reads.
+type sharedKey struct {
+	MemoKey
+	n    int
+	b, s float64
+}
+
+type sharedEntry struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+// entry returns k's entry, creating an unbuilt one on first request.
+func (sp *SharedPlans) entry(k sharedKey) *sharedEntry {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	e := sp.entries[k]
+	if e == nil {
+		if sp.entries == nil {
+			sp.entries = make(map[sharedKey]*sharedEntry)
+		}
+		e = &sharedEntry{}
+		sp.entries[k] = e
+	}
+	return e
+}
+
+// Len returns the number of keys the tier holds.
+func (sp *SharedPlans) Len() int {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return len(sp.entries)
 }
 
 // Memoizer is implemented by schedulers whose dispatcher construction
