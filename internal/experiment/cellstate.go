@@ -109,16 +109,16 @@ type protoSet struct {
 	hint []int
 }
 
-// reset empties the set to n slots over platform p, with r's shared plan
+// reset empties the set to n slots over platform p, with the shared plan
 // tier behind the memo. Plans memoized per cell for a previous platform
 // fill are dropped.
-func (ps *protoSet) reset(r *Runner, p *platform.Platform, n int) {
+func (ps *protoSet) reset(shared *sched.SharedPlans, p *platform.Platform, n int) {
 	if ps.memo == nil {
 		ps.memo = sched.NewMemo(p)
 	} else {
 		ps.memo.Reset(p)
 	}
-	ps.memo.Share(&r.plans)
+	ps.memo.Share(shared)
 	ps.protos = resize(ps.protos, n)
 	ps.replay = resize(ps.replay, n)
 	ps.hint = resize(ps.hint, n)
@@ -149,8 +149,8 @@ func (ps *protoSet) build(i int, algo sched.Scheduler, pr *sched.Problem) bool {
 	return true
 }
 
-// flushPlans adds the plans built and shared since the last flush to
-// met, if any. Called once after the prototype builds, it never counts
+// flushPlans adds the plans built and shared since the last flush to met
+// (when non-nil). Called once after the prototype builds, it never counts
 // the per-repetition rebuilds of non-replayable dispatchers.
 func (ps *protoSet) flushPlans(met *metrics.Collector) {
 	built, shared := ps.memo.TakeCounts()
@@ -211,7 +211,7 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 	// error-independent, so memoizing schedulers solve once and share the
 	// cached plan across the whole (error × repetition) block — and MI's
 	// latency-free plans across every configuration of the runner.
-	cs.protos.reset(r, cs.p, nErr*nAlg)
+	cs.protos.reset(&r.plans, cs.p, nErr*nAlg)
 	cs.probs = resize(cs.probs, nErr)
 	cs.acc = resize(cs.acc, nAlg)
 	cs.errs = resize(cs.errs, nErr)

@@ -125,7 +125,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	nJ := g.Jobs
 	cfg := g.Config
 	cs.p.FillHomogeneous(cfg.N, 1, cfg.R*float64(cfg.N), cfg.CLat, cfg.NLat)
-	cs.protos.reset(r, cs.p, nAlg*nJ)
+	cs.protos.reset(&r.plans, cs.p, nAlg*nJ)
 	known := g.Error
 	if r.UnknownError {
 		known = -1

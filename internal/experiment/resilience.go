@@ -218,7 +218,7 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 	}
 	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: known, MinUnit: 1}
 	var protos protoSet
-	protos.reset(r, p, len(r.Algorithms))
+	protos.reset(&r.plans, p, len(r.Algorithms))
 	for ai, algo := range r.Algorithms {
 		protos.build(ai, algo, pr) // a failure leaves the slot nil: NaN for the cell
 	}

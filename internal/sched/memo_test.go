@@ -1,8 +1,11 @@
 package sched_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rumr/internal/engine"
@@ -173,8 +176,8 @@ func TestSharedPlansKeyIsComplete(t *testing.T) {
 	mi2 := mi.Scheduler{Installments: 2}
 	var shared sched.SharedPlans
 	ref, built, _ := planThrough(t, mi2, sharedProblem(), &shared)
-	if built != 1 || shared.Len() != 1 {
-		t.Fatalf("first MI-2 plan: built %d, tier holds %d keys; want 1 and 1", built, shared.Len())
+	if built != 1 {
+		t.Fatalf("first MI-2 plan: built %d, want 1", built)
 	}
 	same := func(a, b []engine.Chunk) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
@@ -208,12 +211,14 @@ func TestSharedPlansKeyIsComplete(t *testing.T) {
 	} {
 		pr := sharedProblem()
 		c.mutate(pr)
-		keys := shared.Len()
 		plan, built, served := planThrough(t, c.s, pr, &shared)
-		if built != 1 || served != 0 || same(plan, ref) || shared.Len() != keys+1 {
-			t.Errorf("%s differs: built %d, served %d, same plan %v, new keys %d; want a plan of its own",
-				name, built, served, same(plan, ref), shared.Len()-keys)
+		if built != 1 || served != 0 || same(plan, ref) {
+			t.Errorf("%s differs: built %d, served %d, same plan %v; want a plan of its own",
+				name, built, served, same(plan, ref))
 			continue
+		}
+		if again, _, served := planThrough(t, c.s, pr, &shared); served != 1 || !same(again, plan) {
+			t.Errorf("%s differs: the plan of its own was not shared under its own key", name)
 		}
 		fresh, err := c.s.NewDispatcher(pr)
 		if err != nil {
@@ -224,24 +229,28 @@ func TestSharedPlansKeyIsComplete(t *testing.T) {
 		}
 	}
 
-	keys := shared.Len()
-	for name, mutate := range map[string]func(*sched.Problem){
-		"B": func(pr *sched.Problem) { pr.Platform.Workers[3].B = 20 },
-		"S": func(pr *sched.Problem) { pr.Platform.Workers[7].S = 2 },
-	} {
+	// Off the shared tier, each memo — each sweep cell — builds its own
+	// plan, so the second of two memos on one problem builds again.
+	hetero := func(mutate func(*sched.Problem)) *sched.Problem {
 		pr := sharedProblem()
 		mutate(pr)
-		for i := 0; i < 2; i++ { // each memo must build its own plan
-			if _, built, served := planThrough(t, mi2, pr, &shared); built != 1 || served != 0 {
-				t.Errorf("heterogeneous %s: built %d, served %d; want the per-cell tier", name, built, served)
+		return pr
+	}
+	for name, c := range map[string]struct {
+		s  sched.Memoizer
+		pr *sched.Problem
+	}{
+		"heterogeneous B": {mi2, hetero(func(pr *sched.Problem) { pr.Platform.Workers[3].B = 20 })},
+		"heterogeneous S": {mi2, hetero(func(pr *sched.Problem) { pr.Platform.Workers[7].S = 2 })},
+		"UMR":             {umr.Scheduler{}, sharedProblem()},
+		"RUMR":            {rumr.Scheduler{}, sharedProblem()},
+		"RUMR-fixed70":    {rumr.Scheduler{FixedPhase1Fraction: 0.7}, sharedProblem()},
+	} {
+		for i := 0; i < 2; i++ {
+			if _, built, served := planThrough(t, c.s, c.pr, &shared); built != 1 || served != 0 {
+				t.Errorf("%s, memo %d: built %d, served %d; want the per-cell tier", name, i, built, served)
 			}
 		}
-	}
-	for _, s := range []sched.Memoizer{umr.Scheduler{}, rumr.Scheduler{}, rumr.Scheduler{FixedPhase1Fraction: 0.7}} {
-		planThrough(t, s, sharedProblem(), &shared)
-	}
-	if shared.Len() != keys {
-		t.Fatalf("heterogeneous, UMR or RUMR plans added %d keys to the shared tier", shared.Len()-keys)
 	}
 }
 
@@ -267,5 +276,50 @@ func TestSharedPlansHitAllocatesNothing(t *testing.T) {
 	}
 	if built, served := memo.TakeCounts(); built != 1 || served != 101 {
 		t.Fatalf("counts: built %d, served %d; want 1 and 101", built, served)
+	}
+}
+
+// TestSharedPlansConcurrentBuildOnce requests a handful of keys from many
+// goroutines at once, each through its own memo as sweep cells do: every
+// key must be built exactly once, and every requester must get the value
+// that one build produced.
+func TestSharedPlansConcurrentBuildOnce(t *testing.T) {
+	const goroutines, keys = 16, 4
+	var shared sched.SharedPlans
+	var builds [keys]atomic.Int32
+	var wg sync.WaitGroup
+	served := make([][keys]any, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			pr := sharedProblem()
+			memo := sched.NewMemo(pr.Platform)
+			memo.Share(&shared)
+			for i := 0; i < keys; i++ {
+				k := (g + i) % keys
+				key := sched.MemoKey{Scheduler: fmt.Sprintf("key%d", k), Total: pr.Total, MinUnit: 1}
+				v, err := memo.DoShared(pr, key, func() (any, error) {
+					builds[k].Add(1)
+					return new(int), nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				served[g][k] = v
+			}
+		}(g)
+	}
+	wg.Wait()
+	for k := 0; k < keys; k++ {
+		if n := builds[k].Load(); n != 1 {
+			t.Errorf("key %d built %d times, want 1", k, n)
+		}
+		for g := 1; g < goroutines; g++ {
+			if served[g][k] != served[0][k] {
+				t.Errorf("goroutine %d got a different value for key %d", g, k)
+			}
+		}
 	}
 }

@@ -30,7 +30,8 @@
 // ("UMR/plan", phase-1 share, minimal unit) on the memo's platform; the
 // error magnitude enters only through the share ComputeSplit derives from
 // it, so two error values with the same split share one entry, and the
-// error-0 plan is literally UMR's. Phase 2 (factoring sizer and demand
+// error-0 plan is literally UMR's. UMR plans read the latencies, so they
+// stay in the memo's per-cell tier, never its shared one. Phase 2 (factoring sizer and demand
 // pool) carries per-run state and is rebuilt for every dispatcher.
 package rumr
 

@@ -248,13 +248,6 @@ func (sp *SharedPlans) entry(k sharedKey) *sharedEntry {
 	return e
 }
 
-// Len returns the number of keys the tier holds.
-func (sp *SharedPlans) Len() int {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return len(sp.entries)
-}
-
 // Memoizer is implemented by schedulers whose dispatcher construction
 // has an expensive, repetition-independent part worth caching. The
 // contract: NewDispatcherMemo(pr, m) must return a dispatcher that
