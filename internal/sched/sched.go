@@ -78,7 +78,8 @@ type Scheduler interface {
 // and the problem parameters the artifact depends on. Schedulers whose
 // plan is independent of the error magnitude leave KnownError at zero,
 // which is what makes the cache effective: one entry then serves every
-// (error, repetition) cell of a sweep configuration.
+// (error, repetition) cell of a sweep configuration. The shared tier
+// (Memo.DoShared) extends the key with the platform's N, B and S.
 type MemoKey struct {
 	Scheduler  string
 	Total      float64
