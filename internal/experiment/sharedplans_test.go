@@ -59,10 +59,10 @@ func TestSharedPlansBuiltOncePerRunner(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			r := &Runner{Algorithms: miAlgorithms(), Workers: workers}
-			cells := len(g.Configs()) * len(r.Algorithms) * len(g.Errors)
+			protos := len(g.Configs()) * len(r.Algorithms) * len(g.Errors)
 			out, built, shared := sweepPlans(t, r, g)
-			if built != 16 || built+shared != int64(cells) {
-				t.Fatalf("first sweep built %d and shared %d plans, want 16 and %d", built, shared, cells-16)
+			if built != 16 || built+shared != int64(protos) {
+				t.Fatalf("first sweep built %d and shared %d plans, want 16 and %d", built, shared, protos-16)
 			}
 			// A pooled cell state still prepared for its configuration
 			// skips planning altogether, so only the builds are exact.
