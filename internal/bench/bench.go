@@ -105,15 +105,15 @@ func CounterReport(ctx context.Context) ([]AlgoCounters, error) {
 	cfg := g.Configs()[0]
 	var out []AlgoCounters
 	for _, a := range experiment.StandardAlgorithms() {
-		_, ctrs, err := experiment.ComputeCellWithCounters(
-			ctx, g, cfg, []sched.Scheduler{a}, experiment.NormalError, false, nil)
+		r := &experiment.Runner{Algorithms: []sched.Scheduler{a}}
+		_, ctrs, err := r.ComputeConfig(ctx, g, cfg)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, AlgoCounters{
 			Algorithm: a.Name(),
 			Runs:      int64(g.Reps * len(g.Errors)),
-			Counters:  ctrs,
+			Counters:  ctrs.Engine,
 		})
 	}
 	return out, nil

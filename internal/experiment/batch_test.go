@@ -223,11 +223,11 @@ func TestBatchedCellReplayMatchesRebuild(t *testing.T) {
 	slow := &Runner{Algorithms: hidden}
 	ctx := context.Background()
 	for _, cfg := range g.Configs() {
-		want, err := slow.computeCell(ctx, g, cfg)
+		want, _, err := slow.ComputeConfig(ctx, g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fast.computeCell(ctx, g, cfg)
+		got, _, err := fast.ComputeConfig(ctx, g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,6 +339,14 @@ func TestGridValidate(t *testing.T) {
 		{"negative reps", func(g *Grid) { g.Reps = -3 }, "Reps"},
 		{"zero total", func(g *Grid) { g.Total = 0 }, "Total"},
 		{"negative total", func(g *Grid) { g.Total = -1000 }, "Total"},
+		{"infinite total", func(g *Grid) { g.Total = math.Inf(1) }, "Total"},
+		{"negative N", func(g *Grid) { g.Ns = []int{-3} }, "N >= 1"},
+		{"zero N", func(g *Grid) { g.Ns = []int{10, 0} }, "N >= 1"},
+		{"NaN r", func(g *Grid) { g.Rs = []float64{math.NaN()} }, "r > 0"},
+		{"negative r", func(g *Grid) { g.Rs = []float64{-1} }, "r > 0"},
+		{"negative cLat", func(g *Grid) { g.CLats = []float64{-1} }, "latencies"},
+		{"infinite nLat", func(g *Grid) { g.NLats = []float64{math.Inf(1)} }, "latencies"},
+		{"NaN error", func(g *Grid) { g.Errors = []float64{0, math.NaN()} }, "error magnitude"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -355,8 +363,12 @@ func TestGridValidate(t *testing.T) {
 			if _, serr := OpenSweepState(g, []string{"RUMR"}, NormalError, false, "", ""); serr == nil {
 				t.Fatal("OpenSweepState accepted a malformed grid")
 			}
-			if _, cerr := ComputeCell(context.Background(), g, Config{N: 10, R: 1.5}, []sched.Scheduler{rumr.Scheduler{}}, NormalError, false, nil); cerr == nil {
-				t.Fatal("ComputeCell accepted a malformed grid")
+			r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}}}
+			if _, _, cerr := r.ComputeConfig(context.Background(), g, Config{N: 10, R: 1.5}); cerr == nil {
+				t.Fatal("ComputeConfig accepted a malformed grid")
+			}
+			if _, serr := r.Sweep(g); serr == nil {
+				t.Fatal("Sweep accepted a malformed grid")
 			}
 		})
 	}

@@ -59,11 +59,11 @@ type CellState struct {
 	commTN, compTN        perferr.TruncNormal
 	commUni, compUni      perferr.Uniform
 
-	// counters accumulates the cell's engine hot-path telemetry: zeroed at
-	// the top of ComputeCellInto, fed by every run via Options.Counters
-	// (plain adds — the cell is single-goroutine), flushed once per cell
-	// into Runner.Metrics.
-	counters engine.Counters
+	// counters is the telemetry of the last ComputeCellInto call: zeroed
+	// at its top, the plan counts set by prepare, the engine counters fed
+	// by every run via Options.Counters (plain adds — the cell is
+	// single-goroutine) and flushed once per cell into Runner.Metrics.
+	counters CellCounters
 }
 
 // NewCellState returns an empty CellState; all storage is sized lazily on
@@ -149,14 +149,16 @@ func (ps *protoSet) build(i int, algo sched.Scheduler, pr *sched.Problem) bool {
 	return true
 }
 
-// flushPlans adds the plans built and shared since the last flush to met
-// (when non-nil). Called once after the prototype builds, it never counts
-// the per-repetition rebuilds of non-replayable dispatchers.
-func (ps *protoSet) flushPlans(met *metrics.Collector) {
-	built, shared := ps.memo.TakeCounts()
+// flushPlans returns the plans built and shared since the last flush and
+// adds them to met (when non-nil). Called once after the prototype
+// builds, it never counts the per-repetition rebuilds of non-replayable
+// dispatchers.
+func (ps *protoSet) flushPlans(met *metrics.Collector) (built, shared int) {
+	built, shared = ps.memo.TakeCounts()
 	if met != nil {
 		met.AddPlans(built, shared)
 	}
+	return built, shared
 }
 
 // built reports whether slot i's prototype was constructed.
@@ -234,7 +236,7 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 			cs.protos.build(ei*nAlg+ai, algo, pr) // a failure leaves the slot nil: NaN for the block
 		}
 	}
-	cs.protos.flushPlans(r.Metrics)
+	cs.counters.PlansBuilt, cs.counters.PlansShared = cs.protos.flushPlans(r.Metrics)
 	cs.owner = r
 	cs.cfg = cfg
 	cs.total = g.Total
@@ -259,8 +261,8 @@ func (cs *CellState) reseedCell(g Grid, cfg Config, errMag float64, rep int) {
 // ComputeCellInto computes configuration cfg's [error][algorithm] mean
 // block into dst, batching all Reps × Errors × Algorithms runs against
 // cs's pooled platform, memo and dispatcher prototypes. It is the
-// allocation-free core that both computeCell (and through it Sweep and
-// the shard worker's ComputeCell) and BenchmarkSweepCell drive; results
+// allocation-free core that both ComputeConfig (and through it Sweep and
+// the shard worker) and BenchmarkSweepCell drive; results
 // are bit-identical to constructing everything per repetition, which
 // TestBatchedCellMatchesReference pins. dst must have len(g.Errors) rows
 // of len(r.Algorithms) columns.
@@ -275,10 +277,10 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 	if !cellShapeOK(dst, len(g.Errors), nAlg) {
 		return fmt.Errorf("experiment: destination block is not %d x %d", len(g.Errors), nAlg)
 	}
+	cs.counters = CellCounters{}
 	if !cs.preparedFor(r, g, cfg) {
 		cs.prepare(r, g, cfg)
 	}
-	cs.counters = engine.Counters{}
 	for ei, errMag := range g.Errors {
 		for ai := range cs.acc {
 			cs.acc[ai] = stats.Welford{}
@@ -322,7 +324,7 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 					CommModel:      commM,
 					CompModel:      compM,
 					Metrics:        r.Metrics,
-					Counters:       &cs.counters,
+					Counters:       &cs.counters.Engine,
 					ExpectedChunks: cs.protos.hint[idx],
 				})
 				if err != nil {
@@ -348,12 +350,7 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 		}
 	}
 	if r.Metrics != nil {
-		r.Metrics.AddEngineCounters(cs.counters)
+		r.Metrics.AddEngineCounters(cs.counters.Engine)
 	}
 	return nil
 }
-
-// Counters returns the engine hot-path telemetry of the last
-// ComputeCellInto call — the per-cell breakdown the shard worker ships to
-// the coordinator and rumrbench -counters reports per algorithm.
-func (cs *CellState) Counters() engine.Counters { return cs.counters }

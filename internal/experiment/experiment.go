@@ -74,16 +74,25 @@ type Grid struct {
 // Configs expands the grid into its configuration list.
 func (g Grid) Configs() []Config {
 	var out []Config
+	g.eachConfig(func(c Config) error { out = append(out, c); return nil })
+	return out
+}
+
+// eachConfig calls f on every configuration in grid order, stopping at
+// and returning f's first error. It allocates nothing itself.
+func (g Grid) eachConfig(f func(Config) error) error {
 	for _, n := range g.Ns {
 		for _, r := range g.Rs {
 			for _, cl := range g.CLats {
 				for _, nl := range g.NLats {
-					out = append(out, Config{N: n, R: r, CLat: cl, NLat: nl})
+					if err := f(Config{N: n, R: r, CLat: cl, NLat: nl}); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
-	return out
+	return nil
 }
 
 // Runs returns the total number of simulations the grid implies for k
@@ -92,10 +101,27 @@ func (g Grid) Runs(k int) int {
 	return len(g.Configs()) * len(g.Errors) * g.Reps * k
 }
 
+// Validate checks that the configuration describes a platform the
+// engine can simulate: at least one worker, a finite positive r and
+// finite non-negative latencies. Anything else panics in the engine or
+// yields NaN makespans without an error.
+func (c Config) Validate() error {
+	switch {
+	case c.N < 1:
+		return fmt.Errorf("experiment: %s: need N >= 1", c)
+	case !(c.R > 0) || math.IsInf(c.R, 1):
+		return fmt.Errorf("experiment: %s: need a finite r > 0", c)
+	case !(c.CLat >= 0) || !(c.NLat >= 0) || math.IsInf(c.CLat, 1) || math.IsInf(c.NLat, 1):
+		return fmt.Errorf("experiment: %s: latencies must be finite and >= 0", c)
+	}
+	return nil
+}
+
 // Validate checks that the grid describes a runnable sweep: at least one
-// value on every axis, a positive repetition count and a positive
-// workload. Every sweep entry point (the local Runner pool, ComputeCell
-// on a shard worker, the coordinator via OpenSweepState) validates up
+// value on every axis, every configuration valid, finite non-negative
+// error magnitudes, a positive repetition count and a finite positive
+// workload. Every sweep entry point (the local Runner pool, a shard
+// worker's Runner, the coordinator via OpenSweepState) validates up
 // front, because a malformed grid otherwise fails confusingly deep in the
 // sweep — most subtly Total <= 0, which degrades the dispatched-work
 // conservation check |dispatched-Total| > 1e-6·Total to exact equality.
@@ -107,10 +133,16 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("%w: no error magnitudes", errEmptyGrid)
 	case g.Reps <= 0:
 		return fmt.Errorf("experiment: Reps=%d, need at least one repetition", g.Reps)
-	case g.Total <= 0:
-		return fmt.Errorf("experiment: Total=%g, the workload must be positive", g.Total)
+	case !(g.Total > 0) || math.IsInf(g.Total, 1):
+		return fmt.Errorf("experiment: Total=%g, the workload must be finite and positive", g.Total)
 	}
-	return nil
+	for _, e := range g.Errors {
+		if !(e >= 0) || math.IsInf(e, 1) {
+			return fmt.Errorf("experiment: error magnitude %g, need finite and >= 0", e)
+		}
+	}
+	// Not Configs: ComputeCellInto validates per cell and must not allocate.
+	return g.eachConfig(Config.Validate)
 }
 
 // seq returns {from, from+step, ..., to} inclusive (within fp tolerance).
@@ -332,7 +364,8 @@ func (r *Runner) SweepContext(ctx context.Context, g Grid) (*Results, error) {
 	defer st.Close()
 	configs := st.Results.Configs
 	if err := r.runCells(ctx, st, func(ctx context.Context, ci int) ([][]float64, error) {
-		return r.computeCell(ctx, g, configs[ci])
+		block, _, err := r.ComputeConfig(ctx, g, configs[ci])
+		return block, err
 	}); err != nil {
 		return nil, err
 	}
@@ -348,29 +381,57 @@ func (r *Runner) names() []string {
 	return names
 }
 
-// runCells computes st's pending cells on the runner's worker pool and
-// completes each into st — the one fan-out every study runs through. The
-// first hard error cancels the remaining cells and is returned; a cell
-// cut short by cancellation is not an error of its own, the cause
-// (ctx.Err() for external cancellation) is. Both progress denominators
-// count every cell of the study: cells restored by the last restore are
-// reported as done (and as skipped in the metrics, so rate/ETA reflect
-// only real compute). Progress calls are serialized.
-func (r *Runner) runCells(parent context.Context, st *SweepState, compute func(ctx context.Context, i int) ([][]float64, error)) error {
+// runCells computes st's pending cells on the runner's pool and
+// completes each into st. Both progress denominators count every cell of
+// the study: cells restored by the last restore are reported as done
+// (and as skipped in the metrics, so rate/ETA reflect only real
+// compute). Progress calls are serialized.
+func (r *Runner) runCells(ctx context.Context, st *SweepState, compute func(ctx context.Context, i int) ([][]float64, error)) error {
 	if r.Metrics != nil {
 		r.Metrics.AddTotalConfigs(st.staged)
 		r.Metrics.SkipConfigs(st.Restored())
 	}
+	return r.ForEach(ctx, st.Pending, func(ctx context.Context, i int) error {
+		start := time.Now()
+		block, err := compute(ctx, i)
+		if err != nil {
+			return err
+		}
+		if err := st.Complete(i, block); err != nil {
+			return err
+		}
+		if r.Metrics != nil {
+			r.Metrics.ConfigDone(time.Since(start))
+		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		st.done++
+		if r.Progress != nil {
+			r.Progress(st.done, len(st.blocks))
+		}
+		return nil
+	})
+}
+
+// ForEach calls do for every index of cells on the runner's worker pool
+// (Workers goroutines, GOMAXPROCS when 0, never more than there are
+// cells) — the one fan-out every study and every shard lease runs
+// through. The first hard error cancels the remaining cells and is
+// returned; a cell cut short by cancellation is not an error of its own,
+// the cause (parent.Err() for external cancellation) is. Cells not
+// started before the cancellation are skipped.
+func (r *Runner) ForEach(parent context.Context, cells []int, do func(ctx context.Context, i int) error) error {
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(cells))
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	jobs := make(chan int)
 	// One value holds the pool's shared state, so it costs one allocation.
-	// Its mutex guards err and st.done and serializes Progress callbacks.
+	// Its mutex guards err.
 	var pool struct {
 		sync.Mutex
 		sync.WaitGroup
@@ -380,46 +441,25 @@ func (r *Runner) runCells(parent context.Context, st *SweepState, compute func(c
 		pool.Add(1)
 		go func() {
 			defer pool.Done()
-			// Declared per worker, so the closure stays on its stack.
-			fail := func(err error) {
-				pool.Lock()
-				if pool.err == nil {
-					pool.err = err
-					cancel() // first hard error stops the whole study
-				}
-				pool.Unlock()
-			}
 			for i := range jobs {
 				if ctx.Err() != nil {
 					continue // drain the queue without working
 				}
-				start := time.Now()
-				block, err := compute(ctx, i)
-				switch {
-				case err == nil:
-					if err := st.Complete(i, block); err != nil {
-						fail(err)
-						continue
-					}
-					if r.Metrics != nil {
-						r.Metrics.ConfigDone(time.Since(start))
-					}
-					pool.Lock()
-					st.done++
-					if r.Progress != nil {
-						r.Progress(st.done, len(st.blocks))
-					}
-					pool.Unlock()
-				case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-					// Cut short, not failed; the cause is reported below.
-				default:
-					fail(err)
+				err := do(ctx, i)
+				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					continue // done, or cut short (not failed; the cause is reported below)
 				}
+				pool.Lock()
+				if pool.err == nil {
+					pool.err = err
+					cancel() // first hard error stops the whole pool
+				}
+				pool.Unlock()
 			}
 		}()
 	}
 feed:
-	for _, i := range st.Pending {
+	for _, i := range cells {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -448,37 +488,6 @@ func cellShapeOK(cell [][]float64, errors, algos int) bool {
 	return true
 }
 
-// ComputeCell simulates every (error, rep, algorithm) cell of one
-// configuration and returns its [error][algorithm] mean-makespan block.
-// Each cell's error streams are derived from (BaseSeed, config values,
-// error value, rep) — the configuration's *values*, not its position in
-// the grid — so all algorithms face the same random environment (common
-// random numbers), results do not depend on goroutine scheduling or on
-// which process computes the block (local pool worker or remote shard
-// worker), and extending a grid with new configurations leaves the blocks
-// of the existing ones bit-identical (which is what makes the
-// content-addressed result cache sound). Cancellation is checked between
-// repetitions; a cancelled configuration returns ctx.Err().
-func ComputeCell(ctx context.Context, g Grid, cfg Config, algorithms []sched.Scheduler, model ErrorModelKind, unknownError bool, met *metrics.Collector) ([][]float64, error) {
-	r := &Runner{Algorithms: algorithms, ErrorModel: model, UnknownError: unknownError, Metrics: met}
-	return r.computeCell(ctx, g, cfg)
-}
-
-// ComputeCellWithCounters is ComputeCell returning also the cell's engine
-// hot-path counters, so a shard worker can ship per-cell telemetry back
-// to the coordinator alongside the result block. The counters cover
-// exactly this cell (they are zeroed per ComputeCellInto call); the mean
-// block is bit-identical to ComputeCell's.
-func ComputeCellWithCounters(ctx context.Context, g Grid, cfg Config, algorithms []sched.Scheduler, model ErrorModelKind, unknownError bool, met *metrics.Collector) ([][]float64, engine.Counters, error) {
-	r := &Runner{Algorithms: algorithms, ErrorModel: model, UnknownError: unknownError, Metrics: met}
-	cs := NewCellState()
-	cell := NewCellBlock(len(g.Errors), len(algorithms))
-	if err := r.ComputeCellInto(ctx, g, cfg, cs, cell); err != nil {
-		return nil, engine.Counters{}, err
-	}
-	return cell, cs.Counters(), nil
-}
-
 // cellSeed derives the per-(config, error, rep) RNG source from values
 // alone. Keep this in sync with the CellKey doc: any change invalidates
 // every content-addressed cache and checkpoint silently, so bump cache
@@ -490,10 +499,27 @@ func cellSeed(g Grid, cfg Config, errMag float64, rep int) *rng.Source {
 		math.Float64bits(errMag), uint64(rep))
 }
 
-// computeCell allocates a fresh mean block and fills it through the
-// batched cell path, recycling a pooled CellState for the heavy per-cell
-// scaffolding (platform, memo, dispatcher prototypes, RNG buffers).
-func (r *Runner) computeCell(ctx context.Context, g Grid, cfg Config) ([][]float64, error) {
+// CellCounters is one computed cell's telemetry: its engine counters and
+// the plans its prototype builds constructed or took from the runner's
+// shared tier (none when a pooled CellState was prepared for the cell).
+type CellCounters struct {
+	Engine                  engine.Counters
+	PlansBuilt, PlansShared int
+}
+
+// ComputeConfig simulates every (error, rep, algorithm) run of one
+// configuration through a pooled CellState and returns its
+// [error][algorithm] mean block with the cell's telemetry. Each run's
+// error streams are derived from (BaseSeed, config values, error value,
+// rep) — the configuration's *values*, not its position in the grid — so
+// all algorithms face the same random environment (common random
+// numbers), results do not depend on goroutine scheduling or on which
+// process computes the block (local pool worker or remote shard worker),
+// and extending a grid with new configurations leaves the blocks of the
+// existing ones bit-identical (which is what makes the content-addressed
+// result cache sound). Cancellation is checked between repetitions; a
+// cancelled configuration returns ctx.Err().
+func (r *Runner) ComputeConfig(ctx context.Context, g Grid, cfg Config) ([][]float64, CellCounters, error) {
 	cs, _ := r.cells.Get().(*CellState)
 	if cs == nil {
 		cs = NewCellState()
@@ -501,7 +527,7 @@ func (r *Runner) computeCell(ctx context.Context, g Grid, cfg Config) ([][]float
 	defer r.cells.Put(cs)
 	cell := NewCellBlock(len(g.Errors), len(r.Algorithms))
 	if err := r.ComputeCellInto(ctx, g, cfg, cs, cell); err != nil {
-		return nil, err
+		return nil, CellCounters{}, err
 	}
-	return cell, nil
+	return cell, cs.counters, nil
 }

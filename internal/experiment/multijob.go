@@ -67,6 +67,9 @@ func DefaultMultiJobGrid() MultiJobGrid {
 
 // Validate rejects degenerate grids before any simulation runs.
 func (g MultiJobGrid) Validate() error {
+	if err := g.Config.Validate(); err != nil {
+		return err
+	}
 	if g.Jobs < 1 {
 		return fmt.Errorf("experiment: multi-job grid needs at least one job, got %d", g.Jobs)
 	}

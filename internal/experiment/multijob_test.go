@@ -115,6 +115,7 @@ func TestMultiJobGridValidate(t *testing.T) {
 		{"no reps", func(g *MultiJobGrid) { g.Reps = 0 }},
 		{"no total", func(g *MultiJobGrid) { g.Total = 0 }},
 		{"bad policy", func(g *MultiJobGrid) { g.Policies = []string{"lottery"} }},
+		{"no workers", func(g *MultiJobGrid) { g.Config.N = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,6 +52,9 @@ func (g ResilienceGrid) recovery() fault.Recovery {
 
 // Validate rejects degenerate grids before any simulation runs.
 func (g ResilienceGrid) Validate() error {
+	if err := g.Config.Validate(); err != nil {
+		return err
+	}
 	if len(g.CrashRates) == 0 {
 		return fmt.Errorf("%w: no crash rates", errEmptyGrid)
 	}

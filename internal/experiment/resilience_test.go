@@ -118,6 +118,7 @@ func TestResilienceGridValidate(t *testing.T) {
 		{"NaN horizon", func(g *ResilienceGrid) { g.Horizon = math.NaN() }},
 		{"no reps", func(g *ResilienceGrid) { g.Reps = 0 }},
 		{"no total", func(g *ResilienceGrid) { g.Total = 0 }},
+		{"negative latency", func(g *ResilienceGrid) { g.Config.CLat = -1 }},
 	}
 	r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}}}
 	for _, tc := range cases {

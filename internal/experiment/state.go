@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 )
 
 var (
@@ -43,9 +44,10 @@ type SweepState struct {
 	rows, cols int
 	cp         *Checkpoint
 	cache      *Cache
-	keys       []cellKey // per cell, filled by restore when a cache is open
-	staged     int       // cells the last restore looked at
-	done       int       // cells restored or completed, for Progress
+	keys       []cellKey  // per cell, filled by restore when a cache is open
+	staged     int        // cells the last restore looked at
+	done       int        // cells restored or completed, for Progress
+	mu         sync.Mutex // guards done and serializes Progress in runCells
 }
 
 // cellKey is a cell's content address and the configuration that labels
@@ -151,6 +153,9 @@ func (s *SweepState) Complete(ci int, block [][]float64) error {
 	}
 	return nil
 }
+
+// Fits reports whether block has the rows × cols shape of the cells.
+func (s *SweepState) Fits(block [][]float64) bool { return cellShapeOK(block, s.rows, s.cols) }
 
 // Restored returns how many of the cells the last restore staged were
 // loaded from the checkpoint/cache rather than queued.

@@ -73,8 +73,9 @@ func TestCostOrderingDoesNotChangeResults(t *testing.T) {
 	configs := g.Configs()
 	ref := &Results{Grid: g, Configs: configs, Algorithms: []string{"RUMR", "UMR"},
 		Mean: make([][][]float64, len(configs))}
+	r := &Runner{Algorithms: algos}
 	for ci, cfg := range configs {
-		cell, err := ComputeCell(context.Background(), g, cfg, algos, NormalError, false, nil)
+		cell, _, err := r.ComputeConfig(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -420,9 +420,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	g := js.spec.Grid
-	if decodeErr != nil || res.Config < 0 || res.Config >= len(js.state.Results.Configs) ||
-		len(mean) != len(g.Errors) || badRows(mean, len(js.spec.Algorithms)) {
+	if decodeErr != nil || res.Config < 0 || res.Config >= len(js.state.Results.Configs) || !js.state.Fits(mean) {
 		http.Error(w, "malformed mean block", http.StatusBadRequest)
 		return
 	}
@@ -455,6 +453,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if js.opts.Metrics != nil {
 		js.opts.Metrics.ConfigDone(time.Duration(res.WallMillis) * time.Millisecond)
 		js.opts.Metrics.AddEngineCounters(res.Engine)
+		js.opts.Metrics.AddPlans(res.PlansBuilt, res.PlansShared)
 	}
 	if js.opts.Progress != nil {
 		js.opts.Progress(js.doneCount, len(js.state.Results.Configs))
@@ -537,15 +536,6 @@ func (c *Coordinator) Status() Status {
 	}
 	sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].Worker < s.Workers[j].Worker })
 	return s
-}
-
-func badRows(mean [][]float64, algorithms int) bool {
-	for _, row := range mean {
-		if len(row) != algorithms {
-			return true
-		}
-	}
-	return false
 }
 
 // noWork answers a lease request when nothing is grantable right now.

@@ -1,7 +1,7 @@
 // Package shard scales a parameter sweep across processes: a coordinator
 // partitions the pending configuration set into batched leases and serves
 // them over HTTP to worker processes, which compute each configuration's
-// mean block with experiment.ComputeCell and post it back.
+// mean block through a worker-lifetime experiment.Runner and post it back.
 //
 // Determinism is the design invariant. Cell results depend only on
 // (BaseSeed, configuration values, error value, repetition) — never on
@@ -110,6 +110,11 @@ type Result struct {
 	// coordinator's metrics so /metrics and /dashboard aggregate the
 	// whole fleet.
 	Engine metrics.EngineCounters `json:"engine"`
+	// PlansBuilt and PlansShared are the cell's plan counts (see
+	// metrics.Collector.AddPlans), summed into the coordinator's metrics;
+	// results of workers that predate the fields decode as zero.
+	PlansBuilt  int `json:"plans_built,omitempty"`
+	PlansShared int `json:"plans_shared,omitempty"`
 	// Spans are the worker's completed trace spans (this cell's compute
 	// span plus anything else that finished since the last post), fused
 	// into the coordinator's sweep trace.

@@ -4,19 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"runtime"
-	"sync"
+	"slices"
 	"time"
 
-	"rumr/internal/engine"
 	"rumr/internal/experiment"
 	"rumr/internal/metrics"
 	"rumr/internal/obs/span"
-	"rumr/internal/sched"
 )
 
 // Worker polls a coordinator for leases and computes them. The zero value
@@ -45,10 +43,11 @@ type Worker struct {
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 
-	// algorithm cache: the resolved scheduler slice per fingerprint, so a
-	// fleet of leases from one sweep parses names once.
-	algoFP string
-	algos  []sched.Scheduler
+	// runner computes every lease. It is replaced only when a lease names
+	// other algorithms, error model or UnknownError, never for a new grid,
+	// so its pooled cell states and shared MI plans outlive sweeps.
+	runner      *experiment.Runner
+	runnerAlgos []string // the algorithm names runner was built for
 
 	// rec records this worker's spans for the sweep trace stamped into its
 	// leases; it is created (or replaced) when a lease carries a new trace
@@ -185,7 +184,7 @@ func (w *Worker) requestLease(ctx context.Context) (l *Lease, d leaseDisposition
 // longer recognises (expired and re-issued while we were slow) is
 // abandoned silently — whoever re-leased it produces the same bytes.
 func (w *Worker) processLease(parent context.Context, l *Lease) error {
-	algos, err := w.resolve(l.Job)
+	r, err := w.resolve(l.Job)
 	if err != nil {
 		return err
 	}
@@ -244,78 +243,42 @@ func (w *Worker) processLease(parent context.Context, l *Lease) error {
 	}()
 	defer func() { cancel(); <-hbDone }()
 
-	procs := w.Procs
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	if procs > len(l.Configs) {
-		procs = len(l.Configs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	// computeErr records a deterministic simulation failure — the one
-	// condition retrying elsewhere cannot fix, reported to the coordinator
-	// below. Post failures only cancel the lease: the coordinator
-	// re-issues whatever was never delivered.
-	var mu sync.Mutex
-	var computeErr error
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				start := time.Now()
-				if w.cellDelay > 0 {
-					select {
-					case <-time.After(w.cellDelay):
-					case <-ctx.Done():
-						continue
-					}
-				}
-				var cellSpan span.ID
-				if rec != nil {
-					cellSpan = rec.Start(span.Span{
-						Kind: span.KindCompute, Name: fmt.Sprintf("config %d", ci),
-						Parent: l.Trace.Span, Lease: l.ID, Config: ci,
-					})
-				}
-				mean, ctrs, err := experiment.ComputeCellWithCounters(ctx, l.Job.Grid, configs[ci], algos,
-					l.Job.Model, l.Job.UnknownError, w.Metrics)
-				if rec != nil {
-					rec.End(cellSpan)
-				}
-				if err != nil {
-					if ctx.Err() == nil {
-						mu.Lock()
-						if computeErr == nil {
-							computeErr = err
-						}
-						mu.Unlock()
-						cancel()
-					}
-					continue
-				}
-				if err := w.postResult(ctx, l, ci, mean, ctrs, time.Since(start)); err != nil {
-					cancel() // undeliverable; abandon the lease
-				}
+	// computeErr is a deterministic simulation failure — the one condition
+	// retrying elsewhere cannot fix, reported to the coordinator below.
+	// Post failures only cancel the lease: the coordinator re-issues
+	// whatever was never delivered.
+	computeErr := r.ForEach(ctx, l.Configs, func(ctx context.Context, ci int) error {
+		start := time.Now()
+		if w.cellDelay > 0 {
+			select {
+			case <-time.After(w.cellDelay):
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-		}()
-	}
-	for _, ci := range l.Configs {
-		select {
-		case jobs <- ci:
-		case <-ctx.Done():
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		var cellSpan span.ID
+		if rec != nil {
+			cellSpan = rec.Start(span.Span{
+				Kind: span.KindCompute, Name: fmt.Sprintf("config %d", ci),
+				Parent: l.Trace.Span, Lease: l.ID, Config: ci,
+			})
+		}
+		mean, ctrs, err := r.ComputeConfig(ctx, l.Job.Grid, configs[ci])
+		if rec != nil {
+			rec.End(cellSpan)
+		}
+		if err != nil {
+			return err
+		}
+		if err := w.postResult(ctx, l, ci, mean, ctrs, time.Since(start)); err != nil {
+			cancel() // undeliverable; abandon the lease
+		}
+		return nil
+	})
 	if parent.Err() != nil {
 		return parent.Err()
 	}
-	if computeErr != nil {
+	if computeErr != nil && !errors.Is(computeErr, context.Canceled) {
 		// Best-effort: fail the sweep on the coordinator, like the local
 		// Runner's first hard error stops the whole pool.
 		w.postJSON(parent, "/v1/result", Result{ //nolint:errcheck
@@ -328,14 +291,15 @@ func (w *Worker) processLease(parent context.Context, l *Lease) error {
 
 // postResult posts one block, retrying transient failures a few times with
 // doubling delay. A 409 means the sweep moved on — drop the block.
-func (w *Worker) postResult(ctx context.Context, l *Lease, ci int, mean [][]float64, ctrs engine.Counters, wall time.Duration) error {
+func (w *Worker) postResult(ctx context.Context, l *Lease, ci int, mean [][]float64, ctrs experiment.CellCounters, wall time.Duration) error {
 	raw, err := experiment.EncodeCell(mean)
 	if err != nil {
 		return err
 	}
 	res := Result{
 		Worker: w.ID, Lease: l.ID, Fingerprint: l.Job.Fingerprint,
-		Config: ci, Mean: raw, WallMillis: wall.Milliseconds(), Engine: ctrs,
+		Config: ci, Mean: raw, WallMillis: wall.Milliseconds(), Engine: ctrs.Engine,
+		PlansBuilt: ctrs.PlansBuilt, PlansShared: ctrs.PlansShared,
 	}
 	rec := w.rec
 	if rec != nil {
@@ -377,18 +341,24 @@ func (w *Worker) postResult(ctx context.Context, l *Lease, ci int, mean [][]floa
 	}
 }
 
-// resolve turns the job's algorithm names into schedulers, caching per
-// fingerprint.
-func (w *Worker) resolve(job JobSpec) ([]sched.Scheduler, error) {
-	if w.algoFP == job.Fingerprint && w.algos != nil {
-		return w.algos, nil
+// resolve returns the Runner that computes job's cells, building a new
+// one only when the algorithms, error model or UnknownError differ from
+// the cached one's.
+func (w *Worker) resolve(job JobSpec) (*experiment.Runner, error) {
+	if r := w.runner; r != nil && slices.Equal(w.runnerAlgos, job.Algorithms) &&
+		r.ErrorModel == job.Model && r.UnknownError == job.UnknownError {
+		return r, nil
 	}
 	algos, err := experiment.AlgorithmsByName(job.Algorithms)
 	if err != nil {
 		return nil, err
 	}
-	w.algoFP, w.algos = job.Fingerprint, algos
-	return algos, nil
+	w.runner = &experiment.Runner{
+		Algorithms: algos, Workers: w.Procs, ErrorModel: job.Model,
+		UnknownError: job.UnknownError, Metrics: w.Metrics,
+	}
+	w.runnerAlgos = job.Algorithms
+	return w.runner, nil
 }
 
 // postJSON posts body and decodes a 200 response into out (when non-nil).
