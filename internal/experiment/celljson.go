@@ -9,19 +9,85 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"sync"
 )
 
-// EncodeCell marshals one [error][algorithm] mean block, NaN as null.
+// EncodeCell marshals one [error][algorithm] mean block, NaN as null. The
+// bytes are exactly what encoding/json writes for the block (a nil block
+// or row is null, like a nil slice), without its reflection: every block
+// is encoded once per completion and shipped, checkpointed and cached as
+// these bytes. ±Inf has no JSON form and is an error.
 func EncodeCell(mean [][]float64) (json.RawMessage, error) {
-	enc := make([][]ckptFloat, len(mean))
+	buf := cellBufs.Get().(*[]byte)
+	defer cellBufs.Put(buf)
+	b, err := appendCell((*buf)[:0], mean)
+	*buf = b
+	if err != nil {
+		return nil, err
+	}
+	// An exact-size copy: the result cache keeps every block it writes.
+	return append(json.RawMessage(nil), b...), nil
+}
+
+// cellBufs holds EncodeCell's scratch buffers.
+var cellBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendCell appends EncodeCell's bytes for mean to b.
+func appendCell(b []byte, mean [][]float64) ([]byte, error) {
+	if mean == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
 	for i, row := range mean {
-		enc[i] = make([]ckptFloat, len(row))
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if row == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		b = append(b, '[')
 		for j, v := range row {
-			enc[i][j] = ckptFloat(v)
+			if j > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = appendFloat(b, v); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']'), nil
+}
+
+// appendFloat appends v the way encoding/json writes a float64: the
+// shortest round-tripping decimal, in exponent form only below 1e-6 and
+// from 1e21 up, with a two-digit negative exponent trimmed (e-07 → e-7).
+// NaN is written as null.
+func appendFloat(b []byte, v float64) ([]byte, error) {
+	if math.IsNaN(v) {
+		return append(b, "null"...), nil
+	}
+	if math.IsInf(v, 0) {
+		return b, fmt.Errorf("experiment: unsupported value %v in a cell block", v)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
 		}
 	}
-	return json.Marshal(enc)
+	return b, nil
 }
 
 // DecodeCell unmarshals a block produced by EncodeCell, null as NaN.

@@ -44,16 +44,10 @@ func studyFingerprint(grid any, algorithms []string, model ErrorModelKind, unkno
 	}{grid, algorithms, model, unknownError}, 8)
 }
 
-// ckptFloat marshals NaN (an algorithm that failed on a configuration) as
-// JSON null, which encoding/json cannot represent natively.
+// ckptFloat decodes JSON null as NaN (an algorithm that failed on a
+// configuration), which encoding/json cannot represent natively;
+// EncodeCell writes the null.
 type ckptFloat float64
-
-func (f ckptFloat) MarshalJSON() ([]byte, error) {
-	if math.IsNaN(float64(f)) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(float64(f))
-}
 
 func (f *ckptFloat) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
@@ -167,6 +161,12 @@ func (c *Checkpoint) Append(ci int, mean [][]float64) error {
 	if err != nil {
 		return fmt.Errorf("experiment: encode checkpoint cell: %w", err)
 	}
+	return c.appendEncoded(ci, mean, raw)
+}
+
+// appendEncoded is Append for a block already encoded as raw by
+// EncodeCell.
+func (c *Checkpoint) appendEncoded(ci int, mean [][]float64, raw json.RawMessage) error {
 	line, err := json.Marshal(checkpointLine{Fingerprint: c.fp, Config: ci, Mean: raw})
 	if err != nil {
 		return fmt.Errorf("experiment: encode checkpoint line: %w", err)

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -147,4 +149,65 @@ func TestCheckpointDropsCorruptTailLines(t *testing.T) {
 	if cp2.Len() != 1 {
 		t.Fatalf("reloaded %d configs, want 1", cp2.Len())
 	}
+}
+
+// FuzzCheckpointLoad opens arbitrary bytes as a checkpoint: the open
+// either fails with the foreign-fingerprint error or keeps a prefix of
+// whole, well-formed lines, and the file then takes one more append.
+func FuzzCheckpointLoad(f *testing.F) {
+	fp := testFingerprint()
+	valid := `{"fingerprint":"` + fp + `","config":3,"mean":[[1.25,null],[3.5,4.75]]}` + "\n"
+	f.Add([]byte(valid + `{"fingerprint":"` + fp + `","config":7,"mean":[[9,10],[11,12]]}` + "\n"))
+	f.Add([]byte(valid + `{"fingerprint":"` + fp + `","config":7,"mean":[[9,1`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := OpenCheckpoint(path, fp)
+		if err != nil {
+			if !strings.Contains(err.Error(), "different sweep") {
+				t.Fatalf("OpenCheckpoint: %v", err)
+			}
+			return
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) || (len(kept) > 0 && kept[len(kept)-1] != '\n') {
+			t.Fatalf("kept %q, not a prefix of whole lines of %q", kept, data)
+		}
+		configs := map[int]bool{}
+		for _, line := range bytes.SplitAfter(kept, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var cl checkpointLine
+			if err := json.Unmarshal(line, &cl); err != nil || cl.Fingerprint != fp {
+				t.Fatalf("kept line %q does not parse under the fingerprint", line)
+			}
+			configs[cl.Config] = true
+		}
+		n := cp.Len()
+		if n != len(configs) {
+			t.Fatalf("Len = %d, kept lines name %d configs", n, len(configs))
+		}
+		fresh := 0
+		for configs[fresh] {
+			fresh++
+		}
+		if err := cp.Append(fresh, [][]float64{{1, 2}}); err != nil {
+			t.Fatal(err)
+		}
+		cp.Close()
+		cp2, err := OpenCheckpoint(path, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp2.Close()
+		if cp2.Len() != n+1 {
+			t.Fatalf("Len after one append and a reopen = %d, want %d", cp2.Len(), n+1)
+		}
+	})
 }

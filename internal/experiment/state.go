@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -138,16 +139,24 @@ func (s *SweepState) restore(from, to int, key func(i int) (string, Config)) {
 }
 
 // Complete records cell ci's computed block and persists it to the
-// checkpoint and the cache (whichever are enabled).
+// checkpoint and the cache (whichever are enabled), encoding it once for
+// both.
 func (s *SweepState) Complete(ci int, block [][]float64) error {
 	s.blocks[ci] = block
+	if s.cp == nil && s.cache == nil {
+		return nil
+	}
+	raw, err := EncodeCell(block)
+	if err != nil {
+		return fmt.Errorf("experiment: encode cell %d: %w", ci, err)
+	}
 	if s.cp != nil {
-		if err := s.cp.Append(ci, block); err != nil {
+		if err := s.cp.appendEncoded(ci, block, raw); err != nil {
 			return err
 		}
 	}
 	if s.cache != nil {
-		if err := s.cache.Put(s.keys[ci].key, s.keys[ci].cfg, block); err != nil {
+		if err := s.cache.putEncoded(s.keys[ci].key, s.keys[ci].cfg, raw); err != nil {
 			return err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -83,56 +82,6 @@ func TestCostOrderingDoesNotChangeResults(t *testing.T) {
 	}
 	if !bytes.Equal(sweepJSON(t, swept), sweepJSON(t, ref)) {
 		t.Fatal("cost-ordered parallel sweep differs from natural-order sequential compute")
-	}
-}
-
-func TestCacheRoundTrip(t *testing.T) {
-	g := stateTestGrid()
-	cfg := g.Configs()[0]
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := CellKey(g, []string{"A", "B"}, NormalError, false, cfg)
-	mean := [][]float64{{1.5, math.NaN()}, {2.25, 3.125}}
-	if err := c.Put(key, cfg, mean); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get(key, 2, 2)
-	if !ok {
-		t.Fatal("cache miss immediately after Put")
-	}
-	if got[0][0] != 1.5 || !math.IsNaN(got[0][1]) || got[1][0] != 2.25 || got[1][1] != 3.125 {
-		t.Fatalf("round-trip mangled the block: %v", got)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("cache Len = %d, want 1", c.Len())
-	}
-
-	// Shape mismatches and corruption are misses, never errors.
-	if _, ok := c.Get(key, 3, 2); ok {
-		t.Fatal("cache hit with wrong error count")
-	}
-	if _, ok := c.Get(key, 2, 3); ok {
-		t.Fatal("cache hit with wrong algorithm count")
-	}
-	if err := os.WriteFile(filepath.Join(c.Dir(), key+".json"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(key, 2, 2); ok {
-		t.Fatal("cache hit on corrupt file")
-	}
-
-	// A file renamed to another key is mis-keyed and must miss.
-	other := CellKey(g, []string{"A", "B"}, NormalError, false, g.Configs()[1])
-	if err := c.Put(key, cfg, mean); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(c.Dir(), key+".json"), filepath.Join(c.Dir(), other+".json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(other, 2, 2); ok {
-		t.Fatal("cache hit on mis-keyed (renamed) file")
 	}
 }
 
