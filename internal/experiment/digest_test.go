@@ -15,14 +15,16 @@ import (
 	"rumr/internal/sched/factoring"
 	"rumr/internal/sched/mi"
 	"rumr/internal/sched/rumr"
+	"rumr/internal/sched/umr"
+	"rumr/internal/sched/wfactoring"
 )
 
 var updateDigest = flag.Bool("update", false, "rewrite testdata/golden_study_digest.txt")
 
 const studyDigestPath = "testdata/golden_study_digest.txt"
 
-// studyDigest runs every study of the Runner — the paper sweep, the
-// multi-job study and the resilience study — over small grids at pool
+// studyDigest runs every study — the paper sweep, the multi-job study,
+// the resilience study and the heterogeneity study — over small grids at pool
 // widths 1 and 4 and returns one line per run: its name and a sha256 of
 // the JSON results.
 func studyDigest(t *testing.T) string {
@@ -104,7 +106,31 @@ func studyDigest(t *testing.T) string {
 		res, err := r.Resilience(rg)
 		jsonRow("resilience "+v.name, res, err)
 	}
+
+	heteroSets := []struct {
+		name  string
+		algos func() []sched.Scheduler
+	}{
+		{"rumrsweep", heteroAlgorithms},
+		{"umr-baseline", func() []sched.Scheduler {
+			return []sched.Scheduler{umr.Scheduler{}, rumr.Scheduler{}, mi.Scheduler{Installments: 2}}
+		}},
+	}
+	for _, set := range heteroSets {
+		for _, workers := range []int{1, 4} {
+			res, err := RunHetero(smallHeteroGrid(), set.algos())
+			jsonRow(fmt.Sprintf("hetero %s workers=%d", set.name, workers), res, err)
+		}
+	}
+	res, err := RunHetero(DefaultHeteroGrid(), heteroAlgorithms())
+	jsonRow("hetero default", res, err)
 	return out.String()
+}
+
+// heteroAlgorithms is rumrsweep's -hetero set: RUMR as the baseline, then
+// UMR, Factoring and Weighted Factoring.
+func heteroAlgorithms() []sched.Scheduler {
+	return []sched.Scheduler{rumr.Scheduler{}, umr.Scheduler{}, factoring.Scheduler{}, wfactoring.Scheduler{}}
 }
 
 // TestStudyDigest pins the results of every Runner study, so a change to
