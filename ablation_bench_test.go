@@ -195,7 +195,7 @@ func BenchmarkAblationHeterogeneous(b *testing.B) {
 		factoring.Scheduler{}, wfactoring.Scheduler{},
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunHetero(g, algos)
+		res, err := (&experiment.Runner{Algorithms: algos}).Hetero(g)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,9 +19,9 @@
 //	rumrsweep -full -checkpoint ckpt   # kill it any time...
 //	rumrsweep -full -checkpoint ckpt   # ...and pick up where it left off
 //
-// -checkpoint, -cache, -uniform and -unknown-error apply to every study
-// that runs through the experiment Runner: the paper sweep, -multijob and
-// -resilience (not -hetero).
+// -checkpoint, -cache, -uniform and -unknown-error apply to every study,
+// since all of them run through the experiment Runner: the paper sweep,
+// -multijob, -resilience and -hetero.
 //
 // Progress (configurations done, simulations/sec, DES events, ETA) prints
 // to stderr once per second; -metrics dumps the final counters as JSON,
@@ -797,7 +797,7 @@ func runHetero(sc *sweepCtx) error {
 	algos := []rumr.Scheduler{
 		rumr.RUMR(), rumr.UMR(), rumr.Factoring(), rumr.WeightedFactoring(),
 	}
-	res, err := experiment.RunHetero(g, algos)
+	res, err := sc.runner("hetero", algos).HeteroContext(sc.ctx, g)
 	if err != nil {
 		return err
 	}

@@ -48,11 +48,12 @@ func rumrsweep(t *testing.T, args ...string) ([]byte, metrics.Snapshot) {
 }
 
 // TestCheckpointResumeRestoresEveryStudy runs the paper sweep, the
-// multi-job study and the resilience study twice against one checkpoint
-// directory: the second run must restore every cell of every study
-// instead of computing it, and print byte-identical output.
+// multi-job study, the resilience study and the heterogeneity study twice
+// against one checkpoint directory: the second run must restore every
+// cell of every study instead of computing it, and print byte-identical
+// output.
 func TestCheckpointResumeRestoresEveryStudy(t *testing.T) {
-	args := []string{"-smoke", "-table2", "-multijob", "-resilience", "-q", "-workers", "2",
+	args := []string{"-smoke", "-table2", "-multijob", "-resilience", "-hetero", "-q", "-workers", "2",
 		"-checkpoint", filepath.Join(t.TempDir(), "ckpt")}
 	first, cold := rumrsweep(t, args...)
 	if cold.ConfigsTotal == 0 || cold.ConfigsSkipped != 0 {

@@ -133,20 +133,21 @@ func (ps *protoSet) newDispatcher(algo sched.Scheduler, pr *sched.Problem) (engi
 	return algo.NewDispatcher(pr)
 }
 
-// build constructs slot i's prototype and reports whether construction
-// succeeded. Construction is deterministic and consumes no randomness, so
-// hoisting it out of the repetition loop cannot change results.
-func (ps *protoSet) build(i int, algo sched.Scheduler, pr *sched.Problem) bool {
+// build constructs slot i's prototype and returns the construction
+// error, leaving the slot nil on failure. Construction is deterministic
+// and consumes no randomness, so hoisting it out of the repetition loop
+// cannot change results.
+func (ps *protoSet) build(i int, algo sched.Scheduler, pr *sched.Problem) error {
 	d, err := ps.newDispatcher(algo, pr)
 	if err != nil {
-		return false
+		return err
 	}
 	ps.protos[i] = d
 	ps.replay[i], _ = d.(sched.Replayable)
 	if pl, ok := d.(sched.Planned); ok {
 		ps.hint[i] = pl.PlannedChunks()
 	}
-	return true
+	return nil
 }
 
 // flushPlans returns the plans built and shared since the last flush and

@@ -4,9 +4,9 @@ package experiment
 // the runner appends that configuration's [error][algorithm] mean block to
 // a JSONL file; a restarted sweep loads the file, skips the completed
 // configurations and recomputes only the rest. Because every cell's error
-// streams are seeded from (BaseSeed, config index, error index, rep) —
-// independent of worker scheduling — a resumed sweep is bit-identical to
-// an uninterrupted one.
+// streams are seeded from (BaseSeed, config values, error value, rep) —
+// see cellSeed — independent of worker scheduling, a resumed sweep is
+// bit-identical to an uninterrupted one.
 //
 // Every line carries a fingerprint of (grid, algorithm names, error
 // model, error visibility); opening a checkpoint written by a different

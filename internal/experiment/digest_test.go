@@ -23,8 +23,9 @@ var updateDigest = flag.Bool("update", false, "rewrite testdata/golden_study_dig
 
 const studyDigestPath = "testdata/golden_study_digest.txt"
 
-// studyDigest runs every study — the paper sweep, the multi-job study,
-// the resilience study and the heterogeneity study — over small grids at pool
+// studyDigest runs every study of the Runner — the paper sweep, the
+// multi-job study, the resilience study and the heterogeneity study —
+// over small grids at pool
 // widths 1 and 4 and returns one line per run: its name and a sha256 of
 // the JSON results.
 func studyDigest(t *testing.T) string {
@@ -118,11 +119,12 @@ func studyDigest(t *testing.T) string {
 	}
 	for _, set := range heteroSets {
 		for _, workers := range []int{1, 4} {
-			res, err := RunHetero(smallHeteroGrid(), set.algos())
+			r := &Runner{Algorithms: set.algos(), Workers: workers}
+			res, err := r.Hetero(smallHeteroGrid())
 			jsonRow(fmt.Sprintf("hetero %s workers=%d", set.name, workers), res, err)
 		}
 	}
-	res, err := RunHetero(DefaultHeteroGrid(), heteroAlgorithms())
+	res, err := (&Runner{Algorithms: heteroAlgorithms()}).Hetero(DefaultHeteroGrid())
 	jsonRow("hetero default", res, err)
 	return out.String()
 }

@@ -5,14 +5,14 @@
 // (mean makespan normalised to RUMR versus error).
 //
 // The sweep is embarrassingly parallel. Every Runner study — this sweep,
-// the multi-job study and the resilience study — is a list of keyed cells
-// that runs through one worker pool (one goroutine per CPU by default)
-// and one SweepState, which restores and persists cells through the
-// checkpoint and the result cache. Reproducibility is exact:
-// the error streams are seeded from (base seed, configuration, error
-// index, repetition), independent of scheduling order, and the same
-// streams are shared by all algorithms at a given triple (common random
-// numbers).
+// the multi-job study, the resilience study and the heterogeneity study —
+// is a list of keyed cells that runs through one worker pool (one
+// goroutine per CPU by default) and one SweepState, which restores and
+// persists cells through the checkpoint and the result cache.
+// Reproducibility is exact: the sweep's error streams are seeded from
+// (base seed, configuration values, error value, repetition), independent
+// of scheduling order, and the same streams are shared by all algorithms
+// at a given triple (common random numbers).
 package experiment
 
 import (

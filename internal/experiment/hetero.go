@@ -1,11 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"rumr/internal/engine"
-	"rumr/internal/perferr"
 	"rumr/internal/platform"
 	"rumr/internal/rng"
 	"rumr/internal/sched"
@@ -80,62 +80,158 @@ func (g HeteroGrid) platformFor(spread float64, pi int) *platform.Platform {
 	return platform.Heterogeneous(spec, src)
 }
 
-// RunHetero executes the study: algorithms[0] is the baseline. It returns
-// an error if any scheduler rejects a platform.
-func RunHetero(g HeteroGrid, algorithms []sched.Scheduler) (*HeteroResults, error) {
-	if len(algorithms) < 2 {
+// Validate rejects degenerate grids before any simulation runs: an empty
+// axis, no platforms or repetitions (which would report all-zero ratios),
+// a spread outside [0, 2) (a worker speed or link rate <= 0), a negative
+// or non-finite error magnitude, and a platform scale, latency or
+// workload the engine cannot simulate.
+func (g HeteroGrid) Validate() error {
+	if err := g.config().Validate(); err != nil {
+		return err
+	}
+	switch {
+	case len(g.Spreads) == 0, len(g.Errors) == 0:
+		return fmt.Errorf("%w: the hetero grid needs at least one spread and one error magnitude", errEmptyGrid)
+	case !(g.MeanS > 0) || math.IsInf(g.MeanS, 1):
+		return fmt.Errorf("experiment: hetero grid needs a finite MeanS > 0, got %g", g.MeanS)
+	case !(g.Total > 0) || math.IsInf(g.Total, 1):
+		return fmt.Errorf("experiment: hetero grid needs a finite Total > 0, got %g", g.Total)
+	case g.Platforms <= 0:
+		return fmt.Errorf("experiment: hetero grid needs Platforms > 0, got %d", g.Platforms)
+	case g.Reps <= 0:
+		return fmt.Errorf("experiment: hetero grid needs Reps > 0, got %d", g.Reps)
+	}
+	for _, h := range g.Spreads {
+		if !(h >= 0 && h < 2) {
+			return fmt.Errorf("experiment: hetero spread %g outside [0, 2)", h)
+		}
+	}
+	for _, e := range g.Errors {
+		if !(e >= 0) || math.IsInf(e, 1) {
+			return fmt.Errorf("experiment: error magnitude %g, need finite and >= 0", e)
+		}
+	}
+	return nil
+}
+
+// config is the grid's mean platform point: it validates the worker
+// count, r and the latencies, and labels the study's cache entries.
+func (g HeteroGrid) config() Config {
+	return Config{N: g.N, R: g.MeanR, CLat: g.CLat, NLat: g.NLat}
+}
+
+// Hetero runs the heterogeneity study with a background context.
+func (r *Runner) Hetero(g HeteroGrid) (*HeteroResults, error) {
+	return r.HeteroContext(context.Background(), g)
+}
+
+// HeteroContext runs the heterogeneity study under ctx: Algorithms[0] is
+// the baseline. Cell si*len(Errors)+ei is the (Spreads[si], Errors[ei])
+// point, a 1 × (algorithms-1) block of mean ratios; cells fan out to the
+// runner's worker pool and are restored from its checkpoint and cache
+// like the paper sweep's. A scheduler that rejects a platform fails the
+// study.
+func (r *Runner) HeteroContext(ctx context.Context, g HeteroGrid) (*HeteroResults, error) {
+	if len(r.Algorithms) < 2 {
 		return nil, fmt.Errorf("experiment: hetero study needs a baseline and at least one competitor")
 	}
-	res := &HeteroResults{Grid: g}
-	for _, a := range algorithms[1:] {
-		res.Algorithms = append(res.Algorithms, a.Name())
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
-	res.Ratio = make([][][]float64, len(g.Spreads))
-	for si, spread := range g.Spreads {
-		res.Ratio[si] = make([][]float64, len(g.Errors))
-		for ei, errMag := range g.Errors {
-			acc := make([]stats.Welford, len(algorithms)-1)
-			for pi := 0; pi < g.Platforms; pi++ {
-				p := g.platformFor(spread, pi)
-				for rep := 0; rep < g.Reps; rep++ {
-					mks := make([]float64, len(algorithms))
-					for ai, algo := range algorithms {
-						pr := &sched.Problem{
-							Platform: p, Total: g.Total,
-							KnownError: errMag, MinUnit: 1,
-						}
-						d, err := algo.NewDispatcher(pr)
-						if err != nil {
-							return nil, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
-								algo.Name(), spread, pi, err)
-						}
-						src := rng.NewFrom(g.BaseSeed+1, math.Float64bits(spread), uint64(pi), uint64(ei), uint64(rep))
-						var comm, comp perferr.Model = perferr.Perfect{}, perferr.Perfect{}
-						if errMag > 0 {
-							comm = perferr.NewTruncNormal(errMag, src.Split())
-							comp = perferr.NewTruncNormal(errMag, src.Split())
-						}
-						out, err := engine.Run(p, d, engine.Options{CommModel: comm, CompModel: comp})
-						if err != nil {
-							return nil, err
-						}
-						if math.Abs(out.DispatchedWork-g.Total) > 1e-6*g.Total {
-							return nil, fmt.Errorf("experiment: %s dispatched %g of %g",
-								algo.Name(), out.DispatchedWork, g.Total)
-						}
-						mks[ai] = out.Makespan
-					}
-					for ai := 1; ai < len(algorithms); ai++ {
-						acc[ai-1].Add(mks[ai] / mks[0])
-					}
-				}
-			}
-			row := make([]float64, len(acc))
-			for ai := range acc {
-				row[ai] = acc[ai].Mean()
-			}
-			res.Ratio[si][ei] = row
+	names := r.names()
+	nE := len(g.Errors)
+	n := len(g.Spreads) * nE
+	st, err := openState(n, 1, len(names)-1, func() string {
+		return studyFingerprint(g, names, r.ErrorModel, r.UnknownError)
+	}, r.CheckpointPath, r.CachePath)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	// The key hashes the whole grid and the cell index, not the cell's
+	// values: error streams are seeded with the error index.
+	st.restore(0, n, func(i int) (string, Config) {
+		return hashJSON(struct {
+			Grid         HeteroGrid
+			Algorithms   []string
+			Model        ErrorModelKind
+			UnknownError bool
+			Cell         int
+		}{g, names, r.ErrorModel, r.UnknownError, i}, 16), g.config()
+	})
+	if err := r.runCells(ctx, st, func(ctx context.Context, i int) ([][]float64, error) {
+		return r.heteroCell(ctx, g, i/nE, i%nE)
+	}); err != nil {
+		return nil, err
+	}
+	res := &HeteroResults{Grid: g, Algorithms: names[1:], Ratio: make([][][]float64, len(g.Spreads))}
+	for si := range g.Spreads {
+		res.Ratio[si] = make([][]float64, nE)
+		for ei := range g.Errors {
+			res.Ratio[si][ei] = st.blocks[si*nE+ei][0]
 		}
 	}
 	return res, nil
+}
+
+// heteroCell simulates every (platform, rep, algorithm) run at
+// (Spreads[si], Errors[ei]) and returns the mean competitor/baseline
+// makespan ratios. Each ensemble platform gets one prototype set; the
+// error streams are seeded from (BaseSeed+1, spread, platform, error
+// index, rep) and shared by all algorithms (common random numbers).
+func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]float64, error) {
+	spread, errMag := g.Spreads[si], g.Errors[ei]
+	known := errMag
+	if r.UnknownError {
+		known = -1
+	}
+	nAlg := len(r.Algorithms)
+	acc := make([]stats.Welford, nAlg-1)
+	mks := make([]float64, nAlg)
+	var protos protoSet
+	for pi := 0; pi < g.Platforms; pi++ {
+		p := g.platformFor(spread, pi)
+		pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: known, MinUnit: 1}
+		protos.reset(&r.plans, p, nAlg)
+		for ai, algo := range r.Algorithms {
+			if err := protos.build(ai, algo, pr); err != nil {
+				return nil, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
+					algo.Name(), spread, pi, err)
+			}
+		}
+		protos.flushPlans(r.Metrics)
+		for rep := 0; rep < g.Reps; rep++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for ai, algo := range r.Algorithms {
+				d, err := protos.dispatcher(ai, algo, pr)
+				if err != nil {
+					return nil, fmt.Errorf("experiment: spread %g platform %d: %w", spread, pi, err)
+				}
+				src := rng.NewFrom(g.BaseSeed+1, math.Float64bits(spread), uint64(pi), uint64(ei), uint64(rep))
+				out, err := engine.Run(p, d, engine.Options{
+					CommModel: r.model(errMag, src.Split()),
+					CompModel: r.model(errMag, src.Split()),
+					Metrics:   r.Metrics,
+				})
+				if err != nil {
+					return nil, err
+				}
+				if math.Abs(out.DispatchedWork-g.Total) > 1e-6*g.Total {
+					return nil, fmt.Errorf("experiment: %s dispatched %g of %g",
+						algo.Name(), out.DispatchedWork, g.Total)
+				}
+				mks[ai] = out.Makespan
+			}
+			for ai := 1; ai < nAlg; ai++ {
+				acc[ai-1].Add(mks[ai] / mks[0])
+			}
+		}
+	}
+	block := NewCellBlock(1, nAlg-1)
+	for ai := range acc {
+		block[0][ai] = acc[ai].Mean()
+	}
+	return block, nil
 }

@@ -1,8 +1,15 @@
 package experiment
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"math"
+	"path/filepath"
 	"testing"
+
+	"rumr/internal/metrics"
 
 	"rumr/internal/sched"
 	"rumr/internal/sched/factoring"
@@ -22,7 +29,7 @@ func smallHeteroGrid() HeteroGrid {
 func TestRunHeteroShape(t *testing.T) {
 	g := smallHeteroGrid()
 	algos := []sched.Scheduler{rumr.Scheduler{}, umr.Scheduler{}, factoring.Scheduler{}}
-	res, err := RunHetero(g, algos)
+	res, err := (&Runner{Algorithms: algos}).Hetero(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +52,12 @@ func TestRunHeteroShape(t *testing.T) {
 
 func TestRunHeteroDeterministic(t *testing.T) {
 	g := smallHeteroGrid()
-	algos := []sched.Scheduler{rumr.Scheduler{}, umr.Scheduler{}}
-	a, err := RunHetero(g, algos)
+	r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}, umr.Scheduler{}}}
+	a, err := r.Hetero(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunHetero(g, algos)
+	b, err := r.Hetero(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,8 @@ func TestRunHeteroZeroSpreadMatchesHomogeneous(t *testing.T) {
 }
 
 func TestRunHeteroNeedsCompetitor(t *testing.T) {
-	if _, err := RunHetero(smallHeteroGrid(), []sched.Scheduler{rumr.Scheduler{}}); err == nil {
+	r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}}}
+	if _, err := r.Hetero(smallHeteroGrid()); err == nil {
 		t.Fatal("single algorithm accepted")
 	}
 }
@@ -108,4 +116,105 @@ func TestDefaultHeteroGridSane(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestHeteroGridValidate(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*HeteroGrid)
+	}{
+		{"no platforms", func(g *HeteroGrid) { g.Platforms = 0 }},
+		{"no reps", func(g *HeteroGrid) { g.Reps = 0 }},
+		{"negative error", func(g *HeteroGrid) { g.Errors = []float64{0, -1} }},
+		{"infinite error", func(g *HeteroGrid) { g.Errors = []float64{math.Inf(1)} }},
+		{"NaN error", func(g *HeteroGrid) { g.Errors = []float64{math.NaN()} }},
+		{"no errors", func(g *HeteroGrid) { g.Errors = nil }},
+		{"no spreads", func(g *HeteroGrid) { g.Spreads = nil }},
+		{"negative spread", func(g *HeteroGrid) { g.Spreads = []float64{-0.1} }},
+		{"spread 2", func(g *HeteroGrid) { g.Spreads = []float64{0, 2} }},
+		{"NaN spread", func(g *HeteroGrid) { g.Spreads = []float64{math.NaN()} }},
+		{"no workers", func(g *HeteroGrid) { g.N = 0 }},
+		{"zero MeanS", func(g *HeteroGrid) { g.MeanS = 0 }},
+		{"infinite MeanS", func(g *HeteroGrid) { g.MeanS = math.Inf(1) }},
+		{"negative MeanR", func(g *HeteroGrid) { g.MeanR = -1.6 }},
+		{"NaN MeanR", func(g *HeteroGrid) { g.MeanR = math.NaN() }},
+		{"zero total", func(g *HeteroGrid) { g.Total = 0 }},
+		{"infinite total", func(g *HeteroGrid) { g.Total = math.Inf(1) }},
+		{"negative cLat", func(g *HeteroGrid) { g.CLat = -0.1 }},
+		{"infinite nLat", func(g *HeteroGrid) { g.NLat = math.Inf(1) }},
+	}
+	r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}, umr.Scheduler{}}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := smallHeteroGrid()
+			tc.mutate(&g)
+			if err := g.Validate(); err == nil {
+				t.Fatal("Validate accepted a degenerate grid")
+			}
+			if _, err := r.Hetero(g); err == nil {
+				t.Fatal("degenerate grid accepted")
+			}
+		})
+	}
+	if err := smallHeteroGrid().Validate(); err != nil {
+		t.Fatalf("valid grid rejected: %v", err)
+	}
+	if err := DefaultHeteroGrid().Validate(); err != nil {
+		t.Fatalf("default grid rejected: %v", err)
+	}
+}
+
+// TestHeteroWidthsAndWarmCacheByteIdentical runs the heterogeneity study
+// at pool widths 1 and 4, then from a warm result cache, from a
+// checkpoint left by an interrupted run and from that checkpoint once
+// complete: every run's JSON must match the serial run's, and the warm
+// and completed runs must simulate nothing.
+func TestHeteroWidthsAndWarmCacheByteIdentical(t *testing.T) {
+	g := smallHeteroGrid()
+	dir := t.TempDir()
+	cache, ckpt := filepath.Join(dir, "cache"), filepath.Join(dir, "hetero.jsonl")
+	cells := int64(len(g.Spreads) * len(g.Errors))
+	var want []byte
+	run := func(name string, r *Runner, wantSims bool) {
+		t.Helper()
+		m := metrics.New()
+		r.Algorithms, r.Metrics = heteroAlgorithms(), m
+		res, err := r.Hetero(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = blob
+		} else if !bytes.Equal(blob, want) {
+			t.Fatalf("%s: results differ from the serial run:\n%s\nvs\n%s", name, blob, want)
+		}
+		s := m.Snapshot()
+		if s.ConfigsTotal != cells {
+			t.Fatalf("%s: %d cells, want %d", name, s.ConfigsTotal, cells)
+		}
+		if sims := s.Simulations > 0; sims != wantSims {
+			t.Fatalf("%s: %d simulations, want computed=%v", name, s.Simulations, wantSims)
+		}
+	}
+	run("width 1", &Runner{Workers: 1}, true)
+	run("width 4, cold cache", &Runner{Workers: 4, CachePath: cache}, true)
+	run("width 1, warm cache", &Runner{Workers: 1, CachePath: cache}, false)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := &Runner{Algorithms: heteroAlgorithms(), Workers: 1, CheckpointPath: ckpt,
+		Progress: func(done, _ int) {
+			if done == 2 {
+				cancel()
+			}
+		}}
+	if _, err := r.HeteroContext(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted study err = %v, want context.Canceled", err)
+	}
+	run("width 4, resumed", &Runner{Workers: 4, CheckpointPath: ckpt}, true)
+	run("width 2, completed checkpoint", &Runner{Workers: 2, CheckpointPath: ckpt}, false)
 }

@@ -139,7 +139,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	cs.expected = resize(cs.expected, nAlg)
 	for ai, algo := range r.Algorithms {
 		for j := 0; j < nJ; j++ {
-			if !cs.protos.build(ai*nJ+j, algo, &cs.prob) {
+			if cs.protos.build(ai*nJ+j, algo, &cs.prob) != nil {
 				// The algorithm cannot handle the configuration at all;
 				// the whole cell is NaN, like the unbatched path.
 				cs.failed[ai] = true
