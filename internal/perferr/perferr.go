@@ -50,12 +50,6 @@ const minRatio = 0.05
 type TruncNormal struct {
 	Err float64
 	Src *rng.Source
-	// Polar selects the v1 polar normal sampler instead of the ziggurat,
-	// reproducing the pre-v2 bit stream exactly. It exists for the golden
-	// versioning story (testdata/v1/ is pinned through it) and as an
-	// escape hatch for callers with results seeded on the old stream; the
-	// two samplers agree in distribution (see the rng KS tests).
-	Polar bool
 }
 
 // NewTruncNormal returns the paper's error model with the given magnitude,
@@ -69,13 +63,7 @@ func (m *TruncNormal) Perturb(predicted float64) float64 {
 	if predicted == 0 || m.Err <= 0 {
 		return predicted
 	}
-	var ratio float64
-	if m.Polar {
-		ratio = m.Src.TruncNormalPolar(1, m.Err, minRatio)
-	} else {
-		ratio = m.Src.TruncNormal(1, m.Err, minRatio)
-	}
-	return predicted / ratio
+	return predicted / m.Src.TruncNormal(1, m.Err, minRatio)
 }
 
 // Error returns the model's standard deviation parameter.

@@ -15,9 +15,8 @@ import (
 
 var updateZigGolden = flag.Bool("update", false, "rewrite the ziggurat golden vector in testdata/")
 
-// readHexVectors parses the fixture format shared by the normal-stream
-// goldens: "seed N" lines each followed by 16 hex-encoded float64 bit
-// patterns.
+// readHexVectors parses the normal-stream golden format: "seed N" lines
+// each followed by 16 hex-encoded float64 bit patterns.
 func readHexVectors(t *testing.T, path string) map[uint64][]uint64 {
 	t.Helper()
 	f, err := os.Open(path)
@@ -51,36 +50,6 @@ func readHexVectors(t *testing.T, path string) map[uint64][]uint64 {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// TestNormalPolarMatchesV1Fixtures pins NormalPolar (and the polar
-// truncated-normal path behind perferr.TruncNormal{Polar: true}) against
-// fixed vectors generated from the v1 code, in which Normal WAS the
-// polar method. Bit-for-bit equality here is what makes the testdata/v1
-// engine goldens reproducible after the ziggurat switch.
-func TestNormalPolarMatchesV1Fixtures(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		draw func(s *Source) float64
-	}{
-		{"normal_polar_v1.txt", func(s *Source) float64 { return s.NormalPolar() }},
-		{"truncnormal_polar_v1.txt", func(s *Source) float64 { return s.TruncNormalPolar(1, 0.3, 0.05) }},
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			vectors := readHexVectors(t, filepath.Join("testdata", tc.file))
-			if len(vectors) == 0 {
-				t.Fatal("no fixture vectors")
-			}
-			for seed, want := range vectors {
-				s := New(seed)
-				for i, w := range want {
-					if got := math.Float64bits(tc.draw(s)); got != w {
-						t.Fatalf("seed %d draw %d: got %016x, want %016x", seed, i, got, w)
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestZigguratGoldenVectors pins the ziggurat Normal bit stream itself —
@@ -197,9 +166,8 @@ func ksStatistic(xs []float64, cdf func(float64) float64) float64 {
 // magnitude larger) fails decisively.
 const ksBound = 1.95
 
-// TestNormalKSGoodnessOfFit runs a KS test of both normal samplers
-// against Φ. The ziggurat must fit exactly as well as the polar method
-// it replaced.
+// TestNormalKSGoodnessOfFit runs a KS test of the normal sampler
+// against Φ.
 func TestNormalKSGoodnessOfFit(t *testing.T) {
 	const n = 200000
 	for _, tc := range []struct {
@@ -207,7 +175,6 @@ func TestNormalKSGoodnessOfFit(t *testing.T) {
 		draw func(s *Source) float64
 	}{
 		{"ziggurat", func(s *Source) float64 { return s.Normal() }},
-		{"polar", func(s *Source) float64 { return s.NormalPolar() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(20030)
@@ -223,7 +190,7 @@ func TestNormalKSGoodnessOfFit(t *testing.T) {
 	}
 }
 
-// TestTruncNormalKSGoodnessOfFit checks both truncated-normal samplers
+// TestTruncNormalKSGoodnessOfFit checks the truncated-normal sampler
 // against the analytic truncated-normal CDF at the paper's error
 // magnitudes (mean 1, sd = error, truncated at the engine's minRatio
 // 0.05): the distribution RUMR's robustness results are measured under.
@@ -238,7 +205,6 @@ func TestTruncNormalKSGoodnessOfFit(t *testing.T) {
 			draw func(s *Source) float64
 		}{
 			{"ziggurat", func(s *Source) float64 { return s.TruncNormal(1, sigma, lo) }},
-			{"polar", func(s *Source) float64 { return s.TruncNormalPolar(1, sigma, lo) }},
 		} {
 			t.Run(fmt.Sprintf("%s/sigma=%g", tc.name, sigma), func(t *testing.T) {
 				s := New(777)
@@ -293,12 +259,5 @@ func BenchmarkNormalZiggurat(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Normal()
-	}
-}
-
-func BenchmarkNormalPolar(b *testing.B) {
-	s := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = s.NormalPolar()
 	}
 }

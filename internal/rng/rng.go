@@ -182,7 +182,7 @@ func init() {
 // The common path — ~98.8% of draws — costs one Uint64, a table lookup,
 // a multiply and a compare: no math.Log or math.Sqrt, which is what
 // makes the engine's per-chunk error draws cheap (the polar method this
-// replaced paid a Log+Sqrt per draw; it survives as NormalPolar).
+// replaced paid a Log+Sqrt per draw).
 //
 // One 64-bit word feeds the whole fast path: bits 0-6 select the layer,
 // bit 7 the sign, bits 11-63 the 53-bit magnitude uniform.
@@ -225,23 +225,6 @@ func (s *Source) Normal() float64 {
 	}
 }
 
-// NormalPolar returns a standard normal sample using the polar
-// (Marsaglia) method — the v1 sampler Normal used before the ziggurat
-// landed, kept verbatim as the goldens' escape hatch: runs that must
-// reproduce the v1 bit stream (testdata/v1/) draw through it. The
-// second variate is intentionally discarded to keep the generator
-// stateless beyond its word state.
-func (s *Source) NormalPolar() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
 // NormalMuSigma returns a normal sample with the given mean and standard
 // deviation. A non-positive sigma returns mu exactly.
 func (s *Source) NormalMuSigma(mu, sigma float64) float64 {
@@ -267,22 +250,6 @@ func (s *Source) TruncNormal(mu, sigma, lo float64) float64 {
 	}
 	// Pathological parameters (lo far above mu): fall back to the bound
 	// plus a hair so callers never divide by zero.
-	return lo + 1e-12
-}
-
-// TruncNormalPolar is TruncNormal drawing through NormalPolar — the v1
-// call sequence, bit-identical to what TruncNormal produced before the
-// ziggurat sampler. perferr.TruncNormal{Polar: true} routes here.
-func (s *Source) TruncNormalPolar(mu, sigma, lo float64) float64 {
-	if sigma <= 0 {
-		return mu
-	}
-	for i := 0; i < 1024; i++ {
-		x := mu + sigma*s.NormalPolar()
-		if x > lo {
-			return x
-		}
-	}
 	return lo + 1e-12
 }
 
