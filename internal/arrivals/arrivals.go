@@ -1,26 +1,23 @@
 // Package arrivals generates job arrival times for open multi-job
-// scenarios: a seeded stochastic process (Poisson), a deterministic
-// periodic process, and explicit replayed traces. All processes produce
-// nondecreasing times starting at or after zero, and the stochastic ones
-// draw exclusively from the rng.Source they are handed, so arrival
-// patterns inherit the repo-wide determinism contract — the same seed
-// always yields the same workload arrival history.
+// scenarios through a seeded Poisson process. Processes produce
+// nondecreasing times starting at or after zero and draw exclusively from
+// the rng.Source they are handed, so arrival patterns inherit the
+// repo-wide determinism contract — the same seed always yields the same
+// workload arrival history.
 package arrivals
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rumr/internal/rng"
 )
 
 // Process generates the arrival times of n jobs. Implementations must
 // return exactly n nondecreasing, nonnegative, finite times and must take
-// all randomness from src (deterministic processes ignore it; passing nil
-// to one of those is allowed).
+// all randomness from src.
 type Process interface {
-	// Name identifies the process in reports ("poisson", "periodic", ...).
+	// Name identifies the process in reports ("poisson").
 	Name() string
 	// Times returns the first n arrival times.
 	Times(n int, src *rng.Source) []float64
@@ -53,75 +50,6 @@ func (p poisson) Times(n int, src *rng.Source) []float64 {
 		// 1-u is in (0,1] and the log is finite.
 		t += -math.Log(1-src.Float64()) / p.rate
 		out[i] = t
-	}
-	return out
-}
-
-// periodic is a deterministic evenly-spaced process.
-type periodic struct {
-	interval float64
-	offset   float64
-}
-
-// Periodic returns a deterministic process whose k-th job (k = 0, 1, ...)
-// arrives at offset + k*interval. It panics on a negative or non-finite
-// interval or offset; interval 0 makes every job arrive together at
-// offset (a batch arrival).
-func Periodic(interval, offset float64) Process {
-	if interval < 0 || math.IsNaN(interval) || math.IsInf(interval, 0) {
-		panic(fmt.Sprintf("arrivals: invalid periodic interval %g", interval))
-	}
-	if offset < 0 || math.IsNaN(offset) || math.IsInf(offset, 0) {
-		panic(fmt.Sprintf("arrivals: invalid periodic offset %g", offset))
-	}
-	return periodic{interval: interval, offset: offset}
-}
-
-func (p periodic) Name() string { return "periodic" }
-
-func (p periodic) Times(n int, _ *rng.Source) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = p.offset + float64(i)*p.interval
-	}
-	return out
-}
-
-// replay serves an explicit list of arrival times.
-type replay struct {
-	times []float64
-}
-
-// Trace returns a deterministic process replaying the given arrival
-// times. The times are copied and sorted; it panics on a negative or
-// non-finite entry. Asking it for more jobs than the trace holds repeats
-// the last time for the excess jobs (simultaneous trailing arrivals)
-// rather than inventing data; asking for fewer truncates.
-func Trace(times ...float64) Process {
-	if len(times) == 0 {
-		panic("arrivals: empty arrival trace")
-	}
-	cp := make([]float64, len(times))
-	copy(cp, times)
-	for _, t := range cp {
-		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			panic(fmt.Sprintf("arrivals: invalid trace arrival time %g", t))
-		}
-	}
-	sort.Float64s(cp)
-	return replay{times: cp}
-}
-
-func (p replay) Name() string { return "trace" }
-
-func (p replay) Times(n int, _ *rng.Source) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		if i < len(p.times) {
-			out[i] = p.times[i]
-		} else {
-			out[i] = p.times[len(p.times)-1]
-		}
 	}
 	return out
 }

@@ -42,44 +42,10 @@ func TestPoissonMeanGap(t *testing.T) {
 	}
 }
 
-func TestPeriodic(t *testing.T) {
-	ts := Periodic(1.5, 0.5).Times(4, nil)
-	want := []float64{0.5, 2, 3.5, 5}
-	for i := range want {
-		if ts[i] != want[i] {
-			t.Fatalf("periodic times = %v, want %v", ts, want)
-		}
-	}
-	batch := Periodic(0, 3).Times(3, nil)
-	for _, v := range batch {
-		if v != 3 {
-			t.Fatalf("batch arrival times = %v", batch)
-		}
-	}
-}
-
-func TestTraceSortsAndExtends(t *testing.T) {
-	p := Trace(5, 1, 3)
-	ts := p.Times(5, nil)
-	want := []float64{1, 3, 5, 5, 5}
-	for i := range want {
-		if ts[i] != want[i] {
-			t.Fatalf("trace times = %v, want %v", ts, want)
-		}
-	}
-	if got := p.Times(2, nil); got[0] != 1 || got[1] != 3 {
-		t.Fatalf("truncated trace = %v", got)
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	cases := []func(){
 		func() { Poisson(0) },
 		func() { Poisson(math.NaN()) },
-		func() { Periodic(-1, 0) },
-		func() { Periodic(1, math.Inf(1)) },
-		func() { Trace() },
-		func() { Trace(1, -2) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -109,7 +75,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if Poisson(1).Name() != "poisson" || Periodic(1, 0).Name() != "periodic" || Trace(0).Name() != "trace" {
+	if Poisson(1).Name() != "poisson" {
 		t.Fatal("process names changed")
 	}
 }

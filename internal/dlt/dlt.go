@@ -143,25 +143,3 @@ func LowerBoundWithFaults(p *platform.Platform, total float64, s *fault.Schedule
 	}
 	return math.Max(lb, hi)
 }
-
-// SpeedupBound returns the best possible speedup over a single fastest
-// worker: T_1 / LowerBound, where T_1 is the one-worker makespan on the
-// fastest worker (its transfer fully pipelined with computation is still
-// bounded below by the compute time).
-func SpeedupBound(p *platform.Platform, total float64) float64 {
-	if p.N() == 0 || total <= 0 {
-		return 1
-	}
-	best := 0.0
-	for _, w := range p.Workers {
-		if w.S > best {
-			best = w.S
-		}
-	}
-	t1 := total / best
-	lb := LowerBound(p, total)
-	if lb <= 0 {
-		return 1
-	}
-	return t1 / lb
-}

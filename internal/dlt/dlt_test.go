@@ -116,14 +116,6 @@ func TestLowerBoundEmpty(t *testing.T) {
 	}
 }
 
-func TestSpeedupBound(t *testing.T) {
-	p := platform.Homogeneous(10, 1, 1000, 0, 0)
-	// Ideal speedup on 10 identical workers is 10.
-	if got := SpeedupBound(p, 1000); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("speedup bound = %v, want 10", got)
-	}
-}
-
 // Property: the equal-finish schedule, when actually simulated on a
 // latency-free platform, achieves its predicted makespan and beats no
 // lower bound.

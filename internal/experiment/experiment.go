@@ -31,7 +31,6 @@ import (
 	"rumr/internal/rng"
 	"rumr/internal/sched"
 	"rumr/internal/sched/factoring"
-	"rumr/internal/sched/fsc"
 	"rumr/internal/sched/mi"
 	"rumr/internal/sched/rumr"
 	"rumr/internal/sched/umr"
@@ -228,12 +227,6 @@ func StandardAlgorithms() []sched.Scheduler {
 		mi.Scheduler{Installments: 4},
 		factoring.Scheduler{},
 	}
-}
-
-// WithFSC appends the FSC baseline (§5.1 evaluates it but omits it from
-// the plots; our FSC-claim bench includes it).
-func WithFSC(algos []sched.Scheduler) []sched.Scheduler {
-	return append(algos, fsc.Scheduler{})
 }
 
 // Fig6Algorithms returns original RUMR plus the fixed-split variants of

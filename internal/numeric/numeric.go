@@ -220,27 +220,3 @@ func GeomSum(q float64, m int) float64 {
 	}
 	return (math.Pow(q, float64(m)) - 1) / (q - 1)
 }
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// AlmostEqual reports whether a and b agree to within an absolute or
-// relative tolerance of eps.
-func AlmostEqual(a, b, eps float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	if diff <= eps {
-		return true
-	}
-	return diff <= eps*math.Max(math.Abs(a), math.Abs(b))
-}

@@ -229,21 +229,3 @@ func TestGeomSum(t *testing.T) {
 		}
 	}
 }
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp misbehaves")
-	}
-}
-
-func TestAlmostEqual(t *testing.T) {
-	if !AlmostEqual(1, 1, 0) {
-		t.Fatal("identical values must be equal")
-	}
-	if !AlmostEqual(1e15, 1e15+1, 1e-9) {
-		t.Fatal("relative tolerance failed")
-	}
-	if AlmostEqual(1, 2, 1e-9) {
-		t.Fatal("1 and 2 are not almost equal")
-	}
-}

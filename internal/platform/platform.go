@@ -95,10 +95,6 @@ func (p *Platform) UtilizationRatio() float64 {
 	return sum
 }
 
-// FullyUtilizable reports whether the platform satisfies the full
-// utilization condition Σ S_i/B_i < 1.
-func (p *Platform) FullyUtilizable() bool { return p.UtilizationRatio() < 1 }
-
 // TotalSpeed returns Σ S_i, the aggregate compute rate.
 func (p *Platform) TotalSpeed() float64 {
 	sum := 0.0
@@ -169,35 +165,4 @@ func Heterogeneous(spec HeterogeneousSpec, src *rng.Source) *Platform {
 		}
 	}
 	return &Platform{Workers: ws}
-}
-
-// SelectUtilizable returns the largest prefix of workers (in decreasing
-// bandwidth order) whose utilization ratio stays below 1 — the resource
-// selection rule of the UMR work for platforms that cannot keep every
-// worker busy. The returned platform is a copy; the receiver is untouched.
-// If even the single best worker violates the condition, that worker alone
-// is returned (a one-worker platform is always schedulable, just not with
-// overlapped rounds).
-func (p *Platform) SelectUtilizable() *Platform {
-	sorted := p.Clone()
-	// Sort by decreasing B: faster links amortise the master's port best.
-	ws := sorted.Workers
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].B > ws[j-1].B; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
-	sum := 0.0
-	keep := 0
-	for _, w := range ws {
-		if sum+w.S/w.B >= 1 && keep > 0 {
-			break
-		}
-		sum += w.S / w.B
-		keep++
-	}
-	if keep == 0 {
-		keep = 1
-	}
-	return &Platform{Workers: ws[:keep]}
 }

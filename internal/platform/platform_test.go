@@ -3,7 +3,6 @@ package platform
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"rumr/internal/rng"
 )
@@ -75,12 +74,9 @@ func TestUtilizationRatio(t *testing.T) {
 	if math.Abs(p.UtilizationRatio()-1/1.5) > 1e-12 {
 		t.Fatalf("ratio = %v, want %v", p.UtilizationRatio(), 1/1.5)
 	}
-	if !p.FullyUtilizable() {
-		t.Fatal("r=1.5 platform should satisfy the full-utilization condition")
-	}
-	slow := Homogeneous(10, 1, 5, 0, 0) // ratio = 2
-	if slow.FullyUtilizable() {
-		t.Fatal("ratio 2 platform should fail the condition")
+	slow := Homogeneous(10, 1, 5, 0, 0)
+	if got := slow.UtilizationRatio(); math.Abs(got-2) > 1e-12 {
+		t.Fatalf("ratio = %v, want 2", got)
 	}
 }
 
@@ -123,62 +119,6 @@ func TestHeterogeneousGenerator(t *testing.T) {
 		if p.Workers[i] != q.Workers[i] {
 			t.Fatal("generator not deterministic")
 		}
-	}
-}
-
-func TestSelectUtilizable(t *testing.T) {
-	// Three workers: two fast links, one terrible link that breaks the
-	// condition. Selection should drop exactly the bad one.
-	p := &Platform{Workers: []Worker{
-		{S: 1, B: 10},   // 0.1
-		{S: 1, B: 1.05}, // 0.95 -> cumulative 1.06 with the other two
-		{S: 1, B: 100},  // 0.01
-	}}
-	sel := p.SelectUtilizable()
-	if sel.N() != 2 {
-		t.Fatalf("selected %d workers, want 2 (ratio=%v)", sel.N(), sel.UtilizationRatio())
-	}
-	if !sel.FullyUtilizable() {
-		t.Fatal("selected subset must satisfy the condition")
-	}
-	// Selection must keep the fastest links.
-	if sel.Workers[0].B != 100 || sel.Workers[1].B != 10 {
-		t.Fatalf("selection kept the wrong workers: %+v", sel.Workers)
-	}
-	// Receiver untouched.
-	if p.N() != 3 {
-		t.Fatal("SelectUtilizable mutated the receiver")
-	}
-}
-
-func TestSelectUtilizableAlwaysKeepsOne(t *testing.T) {
-	p := &Platform{Workers: []Worker{{S: 10, B: 1}}} // ratio 10
-	sel := p.SelectUtilizable()
-	if sel.N() != 1 {
-		t.Fatalf("selected %d, want 1", sel.N())
-	}
-}
-
-// Property: any selected subset has utilization ratio < 1 unless it is a
-// single worker, and never exceeds the source platform's size.
-func TestSelectUtilizableProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		spec := HeterogeneousSpec{
-			N: 1 + src.Intn(40), SMin: 0.1, SMax: 3, BMin: 0.2, BMax: 60,
-		}
-		p := Heterogeneous(spec, src)
-		sel := p.SelectUtilizable()
-		if sel.N() < 1 || sel.N() > p.N() {
-			return false
-		}
-		if sel.N() > 1 && !sel.FullyUtilizable() {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

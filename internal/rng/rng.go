@@ -252,22 +252,3 @@ func (s *Source) TruncNormal(mu, sigma, lo float64) float64 {
 	// plus a hair so callers never divide by zero.
 	return lo + 1e-12
 }
-
-// Perm returns a uniformly random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes xs in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

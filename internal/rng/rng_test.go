@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -166,25 +165,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := New(seed)
-		n := 1 + s.Intn(64)
-		p := s.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(31)
 	child := parent.Split()
@@ -197,19 +177,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("parent and child collided %d times", same)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(37)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
 

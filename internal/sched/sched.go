@@ -576,12 +576,3 @@ func (d *Demand) Next(v *engine.View) (engine.Chunk, bool) {
 	d.batch++
 	return engine.Chunk{Worker: target, Size: size, Round: d.batch - 1, Phase: d.Phase}, true
 }
-
-// PlanTotal sums the sizes in a plan.
-func PlanTotal(plan []engine.Chunk) float64 {
-	total := 0.0
-	for _, c := range plan {
-		total += c.Size
-	}
-	return total
-}

@@ -201,16 +201,6 @@ func TestDemandRoundTags(t *testing.T) {
 	}
 }
 
-func TestPlanTotal(t *testing.T) {
-	plan := []engine.Chunk{{Size: 1.5}, {Size: 2.5}}
-	if PlanTotal(plan) != 4 {
-		t.Fatalf("total = %v", PlanTotal(plan))
-	}
-	if PlanTotal(nil) != 0 {
-		t.Fatal("empty plan total should be 0")
-	}
-}
-
 func TestStaticMaxPendingThrottles(t *testing.T) {
 	plan := []engine.Chunk{
 		{Worker: 0, Size: 1}, {Worker: 0, Size: 2}, {Worker: 0, Size: 3},

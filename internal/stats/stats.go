@@ -1,13 +1,12 @@
 // Package stats provides the streaming and batch statistics used by the
 // experiment harness: Welford accumulators (numerically stable single-pass
-// mean/variance), percentiles, histograms, and simple ratio summaries for
-// the paper's relative-makespan reporting.
+// mean/variance), batch mean and standard deviation, and win-rate
+// summaries for the paper's relative-makespan reporting.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates a running mean and variance in one pass using
@@ -38,30 +37,6 @@ func (w *Welford) Add(x float64) {
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
-}
-
-// Merge folds another accumulator into w (Chan et al. parallel variant),
-// allowing per-goroutine accumulators to be combined after a parallel sweep.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / float64(n)
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-	w.sum += o.sum
 }
 
 // N returns the number of samples.
@@ -139,86 +114,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(sum / float64(len(xs)-1))
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It copies xs, leaving the input
-// untouched, and returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); samples outside the
-// range land in the clamped edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-// It panics on a non-positive bin count or an empty range.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if !(hi > lo) {
-		panic("stats: histogram range must be non-empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
 // WinRate summarises pairwise comparisons: the fraction of experiments in
 // which "ours" beat "theirs", optionally by a margin.
 type WinRate struct {
@@ -242,10 +137,4 @@ func (wr *WinRate) Percent() float64 {
 		return 0
 	}
 	return 100 * float64(wr.Wins) / float64(wr.Total)
-}
-
-// Merge folds another WinRate into wr.
-func (wr *WinRate) Merge(o WinRate) {
-	wr.Wins += o.Wins
-	wr.Total += o.Total
 }

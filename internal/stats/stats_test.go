@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"rumr/internal/rng"
 )
@@ -44,53 +43,6 @@ func TestWelfordSingle(t *testing.T) {
 	}
 }
 
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestWelfordMergeEquivalence(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		n1, n2 := src.Intn(50), src.Intn(50)
-		var a, b, all Welford
-		for i := 0; i < n1; i++ {
-			x := src.Uniform(-100, 100)
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := src.Uniform(-100, 100)
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		return math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(a.Variance()-all.Variance()) < 1e-7 &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordMergeIntoEmpty(t *testing.T) {
-	var a, b Welford
-	b.Add(1)
-	b.Add(3)
-	a.Merge(b)
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatalf("merge into empty: %v", a.String())
-	}
-	var c Welford
-	a.Merge(c) // merging empty is a no-op
-	if a.N() != 2 {
-		t.Fatal("merging empty changed the accumulator")
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if Mean(xs) != 2.5 {
@@ -105,80 +57,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4}, {-10, 1}, {110, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Interpolation between ranks.
-	if got := Percentile([]float64{1, 2}, 50); got != 1.5 {
-		t.Errorf("P50 of {1,2} = %v, want 1.5", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-	// The input must not be reordered.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{9, 1, 5}) != 5 {
-		t.Fatal("median wrong")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i))
-	}
-	for i := 0; i < 5; i++ {
-		if h.Counts[i] != 2 {
-			t.Fatalf("bin %d = %d, want 2", i, h.Counts[i])
-		}
-		if math.Abs(h.Fraction(i)-0.2) > 1e-12 {
-			t.Fatalf("fraction %d = %v", i, h.Fraction(i))
-		}
-	}
-	if h.Total() != 10 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// Out-of-range samples clamp to edge bins.
-	h.Add(-100)
-	h.Add(+100)
-	if h.Counts[0] != 3 || h.Counts[4] != 3 {
-		t.Fatal("clamping failed")
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("bin center = %v, want 1", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestWinRate(t *testing.T) {
 	var wr WinRate
 	wr.Record(1.0, 1.2, 0)    // win
@@ -190,12 +68,6 @@ func TestWinRate(t *testing.T) {
 	}
 	if wr.Percent() != 50 {
 		t.Fatalf("percent = %v", wr.Percent())
-	}
-	var other WinRate
-	other.Record(1, 2, 0)
-	wr.Merge(other)
-	if wr.Total != 5 || wr.Wins != 3 {
-		t.Fatal("merge failed")
 	}
 	var empty WinRate
 	if empty.Percent() != 0 {
@@ -231,26 +103,5 @@ func TestWelfordSumBitIdentical(t *testing.T) {
 			t.Fatalf("after %d adds: Sum() = %x, plain sum = %x",
 				i+1, math.Float64bits(w.Sum()), math.Float64bits(plain))
 		}
-	}
-}
-
-func TestWelfordMergeSum(t *testing.T) {
-	src := rng.New(11)
-	var a, b Welford
-	var plain float64
-	for i := 0; i < 100; i++ {
-		x := src.Float64()
-		a.Add(x)
-		plain += x
-	}
-	var sub float64
-	for i := 0; i < 57; i++ {
-		x := src.Float64()
-		b.Add(x)
-		sub += x
-	}
-	a.Merge(b)
-	if math.Float64bits(a.Sum()) != math.Float64bits(plain+sub) {
-		t.Fatalf("merged Sum() = %v, want %v", a.Sum(), plain+sub)
 	}
 }

@@ -89,15 +89,3 @@ func (tr *Trace) ValidateMultiJob(p *platform.Platform, jobs []MultiJobSpec) err
 	}
 	return tr.validateComputeExclusivity()
 }
-
-// JobRecords returns the indices of the records belonging to each job, in
-// record order — the per-job lanes a multi-job trace decomposes into.
-func (tr *Trace) JobRecords(jobs int) [][]int {
-	out := make([][]int, jobs)
-	for i, r := range tr.Records {
-		if r.Job >= 0 && r.Job < jobs {
-			out[r.Job] = append(out[r.Job], i)
-		}
-	}
-	return out
-}

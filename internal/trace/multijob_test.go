@@ -136,17 +136,6 @@ func TestValidateMultiJobRejects(t *testing.T) {
 	}
 }
 
-func TestJobRecords(t *testing.T) {
-	tr := validMultiTrace()
-	lanes := tr.JobRecords(2)
-	if len(lanes[0]) != 2 || lanes[0][0] != 0 || lanes[0][1] != 2 {
-		t.Fatalf("job 0 lane = %v", lanes[0])
-	}
-	if len(lanes[1]) != 1 || lanes[1][0] != 1 {
-		t.Fatalf("job 1 lane = %v", lanes[1])
-	}
-}
-
 // The single-job trace JSON must not change shape: Job is omitted when
 // zero, so pre-multi-job goldens decode and re-encode unchanged.
 func TestChunkRecordJobOmittedWhenZero(t *testing.T) {

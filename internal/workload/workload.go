@@ -10,10 +10,7 @@
 // of an application-inherent prediction error).
 package workload
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Workload is a continuously divisible workload. The amount of input data
 // per chunk is proportional to the chunk's computation (the paper's
@@ -38,55 +35,6 @@ func (w Workload) Validate() error {
 		return fmt.Errorf("workload: total %g must be positive", w.Total)
 	}
 	return nil
-}
-
-// ErrExhausted is returned by Tracker.Take when no work remains.
-var ErrExhausted = errors.New("workload: exhausted")
-
-// Tracker does bookkeeping for dispatching a workload: it hands out chunks
-// and guarantees the pieces sum to exactly the total, absorbing float dust
-// on the last chunk.
-type Tracker struct {
-	total     float64
-	remaining float64
-	taken     int
-}
-
-// NewTracker returns a tracker over total units of work.
-func NewTracker(total float64) *Tracker {
-	return &Tracker{total: total, remaining: total}
-}
-
-// Remaining returns the undispatched work.
-func (t *Tracker) Remaining() float64 { return t.remaining }
-
-// Taken returns how many chunks have been handed out.
-func (t *Tracker) Taken() int { return t.taken }
-
-// Done reports whether all work has been handed out.
-func (t *Tracker) Done() bool { return t.remaining <= 0 }
-
-// Take removes up to size units and returns the actual chunk size: the
-// request is clamped to the remaining work, and if the leftover after the
-// take would be negligible dust (< 1e-9 of the total) it is absorbed into
-// this chunk. Take returns ErrExhausted when nothing remains and an error
-// for non-positive requests.
-func (t *Tracker) Take(size float64) (float64, error) {
-	if t.remaining <= 0 {
-		return 0, ErrExhausted
-	}
-	if size <= 0 {
-		return 0, fmt.Errorf("workload: chunk size %g must be positive", size)
-	}
-	if size > t.remaining {
-		size = t.remaining
-	}
-	if t.remaining-size < 1e-9*t.total {
-		size = t.remaining
-	}
-	t.remaining -= size
-	t.taken++
-	return size, nil
 }
 
 // SequenceMatching models comparing one query against a dictionary of

@@ -1,13 +1,6 @@
 package workload
 
-import (
-	"errors"
-	"math"
-	"testing"
-	"testing/quick"
-
-	"rumr/internal/rng"
-)
+import "testing"
 
 func TestValidate(t *testing.T) {
 	if err := (Workload{Total: 1000}).Validate(); err != nil {
@@ -18,90 +11,6 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Workload{Total: -5}).Validate(); err == nil {
 		t.Fatal("negative workload accepted")
-	}
-}
-
-func TestTrackerExactSum(t *testing.T) {
-	tr := NewTracker(100)
-	sum := 0.0
-	for !tr.Done() {
-		c, err := tr.Take(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += c
-	}
-	if sum != 100 {
-		t.Fatalf("dispatched %v, want exactly 100", sum)
-	}
-	if _, err := tr.Take(1); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("want ErrExhausted, got %v", err)
-	}
-}
-
-func TestTrackerClamp(t *testing.T) {
-	tr := NewTracker(10)
-	c, err := tr.Take(25)
-	if err != nil || c != 10 {
-		t.Fatalf("Take(25) = %v, %v; want 10, nil", c, err)
-	}
-	if !tr.Done() {
-		t.Fatal("tracker should be done")
-	}
-}
-
-func TestTrackerDustAbsorption(t *testing.T) {
-	tr := NewTracker(10)
-	c, err := tr.Take(10 - 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 10 {
-		t.Fatalf("dust not absorbed: chunk = %v", c)
-	}
-	if tr.Remaining() != 0 {
-		t.Fatalf("remaining = %v", tr.Remaining())
-	}
-}
-
-func TestTrackerRejectsBadSize(t *testing.T) {
-	tr := NewTracker(10)
-	if _, err := tr.Take(0); err == nil {
-		t.Fatal("Take(0) accepted")
-	}
-	if _, err := tr.Take(-3); err == nil {
-		t.Fatal("Take(-3) accepted")
-	}
-	if tr.Taken() != 0 {
-		t.Fatal("failed takes must not count")
-	}
-}
-
-// Property: any sequence of positive takes sums exactly to the total and
-// the chunk count matches Taken().
-func TestTrackerConservation(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		total := src.Uniform(1, 1e6)
-		tr := NewTracker(total)
-		sum := 0.0
-		n := 0
-		for !tr.Done() {
-			req := src.Uniform(1e-12, total/3)
-			c, err := tr.Take(req)
-			if err != nil {
-				return false
-			}
-			sum += c
-			n++
-			if n > 10_000_000 {
-				return false // would mean dust absorption failed
-			}
-		}
-		return math.Abs(sum-total) < 1e-9*total && tr.Taken() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
