@@ -216,7 +216,8 @@ func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]
 					Metrics:   r.Metrics,
 				})
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
+						algo.Name(), spread, pi, err)
 				}
 				if math.Abs(out.DispatchedWork-g.Total) > 1e-6*g.Total {
 					return nil, fmt.Errorf("experiment: %s dispatched %g of %g",

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rumr/internal/metrics"
-
 	"rumr/internal/sched"
 	"rumr/internal/sched/factoring"
 	"rumr/internal/sched/rumr"
@@ -167,15 +166,16 @@ func TestHeteroGridValidate(t *testing.T) {
 // TestHeteroWidthsAndWarmCacheByteIdentical runs the heterogeneity study
 // at pool widths 1 and 4, then from a warm result cache, from a
 // checkpoint left by an interrupted run and from that checkpoint once
-// complete: every run's JSON must match the serial run's, and the warm
-// and completed runs must simulate nothing.
+// complete: every run's JSON must match the serial run's, and each run
+// must restore exactly the cells already on record and simulate only
+// the rest.
 func TestHeteroWidthsAndWarmCacheByteIdentical(t *testing.T) {
 	g := smallHeteroGrid()
 	dir := t.TempDir()
 	cache, ckpt := filepath.Join(dir, "cache"), filepath.Join(dir, "hetero.jsonl")
 	cells := int64(len(g.Spreads) * len(g.Errors))
 	var want []byte
-	run := func(name string, r *Runner, wantSims bool) {
+	run := func(name string, r *Runner, restored int64) {
 		t.Helper()
 		m := metrics.New()
 		r.Algorithms, r.Metrics = heteroAlgorithms(), m
@@ -193,19 +193,21 @@ func TestHeteroWidthsAndWarmCacheByteIdentical(t *testing.T) {
 			t.Fatalf("%s: results differ from the serial run:\n%s\nvs\n%s", name, blob, want)
 		}
 		s := m.Snapshot()
-		if s.ConfigsTotal != cells {
-			t.Fatalf("%s: %d cells, want %d", name, s.ConfigsTotal, cells)
+		if s.ConfigsTotal != cells || s.ConfigsSkipped != restored {
+			t.Fatalf("%s: restored %d of %d cells, want %d of %d", name, s.ConfigsSkipped, s.ConfigsTotal, restored, cells)
 		}
-		if sims := s.Simulations > 0; sims != wantSims {
-			t.Fatalf("%s: %d simulations, want computed=%v", name, s.Simulations, wantSims)
+		if want := (cells - restored) * int64(g.Platforms*g.Reps*len(r.Algorithms)); s.Simulations != want {
+			t.Fatalf("%s: %d simulations, want %d", name, s.Simulations, want)
 		}
 	}
-	run("width 1", &Runner{Workers: 1}, true)
-	run("width 4, cold cache", &Runner{Workers: 4, CachePath: cache}, true)
-	run("width 1, warm cache", &Runner{Workers: 1, CachePath: cache}, false)
+	run("width 1", &Runner{Workers: 1}, 0)
+	run("width 4, cold cache", &Runner{Workers: 4, CachePath: cache}, 0)
+	run("width 1, warm cache", &Runner{Workers: 1, CachePath: cache}, cells)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// One worker and a cancel after the second cell leave exactly two
+	// cells on record.
 	r := &Runner{Algorithms: heteroAlgorithms(), Workers: 1, CheckpointPath: ckpt,
 		Progress: func(done, _ int) {
 			if done == 2 {
@@ -215,6 +217,6 @@ func TestHeteroWidthsAndWarmCacheByteIdentical(t *testing.T) {
 	if _, err := r.HeteroContext(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted study err = %v, want context.Canceled", err)
 	}
-	run("width 4, resumed", &Runner{Workers: 4, CheckpointPath: ckpt}, true)
-	run("width 2, completed checkpoint", &Runner{Workers: 2, CheckpointPath: ckpt}, false)
+	run("width 4, resumed", &Runner{Workers: 4, CheckpointPath: ckpt}, 2)
+	run("width 2, completed checkpoint", &Runner{Workers: 2, CheckpointPath: ckpt}, cells)
 }
