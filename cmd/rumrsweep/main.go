@@ -52,8 +52,8 @@
 //	rumrsweep -serve :9090 -cache cache -table2   # terminal 1: coordinator
 //	rumrsweep -join localhost:9090                # terminal 2..N: workers
 //
-// -serve distributes only the paper sweep; -multijob and -resilience run
-// in the serving process.
+// -serve distributes only the paper sweep; -multijob, -resilience and
+// -hetero run in the serving process.
 //
 // While serving with -debug-addr, /shards reports per-worker lease
 // accounting next to /metrics, and /trace serves the fused distributed
@@ -109,13 +109,13 @@ type sweepCtx struct {
 
 func main() {
 	var (
-		smoke   = flag.Bool("smoke", false, "use the seconds-scale smoke grid")
+		smoke   = flag.Bool("smoke", false, "use the seconds-scale smoke grid; its 5 reps cap the studies' too, so -hetero keeps its 5")
 		full    = flag.Bool("full", false, "use the complete Table 1 grid (hours of CPU)")
 		outDir  = flag.String("out", "", "directory to write CSV files into (optional)")
 		workers = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
 		uniform = flag.Bool("uniform", false, "use the uniform error model (the paper's alternative)")
 		unknown = flag.Bool("unknown-error", false, "hide the error magnitude from the schedulers")
-		reps    = flag.Int("reps", 0, "override repetitions per cell")
+		reps    = flag.Int("reps", 0, "override repetitions per cell (caps -multijob, -resilience and -hetero too)")
 		quiet   = flag.Bool("q", false, "suppress progress output")
 		logFmt  = flag.String("log", "text", "status log format: text or json")
 
@@ -513,6 +513,10 @@ func (sc *sweepCtx) standardSweep() (*rumr.SweepResults, error) {
 	return res, nil
 }
 
+// reps caps a study's repetitions by the sweep grid's, so -smoke and -reps
+// shrink every study.
+func (sc *sweepCtx) reps(n int) int { return min(n, sc.grid.Reps) }
+
 // writeCSV saves an artifact CSV when -out was given.
 func (sc *sweepCtx) writeCSV(name string, write func(f *os.File) error) error {
 	if sc.outDir == "" {
@@ -687,9 +691,7 @@ func runUMRBase(sc *sweepCtx) error {
 // algorithm's own fault-free baseline.
 func runResilience(sc *sweepCtx) error {
 	g := experiment.DefaultResilienceGrid()
-	if sc.grid.Reps > 0 && sc.grid.Reps < g.Reps {
-		g.Reps = sc.grid.Reps // -smoke / -reps shrink the study too
-	}
+	g.Reps = sc.reps(g.Reps)
 	r := sc.runner("resilience", append(experiment.StandardAlgorithms(), rumr.RUMRFaultTolerant()))
 	res, err := r.ResilienceContext(sc.ctx, g)
 	if err != nil {
@@ -745,9 +747,7 @@ func runResilience(sc *sweepCtx) error {
 
 func runMultiJob(sc *sweepCtx) error {
 	g := experiment.DefaultMultiJobGrid()
-	if sc.grid.Reps > 0 && sc.grid.Reps < g.Reps {
-		g.Reps = sc.grid.Reps // -smoke / -reps shrink the study too
-	}
+	g.Reps = sc.reps(g.Reps)
 	r := sc.runner("multijob", []rumr.Scheduler{rumr.RUMR(), rumr.Factoring(), rumr.MI(1)})
 	res, err := r.MultiJobContext(sc.ctx, g)
 	if err != nil {
@@ -794,6 +794,7 @@ func runMultiJob(sc *sweepCtx) error {
 
 func runHetero(sc *sweepCtx) error {
 	g := experiment.DefaultHeteroGrid()
+	g.Reps = sc.reps(g.Reps)
 	algos := []rumr.Scheduler{
 		rumr.RUMR(), rumr.UMR(), rumr.Factoring(), rumr.WeightedFactoring(),
 	}
@@ -818,5 +819,19 @@ func runHetero(sc *sweepCtx) error {
 		}
 		fmt.Println()
 	}
-	return nil
+	return sc.writeCSV("hetero.csv", func(f *os.File) error {
+		if _, err := fmt.Fprintln(f, "spread,error,algorithm,ratio"); err != nil {
+			return err
+		}
+		for si, spread := range g.Spreads {
+			for ei, e := range g.Errors {
+				for ai, a := range res.Algorithms {
+					if _, err := fmt.Fprintf(f, "%g,%g,%s,%g\n", spread, e, a, res.Ratio[si][ei][ai]); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	})
 }

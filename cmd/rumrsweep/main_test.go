@@ -51,10 +51,11 @@ func rumrsweep(t *testing.T, args ...string) ([]byte, metrics.Snapshot) {
 // multi-job study, the resilience study and the heterogeneity study twice
 // against one checkpoint directory: the second run must restore every
 // cell of every study instead of computing it, and print byte-identical
-// output.
+// output. The hetero study writes its CSV under -out like the others.
 func TestCheckpointResumeRestoresEveryStudy(t *testing.T) {
+	outDir := t.TempDir()
 	args := []string{"-smoke", "-table2", "-multijob", "-resilience", "-hetero", "-q", "-workers", "2",
-		"-checkpoint", filepath.Join(t.TempDir(), "ckpt")}
+		"-checkpoint", filepath.Join(t.TempDir(), "ckpt"), "-out", outDir}
 	first, cold := rumrsweep(t, args...)
 	if cold.ConfigsTotal == 0 || cold.ConfigsSkipped != 0 {
 		t.Fatalf("cold run: %d cells, %d restored; want a computed sweep", cold.ConfigsTotal, cold.ConfigsSkipped)
@@ -68,6 +69,23 @@ func TestCheckpointResumeRestoresEveryStudy(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatalf("resumed output differs:\n%s\nvs\n%s", second, first)
+	}
+	csv, err := os.ReadFile(filepath.Join(outDir, "hetero.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A header, then 4 spreads × 3 errors × 3 competitors.
+	if lines := bytes.Count(csv, []byte("\n")); lines != 1+4*3*3 {
+		t.Fatalf("hetero.csv has %d lines, want 37:\n%s", lines, csv)
+	}
+}
+
+// TestHeteroHonoursReps checks that -reps caps the hetero study: its
+// 20 platforms × 3 errors × 4 algorithms × 4 spreads run once each.
+func TestHeteroHonoursReps(t *testing.T) {
+	_, snap := rumrsweep(t, "-hetero", "-reps", "1", "-q", "-workers", "2")
+	if snap.Simulations != 960 {
+		t.Fatalf("simulations = %d, want 960", snap.Simulations)
 	}
 }
 

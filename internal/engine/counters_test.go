@@ -9,15 +9,6 @@ import (
 	"rumr/internal/rng"
 )
 
-// resetDemand is demandDispatcher with a reset, so one value drives many
-// runs without allocating a fresh dispatcher per run.
-type resetDemand struct {
-	demandDispatcher
-	total float64
-}
-
-func (d *resetDemand) reset() { d.remaining = d.total }
-
 func TestCountersAccumulate(t *testing.T) {
 	p := platform.Homogeneous(4, 1, 16, 0.1, 0.1)
 	src := rng.New(7)
@@ -123,33 +114,5 @@ func TestCountersDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("counters differ across identical runs:\n%+v\n%+v", a, b)
-	}
-}
-
-// Enabling counters must not add a single allocation to the hot path:
-// accumulation is plain integer adds on caller-owned state. Mirrors the
-// BenchmarkEngineRunCounters gate, as a test so plain `go test` catches
-// a regression without the bench harness.
-func TestCountersZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	p := platform.Homogeneous(20, 1, 30, 0.3, 0.3)
-	d := &resetDemand{total: 1000}
-	d.size = 5
-	var ctrs Counters
-	opts := Options{Counters: &ctrs}
-	runOnce := func() {
-		d.reset()
-		if _, err := Run(p, d, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runOnce() // warm pools and grow slices outside the measured region
-	if allocs := testing.AllocsPerRun(20, runOnce); allocs > 0 {
-		t.Fatalf("engine run with counters allocates %.1f times per run", allocs)
-	}
-	if ctrs.EventsPopped == 0 {
-		t.Fatal("counters stayed zero")
 	}
 }

@@ -38,8 +38,9 @@
 // between runs, and every per-chunk callback is a shared top-level
 // function scheduled through des.AfterCall with the chunk as its argument
 // — no closures are captured per chunk-hop. BenchmarkEngineRun and
-// BenchmarkMultiJobRun (internal/bench) pin 0 allocs/op; pooling is
-// invisible to results: same-seed runs stay byte-identical (see
+// BenchmarkMultiJobRun measure it, and their zero-alloc twins in
+// alloc_test.go require 0 allocs per run. Pooling is invisible to
+// results: same-seed runs stay byte-identical (see
 // TestGoldenTracesByteIdentical and TestEngineDigest).
 package engine
 

@@ -3,65 +3,8 @@ package engine
 import (
 	"testing"
 
-	"rumr/internal/perferr"
 	"rumr/internal/platform"
-	"rumr/internal/rng"
 )
-
-// The pooled multi-job path must be allocation-free in steady state, with
-// counters enabled, error models drawing, and the caller-owned JobResults
-// buffer absorbing the per-run result slice. Mirrors the
-// BenchmarkMultiJobRun gate as a plain test.
-func TestRunMultiZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	p := platform.Homogeneous(20, 1, 30, 0.3, 0.3)
-	src := rng.New(42)
-	const nJobs = 4
-	ds := make([]*resetDemand, nJobs)
-	jobs := make([]Job, nJobs)
-	for j := range jobs {
-		ds[j] = &resetDemand{total: 250}
-		ds[j].size = 5
-		jobs[j] = Job{
-			Arrival:    float64(j) * 4,
-			Priority:   nJobs - 1 - j,
-			Weight:     float64(j + 1),
-			Total:      250,
-			Dispatcher: ds[j],
-			CommModel:  perferr.NewTruncNormal(0.2, src.Split()),
-			CompModel:  perferr.NewTruncNormal(0.2, src.Split()),
-		}
-	}
-	var ctrs Counters
-	opts := MultiOptions{
-		Policy:     WeightedShare(),
-		Counters:   &ctrs,
-		JobResults: make([]JobResult, 0, nJobs),
-	}
-	runOnce := func() {
-		for _, d := range ds {
-			d.reset()
-		}
-		if _, err := RunMulti(p, jobs, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runOnce() // warm the pool and grow slices outside the measured region
-	if allocs := testing.AllocsPerRun(20, runOnce); allocs > 0 {
-		t.Fatalf("multi-job run allocates %.1f times per run in steady state", allocs)
-	}
-	if ctrs.EventsPushed == 0 || ctrs.EventsPopped == 0 {
-		t.Fatalf("event counters stayed zero: %+v", ctrs)
-	}
-	if ctrs.SyncViewBytes == 0 || ctrs.SyncViewCopies == 0 {
-		t.Fatalf("syncView counters stayed zero: %+v", ctrs)
-	}
-	if ctrs.TruncNormalDraws == 0 || ctrs.UniformDraws != 0 {
-		t.Fatalf("draw counters misclassified: %+v", ctrs)
-	}
-}
 
 // ExpectedChunks is the no-regrow hint for traced multi-job runs: when the
 // hint matches the actual chunk count — a repeat of the previous

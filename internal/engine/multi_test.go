@@ -285,40 +285,6 @@ func TestRunMultiInputValidation(t *testing.T) {
 	}
 }
 
-// Run and RunMulti share one pool of run states, so a state that last
-// hosted several jobs must come back clean and right-sized for a lone job:
-// the single-job hot path stays allocation-free with multi-job runs
-// interleaved between (and during warmup of) its pooled runs.
-func TestSingleRunZeroAllocInterleavedWithMulti(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	p := platform.Homogeneous(20, 1, 30, 0.3, 0.3)
-	multiOnce := func() {
-		_, err := RunMulti(p, []Job{
-			{Total: 50, Dispatcher: &demandDispatcher{remaining: 50, size: 5}},
-			{Total: 50, Arrival: 1, Dispatcher: &demandDispatcher{remaining: 50, size: 5}},
-		}, MultiOptions{Policy: WeightedShare()})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := &demandDispatcher{}
-	singleOnce := func() {
-		d.remaining, d.size = 1000, 5
-		if _, err := Run(p, d, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	singleOnce() // warm the run pool outside the measured region
-	multiOnce()  // dirty whatever a buggy shared pool would share
-	singleOnce()
-	multiOnce()
-	if allocs := testing.AllocsPerRun(10, singleOnce); allocs > 0 {
-		t.Fatalf("single-job run allocates %.1f times per run after multi-job interleaving", allocs)
-	}
-}
-
 func TestRunMultiRejectsBadDispatch(t *testing.T) {
 	p := multiTestPlatform()
 	_, err := RunMulti(p, []Job{{Total: 1,

@@ -179,44 +179,6 @@ func TestBatchedMultiCellMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMultiCellZeroAllocSteadyState pins the batched multi-job path's
-// headline property: once a MultiCellState is warm, recomputing the same
-// (policy, rate) cell allocates nothing. The test-level twin of the
-// BenchmarkMultiJobCell allocs/op gate in BENCH_baseline.json.
-func TestMultiCellZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	g := MultiJobGrid{
-		Config:       Config{N: 20, R: 1.8, CLat: 0.3, NLat: 0.9},
-		Jobs:         4,
-		ArrivalRates: []float64{0.02},
-		Error:        0.2,
-		Reps:         3,
-		Total:        500,
-		BaseSeed:     2003,
-	}
-	r := &Runner{
-		Algorithms: []sched.Scheduler{
-			rumr.Scheduler{}, factoring.Scheduler{}, mi.Scheduler{Installments: 1},
-		},
-		Workers: 1,
-	}
-	cs := NewMultiCellState()
-	dst := NewCellBlock(multiCellRows, len(r.Algorithms))
-	pol := engine.WeightedShare()
-	ctx := context.Background()
-	run := func() {
-		if err := r.ComputeMultiJobCellInto(ctx, g, pol, g.ArrivalRates[0], cs, dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm: build prototypes, grow engine pools
-	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("steady-state multi-job cell computation allocated %v times per run, want 0", allocs)
-	}
-}
-
 // TestMultiCellExpectedChunksFromPlanner pins that the ExpectedChunks
 // hint handed to engine.RunMulti comes from planner output: after
 // preparation, an algorithm with a planned dispatcher carries the sum of

@@ -5,50 +5,17 @@ import (
 	"testing"
 )
 
-func benchGridCell() (Grid, Config) {
-	g := Grid{
-		Ns: []int{20}, Rs: []float64{1.5}, CLats: []float64{0.3}, NLats: []float64{0.3},
-		Errors: []float64{0.3}, Reps: 10, Total: 1000, BaseSeed: 2003,
-	}
-	return g, g.Configs()[0]
-}
-
-// BenchmarkCellBatched and BenchmarkCellReference measure the same cell
-// through the batch path and through the frozen pre-batch reference
-// implementation (batch_test.go), so the batching win can be read off
-// one interleaved `go test -bench 'CellBatched|CellReference'` run
-// instead of compared across machines. The committed SweepCell baseline
-// tracks the batched number.
-func BenchmarkCellBatched(b *testing.B) {
-	g, cfg := benchGridCell()
-	r := &Runner{Algorithms: StandardAlgorithms(), Workers: 1}
-	cs := NewCellState()
-	dst := NewCellBlock(len(g.Errors), len(r.Algorithms))
-	ctx := context.Background()
-	if err := r.ComputeCellInto(ctx, g, cfg, cs, dst); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.ComputeCellInto(ctx, g, cfg, cs, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkCellReference measures BenchmarkSweepCell's cell through the
+// frozen pre-batch reference implementation (batch_test.go), so the
+// batching win can be read off one interleaved
+// `go test -bench 'SweepCell|CellReference'` run instead of compared
+// across machines.
 func BenchmarkCellReference(b *testing.B) {
-	g, cfg := benchGridCell()
+	g := centralGrid(0.3)
+	cfg := g.Configs()[0]
 	r := &Runner{Algorithms: StandardAlgorithms(), Workers: 1}
-	ctx := context.Background()
-	if _, err := computeCellReference(r, ctx, g, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := computeCellReference(r, ctx, g, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSteadyState(b, func() error {
+		_, err := computeCellReference(r, context.Background(), g, cfg)
+		return err
+	})
 }

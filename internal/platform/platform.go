@@ -104,13 +104,6 @@ func (p *Platform) TotalSpeed() float64 {
 	return sum
 }
 
-// Clone returns a deep copy of the platform.
-func (p *Platform) Clone() *Platform {
-	ws := make([]Worker, len(p.Workers))
-	copy(ws, p.Workers)
-	return &Platform{Workers: ws}
-}
-
 // Homogeneous constructs a platform of n identical workers, matching the
 // experimental setup of the paper (Table 1): speed s, link rate b, and the
 // two latencies. tLat is taken as zero there; use the Worker slice directly

@@ -87,15 +87,6 @@ func TestTotalSpeed(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := Homogeneous(2, 1, 4, 0, 0)
-	c := p.Clone()
-	c.Workers[0].S = 99
-	if p.Workers[0].S == 99 {
-		t.Fatal("clone shares backing array")
-	}
-}
-
 func TestHeterogeneousGenerator(t *testing.T) {
 	spec := HeterogeneousSpec{
 		N: 16, SMin: 0.5, SMax: 2, BMin: 10, BMax: 50,
