@@ -89,6 +89,15 @@ func studyDigest(t *testing.T) string {
 		res, err := r.MultiJob(mg)
 		jsonRow(fmt.Sprintf("multijob workers=%d", workers), res, err)
 	}
+	for _, unknown := range []bool{false, true} {
+		r := &Runner{
+			Algorithms:   []sched.Scheduler{rumr.Scheduler{}, factoring.Scheduler{}, mi.Scheduler{Installments: 1}},
+			ErrorModel:   UniformError,
+			UnknownError: unknown,
+		}
+		res, err := r.MultiJob(mg)
+		jsonRow(fmt.Sprintf("multijob model=%d unknown=%v", UniformError, unknown), res, err)
+	}
 
 	rg := DefaultResilienceGrid()
 	rg.Config = Config{N: 10, R: 1.8, CLat: 0.3, NLat: 0.9}
@@ -98,10 +107,15 @@ func studyDigest(t *testing.T) string {
 		name    string
 		workers int
 		unknown bool
-	}{{"workers=1", 1, false}, {"workers=4", 4, false}, {"unknown=true", 0, true}} {
+		model   ErrorModelKind
+	}{
+		{"workers=1", 1, false, NormalError}, {"workers=4", 4, false, NormalError}, {"unknown=true", 0, true, NormalError},
+		{"model=1", 0, false, UniformError}, {"model=1 unknown=true", 0, true, UniformError},
+	} {
 		r := &Runner{
 			Algorithms:   append(StandardAlgorithms(), rumr.FaultTolerant{}),
 			Workers:      v.workers,
+			ErrorModel:   v.model,
 			UnknownError: v.unknown,
 		}
 		res, err := r.Resilience(rg)
@@ -122,6 +136,11 @@ func studyDigest(t *testing.T) string {
 			r := &Runner{Algorithms: set.algos(), Workers: workers}
 			res, err := r.Hetero(smallHeteroGrid())
 			jsonRow(fmt.Sprintf("hetero %s workers=%d", set.name, workers), res, err)
+		}
+		for _, unknown := range []bool{false, true} {
+			r := &Runner{Algorithms: set.algos(), ErrorModel: UniformError, UnknownError: unknown}
+			res, err := r.Hetero(smallHeteroGrid())
+			jsonRow(fmt.Sprintf("hetero %s model=%d unknown=%v", set.name, UniformError, unknown), res, err)
 		}
 	}
 	res, err := (&Runner{Algorithms: heteroAlgorithms()}).Hetero(DefaultHeteroGrid())
