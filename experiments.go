@@ -94,14 +94,10 @@ func SweepContext(ctx context.Context, g Grid, opts SweepOptions) (*SweepResults
 	if algos == nil {
 		algos = experiment.StandardAlgorithms()
 	}
-	kind := experiment.NormalError
-	if opts.Model == UniformError {
-		kind = experiment.UniformError
-	}
 	r := &experiment.Runner{
 		Algorithms:     algos,
 		Workers:        opts.Workers,
-		ErrorModel:     kind,
+		ErrorModel:     opts.Model,
 		UnknownError:   opts.UnknownError,
 		Progress:       opts.Progress,
 		CheckpointPath: opts.CheckpointPath,

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"rumr/internal/engine"
+	"rumr/internal/perferr"
+	"rumr/internal/rng"
 	"rumr/internal/sched"
 	"rumr/internal/sched/fsc"
 	"rumr/internal/sched/gss"
@@ -59,8 +61,8 @@ func computeCellReference(r *Runner, ctx context.Context, g Grid, cfg Config) ([
 				}
 				src := cellSeed(g, cfg, errMag, rep)
 				out, err := engine.Run(p, d, engine.Options{
-					CommModel: r.model(errMag, src.Split()),
-					CompModel: r.model(errMag, src.Split()),
+					CommModel: referenceModel(r.ErrorModel, errMag, src.Split()),
+					CompModel: referenceModel(r.ErrorModel, errMag, src.Split()),
 				})
 				if err != nil {
 					return nil, err
@@ -77,6 +79,20 @@ func computeCellReference(r *Runner, ctx context.Context, g Grid, cfg Config) ([
 		}
 	}
 	return cell, nil
+}
+
+// referenceModel is the per-run model construction of the frozen
+// references: a fresh model on its own source for every run, chosen
+// independently of perferr.Stream so the references stay an oracle for
+// the reusable streams the batched paths bind.
+func referenceModel(kind ErrorModelKind, errMag float64, src *rng.Source) perferr.Model {
+	if errMag <= 0 {
+		return perferr.Perfect{}
+	}
+	if kind == UniformError {
+		return perferr.NewUniform(errMag, src)
+	}
+	return perferr.NewTruncNormal(errMag, src)
 }
 
 // batchEquivalenceAlgorithms covers every dispatcher shape: memoized

@@ -18,9 +18,8 @@ import (
 // all Reps × Errors × Algorithms runs of a single configuration — as a
 // batch. It owns the platform (refilled in place per configuration), the
 // plan memo, one dispatcher prototype per (error, algorithm) that is
-// Reset between repetitions instead of reconstructed, the RNG sources the
-// error streams are drawn from (reseeded in place per repetition), the
-// error-model values fed to the engine, and the per-algorithm makespan
+// Reset between repetitions instead of reconstructed, the error streams
+// (re-split in place per repetition) and the per-algorithm makespan
 // accumulators. At steady state — the same cell computed repeatedly, as
 // in BenchmarkSweepCell — a cell executes with zero heap allocations.
 //
@@ -52,12 +51,12 @@ type CellState struct {
 	protos protoSet
 	acc    []stats.Welford
 
-	// src is the per-(config, error, rep) stream; the engine's comm and
-	// comp streams are split from it exactly as the unbatched path did.
-	src, commSrc, compSrc rng.Source
-	seed                  [7]uint64
-	commTN, compTN        perferr.TruncNormal
-	commUni, compUni      perferr.Uniform
+	// src is the per-(config, error, rep) master stream; the engine's
+	// comm and comp streams are split from it exactly as the unbatched
+	// path did.
+	src     rng.Source
+	seed    [7]uint64
+	streams perferr.Pair
 
 	// counters is the telemetry of the last ComputeCellInto call: zeroed
 	// at its top, the plan counts set by prepare, the engine counters fed
@@ -220,14 +219,10 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 	cs.errs = resize(cs.errs, nErr)
 	copy(cs.errs, g.Errors)
 	for ei, errMag := range g.Errors {
-		known := errMag
-		if r.UnknownError {
-			known = -1
-		}
 		cs.probs[ei] = sched.Problem{
 			Platform:   cs.p,
 			Total:      g.Total,
-			KnownError: known,
+			KnownError: r.knownError(errMag),
 			MinUnit:    1,
 		}
 	}
@@ -286,22 +281,6 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 		for ai := range cs.acc {
 			cs.acc[ai] = stats.Welford{}
 		}
-		// Bind this error level's perturbation models once; per repetition
-		// only their sources are reseeded. Interface conversions of the
-		// pointers (and of zero-width Perfect) do not allocate.
-		var commM, compM perferr.Model
-		switch {
-		case errMag <= 0:
-			commM, compM = perferr.Perfect{}, perferr.Perfect{}
-		case r.ErrorModel == UniformError:
-			cs.commUni = perferr.Uniform{Err: errMag, Src: &cs.commSrc}
-			cs.compUni = perferr.Uniform{Err: errMag, Src: &cs.compSrc}
-			commM, compM = &cs.commUni, &cs.compUni
-		default:
-			cs.commTN = perferr.TruncNormal{Err: errMag, Src: &cs.commSrc}
-			cs.compTN = perferr.TruncNormal{Err: errMag, Src: &cs.compSrc}
-			commM, compM = &cs.commTN, &cs.compTN
-		}
 		for rep := 0; rep < g.Reps; rep++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -319,8 +298,7 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 				// (error, rep) — common random numbers, same split order as
 				// the unbatched path: comm first, then comp.
 				cs.reseedCell(g, cfg, errMag, rep)
-				cs.src.SplitInto(&cs.commSrc)
-				cs.src.SplitInto(&cs.compSrc)
+				commM, compM := cs.streams.Split(&cs.src, r.ErrorModel, errMag)
 				out, err := engine.Run(cs.p, d, engine.Options{
 					CommModel:      commM,
 					CompModel:      compM,

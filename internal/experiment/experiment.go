@@ -246,14 +246,14 @@ func Fig7Algorithms() []sched.Scheduler {
 }
 
 // ErrorModelKind selects the distribution of the prediction-error ratio.
-type ErrorModelKind int
+type ErrorModelKind = perferr.Kind
 
 const (
 	// NormalError is the paper's truncated normal model.
-	NormalError ErrorModelKind = iota
+	NormalError = perferr.NormalError
 	// UniformError is the alternative the paper reports as "essentially
 	// similar".
-	UniformError
+	UniformError = perferr.UniformError
 )
 
 // Results holds the mean makespans of a sweep, indexed
@@ -324,14 +324,13 @@ type Runner struct {
 	plans sched.SharedPlans
 }
 
-func (r *Runner) model(errMag float64, src *rng.Source) perferr.Model {
-	if errMag <= 0 {
-		return perferr.Perfect{}
+// knownError is the error magnitude the schedulers are told for a true
+// magnitude of errMag: errMag itself, or -1 when UnknownError hides it.
+func (r *Runner) knownError(errMag float64) float64 {
+	if r.UnknownError {
+		return -1
 	}
-	if r.ErrorModel == UniformError {
-		return perferr.NewUniform(errMag, src)
-	}
-	return perferr.NewTruncNormal(errMag, src)
+	return errMag
 }
 
 // Sweep runs the grid and returns per-(config, error, algorithm) mean

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"rumr/internal/engine"
+	"rumr/internal/perferr"
 	"rumr/internal/platform"
 	"rumr/internal/rng"
 	"rumr/internal/sched"
@@ -181,17 +182,18 @@ func (r *Runner) HeteroContext(ctx context.Context, g HeteroGrid) (*HeteroResult
 // index, rep) and shared by all algorithms (common random numbers).
 func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]float64, error) {
 	spread, errMag := g.Spreads[si], g.Errors[ei]
-	known := errMag
-	if r.UnknownError {
-		known = -1
-	}
 	nAlg := len(r.Algorithms)
 	acc := make([]stats.Welford, nAlg-1)
 	mks := make([]float64, nAlg)
-	var protos protoSet
+	var (
+		protos   protoSet
+		master   rng.Source
+		streams  perferr.Pair
+		counters engine.Counters
+	)
 	for pi := 0; pi < g.Platforms; pi++ {
 		p := g.platformFor(spread, pi)
-		pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: known, MinUnit: 1}
+		pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: r.knownError(errMag), MinUnit: 1}
 		protos.reset(&r.plans, p, nAlg)
 		for ai, algo := range r.Algorithms {
 			if err := protos.build(ai, algo, pr); err != nil {
@@ -209,11 +211,13 @@ func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]
 				if err != nil {
 					return nil, fmt.Errorf("experiment: spread %g platform %d: %w", spread, pi, err)
 				}
-				src := rng.NewFrom(g.BaseSeed+1, math.Float64bits(spread), uint64(pi), uint64(ei), uint64(rep))
+				master.ReseedFrom(g.BaseSeed+1, math.Float64bits(spread), uint64(pi), uint64(ei), uint64(rep))
+				comm, comp := streams.Split(&master, r.ErrorModel, errMag)
 				out, err := engine.Run(p, d, engine.Options{
-					CommModel: r.model(errMag, src.Split()),
-					CompModel: r.model(errMag, src.Split()),
+					CommModel: comm,
+					CompModel: comp,
 					Metrics:   r.Metrics,
+					Counters:  &counters,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
@@ -229,6 +233,9 @@ func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]
 				acc[ai-1].Add(mks[ai] / mks[0])
 			}
 		}
+	}
+	if r.Metrics != nil {
+		r.Metrics.AddEngineCounters(counters)
 	}
 	block := NewCellBlock(1, nAlg-1)
 	for ai := range acc {

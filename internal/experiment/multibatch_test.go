@@ -69,8 +69,8 @@ func runMultiJobCellReference(r *Runner, ctx context.Context, g MultiJobGrid, po
 					Weight:     1,
 					Total:      g.Total,
 					Dispatcher: d,
-					CommModel:  r.model(g.Error, src.Split()),
-					CompModel:  r.model(g.Error, src.Split()),
+					CommModel:  referenceModel(r.ErrorModel, g.Error, src.Split()),
+					CompModel:  referenceModel(r.ErrorModel, g.Error, src.Split()),
 				}
 			}
 			if !ok {

@@ -36,9 +36,8 @@ const MultiCellRows = multiCellRows
 // rate) point — as a batch, the sibling of the single-job CellState. It
 // owns the platform (refilled in place), the plan memo, one dispatcher
 // prototype per (algorithm, job) that is Reset between repetitions via
-// sched.Replayable instead of reconstructed, the per-job RNG sources the
-// error streams are reseeded into, the per-job error-model values, the
-// arrival-time buffer regenerated in place per repetition, the job spec
+// sched.Replayable instead of reconstructed, the per-job error streams
+// (re-split in place per run), the arrival-time buffer regenerated in place per repetition, the job spec
 // and JobResult buffers handed to engine.RunMulti, and the per-algorithm
 // Welford accumulators. At steady state — the same cell computed
 // repeatedly, as in BenchmarkMultiJobCell — a cell executes with zero
@@ -83,12 +82,9 @@ type MultiCellState struct {
 
 	// src is the per-(rate, rep) master stream; each job's comm and comp
 	// streams are split from it exactly as the unbatched path did.
-	src              rng.Source
-	commSrc, compSrc []rng.Source
-	commTN, compTN   []perferr.TruncNormal
-	commUni, compUni []perferr.Uniform
-	commM, compM     []perferr.Model
-	seed             [4]uint64
+	src     rng.Source
+	streams []perferr.Pair
+	seed    [4]uint64
 
 	arr         []float64 // arrival times, regenerated in place
 	inv         []float64 // inverse slowdowns for the Jain index
@@ -115,8 +111,8 @@ func (cs *MultiCellState) preparedFor(r *Runner, g MultiJobGrid) bool {
 }
 
 // prepare refills the platform, resets the memo, builds one dispatcher
-// prototype per (algorithm, job) and binds each job's perturbation models
-// to its reseedable sources. Construction is deterministic and consumes
+// prototype per (algorithm, job) and sizes each job's error streams.
+// Construction is deterministic and consumes
 // no randomness, so hoisting it out of the repetition loop cannot change
 // results; a construction failure marks the algorithm failed for the
 // whole sweep in one attempt instead of Reps identical ones.
@@ -126,11 +122,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	cfg := g.Config
 	cs.p.FillHomogeneous(cfg.N, 1, cfg.R*float64(cfg.N), cfg.CLat, cfg.NLat)
 	cs.protos.reset(&r.plans, cs.p, nAlg*nJ)
-	known := g.Error
-	if r.UnknownError {
-		known = -1
-	}
-	cs.prob = sched.Problem{Platform: cs.p, Total: g.Total, KnownError: known, MinUnit: 1}
+	cs.prob = sched.Problem{Platform: cs.p, Total: g.Total, KnownError: r.knownError(g.Error), MinUnit: 1}
 	cs.names = resize(cs.names, nJ)
 	for j := range cs.names {
 		cs.names[j] = fmt.Sprintf("job%d", j)
@@ -155,31 +147,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	cs.accMk = resize(cs.accMk, nAlg)
 	cs.jobs = resize(cs.jobs, nJ)
 	cs.jobRes = resize(cs.jobRes, nJ)
-	cs.commSrc = resize(cs.commSrc, nJ)
-	cs.compSrc = resize(cs.compSrc, nJ)
-	cs.commTN = resize(cs.commTN, nJ)
-	cs.compTN = resize(cs.compTN, nJ)
-	cs.commUni = resize(cs.commUni, nJ)
-	cs.compUni = resize(cs.compUni, nJ)
-	cs.commM = resize(cs.commM, nJ)
-	cs.compM = resize(cs.compM, nJ)
-	// Bind each job's perturbation models once; per repetition only the
-	// sources are reseeded. The bindings must happen after every resize
-	// above: they hold pointers into the slices.
-	for j := 0; j < nJ; j++ {
-		switch {
-		case g.Error <= 0:
-			cs.commM[j], cs.compM[j] = perferr.Perfect{}, perferr.Perfect{}
-		case r.ErrorModel == UniformError:
-			cs.commUni[j] = perferr.Uniform{Err: g.Error, Src: &cs.commSrc[j]}
-			cs.compUni[j] = perferr.Uniform{Err: g.Error, Src: &cs.compSrc[j]}
-			cs.commM[j], cs.compM[j] = &cs.commUni[j], &cs.compUni[j]
-		default:
-			cs.commTN[j] = perferr.TruncNormal{Err: g.Error, Src: &cs.commSrc[j]}
-			cs.compTN[j] = perferr.TruncNormal{Err: g.Error, Src: &cs.compSrc[j]}
-			cs.commM[j], cs.compM[j] = &cs.commTN[j], &cs.compTN[j]
-		}
-	}
+	cs.streams = resize(cs.streams, nJ)
 	cs.arr = resize(cs.arr, nJ)
 	cs.inv = resize(cs.inv, nJ)
 	cs.resp = resize(cs.resp, nJ)
@@ -280,8 +248,7 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 				if err != nil {
 					return fmt.Errorf("experiment: %s: %w", g.Config, err)
 				}
-				cs.src.SplitInto(&cs.commSrc[j])
-				cs.src.SplitInto(&cs.compSrc[j])
+				comm, comp := cs.streams[j].Split(&cs.src, r.ErrorModel, g.Error)
 				cs.jobs[j] = engine.Job{
 					Name:       cs.names[j],
 					Arrival:    cs.arr[j],
@@ -289,8 +256,8 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 					Weight:     1,
 					Total:      g.Total,
 					Dispatcher: d,
-					CommModel:  cs.commM[j],
-					CompModel:  cs.compM[j],
+					CommModel:  comm,
+					CompModel:  comp,
 				}
 			}
 			out, err := engine.RunMulti(cs.p, cs.jobs, engine.MultiOptions{

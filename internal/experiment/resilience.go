@@ -7,6 +7,7 @@ import (
 
 	"rumr/internal/engine"
 	"rumr/internal/fault"
+	"rumr/internal/perferr"
 	"rumr/internal/rng"
 	"rumr/internal/sched"
 )
@@ -215,11 +216,7 @@ func (r *Runner) ResilienceContext(ctx context.Context, g ResilienceGrid) (*Resi
 // pool scheduling.
 func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, horizon float64) ([][]float64, error) {
 	p := g.Config.Platform()
-	known := g.Error
-	if r.UnknownError {
-		known = -1
-	}
-	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: known, MinUnit: 1}
+	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: r.knownError(g.Error), MinUnit: 1}
 	var protos protoSet
 	protos.reset(&r.plans, p, len(r.Algorithms))
 	for ai, algo := range r.Algorithms {
@@ -227,7 +224,12 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 	}
 	protos.flushPlans(r.Metrics)
 	label := "baseline"
-	opts := engine.Options{Metrics: r.Metrics}
+	var (
+		master   rng.Source
+		streams  perferr.Pair
+		counters engine.Counters
+	)
+	opts := engine.Options{Metrics: r.Metrics, Counters: &counters}
 	var scenario fault.Scenario
 	if i > 0 {
 		label = fmt.Sprintf("crash rate %g", g.CrashRates[i-1])
@@ -247,7 +249,8 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 			return nil, err
 		}
 		if i > 0 {
-			opts.Faults = scenario.Generate(p.N(), rng.NewFrom(g.BaseSeed, uint64(i-1), uint64(rep), 0xFA))
+			master.ReseedFrom(g.BaseSeed, uint64(i-1), uint64(rep), 0xFA)
+			opts.Faults = scenario.Generate(p.N(), &master)
 		}
 		for ai, algo := range r.Algorithms {
 			if !protos.built(ai) {
@@ -257,9 +260,8 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 			if err != nil {
 				return nil, fmt.Errorf("experiment: %s: %w", label, err)
 			}
-			src := rng.NewFrom(g.BaseSeed, uint64(rep))
-			opts.CommModel = r.model(g.Error, src.Split())
-			opts.CompModel = r.model(g.Error, src.Split())
+			master.ReseedFrom(g.BaseSeed, uint64(rep))
+			opts.CommModel, opts.CompModel = streams.Split(&master, r.ErrorModel, g.Error)
 			out, err := engine.Run(p, d, opts)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: %s at %s: %w", algo.Name(), label, err)
@@ -268,6 +270,9 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 			block[resRowCompletion][ai] += out.CompletedWork / g.Total
 			block[resRowRedispatches][ai] += float64(out.Redispatches)
 		}
+	}
+	if r.Metrics != nil {
+		r.Metrics.AddEngineCounters(counters)
 	}
 	for ai := range r.Algorithms {
 		for _, row := range block {

@@ -140,3 +140,32 @@ func TestResilienceGridValidate(t *testing.T) {
 		t.Fatalf("default grid rejected: %v", err)
 	}
 }
+
+// The resilience and hetero studies feed the engine's hot-path counters
+// into Metrics like the paper sweep and the multi-job study do, so
+// /metrics explains their event volume and re-sends.
+func TestStudiesReportEngineCounters(t *testing.T) {
+	for _, model := range []ErrorModelKind{NormalError, UniformError} {
+		mc := metrics.New()
+		r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}, rumr.FaultTolerant{}}, ErrorModel: model, Metrics: mc}
+		if _, err := r.Resilience(resilienceTestGrid()); err != nil {
+			t.Fatal(err)
+		}
+		e := mc.Snapshot().Engine
+		draws := e.TruncNormalDraws + e.UniformDraws
+		if e.EventsPushed == 0 || draws == 0 || e.Redispatches == 0 {
+			t.Errorf("resilience model=%d: engine counters %+v, want events, draws and re-sends", model, e)
+		}
+
+		mc = metrics.New()
+		r = &Runner{Algorithms: heteroAlgorithms(), ErrorModel: model, Metrics: mc}
+		if _, err := r.Hetero(smallHeteroGrid()); err != nil {
+			t.Fatal(err)
+		}
+		e = mc.Snapshot().Engine
+		draws = e.TruncNormalDraws + e.UniformDraws
+		if e.EventsPushed == 0 || draws == 0 {
+			t.Errorf("hetero model=%d: engine counters %+v, want events and draws", model, e)
+		}
+	}
+}

@@ -32,6 +32,64 @@ type Model interface {
 	Error() float64
 }
 
+// Kind selects the distribution of the prediction-error ratio. Stream.Bind
+// is the one place a kind becomes a model, so a new kind is added there
+// and here only.
+type Kind int
+
+const (
+	// NormalError is the paper's model: the ratio is normal with mean 1
+	// and sd = error, truncated positive (TruncNormal).
+	NormalError Kind = iota
+	// UniformError is the alternative the paper reports as "essentially
+	// similar": a uniform ratio with the same mean and sd (Uniform).
+	UniformError
+)
+
+// Stream is one reusable error stream — the transfer or the computation
+// side of a run. It owns its source and the model values bound to it, so
+// re-splitting and rebinding allocate nothing. A bound model points into
+// the Stream, which therefore must not be copied or moved while the model
+// is in use.
+type Stream struct {
+	src rng.Source
+	tn  TruncNormal
+	un  Uniform
+}
+
+// Split reseeds the stream from master's next output, advancing master
+// exactly as master.Split does, so the stream draws what a Source
+// returned by master.Split would.
+func (s *Stream) Split(master *rng.Source) { master.SplitInto(&s.src) }
+
+// Bind returns the stream's model for kind at magnitude err: Perfect when
+// err <= 0, otherwise a *TruncNormal or *Uniform drawing from the
+// stream's source.
+func (s *Stream) Bind(kind Kind, err float64) Model {
+	switch {
+	case err <= 0:
+		return Perfect{}
+	case kind == UniformError:
+		s.un = Uniform{Err: err, Src: &s.src}
+		return &s.un
+	default:
+		s.tn = TruncNormal{Err: err, Src: &s.src}
+		return &s.tn
+	}
+}
+
+// Pair is the two error streams of one run (or of one job in a
+// multi-job run): transfers and computations.
+type Pair struct{ Comm, Comp Stream }
+
+// Split re-splits both streams from master, comm first, then comp, and
+// returns their models bound to (kind, err).
+func (p *Pair) Split(master *rng.Source, kind Kind, err float64) (comm, comp Model) {
+	p.Comm.Split(master)
+	p.Comp.Split(master)
+	return p.Comm.Bind(kind, err), p.Comp.Bind(kind, err)
+}
+
 // Perfect is the zero-error model: effective == predicted.
 type Perfect struct{}
 

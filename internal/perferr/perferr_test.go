@@ -192,3 +192,65 @@ func TestModelsAlwaysPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A Pair split from a master draws exactly what per-run models built on
+// master.Split() draw, comm first, and leaves master in the same state.
+func TestPairMatchesSplitModels(t *testing.T) {
+	for _, kind := range []Kind{NormalError, UniformError} {
+		for _, errMag := range []float64{0, 0.3} {
+			want := rng.NewFrom(7, 11)
+			wantComm, wantComp := newModel(kind, errMag, want.Split()), newModel(kind, errMag, want.Split())
+			got := rng.NewFrom(7, 11)
+			var p Pair
+			comm, comp := p.Split(got, kind, errMag)
+			for i := 0; i < 1000; i++ {
+				pred := 1 + float64(i%7)
+				if a, b := comm.Perturb(pred), wantComm.Perturb(pred); a != b {
+					t.Fatalf("kind %d err %g: comm draw %d = %v, want %v", kind, errMag, i, a, b)
+				}
+				if a, b := comp.Perturb(pred), wantComp.Perturb(pred); a != b {
+					t.Fatalf("kind %d err %g: comp draw %d = %v, want %v", kind, errMag, i, a, b)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("kind %d err %g: master advanced differently", kind, errMag)
+			}
+		}
+	}
+}
+
+// newModel is the per-run construction a Stream replaces.
+func newModel(kind Kind, errMag float64, src *rng.Source) Model {
+	if errMag <= 0 {
+		return Perfect{}
+	}
+	if kind == UniformError {
+		return NewUniform(errMag, src)
+	}
+	return NewTruncNormal(errMag, src)
+}
+
+// Bound models keep the pointer types the engine's draw counters
+// classify, and rebinding a stream allocates nothing.
+func TestStreamBind(t *testing.T) {
+	var s Stream
+	if _, ok := s.Bind(NormalError, 0).(Perfect); !ok {
+		t.Error("zero magnitude must bind Perfect")
+	}
+	if m, ok := s.Bind(NormalError, 0.2).(*TruncNormal); !ok || m.Error() != 0.2 {
+		t.Errorf("NormalError bound %#v", m)
+	}
+	if m, ok := s.Bind(UniformError, 0.4).(*Uniform); !ok || m.Error() != 0.4 {
+		t.Errorf("UniformError bound %#v", m)
+	}
+	var p Pair
+	master := rng.New(1)
+	if n := testing.AllocsPerRun(100, func() {
+		master.Reseed(3)
+		comm, comp := p.Split(master, UniformError, 0.3)
+		comm.Perturb(1)
+		comp.Perturb(1)
+	}); n != 0 {
+		t.Errorf("Split+Bind: %v allocs", n)
+	}
+}

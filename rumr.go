@@ -155,14 +155,14 @@ func TSS() Scheduler { return tss.Scheduler{} }
 func WeightedFactoring() Scheduler { return wfactoring.Scheduler{} }
 
 // ErrorModel selects the prediction-error distribution of a simulation.
-type ErrorModel int
+type ErrorModel = perferr.Kind
 
 const (
 	// NormalError is the paper's model: the predicted/effective ratio is
 	// normal with mean 1 and sd = Error, truncated positive.
-	NormalError ErrorModel = iota
+	NormalError = perferr.NormalError
 	// UniformError uses a uniform ratio with the same mean and sd.
-	UniformError
+	UniformError = perferr.UniformError
 )
 
 // SimOptions configure a single simulated execution.
@@ -212,19 +212,11 @@ func Simulate(p *Platform, s Scheduler, total float64, opts SimOptions) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	src := rng.NewFrom(opts.Seed)
-	model := func(src *rng.Source) perferr.Model {
-		if opts.Error <= 0 {
-			return perferr.Perfect{}
-		}
-		if opts.Model == UniformError {
-			return perferr.NewUniform(opts.Error, src)
-		}
-		return perferr.NewTruncNormal(opts.Error, src)
-	}
+	var streams perferr.Pair
+	comm, comp := streams.Split(rng.NewFrom(opts.Seed), opts.Model, opts.Error)
 	return engine.Run(p, d, engine.Options{
-		CommModel:     model(src.Split()),
-		CompModel:     model(src.Split()),
+		CommModel:     comm,
+		CompModel:     comp,
 		RecordTrace:   opts.RecordTrace,
 		ParallelSends: opts.ParallelSends,
 		Events:        opts.Events,

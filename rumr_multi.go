@@ -128,15 +128,7 @@ func SimulateMulti(p *Platform, jobs []JobSpec, opts MultiSimOptions) (MultiSimR
 		known = *opts.SchedulerError
 	}
 	src := rng.NewFrom(opts.Seed)
-	model := func(src *rng.Source) perferr.Model {
-		if opts.Error <= 0 {
-			return perferr.Perfect{}
-		}
-		if opts.Model == UniformError {
-			return perferr.NewUniform(opts.Error, src)
-		}
-		return perferr.NewTruncNormal(opts.Error, src)
-	}
+	streams := make([]perferr.Pair, len(jobs))
 	ejobs := make([]engine.Job, len(jobs))
 	for j, spec := range jobs {
 		if spec.Scheduler == nil {
@@ -149,10 +141,11 @@ func SimulateMulti(p *Platform, jobs []JobSpec, opts MultiSimOptions) (MultiSimR
 		}
 		// Two splits per job in job order, so adding a job never perturbs
 		// the streams of the jobs before it.
+		comm, comp := streams[j].Split(src, opts.Model, opts.Error)
 		ejobs[j] = engine.Job{
 			Name: spec.Name, Arrival: spec.Arrival, Priority: spec.Priority,
 			Weight: spec.Weight, Total: spec.Total, Dispatcher: d,
-			CommModel: model(src.Split()), CompModel: model(src.Split()),
+			CommModel: comm, CompModel: comp,
 		}
 	}
 	res, err := engine.RunMulti(p, ejobs, engine.MultiOptions{
