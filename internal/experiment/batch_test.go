@@ -98,8 +98,9 @@ func referenceModel(kind ErrorModelKind, errMag float64, src *rng.Source) perfer
 // batchEquivalenceAlgorithms covers every dispatcher shape: memoized
 // statics (UMR, MI-k), the two-phase RUMR, pure demand dispatchers with
 // stateful sizers (Factoring, TSS, WFactoring), stateless sizers (FSC,
-// GSS, SelfSched) and the non-replayable adaptive variant that exercises
-// the rebuild-per-repetition fallback.
+// GSS, SelfSched) and the adaptive variant, whose Reset must undo a
+// run-time split. The rebuild-per-repetition fallback is exercised by
+// hiding Replayable behind opaqueDispatcher and opaqueFADispatcher.
 func batchEquivalenceAlgorithms() []sched.Scheduler {
 	algos := StandardAlgorithms()
 	return append(algos,
@@ -140,12 +141,14 @@ func assertCellsIdentical(t *testing.T, label string, got, want [][]float64) {
 	}
 }
 
-// TestBatchedCellMatchesReference pins the tentpole's byte-identity
-// claim: the batched cell path (pooled platform, memoized plans, replayed
-// prototypes, Welford accumulators) produces bit-identical mean blocks to
-// the pre-batch per-repetition implementation, across error models and
-// the known/unknown-error scenarios, including CellState reuse across
-// configurations (the pool's steady state).
+// TestBatchedCellMatchesReference pins byte-identity: the batched cell
+// path (pooled platform, memoized plans,
+// replayed prototypes, reusable error streams, Welford accumulators)
+// produces bit-identical mean blocks to the pre-batch per-repetition
+// implementation, across error models and the known/unknown-error
+// scenarios, including CellState reuse across configurations (the pool's
+// steady state). It is also the oracle for every Reset, RUMR-adaptive's
+// included: the reference rebuilds each dispatcher every repetition.
 func TestBatchedCellMatchesReference(t *testing.T) {
 	g := batchEquivalenceGrid()
 	cases := []struct {

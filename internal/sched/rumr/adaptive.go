@@ -129,5 +129,16 @@ func (d *adaptiveDispatcher) OnComplete(workerIdx int, c engine.Chunk, at, predi
 	}
 }
 
+// Reset implements sched.Replayable: the UMR plan rewinds (entries
+// withdrawn by the split included), the phase-2 dispatcher and the
+// estimator are dropped, and the split decision is undone, so one
+// dispatcher can replay across the repetitions of a sweep cell.
+func (d *adaptiveDispatcher) Reset() {
+	d.phase1.Reset()
+	d.phase2 = nil
+	d.est = perferr.Estimator{}
+	d.decided = false
+}
+
 // Estimate exposes the measured error magnitude (0 until enough samples).
 func (d *adaptiveDispatcher) Estimate() float64 { return d.est.Estimate() }

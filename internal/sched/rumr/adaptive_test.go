@@ -2,6 +2,7 @@ package rumr
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rumr/internal/engine"
@@ -112,6 +113,44 @@ func TestAdaptiveCompetitiveWithInformed(t *testing.T) {
 	if adaptive > informed*1.15 {
 		t.Fatalf("adaptive mean %.2f vs informed mean %.2f: more than 15%% behind",
 			adaptive/reps, informed/reps)
+	}
+}
+
+// A Reset adaptive dispatcher replays a split run exactly: the same
+// chunk sequence, sizes, phases and timings as a fresh dispatcher.
+func TestAdaptiveResetReplaysSplit(t *testing.T) {
+	pr := paperProblem(10, 1.5, 0.1, 0.1, -1)
+	const errMag, seed = 0.4, 3
+	fresh, _ := runAdaptive(t, pr, errMag, seed)
+	d, err := Adaptive{}.NewDispatcher(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, ok := d.(sched.Replayable)
+	if !ok {
+		t.Fatal("adaptive dispatcher is not sched.Replayable")
+	}
+	run := func() engine.Result {
+		src := rng.New(seed)
+		res, err := engine.Run(pr.Platform, d, engine.Options{
+			CommModel:   perferr.NewTruncNormal(errMag, src.Split()),
+			CompModel:   perferr.NewTruncNormal(errMag, src.Split()),
+			RecordTrace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run()
+	if !d.(*adaptiveDispatcher).decided {
+		t.Fatal("split decision never made; the test needs a larger error")
+	}
+	rp.Reset()
+	replay := run()
+	if !reflect.DeepEqual(replay.Trace.Records, fresh.Trace.Records) || replay.Makespan != fresh.Makespan {
+		t.Fatalf("replay after Reset diverged: %d chunks, makespan %v; fresh %d chunks, makespan %v",
+			len(replay.Trace.Records), replay.Makespan, len(fresh.Trace.Records), fresh.Makespan)
 	}
 }
 
