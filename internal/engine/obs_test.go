@@ -102,7 +102,3 @@ func BenchmarkEngineNoSink(b *testing.B) { benchRun(b, Options{}) }
 // BenchmarkEngineNopSink measures the interface-call overhead of an
 // attached sink that discards everything.
 func BenchmarkEngineNopSink(b *testing.B) { benchRun(b, Options{Events: obs.Nop{}}) }
-
-// BenchmarkEngineRingSink measures a realistic consumer: the bounded
-// in-memory ring used for post-mortem inspection.
-func BenchmarkEngineRingSink(b *testing.B) { benchRun(b, Options{Events: obs.NewRing(256)}) }

@@ -6,12 +6,8 @@
 // The engine guards every emission with a nil check, so a run without a
 // sink pays one predictable branch per potential event and nothing else;
 // Event is a plain value struct, so emitting through a sink allocates
-// nothing either. Sinks compose: Fanout replicates a stream, Filter
-// restricts it to a kind set, and Ring keeps the last N events for
-// "what happened just before the failure" debugging.
+// nothing either.
 package obs
-
-import "sync"
 
 // Kind discriminates event types.
 type Kind uint8
@@ -102,7 +98,7 @@ type Event struct {
 // Sink consumes events. Emit is called synchronously from the simulation
 // loop, so implementations must be cheap; a sink used by one Run needs no
 // locking (the engine is single-goroutine), but sinks shared across
-// concurrent runs must be safe for concurrent use, as Ring is.
+// concurrent runs must be safe for concurrent use.
 type Sink interface {
 	Emit(Event)
 }
@@ -127,97 +123,3 @@ type Func func(Event)
 
 // Emit implements Sink.
 func (f Func) Emit(e Event) { f(e) }
-
-// Fanout replicates every event to each sink in order.
-type Fanout []Sink
-
-// Emit implements Sink.
-func (f Fanout) Emit(e Event) {
-	for _, s := range f {
-		s.Emit(e)
-	}
-}
-
-// KindMask is a bit set of event kinds.
-type KindMask uint16
-
-// MaskOf builds a mask admitting exactly the given kinds.
-func MaskOf(kinds ...Kind) KindMask {
-	var m KindMask
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
-}
-
-// AllKinds admits every event kind.
-const AllKinds = KindMask(1<<numKinds) - 1
-
-// Has reports whether the mask admits k.
-func (m KindMask) Has(k Kind) bool { return m&(1<<k) != 0 }
-
-// Filter forwards only events whose kind is in Mask.
-type Filter struct {
-	Mask KindMask
-	Next Sink
-}
-
-// Emit implements Sink.
-func (f Filter) Emit(e Event) {
-	if f.Mask.Has(e.Kind) {
-		f.Next.Emit(e)
-	}
-}
-
-// Ring keeps the most recent events in a fixed-size buffer — attach one
-// to a long run and, on failure, Events returns the last N state changes
-// leading up to it. Safe for concurrent use.
-type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	wrapd bool
-}
-
-// NewRing returns a ring buffer holding the last n events (n >= 1).
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]Event, n)}
-}
-
-// Emit implements Sink.
-func (r *Ring) Emit(e Event) {
-	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapd = true
-	}
-	r.mu.Unlock()
-}
-
-// Len returns the number of buffered events.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.wrapd {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// Events returns the buffered events, oldest first.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapd {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestKindStrings(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
@@ -16,87 +13,22 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestFuncAndFanout(t *testing.T) {
-	var a, b []Kind
-	f := Fanout{
-		Func(func(e Event) { a = append(a, e.Kind) }),
-		Func(func(e Event) { b = append(b, e.Kind) }),
-	}
+func TestFunc(t *testing.T) {
+	var got []Kind
+	f := Func(func(e Event) { got = append(got, e.Kind) })
 	f.Emit(Event{Kind: KindSendStart})
 	f.Emit(Event{Kind: KindRunDone})
-	if len(a) != 2 || len(b) != 2 || a[1] != KindRunDone || b[0] != KindSendStart {
-		t.Fatalf("fanout delivered a=%v b=%v", a, b)
+	if len(got) != 2 || got[0] != KindSendStart || got[1] != KindRunDone {
+		t.Fatalf("func sink delivered %v", got)
 	}
 }
 
-func TestFilter(t *testing.T) {
-	var got []Kind
-	f := Filter{
-		Mask: MaskOf(KindPhaseTransition, KindDispatchDecision),
-		Next: Func(func(e Event) { got = append(got, e.Kind) }),
-	}
-	for k := Kind(0); k < numKinds; k++ {
-		f.Emit(Event{Kind: k})
-	}
-	if len(got) != 2 || got[0] != KindDispatchDecision || got[1] != KindPhaseTransition {
-		t.Fatalf("filter passed %v", got)
-	}
-	if !AllKinds.Has(KindRunDone) || !AllKinds.Has(KindSendStart) {
-		t.Fatal("AllKinds misses kinds")
-	}
-}
-
-func TestRingKeepsLastN(t *testing.T) {
-	r := NewRing(3)
-	if r.Len() != 0 || len(r.Events()) != 0 {
-		t.Fatal("fresh ring not empty")
-	}
-	r.Emit(Event{Seq: 0})
-	r.Emit(Event{Seq: 1})
-	if got := r.Events(); len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
-		t.Fatalf("partial ring = %v", got)
-	}
-	for i := 2; i < 10; i++ {
-		r.Emit(Event{Seq: i})
-	}
-	got := r.Events()
-	if r.Len() != 3 || len(got) != 3 {
-		t.Fatalf("len = %d, events = %v", r.Len(), got)
-	}
-	for i, e := range got {
-		if e.Seq != 7+i {
-			t.Fatalf("ring kept %v, want seqs 7..9 oldest first", got)
-		}
-	}
-}
-
-func TestRingConcurrent(t *testing.T) {
-	r := NewRing(16)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Emit(Event{Seq: i})
-				_ = r.Len()
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Len() != 16 {
-		t.Fatalf("len = %d", r.Len())
-	}
-}
-
-// The no-op paths must not allocate: a sink receives Event by value and
-// the mask check is pure arithmetic.
+// Emitting must not allocate: a sink receives Event by value.
 func TestEmitDoesNotAllocate(t *testing.T) {
+	var seen int
 	sinks := map[string]Sink{
-		"nop":    Nop{},
-		"ring":   NewRing(8),
-		"filter": Filter{Mask: MaskOf(KindRunDone), Next: Nop{}},
-		"fanout": Fanout{Nop{}, Nop{}},
+		"nop":  Nop{},
+		"func": Func(func(Event) { seen++ }),
 	}
 	e := Event{Kind: KindCompEnd, Time: 1.5, Worker: 3, Seq: 9, Size: 2, Reason: "x"}
 	for name, s := range sinks {
