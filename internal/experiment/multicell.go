@@ -37,11 +37,11 @@ const MultiCellRows = multiCellRows
 // owns the platform (refilled in place), the plan memo, one dispatcher
 // prototype per (algorithm, job) that is Reset between repetitions via
 // sched.Replayable instead of reconstructed, the per-job error streams
-// (re-split in place per run), the arrival-time buffer regenerated in place per repetition, the job spec
-// and JobResult buffers handed to engine.RunMulti, and the per-algorithm
-// Welford accumulators. At steady state — the same cell computed
-// repeatedly, as in BenchmarkMultiJobCell — a cell executes with zero
-// heap allocations.
+// (re-split in place per run), the arrival-time buffer regenerated in
+// place per repetition, the job spec and JobResult buffers handed to
+// engine.RunMulti, and the per-algorithm Welford accumulators. At
+// steady state — the same cell computed repeatedly, as in
+// BenchmarkMultiJobCell — a cell executes with zero heap allocations.
 //
 // A MultiCellState serves one goroutine at a time. Runner keeps a
 // sync.Pool of them; external callers (the benchmark harness) create one
@@ -112,10 +112,10 @@ func (cs *MultiCellState) preparedFor(r *Runner, g MultiJobGrid) bool {
 
 // prepare refills the platform, resets the memo, builds one dispatcher
 // prototype per (algorithm, job) and sizes each job's error streams.
-// Construction is deterministic and consumes
-// no randomness, so hoisting it out of the repetition loop cannot change
-// results; a construction failure marks the algorithm failed for the
-// whole sweep in one attempt instead of Reps identical ones.
+// Construction is deterministic and consumes no randomness, so hoisting
+// it out of the repetition loop cannot change results; a construction
+// failure marks the algorithm failed for the whole sweep in one attempt
+// instead of Reps identical ones.
 func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 	nAlg := len(r.Algorithms)
 	nJ := g.Jobs

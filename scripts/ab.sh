@@ -6,6 +6,9 @@
 #
 # <rev> is extracted with git archive into a temporary directory, and each
 # side is built by its own perfbench/run.sh into its own build directory.
+# The base is built once up front and its Go build cache copied to the
+# change's build directory, so only the packages that differ compile
+# twice.
 # For the table2 and multijob workloads it runs 10 pairs of 2-second runs
 # at seed 2003, swapping which side goes first on each pair, and prints
 # each side's runs_per_s quartiles with the per-pair change/base ratios.
@@ -24,6 +27,14 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
+
+# perfbench exits 2 on -h once run.sh has built it; a failed build shows
+# up as failed runs below.
+(cd "$tmp/base" && CARGO_TARGET_DIR="$tmp/build-base" bash perfbench/run.sh -h >/dev/null 2>&1) || true
+mkdir -p "$tmp/build-change"
+if [ -d "$tmp/build-base/gocache" ]; then
+	cp -R "$tmp/build-base/gocache" "$tmp/build-change/"
+fi
 
 # run <side> <workload>: one benchmark run, its JSON line appended to
 # $tmp/<workload>.<side>. A run that prints no JSON line leaves an empty
