@@ -285,13 +285,14 @@ func main() {
 		sc.model = experiment.UniformError
 	}
 
-	all := []artifact{
-		{"table2", runTable2}, {"table3", runTable3},
-		{"fig4a", runFig4a}, {"fig4b", runFig4b}, {"fig5", runFig5},
-		{"fig6", runFig6}, {"fig7", runFig7},
+	all := []artifact{{"table2", runTable2}, {"table3", runTable3}}
+	for _, cf := range curveFigs {
+		all = append(all, artifact{cf.name, cf.run})
+	}
+	all = append(all, []artifact{
 		{"fsc", runFSC}, {"umrbase", runUMRBase}, {"hetero", runHetero},
 		{"resilience", runResilience}, {"multijob", runMultiJob},
-	}
+	}...)
 	selected := map[string]bool{
 		"table2": *table2, "table3": *table3,
 		"fig4a": *fig4a, "fig4b": *fig4b, "fig5": *fig5,
@@ -560,105 +561,68 @@ func runTable3(sc *sweepCtx) error {
 	})
 }
 
-func runFig4a(sc *sweepCtx) error {
-	res, err := sc.standardSweep()
-	if err != nil {
-		return err
-	}
-	cv := rumr.ComputeCurves(res, nil)
-	if err := rumr.WriteCurvesTable(os.Stdout, cv, "\nFig 4(a): makespan normalised to RUMR vs error (all parameters)"); err != nil {
-		return err
-	}
-	if err := rumr.WriteCurvesChart(os.Stdout, cv, ""); err != nil {
-		return err
-	}
-	if err := sc.writeCSV("fig4a.csv", func(f *os.File) error {
-		return rumr.WriteCurvesCSV(f, cv, "")
-	}); err != nil {
-		return err
-	}
-	return sc.writeCSV("fig4a.svg", func(f *os.File) error {
-		return rumr.WriteCurvesSVG(f, cv, "Fig 4(a): makespan normalised to RUMR vs error")
-	})
+// curveFig is one makespan-vs-error figure: the sweep behind it, the
+// curve filter, and the titles its table (plus optional ASCII chart),
+// CSV and SVG are written under.
+type curveFig struct {
+	name     string // flag and CSV/SVG base name
+	sweep    func(sc *sweepCtx) (*rumr.SweepResults, error)
+	filter   func(rumr.Config) bool // nil: every configuration
+	title    string                 // table header on stdout
+	svgTitle string
+	chart    bool // also print the ASCII chart
 }
 
-func runFig4b(sc *sweepCtx) error {
-	res, err := sc.standardSweep()
-	if err != nil {
-		return err
-	}
-	cv := rumr.ComputeCurves(res, rumr.LowLatencyFilter)
-	if err := rumr.WriteCurvesTable(os.Stdout, cv, "\nFig 4(b): makespan normalised to RUMR vs error (cLat<0.3, nLat<0.3)"); err != nil {
-		return err
-	}
-	if err := sc.writeCSV("fig4b.csv", func(f *os.File) error {
-		return rumr.WriteCurvesCSV(f, cv, "")
-	}); err != nil {
-		return err
-	}
-	return sc.writeCSV("fig4b.svg", func(f *os.File) error {
-		return rumr.WriteCurvesSVG(f, cv, "Fig 4(b): cLat<0.3, nLat<0.3")
-	})
+var curveFigs = []curveFig{
+	{name: "fig4a", sweep: (*sweepCtx).standardSweep, chart: true,
+		title:    "Fig 4(a): makespan normalised to RUMR vs error (all parameters)",
+		svgTitle: "Fig 4(a): makespan normalised to RUMR vs error"},
+	{name: "fig4b", sweep: (*sweepCtx).standardSweep, filter: rumr.LowLatencyFilter,
+		title:    "Fig 4(b): makespan normalised to RUMR vs error (cLat<0.3, nLat<0.3)",
+		svgTitle: "Fig 4(b): cLat<0.3, nLat<0.3"},
+	{name: "fig5", chart: true,
+		title:    "Fig 5: makespan normalised to RUMR vs error (cLat=0.3, nLat=0.9, N=20, B=36)",
+		svgTitle: "Fig 5: cLat=0.3, nLat=0.9, N=20, B=36",
+		sweep: func(sc *sweepCtx) (*rumr.SweepResults, error) {
+			// Fig 5 always uses its own paper-exact grid.
+			return sc.sweep(rumr.Fig5Grid(), "fig5", nil)
+		}},
+	{name: "fig6",
+		title:    "Fig 6: fixed phase-1 splits normalised to original RUMR",
+		svgTitle: "Fig 6: fixed phase-1 splits vs original RUMR",
+		sweep: func(sc *sweepCtx) (*rumr.SweepResults, error) {
+			return sc.sweep(sc.grid, "fig6", experiment.Fig6Algorithms())
+		}},
+	{name: "fig7",
+		title:    "Fig 7: plain (in-order) phase 1 normalised to original RUMR",
+		svgTitle: "Fig 7: plain phase 1 vs original RUMR",
+		sweep: func(sc *sweepCtx) (*rumr.SweepResults, error) {
+			return sc.sweep(sc.grid, "fig7", experiment.Fig7Algorithms())
+		}},
 }
 
-func runFig5(sc *sweepCtx) error {
-	// Fig 5 always uses its own paper-exact grid.
-	res, err := sc.sweep(rumr.Fig5Grid(), "fig5", nil)
+// run sweeps the figure's study and writes its curves.
+func (cf curveFig) run(sc *sweepCtx) error {
+	res, err := cf.sweep(sc)
 	if err != nil {
 		return err
 	}
-	cv := rumr.ComputeCurves(res, nil)
-	if err := rumr.WriteCurvesTable(os.Stdout, cv, "\nFig 5: makespan normalised to RUMR vs error (cLat=0.3, nLat=0.9, N=20, B=36)"); err != nil {
+	cv := rumr.ComputeCurves(res, cf.filter)
+	if err := rumr.WriteCurvesTable(os.Stdout, cv, "\n"+cf.title); err != nil {
 		return err
 	}
-	if err := rumr.WriteCurvesChart(os.Stdout, cv, ""); err != nil {
-		return err
+	if cf.chart {
+		if err := rumr.WriteCurvesChart(os.Stdout, cv, ""); err != nil {
+			return err
+		}
 	}
-	if err := sc.writeCSV("fig5.csv", func(f *os.File) error {
+	if err := sc.writeCSV(cf.name+".csv", func(f *os.File) error {
 		return rumr.WriteCurvesCSV(f, cv, "")
 	}); err != nil {
 		return err
 	}
-	return sc.writeCSV("fig5.svg", func(f *os.File) error {
-		return rumr.WriteCurvesSVG(f, cv, "Fig 5: cLat=0.3, nLat=0.9, N=20, B=36")
-	})
-}
-
-func runFig6(sc *sweepCtx) error {
-	res, err := sc.sweep(sc.grid, "fig6", experiment.Fig6Algorithms())
-	if err != nil {
-		return err
-	}
-	cv := rumr.ComputeCurves(res, nil)
-	if err := rumr.WriteCurvesTable(os.Stdout, cv, "\nFig 6: fixed phase-1 splits normalised to original RUMR"); err != nil {
-		return err
-	}
-	if err := sc.writeCSV("fig6.csv", func(f *os.File) error {
-		return rumr.WriteCurvesCSV(f, cv, "")
-	}); err != nil {
-		return err
-	}
-	return sc.writeCSV("fig6.svg", func(f *os.File) error {
-		return rumr.WriteCurvesSVG(f, cv, "Fig 6: fixed phase-1 splits vs original RUMR")
-	})
-}
-
-func runFig7(sc *sweepCtx) error {
-	res, err := sc.sweep(sc.grid, "fig7", experiment.Fig7Algorithms())
-	if err != nil {
-		return err
-	}
-	cv := rumr.ComputeCurves(res, nil)
-	if err := rumr.WriteCurvesTable(os.Stdout, cv, "\nFig 7: plain (in-order) phase 1 normalised to original RUMR"); err != nil {
-		return err
-	}
-	if err := sc.writeCSV("fig7.csv", func(f *os.File) error {
-		return rumr.WriteCurvesCSV(f, cv, "")
-	}); err != nil {
-		return err
-	}
-	return sc.writeCSV("fig7.svg", func(f *os.File) error {
-		return rumr.WriteCurvesSVG(f, cv, "Fig 7: plain phase 1 vs original RUMR")
+	return sc.writeCSV(cf.name+".svg", func(f *os.File) error {
+		return rumr.WriteCurvesSVG(f, cv, cf.svgTitle)
 	})
 }
 

@@ -102,3 +102,38 @@ func TestMetricsDumpCountsPlans(t *testing.T) {
 		t.Fatalf("plans_built = %d, want at least the 8 MI solves", snap.PlansBuilt)
 	}
 }
+
+// TestCurveFiguresWriteEveryArtifact drives the five makespan-vs-error
+// figures: each prints its table header on stdout and saves a CSV (with
+// an x column header) and an SVG under -out.
+func TestCurveFiguresWriteEveryArtifact(t *testing.T) {
+	outDir := t.TempDir()
+	out, _ := rumrsweep(t, "-smoke", "-fig4a", "-fig4b", "-fig5", "-fig6", "-fig7", "-q", "-workers", "2", "-out", outDir)
+	for _, header := range []string{
+		"Fig 4(a): makespan normalised to RUMR vs error (all parameters)",
+		"Fig 4(b): makespan normalised to RUMR vs error (cLat<0.3, nLat<0.3)",
+		"Fig 5: makespan normalised to RUMR vs error (cLat=0.3, nLat=0.9, N=20, B=36)",
+		"Fig 6: fixed phase-1 splits normalised to original RUMR",
+		"Fig 7: plain (in-order) phase 1 normalised to original RUMR",
+	} {
+		if !bytes.Contains(out, []byte("\n"+header+"\n")) {
+			t.Errorf("stdout lacks the header line %q", header)
+		}
+	}
+	for _, name := range []string{"fig4a", "fig4b", "fig5", "fig6", "fig7"} {
+		csv, err := os.ReadFile(filepath.Join(outDir, name+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(csv, []byte("x,")) || bytes.Count(csv, []byte("\n")) < 2 {
+			t.Errorf("%s.csv is not a header plus rows:\n%s", name, csv)
+		}
+		svg, err := os.ReadFile(filepath.Join(outDir, name+".svg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(svg, []byte("<svg")) || !bytes.HasSuffix(bytes.TrimSpace(svg), []byte("</svg>")) {
+			t.Errorf("%s.svg is not a complete SVG document", name)
+		}
+	}
+}

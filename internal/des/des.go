@@ -17,9 +17,9 @@
 // an Event free-list so steady-state scheduling allocates nothing, and
 // lazy cancellation with compaction so fault-heavy runs (which cancel one
 // completion timer per finished chunk) cannot grow the queue beyond a
-// small multiple of its live events. Callbacks can be scheduled either as
-// plain closures (At/After) or allocation-free as a shared function plus
-// an argument pair (AtCall/AfterCall).
+// small multiple of its live events. A callback is a shared function plus
+// an argument pair (AtCall/AfterCall), so scheduling one never allocates
+// a closure.
 package des
 
 import (
@@ -32,8 +32,7 @@ import (
 // whose generation tag keeps a recycled Event from being cancelled by a
 // stale reference.
 type Event struct {
-	fn        func()
-	argFn     func(arg any, aux int)
+	fn        func(arg any, aux int)
 	arg       any
 	aux       int
 	gen       uint32
@@ -224,11 +223,10 @@ func (s *Simulator) alloc() *Event {
 
 // recycle retires an event: its generation is bumped so outstanding
 // handles expire, its references are dropped, and the struct joins the
-// free-list for the next At/After.
+// free-list for the next AtCall/AfterCall.
 func (s *Simulator) recycle(e *Event) {
 	e.gen++
 	e.fn = nil
-	e.argFn = nil
 	e.arg = nil
 	e.cancelled = false
 	if s.scratch == nil {
@@ -238,7 +236,7 @@ func (s *Simulator) recycle(e *Event) {
 	s.free = append(s.free, e)
 }
 
-func (s *Simulator) schedule(t float64, fn func(), argFn func(any, int), arg any, aux int) Handle {
+func (s *Simulator) schedule(t float64, fn func(any, int), arg any, aux int) Handle {
 	if math.IsNaN(t) {
 		panic("des: scheduling at NaN time")
 	}
@@ -247,7 +245,6 @@ func (s *Simulator) schedule(t float64, fn func(), argFn func(any, int), arg any
 	}
 	e := s.alloc()
 	e.fn = fn
-	e.argFn = argFn
 	e.arg = arg
 	e.aux = aux
 	sl := slot{time: t, seq: s.seq, ev: e}
@@ -276,26 +273,12 @@ func (s *Simulator) schedule(t float64, fn func(), argFn func(any, int), arg any
 	return Handle{ev: e, gen: e.gen}
 }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past (or a
-// NaN time) panics: it always indicates a bug in a model.
-func (s *Simulator) At(t float64, fn func()) Handle {
-	return s.schedule(t, fn, nil, nil, 0)
-}
-
-// After schedules fn d time units from now. Negative delays panic.
-func (s *Simulator) After(d float64, fn func()) Handle {
-	if d < 0 || math.IsNaN(d) {
-		panic(fmt.Sprintf("des: negative or NaN delay %g", d))
-	}
-	return s.schedule(s.now+d, fn, nil, nil, 0)
-}
-
-// AtCall schedules fn(arg, aux) at absolute time t. Unlike At, it takes a
-// plain function plus its arguments instead of a closure, so callers that
-// share one top-level callback across many events (the engine's
-// chunk-lifecycle path) schedule without allocating.
+// AtCall schedules fn(arg, aux) at absolute virtual time t. Scheduling in
+// the past (or a NaN time) panics: it always indicates a bug in a model.
+// Callers share one top-level callback across many events (the engine's
+// chunk-lifecycle path), so scheduling allocates nothing.
 func (s *Simulator) AtCall(t float64, fn func(arg any, aux int), arg any, aux int) Handle {
-	return s.schedule(t, nil, fn, arg, aux)
+	return s.schedule(t, fn, arg, aux)
 }
 
 // AfterCall is AtCall relative to the current time. Negative delays panic.
@@ -303,7 +286,7 @@ func (s *Simulator) AfterCall(d float64, fn func(arg any, aux int), arg any, aux
 	if d < 0 || math.IsNaN(d) {
 		panic(fmt.Sprintf("des: negative or NaN delay %g", d))
 	}
-	return s.schedule(s.now+d, nil, fn, arg, aux)
+	return s.schedule(s.now+d, fn, arg, aux)
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling the zero
@@ -423,14 +406,10 @@ func (s *Simulator) popTop() {
 // struct is recycled first (so the callback can immediately reuse it when
 // scheduling follow-ups), then the callback runs.
 func (s *Simulator) fire(e *Event) {
-	fn, argFn, arg, aux := e.fn, e.argFn, e.arg, e.aux
+	fn, arg, aux := e.fn, e.arg, e.aux
 	s.recycle(e)
 	s.processed++
-	if argFn != nil {
-		argFn(arg, aux)
-	} else {
-		fn()
-	}
+	fn(arg, aux)
 }
 
 // Stop makes Run return after the currently executing event.

@@ -9,12 +9,20 @@ import (
 	"rumr/internal/rng"
 )
 
+// at and after schedule a closure through AtCall/AfterCall, so the kernel
+// tests can keep writing their callbacks inline.
+func at(s *Simulator, t float64, fn func()) Handle { return s.AtCall(t, callFn, fn, 0) }
+func after(s *Simulator, d float64, fn func()) Handle {
+	return s.AfterCall(d, callFn, fn, 0)
+}
+func callFn(arg any, _ int) { arg.(func())() }
+
 func TestEventsFireInOrder(t *testing.T) {
 	s := New()
 	var got []float64
-	s.At(3, func() { got = append(got, 3) })
-	s.At(1, func() { got = append(got, 1) })
-	s.At(2, func() { got = append(got, 2) })
+	at(s, 3, func() { got = append(got, 3) })
+	at(s, 1, func() { got = append(got, 1) })
+	at(s, 2, func() { got = append(got, 2) })
 	end := s.Run()
 	want := []float64{1, 2, 3}
 	for i := range want {
@@ -32,7 +40,7 @@ func TestTieBreakByInsertion(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5, func() { got = append(got, i) })
+		at(s, 5, func() { got = append(got, i) })
 	}
 	s.Run()
 	for i := 0; i < 10; i++ {
@@ -45,9 +53,9 @@ func TestTieBreakByInsertion(t *testing.T) {
 func TestAfterAdvancesRelative(t *testing.T) {
 	s := New()
 	var times []float64
-	s.After(1, func() {
+	after(s, 1, func() {
 		times = append(times, s.Now())
-		s.After(2, func() { times = append(times, s.Now()) })
+		after(s, 2, func() { times = append(times, s.Now()) })
 	})
 	s.Run()
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
@@ -57,13 +65,13 @@ func TestAfterAdvancesRelative(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(10, func() {
+	at(s, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past should panic")
 			}
 		}()
-		s.At(5, func() {})
+		at(s, 5, func() {})
 	})
 	s.Run()
 }
@@ -75,7 +83,7 @@ func TestNaNPanics(t *testing.T) {
 			t.Fatal("NaN time should panic")
 		}
 	}()
-	s.At(math.NaN(), func() {})
+	at(s, math.NaN(), func() {})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -85,13 +93,13 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay should panic")
 		}
 	}()
-	s.After(-1, func() {})
+	after(s, -1, func() {})
 }
 
 func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
-	e := s.At(1, func() { fired = true })
+	e := at(s, 1, func() { fired = true })
 	s.Cancel(e)
 	s.Run()
 	if fired {
@@ -107,8 +115,8 @@ func TestCancelDuringRun(t *testing.T) {
 	s := New()
 	fired := false
 	var e Handle
-	s.At(1, func() { s.Cancel(e) })
-	e = s.At(2, func() { fired = true })
+	at(s, 1, func() { s.Cancel(e) })
+	e = at(s, 2, func() { fired = true })
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled at t=1 still fired at t=2")
@@ -118,14 +126,14 @@ func TestCancelDuringRun(t *testing.T) {
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	s := New()
 	count := 0
-	e := s.At(1, func() { count++ })
+	e := at(s, 1, func() { count++ })
 	s.Run()
 	if e.Scheduled() || e.Cancelled() {
 		t.Fatal("handle should expire once the event fired")
 	}
 	// The Event struct behind e has been recycled; a second event may now
 	// occupy it. Cancelling the stale handle must not touch the new event.
-	f := s.At(2, func() { count += 10 })
+	f := at(s, 2, func() { count += 10 })
 	s.Cancel(e)
 	s.Run()
 	if count != 11 {
@@ -138,7 +146,7 @@ func TestStop(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() {
+		at(s, float64(i), func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -160,7 +168,7 @@ func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() { count++ })
+		at(s, float64(i), func() { count++ })
 	}
 	end := s.RunUntil(5.5)
 	if count != 5 {
@@ -178,7 +186,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := New()
 	fired := false
-	s.At(5, func() { fired = true })
+	at(s, 5, func() { fired = true })
 	s.RunUntil(5)
 	if !fired {
 		t.Fatal("event exactly at the deadline should fire")
@@ -188,8 +196,8 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 func TestStep(t *testing.T) {
 	s := New()
 	count := 0
-	s.At(1, func() { count++ })
-	s.At(2, func() { count++ })
+	at(s, 1, func() { count++ })
+	at(s, 2, func() { count++ })
 	if !s.Step() || count != 1 {
 		t.Fatal("first step")
 	}
@@ -203,8 +211,8 @@ func TestStep(t *testing.T) {
 
 func TestPendingAndProcessed(t *testing.T) {
 	s := New()
-	e := s.At(1, func() {})
-	s.At(2, func() {})
+	e := at(s, 1, func() {})
+	at(s, 2, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("pending = %d", s.Pending())
 	}
@@ -240,10 +248,10 @@ func TestAtCallPassesArguments(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	s := New()
-	s.At(1, func() {})
-	e := s.At(2, func() {})
+	at(s, 1, func() {})
+	e := at(s, 2, func() {})
 	s.Run()
-	s.At(5, func() { t.Fatal("event from before Reset fired") })
+	at(s, 5, func() { t.Fatal("event from before Reset fired") })
 	s.Cancel(e)
 	s.Reset()
 	if s.Now() != 0 || s.Pending() != 0 || s.QueueLen() != 0 || s.Processed() != 0 {
@@ -255,7 +263,7 @@ func TestReset(t *testing.T) {
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		s.At(1, func() { got = append(got, i) })
+		at(s, 1, func() { got = append(got, i) })
 	}
 	s.Run()
 	for i := range got {
@@ -277,7 +285,7 @@ func TestRandomSchedulesOrdered(t *testing.T) {
 		for i := 0; i < n; i++ {
 			times[i] = src.Uniform(0, 100)
 			tt := times[i]
-			s.At(tt, func() { fired = append(fired, tt) })
+			at(s, tt, func() { fired = append(fired, tt) })
 		}
 		s.Run()
 		if len(fired) != n {
@@ -317,7 +325,7 @@ func TestRandomTieBreakMatchesReferenceSort(t *testing.T) {
 			// Coarse times force plenty of exact ties.
 			events[i] = ev{time: float64(src.Intn(10)), idx: i}
 			e := events[i]
-			s.At(e.time, func() { fired = append(fired, e) })
+			at(s, e.time, func() { fired = append(fired, e) })
 		}
 		ref := append([]ev(nil), events...)
 		sort.SliceStable(ref, func(a, b int) bool { return ref[a].time < ref[b].time })
@@ -352,7 +360,7 @@ func TestRandomCancellations(t *testing.T) {
 		var fired []ev
 		for i := 0; i < n; i++ {
 			e := ev{time: float64(src.Intn(20)), idx: i}
-			handles[i] = s.At(e.time, func() { fired = append(fired, e) })
+			handles[i] = at(s, e.time, func() { fired = append(fired, e) })
 		}
 		cancelled := make([]bool, n)
 		for i := 0; i < n; i++ {
@@ -414,14 +422,14 @@ func TestCancelledRetentionBounded(t *testing.T) {
 		handles := make([]Handle, perRound)
 		for i := range handles {
 			// Far-future timeouts, like per-chunk completion timers.
-			handles[i] = s.At(s.Now()+1000+float64(i), func() {})
+			handles[i] = at(s, s.Now()+1000+float64(i), func() {})
 		}
 		// The chunk completes: its timer is cancelled.
 		for _, h := range handles {
 			s.Cancel(h)
 		}
 		// One real event per round keeps the clock moving.
-		s.At(s.Now()+0.1, func() {})
+		at(s, s.Now()+0.1, func() {})
 		s.Step()
 		if q := s.QueueLen(); q > maxQ {
 			maxQ = q
@@ -447,10 +455,10 @@ func TestCascade(t *testing.T) {
 	step = func() {
 		depth++
 		if depth < 1000 {
-			s.After(0.001, step)
+			after(s, 0.001, step)
 		}
 	}
-	s.After(0, step)
+	after(s, 0, step)
 	end := s.Run()
 	if depth != 1000 {
 		t.Fatalf("depth = %d", depth)
@@ -460,32 +468,40 @@ func TestCascade(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleAndRun(b *testing.B) {
+// benchSim runs body b.N times on one simulator, after one untimed run
+// that grows the heap and the event free-list, so even a -benchtime=1x
+// iteration measures the steady state.
+func benchSim(b *testing.B, body func(s *Simulator)) {
 	b.ReportAllocs()
 	s := New()
+	body(s)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Reset()
+		body(s)
+	}
+}
+
+func BenchmarkScheduleAndRun(b *testing.B) {
+	benchSim(b, func(s *Simulator) {
 		for j := 0; j < 1000; j++ {
-			s.At(float64(j%37), func() {})
+			at(s, float64(j%37), func() {})
 		}
 		s.Run()
-	}
+	})
 }
 
 // BenchmarkScheduleCancelRun measures the fault-heavy pattern: every
 // event is shadowed by a far-future timer that gets cancelled.
 func BenchmarkScheduleCancelRun(b *testing.B) {
-	b.ReportAllocs()
-	s := New()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
+	benchSim(b, func(s *Simulator) {
 		for j := 0; j < 1000; j++ {
-			h := s.At(float64(j%37)+1000, func() {})
-			s.At(float64(j%37), func() {})
+			h := at(s, float64(j%37)+1000, func() {})
+			at(s, float64(j%37), func() {})
 			s.Cancel(h)
 		}
 		s.Run()
-	}
+	})
 }
 
 // PendingBy must agree with a brute-force scan over every handle at every
@@ -503,8 +519,8 @@ func TestPendingByMatchesScan(t *testing.T) {
 		var all []rec
 		ok := true
 		var cb func()
-		schedule := func(at float64) {
-			all = append(all, rec{h: s.At(at, cb), time: at})
+		schedule := func(t float64) {
+			all = append(all, rec{h: at(s, t, cb), time: t})
 		}
 		cb = func() {
 			now := s.Now()

@@ -55,7 +55,7 @@ func FuzzPushPopCancel(f *testing.F) {
 			e := rec{time: tt, id: id}
 			scheduled = append(scheduled, e)
 			cancelled = append(cancelled, false)
-			handles = append(handles, s.At(tt, func() {
+			handles = append(handles, at(s, tt, func() {
 				fired = append(fired, e)
 				for k := 0; k < spawn; k++ {
 					// Successors at now+k: k=0 ties the fire time,

@@ -31,7 +31,7 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 	spawn = func(t float64, depth int) {
 		id := nextID
 		nextID++
-		h := sim.At(t, func() {
+		h := at(sim, t, func() {
 			fired = append(fired, rec{time: t, id: id})
 			if depth > 0 {
 				// First successor: fills the hole under RunUntil.
@@ -101,7 +101,7 @@ func TestReplaceTopUnfilledHole(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(float64(10-i), func() { order = append(order, i) })
+		at(s, float64(10-i), func() { order = append(order, i) })
 	}
 	s.Run()
 	if s.Stats().Replaced != 0 {
@@ -126,17 +126,17 @@ func TestReplaceTopHoleSurvivesCompaction(t *testing.T) {
 	var handles []Handle
 	// A large pool of cancellable fillers well after the trigger event.
 	for i := 0; i < 4*compactMin; i++ {
-		handles = append(handles, s.At(100+float64(i), func() {}))
+		handles = append(handles, at(s, 100+float64(i), func() {}))
 	}
 	fired := 0
 	resumed := false
-	s.At(1, func() {
+	at(s, 1, func() {
 		for _, h := range handles {
 			s.Cancel(h) // crosses the compaction threshold mid-hole
 		}
-		s.After(1, func() { resumed = true })
+		after(s, 1, func() { resumed = true })
 	})
-	s.At(2, func() { fired++ })
+	at(s, 2, func() { fired++ })
 	s.Run()
 	if !resumed || fired != 1 {
 		t.Fatalf("post-compaction scheduling broken: resumed=%v fired=%d", resumed, fired)

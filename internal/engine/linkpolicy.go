@@ -4,84 +4,55 @@ package engine
 // shared resource the concurrent loads contend for (Gallet/Robert/Vivien,
 // "Scheduling multiple divisible loads"); a LinkPolicy decides which job is
 // offered a freed port slot first. Policies are pure orderings over the
-// jobs' link-level state, so arbitration is deterministic: the engine keeps
-// the candidate set sorted by Less (ties always broken on the job index)
-// and offers the slot to each job's dispatcher in that order until one
-// produces a chunk.
+// jobs' arrival, priority and granted volume, so arbitration is
+// deterministic: the engine offers the slot to each job's dispatcher in
+// policy order (ties always broken on the job index) until one produces a
+// chunk.
 
-// LinkState is the per-job accounting a LinkPolicy orders on. The engine
-// maintains one per job; policies must not mutate it.
-type LinkState struct {
-	// Index is the job's position in the run's job list — the final
-	// tie-breaker of every policy, which is what makes arbitration total
-	// and therefore runs bit-reproducible.
-	Index int
-	// Arrival is the virtual time the job entered the system.
-	Arrival float64
-	// Priority is the job's priority class (lower = more urgent).
-	Priority int
-	// Weight is the job's link share under weighted policies (> 0).
-	Weight float64
-	// Granted is the total work (in workload units) the link has carried
-	// for this job so far, counted when a transfer is granted the port.
-	Granted float64
-}
-
-// LinkPolicy orders jobs competing for the master's port.
+// LinkPolicy orders jobs competing for the master's port. The set is
+// closed — FCFS, StrictPriority and WeightedShare — so the engine's
+// selection scan compares each policy's keys inline (multi.go,
+// selectBest); ties always go to the lower job index.
 type LinkPolicy interface {
 	// Name identifies the policy in reports ("fcfs", "priority", ...).
 	Name() string
-	// Less reports whether job a should be offered a free port slot
-	// before job b. Implementations must induce a strict weak ordering;
-	// the engine breaks remaining ties on LinkState.Index.
-	Less(a, b *LinkState) bool
+	kind() linkKind
 }
 
-// fcfsPolicy serves jobs strictly in arrival order: the earliest-arrived
-// job sends whenever its dispatcher wants to; later jobs only get the port
-// when every earlier one declines (typically because all its workers are
-// busy or its workload is fully dispatched).
-type fcfsPolicy struct{}
+// linkKind is a built-in policy; its zero value is FCFS, the default.
+type linkKind uint8
 
-func (fcfsPolicy) Name() string { return "fcfs" }
-func (fcfsPolicy) Less(a, b *LinkState) bool {
-	return a.Arrival < b.Arrival
-}
+const (
+	// polFCFS serves jobs strictly in arrival order: the earliest-arrived
+	// job sends whenever its dispatcher wants to; later jobs only get the
+	// port when every earlier one declines (typically because all its
+	// workers are busy or its workload is fully dispatched).
+	polFCFS linkKind = iota
+	// polPriority serves the lowest Priority class first, arrival order
+	// within a class.
+	polPriority
+	// polWeighted implements weighted fair sharing of the port in the
+	// deficit round-robin style: the job with the smallest
+	// weight-normalised granted volume goes first, so in saturation each
+	// job's share of the link converges to Weight / ΣWeight while idle
+	// jobs never bank unbounded credit (the ordering looks only at what
+	// was actually granted).
+	polWeighted
+)
+
+func (k linkKind) Name() string   { return [...]string{"fcfs", "priority", "weighted"}[k] }
+func (k linkKind) kind() linkKind { return k }
 
 // FCFS returns first-come-first-served link arbitration.
-func FCFS() LinkPolicy { return fcfsPolicy{} }
-
-// priorityPolicy serves the lowest Priority class first, arrival order
-// within a class.
-type priorityPolicy struct{}
-
-func (priorityPolicy) Name() string { return "priority" }
-func (priorityPolicy) Less(a, b *LinkState) bool {
-	if a.Priority != b.Priority {
-		return a.Priority < b.Priority
-	}
-	return a.Arrival < b.Arrival
-}
+func FCFS() LinkPolicy { return polFCFS }
 
 // StrictPriority returns strict-priority link arbitration: a job only
 // transfers when no higher-priority job wants the port.
-func StrictPriority() LinkPolicy { return priorityPolicy{} }
-
-// weightedPolicy implements weighted fair sharing of the port in the
-// deficit round-robin style: the job with the smallest weight-normalised
-// granted volume goes first, so in saturation each job's share of the link
-// converges to Weight / ΣWeight while idle jobs never bank unbounded
-// credit (the ordering looks only at what was actually granted).
-type weightedPolicy struct{}
-
-func (weightedPolicy) Name() string { return "weighted" }
-func (weightedPolicy) Less(a, b *LinkState) bool {
-	return a.Granted/a.Weight < b.Granted/b.Weight
-}
+func StrictPriority() LinkPolicy { return polPriority }
 
 // WeightedShare returns weighted-round-robin link arbitration over the
 // jobs' Weight fields.
-func WeightedShare() LinkPolicy { return weightedPolicy{} }
+func WeightedShare() LinkPolicy { return polWeighted }
 
 // LinkPolicies returns the built-in policies, for sweeps and CLIs.
 func LinkPolicies() []LinkPolicy {

@@ -3,12 +3,13 @@ package engine
 // The simulation core: one DES run hosting N >= 1 divisible loads that
 // share the star platform. Each job brings its own dispatcher, workload and
 // perturbation streams; all contend for the serialised master port under a
-// pluggable LinkPolicy and for the workers' CPUs (chunks from different
-// jobs queue FIFO at each worker, in arrival order). Jobs enter the system
-// at their Arrival time — before it, a job's dispatcher is never consulted
-// — which is what open-arrival scenarios are built from. RunMulti exposes
-// the N-job case; Run (engine.go) is the one-job case. Faults and recovery
-// act on the same run state (faults.go).
+// LinkPolicy (FCFS, strict priority or weighted share) and for the
+// workers' CPUs (chunks from different jobs queue FIFO at each worker, in
+// arrival order). Jobs enter the system at their Arrival time — before
+// it, a job's dispatcher is never consulted — which is what open-arrival
+// scenarios are built from. RunMulti exposes the N-job case; Run
+// (engine.go) is the one-job case. Faults and recovery act on the same
+// run state (faults.go).
 
 import (
 	"fmt"
@@ -190,7 +191,10 @@ type mjJob struct {
 	// model's distribution (classified once per run by drawCounter), so
 	// the per-draw cost is a nil check and an add.
 	commDraws, compDraws *int64
-	link                 LinkState
+	// granted is the work the link has carried for this job so far,
+	// counted when a transfer is granted the port; weight is the job's
+	// share under WeightedShare (> 0).
+	granted, weight float64
 	// view is this job's incrementally maintained View: shared worker
 	// occupancy with the job's own completion accounting substituted in.
 	// The job's staleness bitset lives in multiRun.dirtyJ — touch() raises
@@ -211,13 +215,12 @@ type mjJob struct {
 // arena); their back-pointer to the owning run is set once and stays
 // valid because chunks never migrate between instances.
 type multiRun struct {
-	sim    *des.Simulator
-	p      *platform.Platform
-	jobs   []mjJob
-	policy LinkPolicy
-	ev     obs.JobSink
-	tr     *trace.Trace
-	ctr    *Counters
+	sim  *des.Simulator
+	p    *platform.Platform
+	jobs []mjJob
+	ev   obs.JobSink
+	tr   *trace.Trace
+	ctr  *Counters
 
 	n         int
 	slots     int
@@ -242,15 +245,15 @@ type multiRun struct {
 	// Contiguous per-job selection keys, indexed by job, so the policy
 	// minimum scan in selectBest stays within one cache line: selKey is
 	// the arrival time under FCFS and priority, and the memoised
-	// Granted/Weight quotient (updated at each grant) under weighted;
+	// granted/weight quotient (updated at each grant) under weighted;
 	// selPrio is the priority class.
 	selKey  []float64
 	selPrio []int
 
-	// polKind classifies the policy once per run so the selection scan in
-	// kick — the hottest comparison site — runs with inlined keys instead
-	// of an interface call per pair.
-	polKind uint8
+	// polKind is the run's link policy, read once per run so the
+	// selection scan in kick — the hottest comparison site — runs with
+	// inlined keys.
+	polKind linkKind
 
 	// Fault injection and recovery (faults.go). Lost attempts wait in
 	// lostQueue, FIFO, and are re-sent before any job's fresh dispatch.
@@ -271,15 +274,6 @@ type multiRun struct {
 
 	err error
 }
-
-// Policy classes for multiRun.polKind; polCustom falls back to the
-// LinkPolicy interface.
-const (
-	polCustom uint8 = iota
-	polFCFS
-	polPriority
-	polWeighted
-)
 
 var multiRunPool = sync.Pool{New: func() any { return &multiRun{sim: des.New()} }}
 
@@ -348,25 +342,15 @@ func RunMulti(p *platform.Platform, jobs []Job, opts MultiOptions) (MultiResult,
 // read before release.
 func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, faults *fault.Schedule, rec fault.Recovery) error {
 	mr.p = p
-	mr.policy = opts.Policy
 	mr.ev = opts.Events
 	mr.ctr = opts.Counters
 	mr.rec = rec
 	mr.n = p.N()
 	mr.slots = opts.ParallelSends
 	mr.maxChunks = opts.MaxChunks
-	if mr.policy == nil {
-		mr.policy = FCFS()
-	}
-	switch mr.policy.(type) {
-	case fcfsPolicy:
-		mr.polKind = polFCFS
-	case priorityPolicy:
-		mr.polKind = polPriority
-	case weightedPolicy:
-		mr.polKind = polWeighted
-	default:
-		mr.polKind = polCustom
+	mr.polKind = polFCFS
+	if opts.Policy != nil {
+		mr.polKind = opts.Policy.kind()
 	}
 	if mr.slots <= 0 {
 		mr.slots = 1
@@ -441,9 +425,9 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 		clear(vw)
 		*js = mjJob{
 			spec: spec, comm: spec.CommModel, comp: spec.CompModel,
-			link: LinkState{Index: j, Arrival: spec.Arrival, Priority: spec.Priority, Weight: spec.Weight},
-			view: View{Workers: vw, IdleMask: mr.idle},
-			res:  JobResult{Name: spec.Name, Arrival: spec.Arrival},
+			weight: spec.Weight,
+			view:   View{Workers: vw, IdleMask: mr.idle},
+			res:    JobResult{Name: spec.Name, Arrival: spec.Arrival},
 		}
 		if js.comm == nil {
 			js.comm = perferr.Perfect{}
@@ -456,12 +440,12 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 		js.exh, _ = spec.Dispatcher.(ExhaustedDispatcher)
 		js.commDraws = drawCounter(mr.ctr, js.comm)
 		js.compDraws = drawCounter(mr.ctr, js.comp)
-		if js.link.Weight <= 0 {
-			js.link.Weight = 1
+		if js.weight <= 0 {
+			js.weight = 1
 		}
 		mr.selKey[j] = spec.Arrival
 		if mr.polKind == polWeighted {
-			mr.selKey[j] = 0 // Granted/Weight at Granted = 0
+			mr.selKey[j] = 0 // granted/weight at granted = 0
 		}
 		mr.selPrio[j] = spec.Priority
 		if em, ok := spec.Dispatcher.(obs.Emitter); ok && mr.ev != nil {
@@ -551,7 +535,6 @@ func (mr *multiRun) release() {
 	}
 	mr.loneSink.Sink = nil
 	mr.p = nil
-	mr.policy = nil
 	mr.ev = nil
 	mr.tr = nil
 	mr.ctr = nil
@@ -704,15 +687,14 @@ func (mr *multiRun) syncViewFor(j int) {
 var syncViewForAudit func(mr *multiRun, j int)
 
 // selectBest returns the position in mr.cand of the policy minimum —
-// first among ties, the job a stable sort would consult next. The
-// built-in policies compare inlined keys (the exact values their Less
-// methods derive), so the scan performs no interface call per pair;
-// unknown policies fall back to the LinkPolicy interface.
+// first among ties, the job a stable sort would consult next. FCFS and
+// weighted share order on one key per job; strict priority orders on the
+// class, then arrival.
 func (mr *multiRun) selectBest() int {
 	best := 0
 	switch mr.polKind {
 	case polWeighted, polFCFS:
-		// One key per job: Granted/Weight (weighted) or arrival (FCFS).
+		// One key per job: granted/weight (weighted) or arrival (FCFS).
 		bk := mr.selKey[mr.cand[0]]
 		for i := 1; i < len(mr.cand); i++ {
 			if k := mr.selKey[mr.cand[i]]; k < bk {
@@ -725,12 +707,6 @@ func (mr *multiRun) selectBest() int {
 			p, k := mr.selPrio[mr.cand[i]], mr.selKey[mr.cand[i]]
 			if p < bp || (p == bp && k < bk) {
 				best, bp, bk = i, p, k
-			}
-		}
-	default:
-		for i := 1; i < len(mr.cand); i++ {
-			if mr.policy.Less(&mr.jobs[mr.cand[i]].link, &mr.jobs[mr.cand[best]].link) {
-				best = i
 			}
 		}
 	}
@@ -821,9 +797,9 @@ func (mr *multiRun) send(pc *mjChunk) {
 	pc.timeout = des.Handle{}
 	mr.workers[wi].state.InFlight++
 	mr.touchBusy(wi)
-	js.link.Granted += c.Size
+	js.granted += c.Size
 	if mr.polKind == polWeighted {
-		mr.selKey[pc.job] = js.link.Granted / js.link.Weight
+		mr.selKey[pc.job] = js.granted / js.weight
 	}
 	if mr.tr != nil {
 		mr.tr.Records = append(mr.tr.Records, trace.ChunkRecord{

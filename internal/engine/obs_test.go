@@ -99,6 +99,11 @@ func benchRun(b *testing.B, opts Options) {
 // observability cost is one nil check per state change.
 func BenchmarkEngineNoSink(b *testing.B) { benchRun(b, Options{}) }
 
+// nopSink discards every event.
+type nopSink struct{}
+
+func (nopSink) Emit(obs.Event) {}
+
 // BenchmarkEngineNopSink measures the interface-call overhead of an
 // attached sink that discards everything.
-func BenchmarkEngineNopSink(b *testing.B) { benchRun(b, Options{Events: obs.Nop{}}) }
+func BenchmarkEngineNopSink(b *testing.B) { benchRun(b, Options{Events: nopSink{}}) }

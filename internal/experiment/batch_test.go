@@ -19,6 +19,15 @@ import (
 	"rumr/internal/sched/wfactoring"
 )
 
+// cellSeed is the frozen reference derivation of the per-(config, error,
+// rep) RNG source; CellState.reseedCell must stay bit-identical to it.
+func cellSeed(g Grid, cfg Config, errMag float64, rep int) *rng.Source {
+	return rng.NewFrom(g.BaseSeed,
+		uint64(cfg.N), math.Float64bits(cfg.R),
+		math.Float64bits(cfg.CLat), math.Float64bits(cfg.NLat),
+		math.Float64bits(errMag), uint64(rep))
+}
+
 // computeCellReference is the pre-batch per-repetition implementation of
 // computeCell, kept verbatim as the reference the batched path must match
 // bit for bit: platform and memo built per cell, every dispatcher

@@ -6,7 +6,7 @@ package experiment
 // (base seed, total, repetitions, error values, algorithm list, error
 // model and visibility) plus the configuration's own values — and
 // deliberately NOT the configuration's position in the grid. Cell seeding
-// is equally position-independent (see cellSeed), so a cache written by
+// is equally position-independent (see reseedCell), so a cache written by
 // one sweep is valid for any other sweep that agrees on those parameters:
 // extend a grid with new Ns/Rs/latencies and the re-sweep computes only
 // the added cells, regardless of how the extension shuffled configuration

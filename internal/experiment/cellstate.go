@@ -240,9 +240,12 @@ func (cs *CellState) prepare(r *Runner, g Grid, cfg Config) {
 	cs.prepared = true
 }
 
-// reseedCell re-derives the per-(config, error, rep) stream into cs.src
-// in place. It must stay bit-identical to cellSeed (see its doc for the
-// cache-invalidation contract).
+// reseedCell re-derives the per-(config, error, rep) RNG stream into
+// cs.src in place, from the configuration's values alone. Keep this in
+// sync with the CellKey doc: any change invalidates every
+// content-addressed cache and checkpoint silently, so bump cache
+// directories when touching it. TestBatchedCellMatchesReference pins it
+// against the frozen reference derivation, cellSeed.
 func (cs *CellState) reseedCell(g Grid, cfg Config, errMag float64, rep int) {
 	cs.seed[0] = g.BaseSeed
 	cs.seed[1] = uint64(cfg.N)

@@ -5,7 +5,7 @@ package experiment
 // a JSONL file; a restarted sweep loads the file, skips the completed
 // configurations and recomputes only the rest. Because every cell's error
 // streams are seeded from (BaseSeed, config values, error value, rep) —
-// see cellSeed — independent of worker scheduling, a resumed sweep is
+// see reseedCell — independent of worker scheduling, a resumed sweep is
 // bit-identical to an uninterrupted one.
 //
 // Every line carries a fingerprint of (grid, algorithm names, error

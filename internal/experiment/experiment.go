@@ -28,7 +28,6 @@ import (
 	"rumr/internal/metrics"
 	"rumr/internal/perferr"
 	"rumr/internal/platform"
-	"rumr/internal/rng"
 	"rumr/internal/sched"
 	"rumr/internal/sched/factoring"
 	"rumr/internal/sched/mi"
@@ -478,17 +477,6 @@ func cellShapeOK(cell [][]float64, errors, algos int) bool {
 		}
 	}
 	return true
-}
-
-// cellSeed derives the per-(config, error, rep) RNG source from values
-// alone. Keep this in sync with the CellKey doc: any change invalidates
-// every content-addressed cache and checkpoint silently, so bump cache
-// directories when touching it.
-func cellSeed(g Grid, cfg Config, errMag float64, rep int) *rng.Source {
-	return rng.NewFrom(g.BaseSeed,
-		uint64(cfg.N), math.Float64bits(cfg.R),
-		math.Float64bits(cfg.CLat), math.Float64bits(cfg.NLat),
-		math.Float64bits(errMag), uint64(rep))
 }
 
 // CellCounters is one computed cell's telemetry: its engine counters and

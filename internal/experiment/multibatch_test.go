@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"rumr/internal/arrivals"
 	"rumr/internal/dlt"
 	"rumr/internal/engine"
 	"rumr/internal/metrics"
@@ -15,6 +16,26 @@ import (
 	"rumr/internal/sched/mi"
 	"rumr/internal/sched/rumr"
 )
+
+// multiJobArrivals is the frozen reference draw of one (rate, rep)
+// instance's arrival times; MultiCellState.regenArrivals must stay
+// bit-identical to it.
+func multiJobArrivals(g MultiJobGrid, rate float64, rep int) []float64 {
+	if rate <= 0 {
+		return make([]float64, g.Jobs) // batch arrival at t=0
+	}
+	src := rng.NewFrom(g.BaseSeed, 0x6a6f6273, // "jobs"
+		math.Float64bits(rate), uint64(rep))
+	return arrivals.Poisson(rate).Times(g.Jobs, src)
+}
+
+// multiJobSeed is the frozen reference derivation of one (rate, rep)
+// instance's error-stream seed; MultiCellState.instanceSeed must stay
+// bit-identical to it.
+func multiJobSeed(g MultiJobGrid, rate float64, rep int) uint64 {
+	return rng.NewFrom(g.BaseSeed, 0x657272, // "err"
+		math.Float64bits(rate), uint64(rep)).Uint64()
+}
 
 // runMultiJobCellReference is the pre-batch per-repetition implementation
 // of a multi-job cell, kept verbatim as the reference the batched

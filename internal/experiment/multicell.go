@@ -162,8 +162,12 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 }
 
 // regenArrivals re-derives the arrival times of one (rate, rep) instance
-// into cs.arr in place. It must stay bit-identical to multiJobArrivals:
-// same seed parts, same inverse-CDF sampling loop as arrivals.Poisson.
+// into cs.arr in place: Poisson arrivals by the same inverse-CDF sampling
+// loop as arrivals.Poisson. The seed depends only on the grid seed, the
+// rate value and the repetition — not the policy or algorithm — so every
+// competitor faces the identical arrival history (common random
+// numbers). It must stay bit-identical to the frozen reference,
+// multiJobArrivals.
 func (cs *MultiCellState) regenArrivals(g MultiJobGrid, rate float64, rep int) {
 	if rate <= 0 {
 		for i := range cs.arr {
@@ -184,7 +188,8 @@ func (cs *MultiCellState) regenArrivals(g MultiJobGrid, rate float64, rep int) {
 }
 
 // instanceSeed re-derives the error-stream seed of one (rate, rep)
-// instance, bit-identical to multiJobSeed.
+// instance; like the arrivals it is policy- and algorithm-independent.
+// It must stay bit-identical to the frozen reference, multiJobSeed.
 func (cs *MultiCellState) instanceSeed(g MultiJobGrid, rate float64, rep int) uint64 {
 	cs.seed[0] = g.BaseSeed
 	cs.seed[1] = 0x657272 // "err"

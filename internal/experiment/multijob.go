@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"math"
 
-	"rumr/internal/arrivals"
 	"rumr/internal/engine"
-	"rumr/internal/rng"
 )
 
 // MultiJobGrid describes a multi-job sweep: one platform configuration,
@@ -192,24 +190,4 @@ func (r *Runner) MultiJobContext(ctx context.Context, g MultiJobGrid) (*MultiJob
 		}
 	}
 	return res, nil
-}
-
-// multiJobArrivals draws the arrival times of one (rate, rep) instance.
-// The seed depends only on the grid seed, the rate value and the
-// repetition — not the policy or algorithm — so every competitor faces
-// the identical arrival history (common random numbers).
-func multiJobArrivals(g MultiJobGrid, rate float64, rep int) []float64 {
-	if rate <= 0 {
-		return make([]float64, g.Jobs) // batch arrival at t=0
-	}
-	src := rng.NewFrom(g.BaseSeed, 0x6a6f6273, // "jobs"
-		math.Float64bits(rate), uint64(rep))
-	return arrivals.Poisson(rate).Times(g.Jobs, src)
-}
-
-// multiJobSeed derives the error-stream seed of one (rate, rep) instance;
-// like the arrivals it is policy- and algorithm-independent.
-func multiJobSeed(g MultiJobGrid, rate float64, rep int) uint64 {
-	return rng.NewFrom(g.BaseSeed, 0x657272, // "err"
-		math.Float64bits(rate), uint64(rep)).Uint64()
 }

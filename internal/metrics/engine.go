@@ -1,7 +1,5 @@
 package metrics
 
-import "sync/atomic"
-
 // EngineCounters are the simulation engine's hot-path telemetry: where the
 // DES inner loop spends its work, broken down by mechanism. The engine
 // accumulates them with plain integer adds on its pooled run state (see
@@ -55,54 +53,11 @@ func (c *EngineCounters) Merge(o EngineCounters) {
 	c.Redispatches += o.Redispatches
 }
 
-// engineAtomics is the Collector's concurrent accumulator for
-// EngineCounters — adds everywhere, CAS-max for the depth.
-type engineAtomics struct {
-	pushed, popped, replaced, cancels atomic.Int64
-	maxDepth                          atomic.Int64
-	viewCopies, viewBytes             atomic.Int64
-	truncNormal, uniform, otherDraws  atomic.Int64
-	redispatches                      atomic.Int64
-}
-
-func (e *engineAtomics) add(ec EngineCounters) {
-	e.pushed.Add(ec.EventsPushed)
-	e.popped.Add(ec.EventsPopped)
-	e.replaced.Add(ec.EventsReplaced)
-	e.cancels.Add(ec.LazyCancels)
-	for {
-		cur := e.maxDepth.Load()
-		if ec.MaxHeapDepth <= cur || e.maxDepth.CompareAndSwap(cur, ec.MaxHeapDepth) {
-			break
-		}
-	}
-	e.viewCopies.Add(ec.SyncViewCopies)
-	e.viewBytes.Add(ec.SyncViewBytes)
-	e.truncNormal.Add(ec.TruncNormalDraws)
-	e.uniform.Add(ec.UniformDraws)
-	e.otherDraws.Add(ec.OtherDraws)
-	e.redispatches.Add(ec.Redispatches)
-}
-
-func (e *engineAtomics) snapshot() EngineCounters {
-	return EngineCounters{
-		EventsPushed:     e.pushed.Load(),
-		EventsPopped:     e.popped.Load(),
-		EventsReplaced:   e.replaced.Load(),
-		LazyCancels:      e.cancels.Load(),
-		MaxHeapDepth:     e.maxDepth.Load(),
-		SyncViewCopies:   e.viewCopies.Load(),
-		SyncViewBytes:    e.viewBytes.Load(),
-		TruncNormalDraws: e.truncNormal.Load(),
-		UniformDraws:     e.uniform.Load(),
-		OtherDraws:       e.otherDraws.Load(),
-		Redispatches:     e.redispatches.Load(),
-	}
-}
-
 // AddEngineCounters folds one batch of engine counters (typically one
-// sweep cell's worth) into the collector. Safe for concurrent use; cost is
-// ten atomic adds per cell, far off the hot path.
+// sweep cell's worth) into the collector by Merge. Safe for concurrent
+// use; the mutex is taken once per cell, far off the hot path.
 func (c *Collector) AddEngineCounters(ec EngineCounters) {
-	c.eng.add(ec)
+	c.engMu.Lock()
+	c.eng.Merge(ec)
+	c.engMu.Unlock()
 }

@@ -13,6 +13,7 @@ package metrics
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -42,7 +43,8 @@ type Collector struct {
 	jobSlowdown  *Histogram // per-job slowdown in multi-job runs
 	fairness     *Histogram // per-run Jain fairness index
 
-	eng engineAtomics // engine hot-path counters, see AddEngineCounters
+	engMu sync.Mutex
+	eng   EngineCounters // engine hot-path counters, see AddEngineCounters
 }
 
 // New returns a Collector whose clock starts now.
@@ -147,6 +149,9 @@ type Snapshot struct {
 
 // Snapshot captures the current counter values and derived rates.
 func (c *Collector) Snapshot() Snapshot {
+	c.engMu.Lock()
+	eng := c.eng
+	c.engMu.Unlock()
 	s := Snapshot{
 		Simulations:    c.simulations.Load(),
 		Events:         c.events.Load(),
@@ -165,7 +170,7 @@ func (c *Collector) Snapshot() Snapshot {
 		Fairness:      c.fairness.Summary(),
 		PlansBuilt:    c.plansBuilt.Load(),
 		PlansShared:   c.plansShared.Load(),
-		Engine:        c.eng.snapshot(),
+		Engine:        eng,
 	}
 	if s.ElapsedSec > 0 {
 		s.RunsPerSec = float64(s.Simulations) / s.ElapsedSec

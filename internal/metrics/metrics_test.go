@@ -44,6 +44,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.AddRun(2, 3, 1.5)
+				c.AddEngineCounters(EngineCounters{EventsPushed: 2, Redispatches: 1, MaxHeapDepth: int64(w*per + i)})
 			}
 			c.ConfigDone(time.Millisecond)
 		}()
@@ -58,6 +59,10 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 	if s.RunMakespan.Count != workers*per || s.RunMakespan.P50 != 1.5 {
 		t.Fatalf("makespan summary = %+v", s.RunMakespan)
+	}
+	want := EngineCounters{EventsPushed: 2 * workers * per, Redispatches: workers * per, MaxHeapDepth: workers*per - 1}
+	if s.Engine != want {
+		t.Fatalf("engine counters = %+v, want %+v", s.Engine, want)
 	}
 }
 

@@ -110,14 +110,6 @@ type Emitter interface {
 	AttachEvents(Sink)
 }
 
-// Nop discards every event. The engine's nil-sink path is cheaper still
-// (no interface call at all); Nop exists for composition points that
-// require a non-nil Sink.
-type Nop struct{}
-
-// Emit implements Sink.
-func (Nop) Emit(Event) {}
-
 // Func adapts a function to the Sink interface.
 type Func func(Event)
 

@@ -74,7 +74,7 @@ func NewSizer(n int, factor float64) *Sizer {
 }
 
 // NextSize implements sched.ChunkSizer.
-func (s *Sizer) NextSize(remaining float64) float64 {
+func (s *Sizer) NextSize(_ int, remaining float64) float64 {
 	if s.left == 0 {
 		s.batch = remaining / (s.Factor * float64(s.N))
 		s.left = s.N
@@ -88,7 +88,7 @@ func (s *Sizer) NextSize(remaining float64) float64 {
 // dispatcher uses it to emit batch-boundary events.
 func (s *Sizer) Batches() int { return s.batches }
 
-// Reset implements sched.ResettableSizer: the batch progression restarts
+// Reset implements sched.ChunkSizer: the batch progression restarts
 // from the first batch, as if freshly constructed.
 func (s *Sizer) Reset() {
 	s.batch = 0

@@ -16,19 +16,19 @@ func TestSizerHalvesPerBatch(t *testing.T) {
 	s := NewSizer(4, 0)
 	// First batch: 100/(2*4) = 12.5 for 4 allocations.
 	for i := 0; i < 4; i++ {
-		if got := s.NextSize(100 - 12.5*float64(i)); got != 12.5 {
+		if got := s.NextSize(0, 100-12.5*float64(i)); got != 12.5 {
 			t.Fatalf("allocation %d size = %v, want 12.5", i, got)
 		}
 	}
 	// Second batch: remaining 50 -> 50/8 = 6.25.
-	if got := s.NextSize(50); got != 6.25 {
+	if got := s.NextSize(0, 50); got != 6.25 {
 		t.Fatalf("second batch size = %v, want 6.25", got)
 	}
 }
 
 func TestSizerCustomFactor(t *testing.T) {
 	s := NewSizer(2, 4)
-	if got := s.NextSize(80); got != 10 { // 80/(4*2)
+	if got := s.NextSize(0, 80); got != 10 { // 80/(4*2)
 		t.Fatalf("size = %v, want 10", got)
 	}
 }
@@ -192,14 +192,14 @@ func TestSizerResetReplays(t *testing.T) {
 	var first []float64
 	remaining := 100.0
 	for i := 0; i < 12; i++ {
-		sz := s.NextSize(remaining)
+		sz := s.NextSize(0, remaining)
 		first = append(first, sz)
 		remaining -= sz
 	}
 	s.Reset()
 	remaining = 100.0
 	for i, want := range first {
-		sz := s.NextSize(remaining)
+		sz := s.NextSize(0, remaining)
 		if sz != want {
 			t.Fatalf("size %d after Reset = %v, want %v", i, sz, want)
 		}

@@ -70,7 +70,10 @@ func clamp(x, lo, hi float64) float64 {
 type fixedSizer struct{ size float64 }
 
 // NextSize implements sched.ChunkSizer.
-func (f fixedSizer) NextSize(remaining float64) float64 { return f.size }
+func (f fixedSizer) NextSize(_ int, _ float64) float64 { return f.size }
+
+// Reset implements sched.ChunkSizer; the size is fixed.
+func (fixedSizer) Reset() {}
 
 // Scheduler adapts FSC to the sched.Scheduler interface.
 type Scheduler struct{}

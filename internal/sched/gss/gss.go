@@ -16,7 +16,10 @@ import (
 type sizer struct{ n float64 }
 
 // NextSize implements sched.ChunkSizer.
-func (s sizer) NextSize(remaining float64) float64 { return remaining / s.n }
+func (s sizer) NextSize(_ int, remaining float64) float64 { return remaining / s.n }
+
+// Reset implements sched.ChunkSizer; GSS keeps no state.
+func (sizer) Reset() {}
 
 // Scheduler adapts GSS to the sched.Scheduler interface.
 type Scheduler struct{}

@@ -268,20 +268,11 @@ type Memoizer interface {
 // repetition instead of reconstructing Reps times; dispatchers that do
 // not implement Replayable are simply rebuilt per repetition (the
 // pre-batch behaviour — always correct, just slower). Composite
-// dispatchers must reset every phase, and demand dispatchers can only
-// satisfy the contract when their stateful sizers implement
-// ResettableSizer.
+// dispatchers must reset every phase; demand dispatchers reset their
+// sizer through ChunkSizer.Reset.
 type Replayable interface {
 	engine.Dispatcher
 	// Reset rewinds the dispatcher to its post-construction state.
-	Reset()
-}
-
-// ResettableSizer is a ChunkSizer (or WorkerSizer) whose batch/sequence
-// progression can rewind to its initial state. Every stateful sizer used
-// by a Replayable demand dispatcher must implement it — Demand.Reset
-// silently assumes a sizer without Reset is stateless.
-type ResettableSizer interface {
 	Reset()
 }
 
@@ -444,19 +435,17 @@ func (s *Static) TrimTail(target float64) float64 {
 }
 
 // ChunkSizer yields successive chunk sizes for a demand-driven policy,
-// given the remaining workload. Returning the full remaining amount (or
-// more — the dispatcher clamps) ends the run in one chunk.
+// given the receiving worker and the remaining workload. Returning the
+// full remaining amount (or more — the dispatcher clamps) ends the run in
+// one chunk.
 type ChunkSizer interface {
-	// NextSize returns the size of the next chunk to allocate given the
-	// remaining workload (> 0).
-	NextSize(remaining float64) float64
-}
-
-// WorkerSizer is a ChunkSizer that also sees which worker will receive
-// the chunk — weighted policies size chunks by worker speed.
-type WorkerSizer interface {
-	// NextSizeFor returns the chunk size for the given worker.
-	NextSizeFor(worker int, remaining float64) float64
+	// NextSize returns the size of the next chunk to allocate to worker
+	// given the remaining workload (> 0); weighted policies size chunks
+	// by the worker's speed.
+	NextSize(worker int, remaining float64) float64
+	// Reset rewinds the sizer's batch/sequence progression to its
+	// initial state, for Demand.Reset; stateless sizers do nothing.
+	Reset()
 }
 
 // Demand dispatches to idle workers only — the greedy, self-scheduling
@@ -503,17 +492,13 @@ func (d *Demand) Remaining() float64 { return d.remaining }
 
 // Reset implements Replayable: the pool rewinds to its constructed size
 // (units later transferred in via Add are forgotten) and the sizer's
-// progression restarts. A sizer that carries state must implement
-// ResettableSizer for the replay contract to hold; sizers without a Reset
-// are assumed stateless.
+// progression restarts.
 func (d *Demand) Reset() {
 	d.remaining = d.initial
 	d.total = d.initial
 	d.batch = 0
 	d.lastBatches = 0
-	if rs, ok := d.Sizer.(ResettableSizer); ok {
-		rs.Reset()
-	}
+	d.Sizer.Reset()
 }
 
 // Add transfers extra workload units into the demand-driven pool.
@@ -543,12 +528,7 @@ func (d *Demand) Next(v *engine.View) (engine.Chunk, bool) {
 	if target < 0 {
 		return engine.Chunk{}, false
 	}
-	var size float64
-	if ws, ok := d.Sizer.(WorkerSizer); ok {
-		size = ws.NextSizeFor(target, d.remaining)
-	} else {
-		size = d.Sizer.NextSize(d.remaining)
-	}
+	size := d.Sizer.NextSize(target, d.remaining)
 	if size < d.MinChunk {
 		size = d.MinChunk
 	}

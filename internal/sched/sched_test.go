@@ -126,7 +126,8 @@ func TestStaticInOrderNeverPromotes(t *testing.T) {
 // doubler halves nothing: returns remaining/2 for testing Demand.
 type halver struct{}
 
-func (halver) NextSize(remaining float64) float64 { return remaining / 2 }
+func (halver) NextSize(_ int, remaining float64) float64 { return remaining / 2 }
+func (halver) Reset()                                    {}
 
 func TestDemandServesIdleOnly(t *testing.T) {
 	d := NewDemand(100, halver{}, 1, 2)
@@ -258,8 +259,8 @@ func TestRemainingWork(t *testing.T) {
 // weightedTestSizer doubles chunk size for worker 1.
 type weightedTestSizer struct{}
 
-func (weightedTestSizer) NextSize(remaining float64) float64 { return remaining / 10 }
-func (weightedTestSizer) NextSizeFor(worker int, remaining float64) float64 {
+func (weightedTestSizer) Reset() {}
+func (weightedTestSizer) NextSize(worker int, remaining float64) float64 {
 	if worker == 1 {
 		return remaining / 5
 	}

@@ -14,7 +14,10 @@ import (
 type unitSizer struct{ quantum float64 }
 
 // NextSize implements sched.ChunkSizer.
-func (u unitSizer) NextSize(remaining float64) float64 { return u.quantum }
+func (u unitSizer) NextSize(_ int, _ float64) float64 { return u.quantum }
+
+// Reset implements sched.ChunkSizer; the quantum is constant.
+func (unitSizer) Reset() {}
 
 // Scheduler adapts self-scheduling to the sched.Scheduler interface.
 type Scheduler struct {

@@ -26,7 +26,7 @@ type sizer struct {
 }
 
 // NextSize implements sched.ChunkSizer.
-func (s *sizer) NextSize(remaining float64) float64 {
+func (s *sizer) NextSize(_ int, remaining float64) float64 {
 	size := s.next
 	if size < s.last {
 		size = s.last
@@ -35,7 +35,7 @@ func (s *sizer) NextSize(remaining float64) float64 {
 	return size
 }
 
-// Reset implements sched.ResettableSizer: the sequence restarts at the
+// Reset implements sched.ChunkSizer: the sequence restarts at the
 // first chunk size.
 func (s *sizer) Reset() { s.next = s.first }
 

@@ -40,8 +40,8 @@ func newSizer(p *platform.Platform, factor float64) *sizer {
 	return &sizer{weights: weights, factor: factor}
 }
 
-// NextSizeFor implements sched.WorkerSizer.
-func (s *sizer) NextSizeFor(worker int, remaining float64) float64 {
+// NextSize implements sched.ChunkSizer.
+func (s *sizer) NextSize(worker int, remaining float64) float64 {
 	if s.left == 0 {
 		s.batch = remaining / s.factor
 		s.left = len(s.weights)
@@ -51,23 +51,11 @@ func (s *sizer) NextSizeFor(worker int, remaining float64) float64 {
 	return s.batch * s.weights[worker]
 }
 
-// NextSize implements sched.ChunkSizer (unweighted fallback; unused when
-// the dispatcher knows the worker).
-func (s *sizer) NextSize(remaining float64) float64 {
-	if s.left == 0 {
-		s.batch = remaining / s.factor
-		s.left = len(s.weights)
-		s.batches++
-	}
-	s.left--
-	return s.batch / float64(len(s.weights))
-}
-
 // Batches reports how many batches have been started; the demand
 // dispatcher uses it to emit batch-boundary events.
 func (s *sizer) Batches() int { return s.batches }
 
-// Reset implements sched.ResettableSizer: the batch progression restarts
+// Reset implements sched.ChunkSizer: the batch progression restarts
 // from the first batch (the weights are construction-time constants).
 func (s *sizer) Reset() {
 	s.batch = 0

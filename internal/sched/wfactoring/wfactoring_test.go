@@ -132,12 +132,12 @@ func TestNameAndValidation(t *testing.T) {
 func TestSizerFallbackUnweighted(t *testing.T) {
 	p := platform.Homogeneous(4, 1, 8, 0, 0)
 	s := newSizer(p, 0)
-	// The plain ChunkSizer path splits batches evenly.
-	if got := s.NextSize(80); math.Abs(got-10) > 1e-12 { // 80/2/4
+	// Equal speeds split batches evenly.
+	if got := s.NextSize(0, 80); math.Abs(got-10) > 1e-12 { // 80/2/4
 		t.Fatalf("NextSize = %v, want 10", got)
 	}
 	// Remaining allocations of the batch keep the frozen batch size.
-	if got := s.NextSize(70); math.Abs(got-10) > 1e-12 {
+	if got := s.NextSize(1, 70); math.Abs(got-10) > 1e-12 {
 		t.Fatalf("second NextSize = %v, want 10", got)
 	}
 }
@@ -146,7 +146,7 @@ func TestCustomFactor(t *testing.T) {
 	p := platform.Homogeneous(2, 1, 8, 0, 0)
 	s := newSizer(p, 4)
 	// Batch = remaining/4, split over 2 equal workers.
-	if got := s.NextSizeFor(0, 80); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("NextSizeFor = %v, want 10", got)
+	if got := s.NextSize(0, 80); math.Abs(got-10) > 1e-12 {
+		t.Fatalf("NextSize = %v, want 10", got)
 	}
 }

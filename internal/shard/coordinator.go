@@ -362,9 +362,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if n <= 0 {
 		n = DefaultBatch
 	}
-	if req.Max > 0 && req.Max < n {
-		n = req.Max
-	}
 	if n > len(js.queue) {
 		n = len(js.queue)
 	}

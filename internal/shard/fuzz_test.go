@@ -37,6 +37,8 @@ func FuzzProtocolDecode(f *testing.F) {
 		Errors: []float64{0, 0.2}, Reps: 1, Total: 1000, BaseSeed: 2003}
 	job := SweepJob{Grid: g, Algorithms: []string{"RUMR", "UMR"}}
 	fp := experiment.Fingerprint(g, job.Algorithms, job.Model, job.UnknownError)
+	// A lease body may carry an older worker's "max" batch cap; the
+	// coordinator ignores the field and serves the lease.
 	f.Add(uint8(0), []byte(`{"worker":"w0","max":1}`))
 	f.Add(uint8(1), []byte(`{"worker":"w0","lease":1}`))
 	f.Add(uint8(2), []byte(fmt.Sprintf(`{"worker":"w0","lease":1,"fingerprint":%q,"config":1,`+

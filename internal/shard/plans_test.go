@@ -58,11 +58,12 @@ func TestWorkerReusesRunnerAcrossLeases(t *testing.T) {
 	}
 
 	coord := NewCoordinator()
+	coord.Batch = 1
 	server := httptest.NewServer(coord.Handler())
 	defer server.Close()
 	defer coord.Close()
 	met := metrics.New()
-	startWorker(t, server, &Worker{ID: "w0", Procs: 1, Batch: 1, Metrics: met})
+	startWorker(t, server, &Worker{ID: "w0", Procs: 1, Metrics: met})
 
 	// The total stays at the local count after the second sweep: it
 	// builds nothing.

@@ -57,8 +57,6 @@ type LeaseRequest struct {
 	// Worker is the requester's self-chosen stable identity (it keys the
 	// coordinator's per-worker stats).
 	Worker string `json:"worker"`
-	// Max caps the batch size; 0 accepts the coordinator's default.
-	Max int `json:"max,omitempty"`
 	// Spans ships the worker's completed trace spans opportunistically:
 	// whatever finished since the last post rides along on the next lease
 	// poll (final lease/backoff spans have no result post to ride on).

@@ -150,7 +150,7 @@ func TestWorkerKillMidSweepReissuesLease(t *testing.T) {
 	// the sweep without its configurations being re-issued.
 	var stolen Lease
 	{
-		blob, _ := json.Marshal(LeaseRequest{Worker: "doomed", Max: 3})
+		blob, _ := json.Marshal(LeaseRequest{Worker: "doomed"})
 		// The coordinator only leases while a Run is active; start Run
 		// first, then steal.
 		done := make(chan struct{})

@@ -28,9 +28,6 @@ type Worker struct {
 	// Procs bounds how many configurations of a lease compute in parallel
 	// (0 = all CPUs).
 	Procs int
-	// Batch caps the configurations requested per lease (0 = coordinator's
-	// default).
-	Batch int
 	// Client overrides the HTTP client (tests inject the httptest one).
 	Client *http.Client
 	// Metrics, when non-nil, collects this worker's local run counters
@@ -158,7 +155,7 @@ const (
 // HTTP (no response at all), which Run counts toward its gone-detection;
 // any received status, even an error one, proves the coordinator lives.
 func (w *Worker) requestLease(ctx context.Context) (l *Lease, d leaseDisposition, transportErr bool) {
-	req := LeaseRequest{Worker: w.ID, Max: w.Batch}
+	req := LeaseRequest{Worker: w.ID}
 	if w.rec != nil {
 		req.Spans = w.rec.Drain() // piggyback whatever finished since the last post
 	}

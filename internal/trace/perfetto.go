@@ -117,7 +117,6 @@ func (tr *Trace) WritePerfetto(w io.Writer, n int) error {
 // single-goroutine event loop.
 type PerfettoSink struct {
 	w       io.Writer
-	pid     int
 	err     error
 	any     bool
 	threads map[int]bool // tids whose metadata has been written
@@ -126,17 +125,9 @@ type PerfettoSink struct {
 // NewPerfettoSink starts a trace-event document on w as pid 1 named
 // "rumr run" — the single-run layout.
 func NewPerfettoSink(w io.Writer) *PerfettoSink {
-	return NewPerfettoSinkProcess(w, perfettoPid, "rumr run")
-}
-
-// NewPerfettoSinkProcess starts a trace-event document whose events land
-// in the Perfetto process (pid, name) — the process/track dimension that
-// lets several sinks' outputs (or a sink's output and a fused fleet
-// trace) coexist in one viewer session without their tracks colliding.
-func NewPerfettoSinkProcess(w io.Writer, pid int, name string) *PerfettoSink {
-	s := &PerfettoSink{w: w, pid: pid, threads: make(map[int]bool)}
+	s := &PerfettoSink{w: w, threads: make(map[int]bool)}
 	_, s.err = io.WriteString(w, "{\"traceEvents\":[\n")
-	s.emit(processMeta(pid, name))
+	s.emit(processMeta(perfettoPid, "rumr run"))
 	return s
 }
 
@@ -160,13 +151,13 @@ func (s *PerfettoSink) emit(e perfettoEvent) {
 func (s *PerfettoSink) thread(tid int) {
 	if !s.threads[tid] {
 		s.threads[tid] = true
-		s.emit(threadMeta(s.pid, tid))
+		s.emit(threadMeta(perfettoPid, tid))
 	}
 }
 
 func (s *PerfettoSink) slice(ph string, tid int, e obs.Event, name string) {
 	s.thread(tid)
-	ev := perfettoEvent{Name: name, Ph: ph, Ts: usec(e.Time), Pid: s.pid, Tid: tid}
+	ev := perfettoEvent{Name: name, Ph: ph, Ts: usec(e.Time), Pid: perfettoPid, Tid: tid}
 	if ph == "B" {
 		ev.Cname = phaseColor(e.Phase)
 		ev.Args = map[string]any{
@@ -178,7 +169,7 @@ func (s *PerfettoSink) slice(ph string, tid int, e obs.Event, name string) {
 }
 
 func (s *PerfettoSink) instant(e obs.Event, name string) {
-	s.emit(perfettoEvent{Name: name, Ph: "i", Ts: usec(e.Time), Pid: s.pid,
+	s.emit(perfettoEvent{Name: name, Ph: "i", Ts: usec(e.Time), Pid: perfettoPid,
 		Scope: "g", Args: map[string]any{"reason": e.Reason, "phase": e.Phase}})
 }
 

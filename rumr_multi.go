@@ -1,8 +1,8 @@
 package rumr
 
 // Multi-job simulation API: several divisible loads share one star
-// platform, contending for the serialised master link under a pluggable
-// arbitration policy. Each job plans with its own scheduler as if it owned
+// platform, contending for the serialised master link under one of the
+// built-in arbitration policies. Each job plans with its own scheduler as if it owned
 // the platform (the selfish model of the multi-load literature) and the
 // engine arbitrates the resulting dispatch requests; per-job response
 // times, slowdowns against the isolated lower bound, and a Jain fairness
