@@ -21,11 +21,13 @@ import (
 // allocating a fresh dispatcher per run.
 type resetDemand struct {
 	total, size, remaining float64
+	consults               int64 // Next calls, across resets
 }
 
 func (d *resetDemand) reset() { d.remaining = d.total }
 
 func (d *resetDemand) Next(v *View) (Chunk, bool) {
+	d.consults++
 	if d.remaining <= 0 {
 		return Chunk{}, false
 	}
@@ -83,7 +85,7 @@ func faultyOptions() Options {
 // arrivals, priorities and weights under weighted link sharing, counters
 // into ctrs and a caller-owned JobResults buffer. With withErrors every
 // job also draws truncated-normal error on both legs.
-func multiJobRun(ctrs *Counters, withErrors bool) func() error {
+func multiJobRun(ctrs *Counters, withErrors bool) (func() error, []*resetDemand) {
 	p := centralPlatform()
 	src := rng.New(42)
 	const nJobs = 4
@@ -114,7 +116,7 @@ func multiJobRun(ctrs *Counters, withErrors bool) func() error {
 		}
 		_, err := RunMulti(p, jobs, opts)
 		return err
-	}
+	}, ds
 }
 
 // benchSteadyState times run after one warm-up run outside the timer, so
@@ -226,7 +228,8 @@ func TestEngineRunFaultyZeroAlloc(t *testing.T) {
 // BenchmarkMultiJobRun is the unit the multi-job sweeps multiply.
 func BenchmarkMultiJobRun(b *testing.B) {
 	var ctrs Counters
-	benchSteadyState(b, multiJobRun(&ctrs, false))
+	run, _ := multiJobRun(&ctrs, false)
+	benchSteadyState(b, run)
 	if ctrs.EventsPopped == 0 {
 		b.Fatal("counters stayed zero with instrumentation enabled")
 	}
@@ -236,12 +239,20 @@ func BenchmarkMultiJobRun(b *testing.B) {
 // covered as well.
 func TestRunMultiZeroAllocSteadyState(t *testing.T) {
 	var ctrs Counters
-	assertZeroAlloc(t, "multi-job run", multiJobRun(&ctrs, true))
+	run, ds := multiJobRun(&ctrs, true)
+	assertZeroAlloc(t, "multi-job run", run)
 	if ctrs.EventsPushed == 0 || ctrs.EventsPopped == 0 {
 		t.Fatalf("event counters stayed zero: %+v", ctrs)
 	}
-	if ctrs.SyncViewBytes == 0 || ctrs.SyncViewCopies == 0 {
-		t.Fatalf("syncView counters stayed zero: %+v", ctrs)
+	// Every job's View aliases the engine's worker states: one
+	// SyncViewCopies per consult, and nothing copied.
+	var consults int64
+	for _, d := range ds {
+		consults += d.consults
+	}
+	if ctrs.SyncViewCopies == 0 || ctrs.SyncViewCopies != consults || ctrs.SyncViewBytes != 0 {
+		t.Fatalf("syncView counters: %d copies, %d bytes for %d consults",
+			ctrs.SyncViewCopies, ctrs.SyncViewBytes, consults)
 	}
 	if ctrs.TruncNormalDraws == 0 || ctrs.UniformDraws != 0 {
 		t.Fatalf("draw counters misclassified: %+v", ctrs)

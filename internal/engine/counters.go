@@ -1,14 +1,12 @@
 package engine
 
 import (
-	"unsafe"
-
 	"rumr/internal/metrics"
 	"rumr/internal/perferr"
 )
 
 // Counters is the engine's hot-path telemetry block: DES event traffic,
-// syncView copy volume, RNG draws by distribution and fault re-dispatches.
+// dispatcher consults, RNG draws by distribution and fault re-dispatches.
 // It is an alias of metrics.EngineCounters so the experiment, shard and
 // metrics layers all share one type without an import cycle (metrics
 // cannot import engine).
@@ -19,9 +17,6 @@ import (
 // safe for concurrent runs; give each goroutine its own and fold them
 // with Merge or Collector.AddEngineCounters.
 type Counters = metrics.EngineCounters
-
-// workerStateBytes sizes the per-dispatch syncView copy for SyncViewBytes.
-var workerStateBytes = int64(unsafe.Sizeof(WorkerState{}))
 
 // drawCounter classifies a perturbation model once per run, returning the
 // counter field a Perturb call should bump — nil for perfect prediction

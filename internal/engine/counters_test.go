@@ -2,7 +2,6 @@ package engine
 
 import (
 	"testing"
-	"unsafe"
 
 	"rumr/internal/perferr"
 	"rumr/internal/platform"
@@ -18,7 +17,9 @@ func TestCountersAccumulate(t *testing.T) {
 		CommModel: perferr.NewTruncNormal(0.3, src.Split()),
 		CompModel: perferr.NewTruncNormal(0.3, src.Split()),
 	}
-	res, err := Run(p, &demandDispatcher{remaining: 100, size: 5}, opts)
+	d := &resetDemand{total: 100, size: 5}
+	d.reset()
+	res, err := Run(p, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +33,11 @@ func TestCountersAccumulate(t *testing.T) {
 	if ctrs.MaxHeapDepth <= 0 {
 		t.Fatalf("MaxHeapDepth = %d", ctrs.MaxHeapDepth)
 	}
-	// SyncViewBytes counts the bytes actually copied by the incremental
-	// sync: positive (the first sync copies every worker), a whole number
-	// of worker-state structs, and strictly less than copies × n × size —
-	// the full-copy volume the dirty tracking exists to avoid.
-	wsBytes := int64(unsafe.Sizeof(WorkerState{}))
-	if ctrs.SyncViewCopies == 0 || ctrs.SyncViewBytes < 4*wsBytes ||
-		ctrs.SyncViewBytes%wsBytes != 0 ||
-		ctrs.SyncViewBytes >= ctrs.SyncViewCopies*wsBytes*4 {
-		t.Fatalf("syncView: %d copies, %d bytes (4 workers × %d B each)",
-			ctrs.SyncViewCopies, ctrs.SyncViewBytes, wsBytes)
+	// The dispatcher's View aliases the engine's worker states:
+	// SyncViewCopies counts one per consult, and no byte is copied.
+	if ctrs.SyncViewCopies == 0 || ctrs.SyncViewCopies != d.consults || ctrs.SyncViewBytes != 0 {
+		t.Fatalf("syncView: %d copies, %d bytes for %d consults",
+			ctrs.SyncViewCopies, ctrs.SyncViewBytes, d.consults)
 	}
 	if ctrs.EventsReplaced == 0 || ctrs.EventsReplaced > ctrs.EventsPushed {
 		t.Fatalf("EventsReplaced = %d of %d pushed", ctrs.EventsReplaced, ctrs.EventsPushed)
@@ -57,7 +53,8 @@ func TestCountersAccumulate(t *testing.T) {
 
 	// A second run adds on top — Counters accumulate across a cell.
 	first := ctrs
-	if _, err := Run(p, &demandDispatcher{remaining: 100, size: 5}, opts); err != nil {
+	d.reset()
+	if _, err := Run(p, d, opts); err != nil {
 		t.Fatal(err)
 	}
 	if ctrs.EventsPopped <= first.EventsPopped || ctrs.SyncViewCopies <= first.SyncViewCopies {

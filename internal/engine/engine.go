@@ -34,7 +34,7 @@
 // Only Run configures faults so far; MultiOptions does not expose them.
 //
 // The hot path is allocation-free in steady state: run state (the DES
-// kernel, workers, per-job views, chunk structs) is pooled and reset
+// kernel, worker states, job records, chunk structs) is pooled and reset
 // between runs, and every per-chunk callback is a shared top-level
 // function scheduled through des.AfterCall with the chunk as its argument
 // — no closures are captured per chunk-hop. BenchmarkEngineRun and
@@ -69,8 +69,12 @@ type Chunk struct {
 	Phase int
 }
 
-// WorkerState is the dispatcher-visible state of one worker. The zero
-// value is a healthy, idle worker.
+// WorkerState is the dispatcher-visible state of one worker: occupancy
+// and health, shared by every job of a run. It carries no completion
+// accounting; a dispatcher learns of its completions through
+// Observer.OnComplete, and JobResult.CompletedWork and
+// Result.CompletedWork total them. The zero value is a healthy, idle
+// worker.
 type WorkerState struct {
 	// Computing reports whether the worker is currently executing a chunk.
 	Computing bool
@@ -86,9 +90,6 @@ type WorkerState struct {
 	Queued int
 	// InFlight is the number of chunks sent (or sending) but not arrived.
 	InFlight int
-	// CompletedChunks and CompletedWork account for finished computation.
-	CompletedChunks int
-	CompletedWork   float64
 }
 
 // Idle reports whether the worker has nothing to do and nothing on the
@@ -105,7 +106,8 @@ func (w WorkerState) Idle() bool {
 type View struct {
 	// Time is the current virtual time.
 	Time float64
-	// Workers holds one state per worker; dispatchers must not mutate it.
+	// Workers holds one state per worker. It is the engine's own state,
+	// not a copy: dispatchers must not mutate it.
 	Workers []WorkerState
 	// IdleMask is an engine-maintained bitset with bit i set exactly when
 	// Workers[i].Idle() — kept current at every state change, so

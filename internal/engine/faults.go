@@ -45,7 +45,7 @@ func (mr *multiRun) killCompute(wi int) *mjChunk {
 	mr.sim.Cancel(w.compEvent)
 	w.compEvent = des.Handle{}
 	w.current = nil
-	w.state.Computing = false
+	mr.states[wi].Computing = false
 	mr.touch(wi)
 	if mr.tr != nil && pc.record >= 0 {
 		mr.tr.Records[pc.record].CompEnd = mr.sim.Now()
@@ -60,8 +60,8 @@ func (mr *multiRun) killCompute(wi int) *mjChunk {
 func (mr *multiRun) pickTarget(avoid int) int {
 	best, bestLoad := -1, 0
 	for pass := 0; pass < 2 && best < 0; pass++ {
-		for i := range mr.workers {
-			st := &mr.workers[i].state
+		for i := range mr.states {
+			st := &mr.states[i]
 			if st.Down || st.LinkDown || (pass == 0 && i == avoid) {
 				continue
 			}
@@ -144,7 +144,7 @@ func (mr *multiRun) onTimeout(pc *mjChunk) {
 				break
 			}
 		}
-		w.state.Queued--
+		mr.states[pc.chunk.Worker].Queued--
 		mr.touch(pc.chunk.Worker)
 		mr.lose(pc, "completion timeout while queued")
 	case chComputing:
@@ -162,30 +162,30 @@ func (mr *multiRun) emitFault(kind obs.Kind, worker int, reason string) {
 }
 
 // notifyFaultAware tells every fault-aware dispatcher about a crash or a
-// rejoin, each through its own freshly synced view.
+// rejoin, each through its own View.
 func (mr *multiRun) notifyFaultAware(worker int, up bool) {
 	for j := range mr.jobs {
 		js := &mr.jobs[j]
 		if js.faD == nil {
 			continue
 		}
-		mr.syncViewFor(j)
+		v := mr.viewFor(j)
 		if up {
-			js.faD.OnWorkerUp(worker, mr.sim.Now(), &js.view)
+			js.faD.OnWorkerUp(worker, mr.sim.Now(), v)
 		} else {
-			js.faD.OnWorkerDown(worker, mr.sim.Now(), &js.view)
+			js.faD.OnWorkerDown(worker, mr.sim.Now(), v)
 		}
 	}
 }
 
 func (mr *multiRun) applyFault(fe fault.Event) {
-	w := &mr.workers[fe.Worker]
+	w, st := &mr.workers[fe.Worker], &mr.states[fe.Worker]
 	switch fe.Kind {
 	case fault.Crash:
-		if w.state.Down {
+		if st.Down {
 			return
 		}
-		w.state.Down = true
+		st.Down = true
 		mr.touch(fe.Worker)
 		mr.emitFault(obs.KindWorkerCrash, fe.Worker, "worker crashed")
 		if pc := mr.killCompute(fe.Worker); pc != nil {
@@ -196,39 +196,39 @@ func (mr *multiRun) applyFault(fe fault.Event) {
 			w.queue[i] = nil
 		}
 		w.queue = w.queue[:0]
-		w.state.Queued = 0
+		st.Queued = 0
 		// In-flight data is heading to a dead machine; it is lost on
 		// arrival, where the arrival callback checks liveness.
 		mr.notifyFaultAware(fe.Worker, false)
 		mr.kick() // lost work may be re-dispatched elsewhere right away
 	case fault.Rejoin:
-		if !w.state.Down {
+		if !st.Down {
 			return
 		}
-		w.state.Down = false
-		w.state.LinkDown = false
+		st.Down = false
+		st.LinkDown = false
 		w.slow = 1
 		mr.touch(fe.Worker)
 		mr.emitFault(obs.KindWorkerRejoin, fe.Worker, "worker rejoined")
 		mr.notifyFaultAware(fe.Worker, true)
 		mr.kick()
 	case fault.LinkDown:
-		if w.state.Down || w.state.LinkDown {
+		if st.Down || st.LinkDown {
 			return
 		}
-		w.state.LinkDown = true
+		st.LinkDown = true
 		mr.touch(fe.Worker)
 		mr.emitFault(obs.KindLinkDown, fe.Worker, "link outage")
 	case fault.LinkUp:
-		if w.state.Down || !w.state.LinkDown {
+		if st.Down || !st.LinkDown {
 			return
 		}
-		w.state.LinkDown = false
+		st.LinkDown = false
 		mr.touch(fe.Worker)
 		mr.emitFault(obs.KindLinkUp, fe.Worker, "link restored")
 		mr.kick()
 	case fault.SlowStart:
-		if w.state.Down {
+		if st.Down {
 			return
 		}
 		w.slow = fe.Factor
@@ -236,7 +236,7 @@ func (mr *multiRun) applyFault(fe fault.Event) {
 			mr.emitFault(obs.KindSlowdown, fe.Worker, fmt.Sprintf("straggler: compute slowed %gx", fe.Factor))
 		}
 	case fault.SlowEnd:
-		if w.state.Down {
+		if st.Down {
 			return
 		}
 		w.slow = 1

@@ -10,9 +10,9 @@ package engine
 // chunk.
 
 // LinkPolicy orders jobs competing for the master's port. The set is
-// closed — FCFS, StrictPriority and WeightedShare — so the engine's
-// selection scan compares each policy's keys inline (multi.go,
-// selectBest); ties always go to the lower job index.
+// closed — FCFS, StrictPriority and WeightedShare — so the engine writes
+// each ordering once, inline (multi.go, offersBefore), and keeps its
+// active-job list sorted by it; ties always go to the lower job index.
 type LinkPolicy interface {
 	// Name identifies the policy in reports ("fcfs", "priority", ...).
 	Name() string

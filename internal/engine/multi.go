@@ -14,7 +14,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"rumr/internal/des"
@@ -42,10 +41,11 @@ type Job struct {
 	// (the dispatcher decides what is actually sent); callers should check
 	// the job's DispatchedWork against it, as with Result.DispatchedWork.
 	Total float64
-	// Dispatcher decides the job's chunks. It sees the shared platform:
-	// Queued/InFlight/Computing in its View include every job's chunks
-	// (contention is visible), while CompletedChunks/CompletedWork count
-	// only this job's completions.
+	// Dispatcher decides the job's chunks. Every job's View aliases the
+	// one shared worker state, so Queued/InFlight/Computing include every
+	// job's chunks (contention is visible). A job learns of its own
+	// completions through Observer.OnComplete; JobResult.CompletedWork
+	// totals them.
 	Dispatcher Dispatcher
 	// CommModel and CompModel perturb this job's transfer and computation
 	// durations; nil means perfect prediction. Giving each job its own
@@ -136,8 +136,8 @@ type MultiResult struct {
 // ExhaustedDispatcher is an optional Dispatcher capability. Exhausted
 // reports that Next can never again return a chunk, no matter how the
 // platform evolves — the dispatcher's workload is fully dispatched and no
-// mechanism can hand it more. The engine uses it to stop consulting (and
-// view-syncing) drained jobs for the rest of the run. The report must be
+// mechanism can hand it more. The engine uses it to stop consulting
+// drained jobs for the rest of the run. The report must be
 // permanent: a dispatcher that might still receive work mid-run (a
 // fault-tolerance transfer, an adaptive split decision) must answer false
 // until that can no longer happen, or not implement the interface at all.
@@ -172,9 +172,10 @@ type mjChunk struct {
 	predicted, effective float64
 }
 
+// mjWorker is the engine-private state of one worker; its
+// dispatcher-visible state is multiRun.states.
 type mjWorker struct {
-	state     WorkerState // the shared ground truth every job's view sees
-	queue     []*mjChunk  // arrived, not yet computed (FIFO across jobs)
+	queue     []*mjChunk // arrived, not yet computed (FIFO across jobs)
 	current   *mjChunk
 	compEvent des.Handle // completion of current, cancellable on faults
 	slow      float64    // compute slowdown factor (1 = nominal)
@@ -195,16 +196,12 @@ type mjJob struct {
 	// counted when a transfer is granted the port; weight is the job's
 	// share under WeightedShare (> 0).
 	granted, weight float64
-	// view is this job's incrementally maintained View: shared worker
-	// occupancy with the job's own completion accounting substituted in.
-	// The job's staleness bitset lives in multiRun.dirtyJ — touch() raises
-	// a worker's bit in every job's block, and syncViewFor(j) copies only
-	// the workers whose bit is raised in job j's block. Giving each job
-	// its own view trades a few bitset words per job for never rewriting
-	// per-job completion fields on consult: the old single-scratch-view
-	// design paid a full per-worker rewrite every time consecutive
-	// consults hit different jobs, which under contention is nearly every
-	// consult.
+	// key orders the job in multiRun.active: its arrival time under FCFS
+	// and strict priority, granted/weight (updated at each grant) under
+	// weighted share.
+	key float64
+	// view aliases the run's shared worker states and idle mask; only its
+	// Time is the job's own, set at each consult.
 	view View
 	res  JobResult
 }
@@ -230,29 +227,17 @@ type multiRun struct {
 	makespan  float64
 
 	workers []mjWorker
-	active  []int // arrived jobs in ascending index order
-	cand    []int // candidate scratch consumed in policy order by kick
-	// idle is the shared View.IdleMask, aliased into every job's view and
-	// re-derived in touch at each worker-state change (idleness depends
-	// only on shared occupancy fields, never on per-job accounting).
+	// states is the one dispatcher-visible worker state: every job's
+	// View.Workers aliases it, so a consult copies nothing.
+	states []WorkerState
+	// idle is the shared View.IdleMask, aliased like states and re-derived
+	// in touch at each worker-state change.
 	idle []uint64
-	// dirtyJ packs every job's staleness bitset into one contiguous
-	// matrix (job-major, dWords words per job), so touch — which raises
-	// one worker bit in every job's set, several times per chunk — walks
-	// a handful of adjacent words instead of striding the mjJob structs.
-	dirtyJ []uint64
-	dWords int
-	// Contiguous per-job selection keys, indexed by job, so the policy
-	// minimum scan in selectBest stays within one cache line: selKey is
-	// the arrival time under FCFS and priority, and the memoised
-	// granted/weight quotient (updated at each grant) under weighted;
-	// selPrio is the priority class.
-	selKey  []float64
-	selPrio []int
+	// active holds the arrived, not yet exhausted jobs in port-offer
+	// order (see offersBefore); kick consults them front to back.
+	active []int
 
-	// polKind is the run's link policy, read once per run so the
-	// selection scan in kick — the hottest comparison site — runs with
-	// inlined keys.
+	// polKind is the run's link policy, read once per run.
 	polKind linkKind
 
 	// Fault injection and recovery (faults.go). Lost attempts wait in
@@ -379,11 +364,11 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	mr.workers = resize(mr.workers, mr.n)
 	for i := range mr.workers {
 		w := &mr.workers[i]
-		w.state = WorkerState{}
 		w.compEvent = des.Handle{}
 		w.slow = 1
 	}
-	mr.cand = resize(mr.cand, len(jobs))[:0]
+	mr.states = resize(mr.states, mr.n)
+	clear(mr.states)
 	mr.active = resize(mr.active, len(jobs))[:0]
 
 	idleWords := (mr.n + 63) / 64
@@ -394,16 +379,6 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	if rem := mr.n & 63; rem != 0 {
 		mr.idle[idleWords-1] = 1<<rem - 1
 	}
-
-	// Every job starts with its whole dirty block raised: the pooled
-	// views are stale until the first sync.
-	mr.dWords = idleWords
-	mr.dirtyJ = resize(mr.dirtyJ, len(jobs)*idleWords)
-	for j := 0; j < len(jobs); j++ {
-		copy(mr.dirtyJ[j*idleWords:(j+1)*idleWords], mr.idle)
-	}
-	mr.selKey = resize(mr.selKey, len(jobs))
-	mr.selPrio = resize(mr.selPrio, len(jobs))
 
 	// Fault events are scheduled before anything else, so a fault fires
 	// ahead of any chunk event due at the same instant.
@@ -417,17 +392,11 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	mr.jobs = resize(mr.jobs, len(jobs))
 	for j, spec := range jobs {
 		js := &mr.jobs[j]
-		// The occupancy fields of the pooled view are refreshed by the
-		// first sync (the dirty block starts fully raised), but the
-		// completion fields are only ever written by onCompEnd, so the
-		// entries must be zeroed.
-		vw := resize(js.view.Workers, mr.n)
-		clear(vw)
 		*js = mjJob{
 			spec: spec, comm: spec.CommModel, comp: spec.CompModel,
-			weight: spec.Weight,
-			view:   View{Workers: vw, IdleMask: mr.idle},
-			res:    JobResult{Name: spec.Name, Arrival: spec.Arrival},
+			weight: spec.Weight, key: spec.Arrival,
+			view: View{Workers: mr.states, IdleMask: mr.idle},
+			res:  JobResult{Name: spec.Name, Arrival: spec.Arrival},
 		}
 		if js.comm == nil {
 			js.comm = perferr.Perfect{}
@@ -443,11 +412,9 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 		if js.weight <= 0 {
 			js.weight = 1
 		}
-		mr.selKey[j] = spec.Arrival
 		if mr.polKind == polWeighted {
-			mr.selKey[j] = 0 // granted/weight at granted = 0
+			js.key = 0 // granted/weight at granted = 0
 		}
-		mr.selPrio[j] = spec.Priority
 		if em, ok := spec.Dispatcher.(obs.Emitter); ok && mr.ev != nil {
 			// Run's dispatcher emits straight into its caller's sink.
 			if ls, lone := mr.ev.(*loneSink); lone {
@@ -516,8 +483,8 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 // the pool, and recycles this run's chunks by resetting the arena cursor
 // (chunk structs hold no pointers besides the intentional back-pointer to
 // this instance, and kick/send/beginCompute rewrite every lifecycle field,
-// so no per-chunk scrub is needed). Capacities (heap, arena, queues, views)
-// are retained — that is the point of pooling.
+// so no per-chunk scrub is needed). Capacities (heap, arena, queues, worker
+// states) are retained — that is the point of pooling.
 func (mr *multiRun) release() {
 	mr.mcUsed = 0
 	for i := range mr.workers {
@@ -530,9 +497,7 @@ func (mr *multiRun) release() {
 	}
 	clear(mr.lostQueue)
 	mr.lostQueue = mr.lostQueue[:0]
-	for j := range mr.jobs {
-		mr.jobs[j] = mjJob{view: View{Workers: mr.jobs[j].view.Workers}}
-	}
+	clear(mr.jobs)
 	mr.loneSink.Sink = nil
 	mr.p = nil
 	mr.ev = nil
@@ -588,11 +553,28 @@ func (mr *multiRun) emitChunkEvent(kind obs.Kind, pc *mjChunk, wi, attempt int, 
 }
 
 func (mr *multiRun) activate(j int) {
-	// Keep mr.active in ascending job order: the selection in kick breaks
-	// policy ties on list position, which must equal job index.
+	mr.place(j)
+	mr.kick()
+}
+
+// offersBefore reports whether job a is offered the port before job b:
+// by priority class under strict priority, then by key, then by index.
+func (mr *multiRun) offersBefore(a, b int) bool {
+	ja, jb := &mr.jobs[a], &mr.jobs[b]
+	if mr.polKind == polPriority && ja.spec.Priority != jb.spec.Priority {
+		return ja.spec.Priority < jb.spec.Priority
+	}
+	if ja.key != jb.key {
+		return ja.key < jb.key
+	}
+	return a < b
+}
+
+// place inserts job j into mr.active at its port-offer position.
+func (mr *multiRun) place(j int) {
 	ins := len(mr.active)
 	for i, a := range mr.active {
-		if a > j {
+		if mr.offersBefore(j, a) {
 			ins = i
 			break
 		}
@@ -600,31 +582,27 @@ func (mr *multiRun) activate(j int) {
 	mr.active = append(mr.active, 0)
 	copy(mr.active[ins+1:], mr.active[ins:])
 	mr.active[ins] = j
-	mr.kick()
 }
 
-// deactivate drops job j from the candidate list once its dispatcher
-// reports permanent exhaustion.
-func (mr *multiRun) deactivate(j int) {
+// replace moves job j to its new port-offer position after its key
+// changed. A job that already left mr.active stays out: a re-dispatched
+// chunk can belong to a job that is exhausted.
+func (mr *multiRun) replace(j int) {
 	for i, a := range mr.active {
 		if a == j {
 			mr.active = append(mr.active[:i], mr.active[i+1:]...)
+			mr.place(j)
 			return
 		}
 	}
 }
 
-// touch marks worker wi's shared state as changed since every job's last
-// sync and re-derives the worker's bit of the shared idle mask. One
-// bit-OR per job keeps syncViewFor incremental without a shared scratch
-// view (see mjJob.view). Every mutation site completes its state writes
-// before calling touch, so the mask is never stale at a consult.
+// touch re-derives worker wi's bit of the shared idle mask. Every
+// mutation site completes its state writes before calling touch, so the
+// mask is never stale at a consult.
 func (mr *multiRun) touch(wi int) {
 	w, b := wi>>6, uint64(1)<<(wi&63)
-	for base := w; base < len(mr.dirtyJ); base += mr.dWords {
-		mr.dirtyJ[base] |= b
-	}
-	if mr.workers[wi].state.Idle() {
+	if mr.states[wi].Idle() {
 		mr.idle[w] |= b
 	} else {
 		mr.idle[w] &^= b
@@ -635,112 +613,49 @@ func (mr *multiRun) touch(wi int) {
 // the worker busy (a send put a chunk in flight, an arrival queued one, a
 // compute started): the idle bit is cleared without rechecking the state.
 func (mr *multiRun) touchBusy(wi int) {
-	w, b := wi>>6, uint64(1)<<(wi&63)
-	for base := w; base < len(mr.dirtyJ); base += mr.dWords {
-		mr.dirtyJ[base] |= b
-	}
-	mr.idle[w] &^= b
+	mr.idle[wi>>6] &^= uint64(1) << (wi & 63)
 }
 
-// syncViewFor refreshes job j's own view. Only workers dirtied since
-// this job's previous sync are rewritten, and only their occupancy
-// fields: the view's completion fields belong to job j alone and are
-// maintained eagerly by onCompEnd (which also dirties the worker), so
-// the occupancy refresh must not clobber them and a clean worker's
-// entry is correct in full.
-func (mr *multiRun) syncViewFor(j int) {
-	js := &mr.jobs[j]
-	js.view.Time = mr.sim.Now()
-	copied := 0
-	dirty := mr.dirtyJ[j*mr.dWords : (j+1)*mr.dWords]
-	for wi, word := range dirty {
-		if word == 0 {
-			continue
-		}
-		dirty[wi] = 0
-		base := wi << 6
-		for word != 0 {
-			i := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			src := &mr.workers[i].state
-			dst := &js.view.Workers[i]
-			dst.Computing = src.Computing
-			dst.Down = src.Down
-			dst.LinkDown = src.LinkDown
-			dst.Queued = src.Queued
-			dst.InFlight = src.InFlight
-			copied++
-		}
-	}
+// viewFor returns job j's View, stamped with the current time, for one
+// dispatcher consult. The View aliases the shared worker states, so there
+// is nothing to copy; SyncViewCopies counts the consults.
+func (mr *multiRun) viewFor(j int) *View {
+	v := &mr.jobs[j].view
+	v.Time = mr.sim.Now()
 	if mr.ctr != nil {
 		mr.ctr.SyncViewCopies++
-		mr.ctr.SyncViewBytes += int64(copied) * workerStateBytes
 	}
-	if syncViewForAudit != nil {
-		syncViewForAudit(mr, j)
+	if consultAudit != nil {
+		consultAudit(mr, j)
 	}
+	return v
 }
 
-// syncViewForAudit, when non-nil, runs after every view sync: the
-// differential dirty-tracking test checks the view against the ground
-// truth there. Nil outside tests.
-var syncViewForAudit func(mr *multiRun, j int)
+// consultAudit, when non-nil, runs at every consult: the shared-view test
+// checks the run's invariants there. Nil outside tests.
+var consultAudit func(mr *multiRun, j int)
 
-// selectBest returns the position in mr.cand of the policy minimum —
-// first among ties, the job a stable sort would consult next. FCFS and
-// weighted share order on one key per job; strict priority orders on the
-// class, then arrival.
-func (mr *multiRun) selectBest() int {
-	best := 0
-	switch mr.polKind {
-	case polWeighted, polFCFS:
-		// One key per job: granted/weight (weighted) or arrival (FCFS).
-		bk := mr.selKey[mr.cand[0]]
-		for i := 1; i < len(mr.cand); i++ {
-			if k := mr.selKey[mr.cand[i]]; k < bk {
-				best, bk = i, k
-			}
-		}
-	case polPriority:
-		bp, bk := mr.selPrio[mr.cand[0]], mr.selKey[mr.cand[0]]
-		for i := 1; i < len(mr.cand); i++ {
-			p, k := mr.selPrio[mr.cand[i]], mr.selKey[mr.cand[i]]
-			if p < bp || (p == bp && k < bk) {
-				best, bp, bk = i, p, k
-			}
-		}
-	}
-	return best
-}
-
-// kick offers free port slots to the jobs in policy order until either the
-// port is saturated or every arrived job declines; lost work waiting for
-// re-dispatch goes first. The policy order is realised lazily: instead of
-// sorting the whole candidate list per offer, kick repeatedly extracts the
-// policy minimum (first among ties, matching a stable sort) and consults
-// it, stopping at the first job that accepts. In the common case — the
-// best-ranked job takes the port — that is one linear scan instead of a
-// sort plus a scan.
+// kick offers free port slots to the jobs in mr.active order until either
+// the port is saturated or every arrived job declines; lost work waiting
+// for re-dispatch goes first.
 func (mr *multiRun) kick() {
 	for mr.sending < mr.slots && mr.err == nil {
 		if len(mr.lostQueue) > 0 && mr.redispatch() {
 			continue
 		}
-		mr.cand = append(mr.cand[:0], mr.active...)
 		dispatched := false
-		for len(mr.cand) > 0 {
-			best := mr.selectBest()
-			j := mr.cand[best]
-			mr.cand = append(mr.cand[:best], mr.cand[best+1:]...)
-			mr.syncViewFor(j)
+		for i := 0; i < len(mr.active); {
+			j := mr.active[i]
 			js := &mr.jobs[j]
-			c, ok := js.spec.Dispatcher.Next(&js.view)
+			c, ok := js.spec.Dispatcher.Next(mr.viewFor(j))
 			if !ok {
-				// A permanently drained job leaves the candidate set for
-				// good: skipping it only skips consults that could never
+				// A permanently drained job leaves the list for good:
+				// skipping it only skips consults that could never
 				// produce a chunk, so the dispatch sequence is unchanged.
 				if js.exh != nil && js.exh.Exhausted() {
-					mr.deactivate(j)
+					mr.active = append(mr.active[:i], mr.active[i+1:]...)
+				} else {
+					i++
 				}
 				continue
 			}
@@ -795,11 +710,12 @@ func (mr *multiRun) send(pc *mjChunk) {
 	pc.phase = chSending
 	pc.record = -1
 	pc.timeout = des.Handle{}
-	mr.workers[wi].state.InFlight++
+	mr.states[wi].InFlight++
 	mr.touchBusy(wi)
 	js.granted += c.Size
 	if mr.polKind == polWeighted {
-		mr.selKey[pc.job] = js.granted / js.weight
+		js.key = js.granted / js.weight
+		mr.replace(pc.job)
 	}
 	if mr.tr != nil {
 		mr.tr.Records = append(mr.tr.Records, trace.ChunkRecord{
@@ -851,8 +767,8 @@ func (mr *multiRun) onSendEnd(pc *mjChunk, aux int) {
 // onArrive is the data-arrival des callback for one attempt.
 func (mr *multiRun) onArrive(pc *mjChunk, aux int) {
 	attempt, wi := unpackAux(aux)
-	w := &mr.workers[wi]
-	w.state.InFlight--
+	w, st := &mr.workers[wi], &mr.states[wi]
+	st.InFlight--
 	if pc.phase == chLost || pc.attempt != attempt {
 		// This attempt was written off (timeout in transit) — and
 		// possibly already re-dispatched elsewhere, which resets the
@@ -862,27 +778,27 @@ func (mr *multiRun) onArrive(pc *mjChunk, aux int) {
 		mr.kick()
 		return
 	}
-	if w.state.Down || w.state.LinkDown {
+	if st.Down || st.LinkDown {
 		mr.touch(wi)
 		reason := "arrived at crashed worker"
-		if !w.state.Down {
+		if !st.Down {
 			reason = "arrived during link outage"
 		}
 		mr.lose(pc, reason)
 		mr.kick()
 		return
 	}
-	if !w.state.Computing && len(w.queue) == 0 {
+	if !st.Computing && len(w.queue) == 0 {
 		// Fast path: the chunk goes straight to the idle CPU. The Queued
 		// 1-then-0 round-trip through the FIFO is unobservable — no
 		// dispatcher is consulted between arrival and compute start — so
 		// it is skipped along with its extra dirty-bit pass.
-		w.state.Computing = true
+		st.Computing = true
 		mr.touchBusy(wi)
 		mr.emitChunk(obs.KindArrive, pc, wi, pc.attempt, "")
 		mr.beginCompute(wi, pc)
 	} else {
-		w.state.Queued++
+		st.Queued++
 		pc.phase = chQueued
 		w.queue = append(w.queue, pc)
 		mr.touchBusy(wi)
@@ -895,8 +811,8 @@ func (mr *multiRun) onArrive(pc *mjChunk, aux int) {
 // startCompute pulls the worker's next queued chunk onto its CPU, if the
 // worker is up and free.
 func (mr *multiRun) startCompute(wi int) {
-	w := &mr.workers[wi]
-	if w.state.Down || w.state.Computing || len(w.queue) == 0 {
+	w, st := &mr.workers[wi], &mr.states[wi]
+	if st.Down || st.Computing || len(w.queue) == 0 {
 		return
 	}
 	pc := w.queue[0]
@@ -905,8 +821,8 @@ func (mr *multiRun) startCompute(wi int) {
 	copy(w.queue, w.queue[1:])
 	w.queue[len(w.queue)-1] = nil
 	w.queue = w.queue[:len(w.queue)-1]
-	w.state.Queued--
-	w.state.Computing = true
+	st.Queued--
+	st.Computing = true
 	mr.touchBusy(wi)
 	mr.beginCompute(wi, pc)
 }
@@ -941,15 +857,9 @@ func (mr *multiRun) onCompEnd(pc *mjChunk) {
 		mr.sim.Cancel(pc.timeout)
 		pc.timeout = des.Handle{}
 	}
-	w.state.Computing = false
-	w.state.CompletedChunks++
-	w.state.CompletedWork += pc.chunk.Size
+	mr.states[wi].Computing = false
 	mr.touch(wi)
-	// The job's own view carries its completion fields directly; sync
-	// refreshes occupancy only.
 	js := &mr.jobs[pc.job]
-	js.view.Workers[wi].CompletedChunks++
-	js.view.Workers[wi].CompletedWork += pc.chunk.Size
 	js.res.CompletedWork += pc.chunk.Size
 	end := mr.sim.Now()
 	if end > js.res.Finish {

@@ -153,8 +153,8 @@ function renderMetrics(m) {
     ["heap replaces", e.events_replaced, "pushes that refilled the fired root in one sift (subset of pushed)"],
     ["lazy cancels", e.lazy_cancels, "events invalidated in place instead of removed"],
     ["max heap depth", e.max_heap_depth, "largest pending-event queue (max across runs)"],
-    ["syncView copies", e.sync_view_copies, "scheduler-visible state snapshots taken"],
-    ["syncView bytes", e.sync_view_bytes, "bytes copied building those snapshots"],
+    ["syncView copies", e.sync_view_copies, "dispatcher consults, each handed the shared worker view"],
+    ["syncView bytes", e.sync_view_bytes, "always 0: the view is the engine's worker state, not a copy"],
     ["trunc-normal draws", e.trunc_normal_draws, "perturbation RNG draws, truncated normal"],
     ["uniform draws", e.uniform_draws, "perturbation RNG draws, uniform"],
     ["other draws", e.other_draws, "perturbation RNG draws, other models"],

@@ -21,8 +21,11 @@ type EngineCounters struct {
 	EventsReplaced int64 `json:"events_replaced"`
 	LazyCancels    int64 `json:"lazy_cancels"`
 	MaxHeapDepth   int64 `json:"max_heap_depth"`
-	// SyncViewCopies/SyncViewBytes measure the per-dispatch worker-state
-	// copy into the scheduler-visible View.
+	// SyncViewCopies counts dispatcher consults: one per Next call or
+	// FaultAware callback, each handed a View. SyncViewBytes is always 0:
+	// every View aliases the engine's worker states, so nothing is
+	// copied. It is kept so readers of the JSON field (the end-to-end
+	// benchmark's bytes-per-dispatch figure) still find it.
 	SyncViewCopies int64 `json:"sync_view_copies"`
 	SyncViewBytes  int64 `json:"sync_view_bytes"`
 	// RNG draws by perturbation model: one draw per perturbed transfer or

@@ -267,7 +267,9 @@ func (weightedTestSizer) NextSize(worker int, remaining float64) float64 {
 	return remaining / 10
 }
 
-func TestDemandUsesWorkerSizer(t *testing.T) {
+// TestDemandSizesForIdleWorker checks that Demand asks its sizer for the
+// idle worker it dispatches to.
+func TestDemandSizesForIdleWorker(t *testing.T) {
 	d := NewDemand(100, weightedTestSizer{}, 1, 0)
 	// Worker 1 idle: the weighted path yields remaining/5.
 	v := staticView([]engine.WorkerState{{Computing: true}, {}})

@@ -129,7 +129,9 @@ func TestNameAndValidation(t *testing.T) {
 	}
 }
 
-func TestSizerFallbackUnweighted(t *testing.T) {
+// TestSizerEqualSpeedsSplitEvenly checks the worker-indexed NextSize on
+// a homogeneous platform: each worker's share of a batch is the same.
+func TestSizerEqualSpeedsSplitEvenly(t *testing.T) {
 	p := platform.Homogeneous(4, 1, 8, 0, 0)
 	s := newSizer(p, 0)
 	// Equal speeds split batches evenly.
