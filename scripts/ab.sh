@@ -9,18 +9,20 @@
 # The base is built once up front and its Go build cache copied to the
 # change's build directory, so only the packages that differ compile
 # twice.
-# For the table2 and multijob workloads it runs 10 pairs of 2-second runs
-# at seed 2003, swapping which side goes first on each pair, and prints
-# each side's runs_per_s quartiles with the per-pair change/base ratios.
-# It exits 1 if any run fails or reports correct:false or failed > 0, or
-# if the change's median runs_per_s on either workload is below the
-# base's divided by 1.5.
+# For the table2, multijob and fleet workloads it runs 10 pairs of
+# 2-second runs at seed 2003, swapping which side goes first on each pair,
+# and prints each side's runs_per_s quartiles with the per-pair
+# change/base ratios. It exits 1 if any run fails or reports correct:false
+# or failed > 0, or if the change's median runs_per_s on table2 or
+# multijob is below the base's divided by 1.5. fleet is checked for
+# correctness only: its runs spread too widely for 10 pairs to resolve a
+# 10% change, so its ratios are printed but not gated.
 set -euo pipefail
 if [ $# -ne 1 ]; then
 	echo "usage: scripts/ab.sh <rev>" >&2
 	exit 2
 fi
-readonly pairs=10 seconds=2 seed=2003 factor=1.5 workloads="table2 multijob"
+readonly pairs=10 seconds=2 seed=2003 factor=1.5 gated="table2 multijob" checked="fleet"
 root=$(git rev-parse --show-toplevel)
 rev=$(git -C "$root" rev-parse --verify "$1^{commit}")
 tmp=$(mktemp -d)
@@ -47,16 +49,17 @@ run() {
 	printf '%s\n' "$line" >>"$tmp/$2.$1"
 }
 
-for wl in $workloads; do
+for wl in $gated $checked; do
 	for ((i = 0; i < pairs; i++)); do
 		if ((i % 2 == 0)); then run base "$wl"; run change "$wl"; else run change "$wl"; run base "$wl"; fi
 	done
 done
 
-python3 - "$tmp" "$rev" "$factor" $workloads <<'EOF'
+python3 - "$tmp" "$rev" "$factor" "$gated" "$checked" <<'EOF'
 import json, statistics, sys
 
-tmp, rev, factor, workloads = sys.argv[1], sys.argv[2], float(sys.argv[3]), sys.argv[4:]
+tmp, rev, factor = sys.argv[1], sys.argv[2], float(sys.argv[3])
+gated, checked = sys.argv[4].split(), sys.argv[5].split()
 ok = True
 
 def rates(path):
@@ -77,7 +80,7 @@ def rates(path):
 
 print(f"runs_per_s, change (this checkout) vs base ({rev[:12]}); ratio = change / base")
 print(f"{'workload':<10} {'side':<7} {'q1':>10} {'median':>10} {'q3':>10}")
-for wl in workloads:
+for wl in gated + checked:
     sides = {s: rates(f"{tmp}/{wl}.{s}") for s in ("base", "change")}
     med = {}
     for s, xs in sides.items():
@@ -85,8 +88,9 @@ for wl in workloads:
         print(f"{wl:<10} {s:<7} {q1:>10.0f} {med[s]:>10.0f} {q3:>10.0f}")
     ratios = [c / b for b, c in zip(sides["base"], sides["change"])]
     wins = sum(r > 1 for r in ratios)
-    print(f"{wl:<10} ratio   min {min(ratios):.3f}  median {statistics.median(ratios):.3f}  change wins {wins}/{len(ratios)}")
-    if not med["change"] >= med["base"] / factor:
+    note = "" if wl in gated else "  (correctness only, not gated)"
+    print(f"{wl:<10} ratio   min {min(ratios):.3f}  median {statistics.median(ratios):.3f}  change wins {wins}/{len(ratios)}{note}")
+    if wl in gated and not med["change"] >= med["base"] / factor:
         ok = False
         print(f"{wl}: change median {med['change']:.0f} runs/s is below base {med['base']:.0f} / {factor}")
 sys.exit(0 if ok else 1)
