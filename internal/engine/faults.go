@@ -162,14 +162,14 @@ func (mr *multiRun) emitFault(kind obs.Kind, worker int, reason string) {
 }
 
 // notifyFaultAware tells every fault-aware dispatcher about a crash or a
-// rejoin, each through its own View.
+// rejoin.
 func (mr *multiRun) notifyFaultAware(worker int, up bool) {
 	for j := range mr.jobs {
 		js := &mr.jobs[j]
 		if js.faD == nil {
 			continue
 		}
-		v := mr.viewFor(j)
+		v := mr.consult()
 		if up {
 			js.faD.OnWorkerUp(worker, mr.sim.Now(), v)
 		} else {

@@ -41,9 +41,9 @@ type Job struct {
 	// (the dispatcher decides what is actually sent); callers should check
 	// the job's DispatchedWork against it, as with Result.DispatchedWork.
 	Total float64
-	// Dispatcher decides the job's chunks. Every job's View aliases the
-	// one shared worker state, so Queued/InFlight/Computing include every
-	// job's chunks (contention is visible). A job learns of its own
+	// Dispatcher decides the job's chunks. Every job is handed the run's
+	// one View of the shared worker state, so Queued/InFlight/Computing
+	// include every job's chunks (contention is visible). A job learns of its own
 	// completions through Observer.OnComplete; JobResult.CompletedWork
 	// totals them.
 	Dispatcher Dispatcher
@@ -200,10 +200,7 @@ type mjJob struct {
 	// and strict priority, granted/weight (updated at each grant) under
 	// weighted share.
 	key float64
-	// view aliases the run's shared worker states and idle mask; only its
-	// Time is the job's own, set at each consult.
-	view View
-	res  JobResult
+	res JobResult
 }
 
 // multiRun is the complete state of one simulation. Instances are
@@ -227,12 +224,13 @@ type multiRun struct {
 	makespan  float64
 
 	workers []mjWorker
-	// states is the one dispatcher-visible worker state: every job's
-	// View.Workers aliases it, so a consult copies nothing.
+	// states is the dispatcher-visible worker state and idle its
+	// View.IdleMask, re-derived in touch at each worker-state change.
+	// view aliases both and is handed to every job's dispatcher, so a
+	// consult copies nothing.
 	states []WorkerState
-	// idle is the shared View.IdleMask, aliased like states and re-derived
-	// in touch at each worker-state change.
-	idle []uint64
+	idle   []uint64
+	view   View
 	// active holds the arrived, not yet exhausted jobs in port-offer
 	// order (see offersBefore); kick consults them front to back.
 	active []int
@@ -379,6 +377,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	if rem := mr.n & 63; rem != 0 {
 		mr.idle[idleWords-1] = 1<<rem - 1
 	}
+	mr.view = View{Workers: mr.states, IdleMask: mr.idle}
 
 	// Fault events are scheduled before anything else, so a fault fires
 	// ahead of any chunk event due at the same instant.
@@ -395,8 +394,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 		*js = mjJob{
 			spec: spec, comm: spec.CommModel, comp: spec.CompModel,
 			weight: spec.Weight, key: spec.Arrival,
-			view: View{Workers: mr.states, IdleMask: mr.idle},
-			res:  JobResult{Name: spec.Name, Arrival: spec.Arrival},
+			res: JobResult{Name: spec.Name, Arrival: spec.Arrival},
 		}
 		if js.comm == nil {
 			js.comm = perferr.Perfect{}
@@ -616,24 +614,23 @@ func (mr *multiRun) touchBusy(wi int) {
 	mr.idle[wi>>6] &^= uint64(1) << (wi & 63)
 }
 
-// viewFor returns job j's View, stamped with the current time, for one
-// dispatcher consult. The View aliases the shared worker states, so there
-// is nothing to copy; SyncViewCopies counts the consults.
-func (mr *multiRun) viewFor(j int) *View {
-	v := &mr.jobs[j].view
-	v.Time = mr.sim.Now()
+// consult returns the run's View, stamped with the current time, for one
+// dispatcher call. The View aliases the worker states, so there is
+// nothing to copy; SyncViewCopies counts the consults.
+func (mr *multiRun) consult() *View {
+	mr.view.Time = mr.sim.Now()
 	if mr.ctr != nil {
 		mr.ctr.SyncViewCopies++
 	}
 	if consultAudit != nil {
-		consultAudit(mr, j)
+		consultAudit(mr)
 	}
-	return v
+	return &mr.view
 }
 
 // consultAudit, when non-nil, runs at every consult: the shared-view test
 // checks the run's invariants there. Nil outside tests.
-var consultAudit func(mr *multiRun, j int)
+var consultAudit func(mr *multiRun)
 
 // kick offers free port slots to the jobs in mr.active order until either
 // the port is saturated or every arrived job declines; lost work waiting
@@ -647,7 +644,7 @@ func (mr *multiRun) kick() {
 		for i := 0; i < len(mr.active); {
 			j := mr.active[i]
 			js := &mr.jobs[j]
-			c, ok := js.spec.Dispatcher.Next(mr.viewFor(j))
+			c, ok := js.spec.Dispatcher.Next(mr.consult())
 			if !ok {
 				// A permanently drained job leaves the list for good:
 				// skipping it only skips consults that could never

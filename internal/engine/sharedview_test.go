@@ -11,7 +11,7 @@ import (
 
 // auditConsults installs a consult hook that checks the shared-view
 // invariants at every dispatcher consult:
-//   - job j's View.Workers is the engine's own worker-state slice (same
+//   - the View's Workers is the engine's own worker-state slice (same
 //     backing array and length), and its Time is now;
 //   - each IdleMask bit equals Idle() of its worker, so a mutation site
 //     that misses touch() shows up at the next consult;
@@ -21,14 +21,14 @@ import (
 // The returned func removes the hook.
 func auditConsults(t *testing.T, audits *int) func() {
 	t.Helper()
-	consultAudit = func(mr *multiRun, j int) {
+	consultAudit = func(mr *multiRun) {
 		*audits++
-		v := &mr.jobs[j].view
+		v := &mr.view
 		if v.Time != mr.sim.Now() {
 			t.Fatalf("audit %d: view.Time = %v, now = %v", *audits, v.Time, mr.sim.Now())
 		}
 		if len(v.Workers) != len(mr.states) || &v.Workers[0] != &mr.states[0] {
-			t.Fatalf("audit %d: job %d's View.Workers is not the engine's worker state", *audits, j)
+			t.Fatalf("audit %d: View.Workers is not the engine's worker state", *audits)
 		}
 		if v.IdleMask == nil {
 			t.Fatalf("audit %d: view lost its IdleMask", *audits)

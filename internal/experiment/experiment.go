@@ -154,8 +154,9 @@ func seq(from, to, step float64) []float64 {
 
 // PaperGrid is the full Table 1 grid with the paper's 40 repetitions and
 // error swept 0..0.48 in steps of 0.02 (five values per bucket of
-// Tables 2-3). It implies ~69M simulations for the 7 standard algorithms —
-// run it only on a machine with time to spare.
+// Tables 2-3). It implies ~69M simulations for the 7 standard algorithms;
+// `rumrsweep -full -table2` ran them in 695 s on a 2-core VM at commit
+// 9ea2a70.
 func PaperGrid() Grid {
 	return Grid{
 		Ns:       []int{10, 15, 20, 25, 30, 35, 40, 45, 50},
