@@ -4,7 +4,8 @@
 //
 // By default it runs every artifact on the laptop-sized ReducedGrid
 // (minutes). Select artifacts with flags, and grids with -smoke (seconds)
-// or -full (the complete Table 1 grid — hours of CPU):
+// or -full (the complete Table 1 grid — 68.6M simulations, 695 s for
+// -full -table2 on a 2-core VM at commit 9ea2a70):
 //
 //	rumrsweep                    # everything, reduced grid
 //	rumrsweep -table2 -table3    # just the tables
@@ -110,7 +111,7 @@ type sweepCtx struct {
 func main() {
 	var (
 		smoke   = flag.Bool("smoke", false, "use the seconds-scale smoke grid; its 5 reps cap the studies' too, so -hetero keeps its 5")
-		full    = flag.Bool("full", false, "use the complete Table 1 grid (hours of CPU)")
+		full    = flag.Bool("full", false, "use the complete Table 1 grid (68.6M simulations; -table2 took 695 s on a 2-core VM)")
 		outDir  = flag.String("out", "", "directory to write CSV files into (optional)")
 		workers = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
 		uniform = flag.Bool("uniform", false, "use the uniform error model (the paper's alternative)")

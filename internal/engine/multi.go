@@ -43,9 +43,9 @@ type Job struct {
 	Total float64
 	// Dispatcher decides the job's chunks. Every job is handed the run's
 	// one View of the shared worker state, so Queued/InFlight/Computing
-	// include every job's chunks (contention is visible). A job learns of its own
-	// completions through Observer.OnComplete; JobResult.CompletedWork
-	// totals them.
+	// include every job's chunks (contention is visible). A job learns of
+	// its own completions through Observer.OnComplete; JobResult.
+	// CompletedWork totals them.
 	Dispatcher Dispatcher
 	// CommModel and CompModel perturb this job's transfer and computation
 	// durations; nil means perfect prediction. Giving each job its own
@@ -137,10 +137,10 @@ type MultiResult struct {
 // reports that Next can never again return a chunk, no matter how the
 // platform evolves — the dispatcher's workload is fully dispatched and no
 // mechanism can hand it more. The engine uses it to stop consulting
-// drained jobs for the rest of the run. The report must be
-// permanent: a dispatcher that might still receive work mid-run (a
-// fault-tolerance transfer, an adaptive split decision) must answer false
-// until that can no longer happen, or not implement the interface at all.
+// drained jobs for the rest of the run. The report must be permanent: a
+// dispatcher that might still receive work mid-run (a fault-tolerance
+// transfer, an adaptive split decision) must answer false until that can
+// no longer happen, or not implement the interface at all.
 type ExhaustedDispatcher interface {
 	Exhausted() bool
 }
@@ -582,10 +582,10 @@ func (mr *multiRun) place(j int) {
 	mr.active[ins] = j
 }
 
-// replace moves job j to its new port-offer position after its key
+// reposition moves job j to its new port-offer position after its key
 // changed. A job that already left mr.active stays out: a re-dispatched
 // chunk can belong to a job that is exhausted.
-func (mr *multiRun) replace(j int) {
+func (mr *multiRun) reposition(j int) {
 	for i, a := range mr.active {
 		if a == j {
 			mr.active = append(mr.active[:i], mr.active[i+1:]...)
@@ -712,7 +712,7 @@ func (mr *multiRun) send(pc *mjChunk) {
 	js.granted += c.Size
 	if mr.polKind == polWeighted {
 		js.key = js.granted / js.weight
-		mr.replace(pc.job)
+		mr.reposition(pc.job)
 	}
 	if mr.tr != nil {
 		mr.tr.Records = append(mr.tr.Records, trace.ChunkRecord{
