@@ -443,7 +443,7 @@ func (s *Simulator) RunUntil(deadline float64) float64 {
 		// dominant pattern is "fire, then immediately schedule a
 		// successor" (send → compute → next send), and filling the hole
 		// in schedule costs one siftDown where pop-then-push would cost
-		// two sifts. The callback must not re-enter RunUntil/Step while
+		// two sifts. The callback must not re-enter RunUntil while
 		// the hole exists.
 		s.live--
 		s.now = top.time
@@ -457,23 +457,4 @@ func (s *Simulator) RunUntil(deadline float64) float64 {
 		}
 	}
 	return s.now
-}
-
-// Step executes exactly one (uncancelled) event and reports whether one was
-// available.
-func (s *Simulator) Step() bool {
-	for len(s.q) > 0 {
-		top := s.q[0]
-		s.popTop()
-		if top.ev.cancelled {
-			s.dead--
-			s.recycle(top.ev)
-			continue
-		}
-		s.live--
-		s.now = top.time
-		s.fire(top.ev)
-		return true
-	}
-	return false
 }

@@ -193,22 +193,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestStep(t *testing.T) {
-	s := New()
-	count := 0
-	at(s, 1, func() { count++ })
-	at(s, 2, func() { count++ })
-	if !s.Step() || count != 1 {
-		t.Fatal("first step")
-	}
-	if !s.Step() || count != 2 {
-		t.Fatal("second step")
-	}
-	if s.Step() {
-		t.Fatal("step on empty queue should report false")
-	}
-}
-
 func TestPendingAndProcessed(t *testing.T) {
 	s := New()
 	e := at(s, 1, func() {})
@@ -429,8 +413,9 @@ func TestCancelledRetentionBounded(t *testing.T) {
 			s.Cancel(h)
 		}
 		// One real event per round keeps the clock moving.
-		at(s, s.Now()+0.1, func() {})
-		s.Step()
+		next := s.Now() + 0.1
+		at(s, next, func() {})
+		s.RunUntil(next)
 		if q := s.QueueLen(); q > maxQ {
 			maxQ = q
 		}

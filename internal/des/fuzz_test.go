@@ -6,8 +6,10 @@ import (
 )
 
 // FuzzPushPopCancel drives the queue through an arbitrary interleaving of
-// schedule / cancel / step / run-until operations decoded from the fuzz
-// input, and checks the kernel's invariants after every operation:
+// schedule / cancel / run-until operations decoded from the fuzz input —
+// every event fires through RunUntil, the production path, with its
+// replace-top hole — and checks the kernel's invariants after every
+// operation:
 //
 //   - events fire in (time, insertion) order, exactly the uncancelled ones;
 //   - Pending() equals scheduled minus fired minus cancelled;
@@ -84,8 +86,8 @@ func FuzzPushPopCancel(f *testing.F) {
 					cancelPending(id)
 					s.Cancel(handles[id]) // double cancel must be a no-op
 				}
-			case op == 6:
-				s.Step()
+			case op == 6: // fire only what is due now (time ties)
+				s.RunUntil(s.Now())
 			default:
 				s.RunUntil(s.Now() + v)
 			}

@@ -51,7 +51,7 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 		spawn(float64(next(50)), 12)
 	}
 	if step {
-		for sim.Step() {
+		for popThenFire(sim) {
 		}
 	} else {
 		sim.Run()
@@ -59,10 +59,31 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 	return fired
 }
 
+// popThenFire is the reference path RunUntil's replace-top hole must
+// match: pop the earliest live event, then fire it, so a successor the
+// callback schedules is always a separate push. It reports whether an
+// event fired.
+func popThenFire(s *Simulator) bool {
+	for len(s.q) > 0 {
+		top := s.q[0]
+		s.popTop()
+		if top.ev.cancelled {
+			s.dead--
+			s.recycle(top.ev)
+			continue
+		}
+		s.live--
+		s.now = top.time
+		s.fire(top.ev)
+		return true
+	}
+	return false
+}
+
 // TestReplaceTopMatchesPopThenPush is the differential property test for
 // the replace-top fast path: the same workload executed through RunUntil
 // (which fuses pop+push into a root replacement) and through repeated
-// Step calls (which always pop then push, never leaving a hole) must
+// popThenFire calls (which always pop then push, never leaving a hole) must
 // fire the identical (time, id) sequence. (time, seq) being a strict
 // total order is what makes the two heap shapes indistinguishable from
 // the outside; this pins that down.
@@ -78,14 +99,14 @@ func TestReplaceTopMatchesPopThenPush(t *testing.T) {
 		stepSim := New()
 		b := replaceWorkload(stepSim, seed, true)
 		if got := stepSim.Stats(); got.Replaced != 0 {
-			t.Fatalf("seed %d: Step path unexpectedly replaced %d roots", seed, got.Replaced)
+			t.Fatalf("seed %d: pop-then-fire path unexpectedly replaced %d roots", seed, got.Replaced)
 		}
 		if len(a) != len(b) {
-			t.Fatalf("seed %d: RunUntil fired %d events, Step fired %d", seed, len(a), len(b))
+			t.Fatalf("seed %d: RunUntil fired %d events, pop-then-fire %d", seed, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("seed %d: fire order diverges at %d: RunUntil %+v, Step %+v", seed, i, a[i], b[i])
+				t.Fatalf("seed %d: fire order diverges at %d: RunUntil %+v, pop-then-fire %+v", seed, i, a[i], b[i])
 			}
 		}
 		if run.Pending() != 0 || run.QueueLen() != 0 {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"rumr/internal/des"
 	"rumr/internal/fault"
 	"rumr/internal/perferr"
 	"rumr/internal/platform"
@@ -77,7 +78,7 @@ func faultyOptions() Options {
 			{Time: 40, Worker: 2, Kind: fault.Rejoin},
 			{Time: 60, Worker: 11, Kind: fault.Rejoin},
 		}},
-		Recovery: fault.Recovery{Enabled: true, TimeoutFactor: 3, TimeoutSlack: 1},
+		Recovery: fault.Recovery{Enabled: true, TimeoutFactor: 3},
 	}
 }
 
@@ -257,4 +258,36 @@ func TestRunMultiZeroAllocSteadyState(t *testing.T) {
 	if ctrs.TruncNormalDraws == 0 || ctrs.UniformDraws != 0 {
 		t.Fatalf("draw counters misclassified: %+v", ctrs)
 	}
+}
+
+// A cold core — a fresh run state, not one recycled through the pool —
+// grows its chunk arena by slabs, so a long plan costs O(log n)
+// allocations rather than one per chunk. 1,000 one-unit chunks dealt
+// round-robin over the central platform's 20 workers.
+func TestColdCoreArenaAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p := centralPlatform()
+	plan := make([]Chunk, 1000)
+	for i := range plan {
+		plan[i] = Chunk{Worker: i % p.N(), Size: 1}
+	}
+	d := &listDispatcher{plan: plan}
+	jobs := []Job{{Total: float64(len(plan)), Dispatcher: d}}
+	allocs := testing.AllocsPerRun(5, func() {
+		d.pos = 0
+		mr := &multiRun{sim: des.New()}
+		if err := mr.exec(p, jobs, MultiOptions{}, nil, fault.Recovery{}); err != nil {
+			t.Fatal(err)
+		}
+		if mr.chunks != len(plan) {
+			t.Fatalf("dispatched %d chunks, want %d", mr.chunks, len(plan))
+		}
+		mr.release()
+	})
+	if allocs >= 100 {
+		t.Fatalf("cold-core run of %d chunks allocates %.0f times, want < 100", len(plan), allocs)
+	}
+	t.Logf("cold-core run of %d chunks: %.0f allocations", len(plan), allocs)
 }

@@ -186,6 +186,10 @@ type FaultAware interface {
 // models' sources between runs (the experiment package's batched cell
 // path does exactly that). Metrics is safe to share across concurrent
 // runs; a Faults schedule is replayed read-only.
+//
+// The pooled core grows its buffers as chunks are dispatched. A fixed cap
+// of 10 million chunks, and as many fault-recovery re-dispatches, aborts a
+// runaway dispatcher with an error.
 type Options struct {
 	// CommModel perturbs transfer durations; nil means perfect prediction.
 	CommModel perferr.Model
@@ -194,12 +198,6 @@ type Options struct {
 	CompModel perferr.Model
 	// RecordTrace makes Run return a full per-chunk trace.
 	RecordTrace bool
-	// ExpectedChunks, when positive, sizes the trace-record buffer (and
-	// the chunk arena on a cold pool) up front, so tracing a run
-	// whose chunk count is known — a memoized plan, a repeat of the
-	// previous repetition — does not regrow slices chunk by chunk. It is
-	// a hint: runs may dispatch more or fewer chunks.
-	ExpectedChunks int
 	// ParallelSends is the number of transfers the master may run
 	// concurrently. The paper's model (and the default, 0 or 1) is a
 	// fully serialised port; higher values implement the "simultaneous
@@ -208,8 +206,6 @@ type Options struct {
 	// bottleneck, so each concurrent transfer still proceeds at its
 	// link's full B_i.
 	ParallelSends int
-	// MaxChunks aborts runaway dispatchers (default 10 million).
-	MaxChunks int
 	// Metrics, when non-nil, receives one AddRun per successful Run with
 	// the dispatched chunk count, the DES events processed and the
 	// makespan. The sweep runner shares one collector across its worker
@@ -278,11 +274,8 @@ func Run(p *platform.Platform, d Dispatcher, opts Options) (Result, error) {
 	mopts := MultiOptions{
 		ParallelSends: opts.ParallelSends,
 		RecordTrace:   opts.RecordTrace,
-		// Headroom for fault-recovery re-dispatch attempts.
-		ExpectedChunks: opts.ExpectedChunks + opts.ExpectedChunks/4,
-		MaxChunks:      opts.MaxChunks,
-		Metrics:        opts.Metrics,
-		Counters:       opts.Counters,
+		Metrics:       opts.Metrics,
+		Counters:      opts.Counters,
 	}
 	if opts.Events != nil {
 		mr.loneSink.Sink = opts.Events

@@ -263,8 +263,10 @@ type runaway struct{}
 func (runaway) Next(v *View) (Chunk, bool) { return Chunk{Worker: 0, Size: 1}, true }
 
 func TestRunawayDispatcherAborted(t *testing.T) {
+	defer func(old int) { maxChunks = old }(maxChunks)
+	maxChunks = 100
 	p := platform.Homogeneous(1, 1, 1, 0, 0)
-	_, err := Run(p, runaway{}, Options{MaxChunks: 100})
+	_, err := Run(p, runaway{}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "runaway") {
 		t.Fatalf("err = %v", err)
 	}

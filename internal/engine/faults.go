@@ -96,8 +96,8 @@ func (mr *multiRun) redispatch() bool {
 	pc.attempt++
 	mr.redispatches++
 	mr.redispatchedWork += pc.chunk.Size
-	if mr.redispatches > mr.maxChunks {
-		mr.fail(fmt.Errorf("engine: recovery exceeded %d re-dispatches; livelocked fault scenario?", mr.maxChunks))
+	if mr.redispatches > maxChunks {
+		mr.fail(fmt.Errorf("engine: recovery exceeded %d re-dispatches; livelocked fault scenario?", maxChunks))
 		return true
 	}
 	mr.emitChunk(obs.KindRedispatch, pc, target, pc.attempt, "re-dispatching lost chunk to least-loaded live worker")

@@ -90,15 +90,6 @@ type MultiOptions struct {
 	// RecordTrace makes RunMulti return a full per-chunk trace with
 	// job-tagged records (ChunkRecord.Job).
 	RecordTrace bool
-	// ExpectedChunks, when positive, pre-sizes the trace record buffer
-	// and the pooled chunk arena on a cold pool, so a run whose total
-	// chunk count is known — a repeat of the previous repetition, a
-	// planner's PlannedChunks sum — does not regrow slices chunk by
-	// chunk. It is a hint: runs may dispatch more or fewer chunks.
-	ExpectedChunks int
-	// MaxChunks aborts runaway dispatchers, counted across all jobs
-	// (default 10 million).
-	MaxChunks int
 	// Metrics, when non-nil, receives one AddRun for the whole multi-job
 	// run (total chunks, DES events, overall makespan).
 	Metrics *metrics.Collector
@@ -206,8 +197,9 @@ type mjJob struct {
 // multiRun is the complete state of one simulation. Instances are
 // pooled: Run and RunMulti borrow one, reset every field, execute, and
 // return it. mjChunk structs are pooled per instance (a cursor-recycled
-// arena); their back-pointer to the owning run is set once and stays
-// valid because chunks never migrate between instances.
+// arena grown by slabs, see allocMC); their back-pointer to the owning run
+// is set once and stays valid because chunks never migrate between
+// instances.
 type multiRun struct {
 	sim  *des.Simulator
 	p    *platform.Platform
@@ -216,12 +208,11 @@ type multiRun struct {
 	tr   *trace.Trace
 	ctr  *Counters
 
-	n         int
-	slots     int
-	sending   int
-	maxChunks int
-	chunks    int // global dispatch counter (first attempts)
-	makespan  float64
+	n        int
+	slots    int
+	sending  int
+	chunks   int // global dispatch counter (first attempts)
+	makespan float64
 
 	workers []mjWorker
 	// states is the dispatcher-visible worker state and idle its
@@ -246,7 +237,8 @@ type multiRun struct {
 	lostChunks, redispatches   int
 	lostWork, redispatchedWork float64
 
-	// mcs is the persistent chunk arena. Structs are handed out by cursor
+	// mcs is the persistent chunk arena: pointers into slabs of mjChunk
+	// that allocMC adds as it runs out. Structs are handed out by cursor
 	// (mcUsed); every lifecycle field is rewritten on dispatch, so
 	// recycling the whole arena between runs is a cursor reset.
 	mcs    []*mjChunk
@@ -330,16 +322,12 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	mr.rec = rec
 	mr.n = p.N()
 	mr.slots = opts.ParallelSends
-	mr.maxChunks = opts.MaxChunks
 	mr.polKind = polFCFS
 	if opts.Policy != nil {
 		mr.polKind = opts.Policy.kind()
 	}
 	if mr.slots <= 0 {
 		mr.slots = 1
-	}
-	if mr.maxChunks <= 0 {
-		mr.maxChunks = 10_000_000
 	}
 	mr.sending = 0
 	mr.chunks = 0
@@ -350,14 +338,8 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 
 	if opts.RecordTrace {
 		mr.tr = &trace.Trace{ParallelSends: mr.slots}
-		if opts.ExpectedChunks > 0 {
-			mr.tr.Records = make([]trace.ChunkRecord, 0, opts.ExpectedChunks)
-		}
 	}
 	mr.mcUsed = 0
-	if opts.ExpectedChunks > 0 && cap(mr.mcs) == 0 {
-		mr.mcs = make([]*mjChunk, 0, opts.ExpectedChunks)
-	}
 
 	mr.workers = resize(mr.workers, mr.n)
 	for i := range mr.workers {
@@ -505,22 +487,30 @@ func (mr *multiRun) release() {
 	mr.err = nil
 }
 
-// allocMC hands out the next chunk struct from the arena, growing it only
-// on a cold pool. Recycled structs come back with stale lifecycle fields;
-// kick (job, chunk, seq, attempt), send (phase, record, timeout) and
+// allocMC hands out the next chunk struct from the arena. An exhausted
+// arena grows by one slab of max(16, len(mcs)) structs, so a cold core
+// costs O(log n) allocations for n chunks; pointers into older slabs stay
+// valid. Structs come back with stale or zero lifecycle fields; kick
+// (job, chunk, seq, attempt), send (phase, record, timeout) and
 // beginCompute (predicted, effective) rewrite all of them before any
 // reader sees the struct.
 func (mr *multiRun) allocMC() *mjChunk {
-	if mr.mcUsed < len(mr.mcs) {
-		pc := mr.mcs[mr.mcUsed]
-		mr.mcUsed++
-		return pc
+	if mr.mcUsed == len(mr.mcs) {
+		slab := make([]mjChunk, max(16, len(mr.mcs)))
+		for i := range slab {
+			slab[i].mr = mr
+			mr.mcs = append(mr.mcs, &slab[i])
+		}
 	}
-	pc := &mjChunk{mr: mr, record: -1}
-	mr.mcs = append(mr.mcs, pc)
+	pc := mr.mcs[mr.mcUsed]
 	mr.mcUsed++
 	return pc
 }
+
+// maxChunks aborts runaway dispatchers: it caps the chunks dispatched
+// across all jobs of a run, and separately the fault-recovery
+// re-dispatches. A variable only so tests can lower it.
+var maxChunks = 10_000_000
 
 func (mr *multiRun) fail(err error) {
 	if mr.err == nil {
@@ -665,8 +655,8 @@ func (mr *multiRun) kick() {
 				return
 			}
 			mr.chunks++
-			if mr.chunks > mr.maxChunks {
-				mr.fail(fmt.Errorf("engine: dispatchers exceeded %d chunks across jobs; runaway policy?", mr.maxChunks))
+			if mr.chunks > maxChunks {
+				mr.fail(fmt.Errorf("engine: dispatchers exceeded %d chunks across jobs; runaway policy?", maxChunks))
 				return
 			}
 			if js.res.Chunks == 0 {

@@ -71,7 +71,7 @@ func TestSharedViewSingleJob(t *testing.T) {
 			CommModel:     perferr.NewTruncNormal(0.3, src.Split()),
 			CompModel:     perferr.NewTruncNormal(0.3, src.Split()),
 			Faults:        sched,
-			Recovery:      fault.Recovery{Enabled: true, TimeoutFactor: 3, TimeoutSlack: 1},
+			Recovery:      fault.Recovery{Enabled: true, TimeoutFactor: 3},
 			ParallelSends: 1 + src.Intn(3),
 		})
 		if err != nil {

@@ -194,9 +194,8 @@ func TestBatchedCellMatchesReference(t *testing.T) {
 // opaqueDispatcher forwards Next — and the engine capabilities that
 // change scheduling behaviour (Observer's completion feedback, and
 // FaultAware via opaqueFADispatcher) — while hiding the batch-path
-// optimisation interfaces (Replayable, Planned), so the prototype is
-// rebuilt every repetition and chunk-count hints fall back to observed
-// counts.
+// optimisation interface (Replayable), so the prototype is rebuilt every
+// repetition.
 type opaqueDispatcher struct{ d engine.Dispatcher }
 
 func (o opaqueDispatcher) Next(v *engine.View) (engine.Chunk, bool) { return o.d.Next(v) }
@@ -220,7 +219,7 @@ func (o opaqueFADispatcher) OnWorkerUp(w int, at float64, v *engine.View) {
 }
 
 // opaqueScheduler hides the scheduler's Memoizer capability and its
-// dispatchers' Replayable/Planned capabilities behind plain interfaces,
+// dispatchers' Replayable capability behind plain interfaces,
 // forcing the batch path onto its rebuild-per-repetition fallback — which
 // must not change results.
 type opaqueScheduler struct{ sched.Scheduler }

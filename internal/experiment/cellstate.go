@@ -102,10 +102,6 @@ type protoSet struct {
 	memo   *sched.Memo
 	protos []engine.Dispatcher // nil where construction failed
 	replay []sched.Replayable  // protos[i]'s Reset handle, if any
-	// hint[i] is the ExpectedChunks hint: the prototype's planned chunk
-	// count (sched.Planned) at first; callers overwrite it with the
-	// observed count of the previous run.
-	hint []int
 }
 
 // reset empties the set to n slots over platform p, with the shared plan
@@ -120,7 +116,6 @@ func (ps *protoSet) reset(shared *sched.SharedPlans, p *platform.Platform, n int
 	ps.memo.Share(shared)
 	ps.protos = resize(ps.protos, n)
 	ps.replay = resize(ps.replay, n)
-	ps.hint = resize(ps.hint, n)
 }
 
 // newDispatcher constructs algo's dispatcher for pr, through the memo
@@ -143,9 +138,6 @@ func (ps *protoSet) build(i int, algo sched.Scheduler, pr *sched.Problem) error 
 	}
 	ps.protos[i] = d
 	ps.replay[i], _ = d.(sched.Replayable)
-	if pl, ok := d.(sched.Planned); ok {
-		ps.hint[i] = pl.PlannedChunks()
-	}
 	return nil
 }
 
@@ -303,11 +295,10 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 				cs.reseedCell(g, cfg, errMag, rep)
 				commM, compM := cs.streams.Split(&cs.src, r.ErrorModel, errMag)
 				out, err := engine.Run(cs.p, d, engine.Options{
-					CommModel:      commM,
-					CompModel:      compM,
-					Metrics:        r.Metrics,
-					Counters:       &cs.counters.Engine,
-					ExpectedChunks: cs.protos.hint[idx],
+					CommModel: commM,
+					CompModel: compM,
+					Metrics:   r.Metrics,
+					Counters:  &cs.counters.Engine,
 				})
 				if err != nil {
 					return fmt.Errorf("experiment: %s on %s: %w", algo.Name(), cfg, err)
@@ -316,7 +307,6 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 					return fmt.Errorf("experiment: %s on %s dispatched %g of %g",
 						algo.Name(), cfg, out.DispatchedWork, g.Total)
 				}
-				cs.protos.hint[idx] = out.Chunks
 				cs.acc[ai].Add(out.Makespan)
 			}
 		}

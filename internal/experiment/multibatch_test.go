@@ -200,35 +200,6 @@ func TestBatchedMultiCellMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMultiCellExpectedChunksFromPlanner pins that the ExpectedChunks
-// hint handed to engine.RunMulti comes from planner output: after
-// preparation, an algorithm with a planned dispatcher carries the sum of
-// its jobs' planned chunk counts, and after one computation every
-// algorithm's hint equals the observed total of its last run.
-func TestMultiCellExpectedChunksFromPlanner(t *testing.T) {
-	g := DefaultMultiJobGrid()
-	g.Reps = 1
-	r := &Runner{
-		Algorithms: []sched.Scheduler{mi.Scheduler{Installments: 1}, rumr.Scheduler{}},
-		Workers:    1,
-	}
-	cs := NewMultiCellState()
-	cs.prepare(r, g)
-	// MI-1 is a static plan: one chunk per worker per job.
-	if want := g.Jobs * g.Config.N; cs.expected[0] != want {
-		t.Fatalf("MI-1 planner hint = %d, want %d (= jobs x workers)", cs.expected[0], want)
-	}
-	dst := NewCellBlock(multiCellRows, len(r.Algorithms))
-	if err := r.ComputeMultiJobCellInto(context.Background(), g, engine.FCFS(), 0, cs, dst); err != nil {
-		t.Fatal(err)
-	}
-	for ai := range r.Algorithms {
-		if cs.expected[ai] <= 0 {
-			t.Fatalf("algorithm %d: observed chunk hint = %d after a run, want > 0", ai, cs.expected[ai])
-		}
-	}
-}
-
 // TestWarmCacheExtendedMultiJobGridComputesOnlyNewCells mirrors the
 // single-job warm-cache test for the multi-job sweep: a second sweep over
 // a grid extended with a new arrival rate must restore every previously

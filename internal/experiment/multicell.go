@@ -70,10 +70,6 @@ type MultiCellState struct {
 	// short-circuits it for every cell instead of retrying per repetition.
 	protos protoSet
 	failed []bool
-	// expected[ai] is the ExpectedChunks hint for the whole run: the sum
-	// of the prototypes' planned chunk counts at first, then the observed
-	// total of the previous run.
-	expected []int
 
 	jobs   []engine.Job
 	jobRes []engine.JobResult
@@ -128,7 +124,6 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 		cs.names[j] = fmt.Sprintf("job%d", j)
 	}
 	cs.failed = resize(cs.failed, nAlg)
-	cs.expected = resize(cs.expected, nAlg)
 	for ai, algo := range r.Algorithms {
 		for j := 0; j < nJ; j++ {
 			if cs.protos.build(ai*nJ+j, algo, &cs.prob) != nil {
@@ -137,7 +132,6 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 				cs.failed[ai] = true
 				break
 			}
-			cs.expected[ai] += cs.protos.hint[ai*nJ+j]
 		}
 	}
 	cs.protos.flushPlans(r.Metrics)
@@ -266,17 +260,15 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 				}
 			}
 			out, err := engine.RunMulti(cs.p, cs.jobs, engine.MultiOptions{
-				Policy:         pol,
-				Metrics:        r.Metrics,
-				Counters:       &cs.counters,
-				ExpectedChunks: cs.expected[ai],
-				JobResults:     cs.jobRes,
+				Policy:     pol,
+				Metrics:    r.Metrics,
+				Counters:   &cs.counters,
+				JobResults: cs.jobRes,
 			})
 			if err != nil {
 				return fmt.Errorf("experiment: multi-job %s/%s rate %g rep %d: %w",
 					pol.Name(), algo.Name(), rate, rep, err)
 			}
-			cs.expected[ai] = out.Chunks
 			runResp, runSlow := 0.0, 0.0
 			for j, jr := range out.Jobs {
 				runResp += jr.Response

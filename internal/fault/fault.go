@@ -180,8 +180,6 @@ type Recovery struct {
 	// finish rather than killed forever. Zero disables timers; crashes and
 	// losses in transit are still detected.
 	TimeoutFactor float64
-	// TimeoutSlack is an absolute grace period added to every timeout.
-	TimeoutSlack float64
 	// MaxAttempts caps re-dispatches per chunk; past the cap the chunk's
 	// work is permanently lost. Zero means unlimited.
 	MaxAttempts int
@@ -196,7 +194,7 @@ func (r Recovery) TimeoutFor(predicted float64, attempt int) float64 {
 	if attempt > 30 {
 		attempt = 30 // cap the backoff; 2^30 is already "never"
 	}
-	return r.TimeoutFactor*math.Ldexp(1, attempt)*predicted + r.TimeoutSlack
+	return r.TimeoutFactor * math.Ldexp(1, attempt) * predicted
 }
 
 // Scenario draws random fault schedules from per-worker rates — the knobs

@@ -90,13 +90,13 @@ func TestUptime(t *testing.T) {
 }
 
 func TestTimeoutForBackoff(t *testing.T) {
-	r := Recovery{Enabled: true, TimeoutFactor: 3, TimeoutSlack: 0.5}
-	if got := r.TimeoutFor(2, 0); math.Abs(got-6.5) > 1e-12 {
-		t.Fatalf("attempt 0 timeout = %g, want 6.5", got)
+	r := Recovery{Enabled: true, TimeoutFactor: 3}
+	if got := r.TimeoutFor(2, 0); math.Abs(got-6) > 1e-12 {
+		t.Fatalf("attempt 0 timeout = %g, want 6", got)
 	}
 	// Doubles per attempt.
-	if got := r.TimeoutFor(2, 2); math.Abs(got-24.5) > 1e-12 {
-		t.Fatalf("attempt 2 timeout = %g, want 24.5", got)
+	if got := r.TimeoutFor(2, 2); math.Abs(got-24) > 1e-12 {
+		t.Fatalf("attempt 2 timeout = %g, want 24", got)
 	}
 	// Monotone, no overflow at absurd attempt counts.
 	if got := r.TimeoutFor(2, 1000); math.IsInf(got, 0) || got < r.TimeoutFor(2, 30) {

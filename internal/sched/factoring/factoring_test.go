@@ -105,7 +105,7 @@ func TestZeroLatencyTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(pr.Platform, d, engine.Options{MaxChunks: 100000})
+	res, err := engine.Run(pr.Platform, d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,16 +166,6 @@ func (d *dispatcher) Reset() {
 	d.inPhase2 = false
 }
 
-// PlannedChunks implements sched.Planned with a lower bound: the phase-1
-// plan's length. Phase 2 is demand driven, so its chunk count is only
-// known after a run.
-func (d *dispatcher) PlannedChunks() int {
-	if d.phase1 == nil {
-		return 0
-	}
-	return d.phase1.PlannedChunks()
-}
-
 // Next implements engine.Dispatcher.
 func (d *dispatcher) Next(v *engine.View) (engine.Chunk, bool) {
 	if d.phase1 != nil && d.phase1.Remaining() > 0 {

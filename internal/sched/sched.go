@@ -276,15 +276,6 @@ type Replayable interface {
 	Reset()
 }
 
-// Planned is implemented by dispatchers that know before the run how many
-// chunks they will dispatch, at least as a lower bound (a static plan's
-// length; a two-phase dispatcher's phase-1 share). Batch callers feed the
-// count to engine.Options.ExpectedChunks so trace buffers and chunk
-// arenas are sized up front instead of regrown chunk by chunk.
-type Planned interface {
-	PlannedChunks() int
-}
-
 // Static plays a precalculated plan. With OutOfOrder set, the head of the
 // plan may be bypassed in favour of the earliest planned chunk whose
 // destination worker is idle — the paper's phase-1 revision of UMR
@@ -398,9 +389,6 @@ func (s *Static) Reset() {
 	s.started = false
 	s.firstUnsent = 0
 }
-
-// PlannedChunks implements Planned: the plan's length.
-func (s *Static) PlannedChunks() int { return len(s.Plan) }
 
 // RemainingWork sums the sizes of the undispatched chunks.
 func (s *Static) RemainingWork() float64 {

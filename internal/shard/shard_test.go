@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -401,5 +404,101 @@ func TestCoordinatorRejectsOversizedPosts(t *testing.T) {
 	}
 	if got := resultsJSON(t, out.res); !bytes.Equal(got, want) {
 		t.Fatal("aggregate after oversized posts differs from single-process run")
+	}
+}
+
+// A posted block whose values cannot be mean makespans — zero or negative
+// — is refused with 400 and persisted nowhere; a later valid post for the
+// same configuration is accepted.
+func TestCoordinatorRejectsImpossibleMakespans(t *testing.T) {
+	job := testJob()
+	dir := t.TempDir()
+	ckpt, cacheDir := filepath.Join(dir, "ckpt.jsonl"), filepath.Join(dir, "cache")
+	coord := NewCoordinator()
+	server := httptest.NewServer(coord.Handler())
+	defer server.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Run(context.Background(), job, RunOptions{CheckpointPath: ckpt, CachePath: cacheDir})
+		done <- err
+	}()
+	defer func() {
+		coord.Close()
+		<-done
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !coord.Status().Active; {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep never became active")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	post := func(path string, body any) *http.Response {
+		t.Helper()
+		blob, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(server.URL+path, "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := post("/v1/lease", LeaseRequest{Worker: "w"})
+	var lease Lease
+	err := json.NewDecoder(resp.Body).Decode(&lease)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(lease.Configs) == 0 {
+		t.Fatalf("lease: status %d, err %v, %d configs", resp.StatusCode, err, len(lease.Configs))
+	}
+	// persisted counts the lines of the checkpoint and of every cache
+	// segment.
+	persisted := func() int {
+		n := 0
+		files, _ := filepath.Glob(filepath.Join(cacheDir, "seg-*.jsonl"))
+		for _, f := range append(files, ckpt) {
+			if b, err := os.ReadFile(f); err == nil {
+				n += bytes.Count(b, []byte("\n"))
+			}
+		}
+		return n
+	}
+	before := persisted()
+	postBlock := func(bad float64) int {
+		t.Helper()
+		block := make([][]float64, len(job.Grid.Errors))
+		for i := range block {
+			block[i] = []float64{10, math.NaN(), 12}
+		}
+		block[len(block)-1][2] = bad
+		mean, err := experiment.EncodeCell(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := post("/v1/result", Result{Worker: "w", Lease: lease.ID,
+			Fingerprint: lease.Job.Fingerprint, Config: lease.Configs[0], Mean: mean})
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, bad := range []float64{0, -3} {
+		if code := postBlock(bad); code != http.StatusBadRequest {
+			t.Fatalf("block with makespan %g: status %d, want 400", bad, code)
+		}
+		if d := coord.Status().Done; d != 0 {
+			t.Fatalf("block with makespan %g counted: Done = %d", bad, d)
+		}
+		if n := persisted(); n != before {
+			t.Fatalf("block with makespan %g persisted: %d lines, %d before", bad, n, before)
+		}
+	}
+	if code := postBlock(11); code != http.StatusOK {
+		t.Fatalf("valid block: status %d, want 200", code)
+	}
+	if d := coord.Status().Done; d != 1 {
+		t.Fatalf("valid block not counted: Done = %d", d)
+	}
+	if n := persisted(); n <= before {
+		t.Fatalf("valid block not persisted: %d lines, %d before", n, before)
 	}
 }

@@ -11,8 +11,9 @@
 # twice.
 # For the table2, multijob and fleet workloads it runs 10 pairs of
 # 2-second runs at seed 2003, swapping which side goes first on each pair,
-# and prints each side's runs_per_s quartiles with the per-pair
-# change/base ratios. It exits 1 if any run fails or reports correct:false
+# and prints each side's runs_per_s quartiles and median allocs_per_run
+# with the per-pair change/base runs_per_s ratios. allocs_per_run is
+# printed only, never gated. It exits 1 if any run fails or reports correct:false
 # or failed > 0, or if the change's median runs_per_s on table2 or
 # multijob is below the base's divided by 1.5. fleet is checked for
 # correctness only: its runs spread too widely for 10 pairs to resolve a
@@ -63,29 +64,34 @@ gated, checked = sys.argv[4].split(), sys.argv[5].split()
 ok = True
 
 def rates(path):
+    """Returns the runs_per_s and allocs_per_run of each run in path."""
     global ok
-    out = []
+    out, allocs = [], []
     for line in open(path):
         try:
             r = json.loads(line)
             good = r["correct"] and r["failed"] == 0
             out.append(r["metrics"]["runs_per_s"]["value"])
+            allocs.append(r["metrics"]["allocs_per_run"]["value"])
         except (ValueError, KeyError, TypeError):
             good = False
             out.append(float("nan"))
+            allocs.append(float("nan"))
         if not good:
             ok = False
             print(f"{path}: failed or incorrect run: {line.strip()!r}")
-    return out
+    return out, allocs
 
-print(f"runs_per_s, change (this checkout) vs base ({rev[:12]}); ratio = change / base")
-print(f"{'workload':<10} {'side':<7} {'q1':>10} {'median':>10} {'q3':>10}")
+print(f"runs_per_s quartiles and median allocs_per_run, change (this checkout) vs base ({rev[:12]}); ratio = change / base runs_per_s")
+print(f"{'workload':<10} {'side':<7} {'q1':>10} {'median':>10} {'q3':>10} {'allocs/run':>11}")
 for wl in gated + checked:
-    sides = {s: rates(f"{tmp}/{wl}.{s}") for s in ("base", "change")}
+    sides, allocs = {}, {}
+    for s in ("base", "change"):
+        sides[s], allocs[s] = rates(f"{tmp}/{wl}.{s}")
     med = {}
     for s, xs in sides.items():
         q1, med[s], q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        print(f"{wl:<10} {s:<7} {q1:>10.0f} {med[s]:>10.0f} {q3:>10.0f}")
+        print(f"{wl:<10} {s:<7} {q1:>10.0f} {med[s]:>10.0f} {q3:>10.0f} {statistics.median(allocs[s]):>11.4g}")
     ratios = [c / b for b, c in zip(sides["base"], sides["change"])]
     wins = sum(r > 1 for r in ratios)
     note = "" if wl in gated else "  (correctness only, not gated)"
