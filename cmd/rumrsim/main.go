@@ -4,16 +4,21 @@
 //
 // Examples:
 //
-//	rumrsim -algo rumr -n 20 -r 1.5 -clat 0.3 -nlat 0.3 -error 0.3
-//	rumrsim -algo umr -n 10 -b 30 -w 5000 -gantt=false
+//	rumrsim -algo RUMR -n 20 -r 1.5 -clat 0.3 -nlat 0.3 -error 0.3
+//	rumrsim -algo UMR -n 10 -b 30 -w 5000 -gantt=false
+//	rumrsim -algo RUMR-fixed80-plain -error 0.2 -gantt=false
 //	rumrsim -algo all -n 20 -r 1.8 -clat 0.3 -nlat 0.9 -error 0.2 -reps 40
+//
+// -algo takes the scheduler names the reports and sweeps print (RUMR,
+// MI-3, Factoring-OB, SelfSched-64, RUMR-fixed80-plain-ft, ...): every
+// name the sweep wire resolves, spelled exactly as printed.
 //
 // Faults are injected either explicitly (-faults) or from a random
 // scenario (-crash-prob); by default lost chunks are re-dispatched to
 // surviving workers:
 //
-//	rumrsim -algo rumr-ft -n 8 -faults crash:2@40,rejoin:2@90
-//	rumrsim -algo rumr -n 8 -faults slow:0@10*8 -recover -timeout-factor 4
+//	rumrsim -algo RUMR-ft -n 8 -faults crash:2@40,rejoin:2@90
+//	rumrsim -algo RUMR -n 8 -faults slow:0@10*8 -recover -timeout-factor 4
 //	rumrsim -algo all -n 20 -crash-prob 0.3 -fault-seed 7 -gantt=false
 package main
 
@@ -27,6 +32,7 @@ import (
 
 	"rumr"
 	"rumr/internal/dlt"
+	"rumr/internal/experiment"
 	"rumr/internal/rng"
 	"rumr/internal/stats"
 	"rumr/internal/trace"
@@ -42,7 +48,7 @@ type traceFlags struct {
 
 func main() {
 	var (
-		algo      = flag.String("algo", "rumr", "scheduler: rumr, rumr-fixed<pct>, rumr-plain, rumr-adaptive, rumr-ft, umr, mi<x>, factoring, wfactoring, fsc, gss, tss, selfsched, or 'all'")
+		algo      = flag.String("algo", "RUMR", "scheduler, by the name reports print: RUMR[-fixed<pct>][-plain][-boundOverError|-boundPlain][-ft], RUMR-adaptive, UMR, MI-<x>, Factoring, Factoring-OB, WFactoring, FSC, GSS, TSS, SelfSched[-<quantum>], or 'all'")
 		n         = flag.Int("n", 20, "number of workers")
 		r         = flag.Float64("r", 1.5, "bandwidth ratio: B = r*N (ignored when -b is set)")
 		b         = flag.Float64("b", 0, "link rate B in units/s (overrides -r)")
@@ -111,12 +117,12 @@ func main() {
 
 	names := []string{*algo}
 	if *algo == "all" {
-		names = []string{"rumr", "rumr-adaptive", "umr", "mi1", "mi2", "mi3", "mi4", "factoring", "fsc", "gss", "tss", "wfactoring"}
+		names = []string{"RUMR", "RUMR-adaptive", "UMR", "MI-1", "MI-2", "MI-3", "MI-4", "Factoring", "FSC", "GSS", "TSS", "WFactoring"}
 	}
 	for _, name := range names {
-		s, err := schedulerByName(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumrsim:", err)
+		s, ok := experiment.AlgorithmByName(name)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "rumrsim: unknown scheduler %q\n", name)
 			os.Exit(2)
 		}
 		tf := traceFlags{csv: *traceCSV, json: *traceJSON, perfetto: *perfetto, stats: *showStats}
@@ -185,47 +191,6 @@ func parseFaults(spec string) (*rumr.FaultSchedule, error) {
 		return nil, fmt.Errorf("empty -faults spec %q", spec)
 	}
 	return fs, nil
-}
-
-// schedulerByName resolves the -algo flag.
-func schedulerByName(name string) (rumr.Scheduler, error) {
-	switch {
-	case name == "rumr":
-		return rumr.RUMR(), nil
-	case name == "rumr-plain":
-		return rumr.RUMRPlainPhase1(), nil
-	case name == "rumr-adaptive":
-		return rumr.RUMRAdaptive(), nil
-	case name == "rumr-ft":
-		return rumr.RUMRFaultTolerant(), nil
-	case strings.HasPrefix(name, "rumr-fixed"):
-		pct, err := strconv.Atoi(strings.TrimPrefix(name, "rumr-fixed"))
-		if err != nil || pct <= 0 || pct > 100 {
-			return nil, fmt.Errorf("bad fixed split in %q", name)
-		}
-		return rumr.RUMRFixedSplit(float64(pct) / 100), nil
-	case name == "umr":
-		return rumr.UMR(), nil
-	case strings.HasPrefix(name, "mi"):
-		x, err := strconv.Atoi(strings.TrimPrefix(name, "mi"))
-		if err != nil || x < 1 {
-			return nil, fmt.Errorf("bad installment count in %q", name)
-		}
-		return rumr.MI(x), nil
-	case name == "factoring":
-		return rumr.Factoring(), nil
-	case name == "fsc":
-		return rumr.FSC(), nil
-	case name == "selfsched":
-		return rumr.SelfScheduling(0), nil
-	case name == "gss":
-		return rumr.GSS(), nil
-	case name == "tss":
-		return rumr.TSS(), nil
-	case name == "wfactoring":
-		return rumr.WeightedFactoring(), nil
-	}
-	return nil, fmt.Errorf("unknown scheduler %q", name)
 }
 
 func run(p *rumr.Platform, s rumr.Scheduler, total, errMag float64, unknown, uniform bool, parallel int, seed uint64, reps int, gantt bool, width int, tf traceFlags, faults *rumr.FaultSchedule, recovery rumr.Recovery) error {

@@ -10,7 +10,7 @@
 //
 // Examples:
 //
-//	rumrsim -algo rumr -n 8 -error 0.3 -trace-json run.json -gantt=false
+//	rumrsim -algo RUMR -n 8 -error 0.3 -trace-json run.json -gantt=false
 //	rumrtrace -n 8 -r 1.5 -clat 0.3 -nlat 0.3 -w 1000 run.json
 //	rumrtrace -csv run.csv run.json
 //	rumrtrace -perfetto run.perfetto.json run.json

@@ -1,14 +1,17 @@
 package experiment
 
-// Name-based scheduler resolution. The shard protocol sends algorithm
-// lists as the names Scheduler.Name() prints — schedulers themselves are
-// not serializable — and workers reconstruct the coordinator's exact
-// algorithm slice from those names. Every scheduler the sweeps and studies
-// use resolves here; an unknown name is an error on the worker, not a
+// Name-based scheduler resolution. A scheduler's name is its whole
+// identity: Name() spells every parameter a scheduler has, so
+// AlgorithmByName(s.Name()) == s for every scheduler value the code
+// accepts. The cache keys and checkpoint fingerprint key on names, and the
+// shard protocol sends algorithm lists as names, from which workers
+// rebuild the coordinator's exact algorithm slice. This is the one parser
+// of names (rumrsim's -algo too); an unknown name is an error, not a
 // silent substitution.
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -25,7 +28,7 @@ import (
 )
 
 // AlgorithmByName resolves one Scheduler.Name() back into the scheduler
-// value that produces it.
+// value that produces it. Names are case-sensitive.
 func AlgorithmByName(name string) (sched.Scheduler, bool) {
 	switch name {
 	case "UMR":
@@ -54,8 +57,15 @@ func AlgorithmByName(name string) (sched.Scheduler, bool) {
 		}
 		return mi.Scheduler{Installments: x}, true
 	}
-	// RUMR family: RUMR[-fixedNN][-plain], each optionally wrapped by the
-	// fault-tolerant variant as a trailing -ft.
+	if k, ok := strings.CutPrefix(name, "SelfSched-"); ok {
+		q, err := strconv.ParseFloat(k, 64)
+		if err != nil || !(q > 0) || math.IsInf(q, 1) {
+			return nil, false
+		}
+		return selfsched.Scheduler{Quantum: q}, true
+	}
+	// RUMR family, each optionally wrapped by the fault-tolerant variant
+	// as a trailing -ft.
 	if base, ok := strings.CutSuffix(name, "-ft"); ok {
 		inner, ok := rumrByName(base)
 		if !ok {
@@ -70,25 +80,24 @@ func AlgorithmByName(name string) (sched.Scheduler, bool) {
 }
 
 // rumrByName parses the plain RUMR variant names rumr.Scheduler.Name()
-// emits.
+// emits: RUMR[-fixed<pct>][-plain][-boundOverError|-boundPlain].
 func rumrByName(name string) (rumr.Scheduler, bool) {
-	if name == "RUMR" {
-		return rumr.Scheduler{}, true
-	}
-	rest, ok := strings.CutPrefix(name, "RUMR-")
+	rest, ok := strings.CutPrefix(name, "RUMR")
 	if !ok {
 		return rumr.Scheduler{}, false
 	}
 	var s rumr.Scheduler
-	if rest == "plain" {
-		s.PlainPhase1 = true
+	for _, m := range []rumr.BoundMode{rumr.BoundOverError, rumr.BoundPlain} {
+		if r, ok := strings.CutSuffix(rest, m.NameSuffix()); ok {
+			rest, s.Phase2Bound = r, m
+			break
+		}
+	}
+	rest, s.PlainPhase1 = strings.CutSuffix(rest, "-plain")
+	if rest == "" {
 		return s, true
 	}
-	if pct, hadPlain := strings.CutSuffix(rest, "-plain"); hadPlain {
-		rest = pct
-		s.PlainPhase1 = true
-	}
-	pct, ok := strings.CutPrefix(rest, "fixed")
+	pct, ok := strings.CutPrefix(rest, "-fixed")
 	if !ok {
 		return rumr.Scheduler{}, false
 	}

@@ -30,9 +30,11 @@ package experiment
 //
 // Invalidation is by key: changing any sweep parameter changes every key,
 // so stale entries are never read — they just linger until the directory
-// is deleted. Changing the simulation code itself (engine, schedulers,
-// seeding) is invisible to the key; delete the cache directory after such
-// changes.
+// is deleted. The algorithm list enters as names, and a scheduler's name
+// carries every parameter it has (see AlgorithmByName), so two
+// differently configured schedulers never share an entry. Changing the
+// simulation code itself (engine, schedulers, seeding) is invisible to
+// the key; delete the cache directory after such changes.
 
 import (
 	"bufio"

@@ -82,8 +82,11 @@ func (g MultiJobGrid) Validate() error {
 	if g.Reps <= 0 {
 		return fmt.Errorf("experiment: multi-job grid needs Reps > 0, got %d", g.Reps)
 	}
-	if g.Total <= 0 {
-		return fmt.Errorf("experiment: multi-job grid needs Total > 0, got %g", g.Total)
+	if !(g.Total > 0) || math.IsInf(g.Total, 1) {
+		return fmt.Errorf("experiment: multi-job grid needs a finite Total > 0, got %g", g.Total)
+	}
+	if !(g.Error >= 0) || math.IsInf(g.Error, 1) {
+		return fmt.Errorf("experiment: error magnitude %g, need finite and >= 0", g.Error)
 	}
 	for _, name := range g.Policies {
 		if engine.LinkPolicyByName(name) == nil {

@@ -114,6 +114,11 @@ func TestMultiJobGridValidate(t *testing.T) {
 		{"negative rate", func(g *MultiJobGrid) { g.ArrivalRates = []float64{-1} }},
 		{"no reps", func(g *MultiJobGrid) { g.Reps = 0 }},
 		{"no total", func(g *MultiJobGrid) { g.Total = 0 }},
+		{"NaN total", func(g *MultiJobGrid) { g.Total = math.NaN() }},
+		{"infinite total", func(g *MultiJobGrid) { g.Total = math.Inf(1) }},
+		{"negative error", func(g *MultiJobGrid) { g.Error = -0.3 }},
+		{"NaN error", func(g *MultiJobGrid) { g.Error = math.NaN() }},
+		{"infinite error", func(g *MultiJobGrid) { g.Error = math.Inf(1) }},
 		{"bad policy", func(g *MultiJobGrid) { g.Policies = []string{"lottery"} }},
 		{"no workers", func(g *MultiJobGrid) { g.Config.N = 0 }},
 	}
@@ -121,10 +126,16 @@ func TestMultiJobGridValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := smallMultiJobGrid()
 			tc.mutate(&g)
+			if err := g.Validate(); err == nil {
+				t.Fatal("Validate accepted a degenerate grid")
+			}
 			if _, err := multiJobRunner(nil).MultiJob(g); err == nil {
 				t.Fatal("degenerate grid accepted")
 			}
 		})
+	}
+	if err := DefaultMultiJobGrid().Validate(); err != nil {
+		t.Fatalf("default grid rejected: %v", err)
 	}
 }
 

@@ -65,14 +65,14 @@ func (g ResilienceGrid) Validate() error {
 		}
 	}
 	switch {
-	case !(g.Error >= 0):
-		return fmt.Errorf("experiment: resilience grid needs Error >= 0, got %g", g.Error)
+	case !(g.Error >= 0) || math.IsInf(g.Error, 1):
+		return fmt.Errorf("experiment: resilience grid needs a finite Error >= 0, got %g", g.Error)
 	case g.Horizon < 0 || math.IsNaN(g.Horizon):
 		return fmt.Errorf("experiment: resilience grid needs Horizon >= 0, got %g", g.Horizon)
 	case g.Reps <= 0:
 		return fmt.Errorf("experiment: resilience grid needs Reps > 0, got %d", g.Reps)
-	case !(g.Total > 0):
-		return fmt.Errorf("experiment: resilience grid needs Total > 0, got %g", g.Total)
+	case !(g.Total > 0) || math.IsInf(g.Total, 1):
+		return fmt.Errorf("experiment: resilience grid needs a finite Total > 0, got %g", g.Total)
 	}
 	return nil
 }

@@ -114,10 +114,12 @@ func TestResilienceGridValidate(t *testing.T) {
 		{"rejoin above 1", func(g *ResilienceGrid) { g.RejoinProb = 2 }},
 		{"NaN rejoin", func(g *ResilienceGrid) { g.RejoinProb = math.NaN() }},
 		{"negative error", func(g *ResilienceGrid) { g.Error = -0.1 }},
+		{"infinite error", func(g *ResilienceGrid) { g.Error = math.Inf(1) }},
 		{"negative horizon", func(g *ResilienceGrid) { g.Horizon = -1 }},
 		{"NaN horizon", func(g *ResilienceGrid) { g.Horizon = math.NaN() }},
 		{"no reps", func(g *ResilienceGrid) { g.Reps = 0 }},
 		{"no total", func(g *ResilienceGrid) { g.Total = 0 }},
+		{"infinite total", func(g *ResilienceGrid) { g.Total = math.Inf(1) }},
 		{"negative latency", func(g *ResilienceGrid) { g.Config.CLat = -1 }},
 	}
 	r := &Runner{Algorithms: []sched.Scheduler{rumr.Scheduler{}}}

@@ -119,7 +119,7 @@ func (s *SweepState) restore(from, to int, key func(i int) (string, Config)) {
 	s.staged = to - from
 	for i := from; i < to; i++ {
 		if s.cp != nil {
-			if b, ok := s.cp.Completed(i); ok && cellShapeOK(b, s.rows, s.cols) {
+			if b, ok := s.cp.Completed(i); ok && s.restorable(b) {
 				s.blocks[i] = b
 				s.done++
 				continue
@@ -128,7 +128,7 @@ func (s *SweepState) restore(from, to int, key func(i int) (string, Config)) {
 		if s.cache != nil {
 			k, cfg := key(i)
 			s.keys[i] = cellKey{k, cfg}
-			if b, ok := s.cache.Get(k, s.rows, s.cols); ok {
+			if b, ok := s.cache.Get(k, s.rows, s.cols); ok && s.restorable(b) {
 				s.blocks[i] = b
 				s.done++
 				continue
@@ -136,6 +136,30 @@ func (s *SweepState) restore(from, to int, key func(i int) (string, Config)) {
 		}
 		s.Pending = append(s.Pending, i)
 	}
+}
+
+// restorable reports whether a checkpoint or cache block may stand in for
+// computing its cell: it must fit the cells' shape, and a paper-sweep
+// block (only the paper sweep has Results) must pass MakespansOK. Other
+// studies' blocks hold counts and zeros legitimately.
+func (s *SweepState) restorable(b [][]float64) bool {
+	return cellShapeOK(b, s.rows, s.cols) && (s.Results == nil || MakespansOK(b))
+}
+
+// MakespansOK reports whether every value of a paper-sweep block is a
+// possible mean makespan: NaN (the algorithm failed on the configuration)
+// or positive and finite. It is the one rule for blocks from outside the
+// process: a checkpoint or cache block that fails it is recomputed, and
+// the shard coordinator refuses a posted block that fails it.
+func MakespansOK(block [][]float64) bool {
+	for _, row := range block {
+		for _, v := range row {
+			if !math.IsNaN(v) && (v <= 0 || math.IsInf(v, 1)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Complete records cell ci's computed block and persists it to the

@@ -227,6 +227,71 @@ func TestCheckpointCacheInterplay(t *testing.T) {
 	}
 }
 
+// filledBlock returns an errors × algos block holding v everywhere.
+func filledBlock(errors, algos int, v float64) [][]float64 {
+	b := make([][]float64, errors)
+	for i := range b {
+		b[i] = make([]float64, algos)
+		for j := range b[i] {
+			b[i][j] = v
+		}
+	}
+	return b
+}
+
+// A restored paper-sweep block is held to the coordinator's value rule
+// (MakespansOK): a cache entry of zeros and a checkpoint line of negative
+// makespans are misses, recomputed, and the sweep matches a cold run.
+func TestRestoredImpossibleMakespansAreRecomputed(t *testing.T) {
+	g := stateTestGrid()
+	algos := []sched.Scheduler{rumr.Scheduler{}, umr.Scheduler{}}
+	names := []string{"RUMR", "UMR"}
+	configs := g.Configs()
+	cold, err := (&Runner{Algorithms: algos}).Sweep(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cacheDir := t.TempDir()
+	cache, err := OpenCache(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(CellKey(g, names, NormalError, false, configs[0]), configs[0],
+		filledBlock(len(g.Errors), len(names), 0)); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
+	cp, err := OpenCheckpoint(ckpt, Fingerprint(g, names, NormalError, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Append(1, filledBlock(len(g.Errors), len(names), -3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, r := range []*Runner{
+		{Algorithms: algos, CachePath: cacheDir},
+		{Algorithms: algos, CheckpointPath: ckpt},
+	} {
+		m := metrics.New()
+		r.Metrics = m
+		got, err := r.Sweep(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := m.Snapshot(); s.ConfigsSkipped != 0 {
+			t.Fatalf("restored %d impossible blocks", s.ConfigsSkipped)
+		}
+		if !bytes.Equal(sweepJSON(t, got), sweepJSON(t, cold)) {
+			t.Fatalf("sweep over impossible persisted blocks differs from cold run: row 0 = %v", got.Mean[0][0])
+		}
+	}
+}
+
 // Every scheduler the sweeps and studies use survives the wire: its
 // Name() resolves back to a scheduler printing the same name.
 func TestAlgorithmsByNameRoundTrip(t *testing.T) {

@@ -54,29 +54,22 @@ func MinChunk(p *platform.Platform, err, minUnit float64) float64 {
 	return bound
 }
 
-// Sizer yields factoring chunk sizes: remaining/(Factor·N) frozen per
-// batch of N allocations.
+// Sizer yields factoring chunk sizes: remaining/(DefaultFactor·N) frozen
+// per batch of N allocations.
 type Sizer struct {
 	N       int
-	Factor  float64
 	batch   float64 // current batch chunk size
 	left    int     // allocations left in the current batch
 	batches int     // batches started so far
 }
 
-// NewSizer returns a factoring sizer for n workers. factor <= 1 selects
-// the default of 2.
-func NewSizer(n int, factor float64) *Sizer {
-	if factor <= 1 {
-		factor = DefaultFactor
-	}
-	return &Sizer{N: n, Factor: factor}
-}
+// NewSizer returns a factoring sizer for n workers.
+func NewSizer(n int) *Sizer { return &Sizer{N: n} }
 
 // NextSize implements sched.ChunkSizer.
 func (s *Sizer) NextSize(_ int, remaining float64) float64 {
 	if s.left == 0 {
-		s.batch = remaining / (s.Factor * float64(s.N))
+		s.batch = remaining / (DefaultFactor * float64(s.N))
 		s.left = s.N
 		s.batches++
 	}
@@ -105,8 +98,6 @@ func (s *Sizer) Reset() {
 // algorithm must not get that mitigation. Set OverheadBound to add the
 // [15]-style floor of (cLat + nLat·N) as an ablation.
 type Scheduler struct {
-	// Factor overrides the batch divisor; zero selects the default of 2.
-	Factor float64
 	// OverheadBound floors chunks at the one-round dispatch overhead
 	// instead of the minimal workload unit.
 	OverheadBound bool
@@ -129,6 +120,6 @@ func (s Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	if s.OverheadBound {
 		min = MinChunk(pr.Platform, -1, min)
 	}
-	sizer := NewSizer(pr.Platform.N(), s.Factor)
+	sizer := NewSizer(pr.Platform.N())
 	return sched.NewDemand(pr.Total, sizer, min, 2), nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func TestSizerHalvesPerBatch(t *testing.T) {
-	s := NewSizer(4, 0)
+	s := NewSizer(4)
 	// First batch: 100/(2*4) = 12.5 for 4 allocations.
 	for i := 0; i < 4; i++ {
 		if got := s.NextSize(0, 100-12.5*float64(i)); got != 12.5 {
@@ -23,13 +23,6 @@ func TestSizerHalvesPerBatch(t *testing.T) {
 	// Second batch: remaining 50 -> 50/8 = 6.25.
 	if got := s.NextSize(0, 50); got != 6.25 {
 		t.Fatalf("second batch size = %v, want 6.25", got)
-	}
-}
-
-func TestSizerCustomFactor(t *testing.T) {
-	s := NewSizer(2, 4)
-	if got := s.NextSize(0, 80); got != 10 { // 80/(4*2)
-		t.Fatalf("size = %v, want 10", got)
 	}
 }
 
@@ -188,7 +181,7 @@ func TestPlainSchedulerInvalidProblem(t *testing.T) {
 }
 
 func TestSizerResetReplays(t *testing.T) {
-	s := NewSizer(4, 0)
+	s := NewSizer(4)
 	var first []float64
 	remaining := 100.0
 	for i := 0; i < 12; i++ {

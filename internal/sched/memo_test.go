@@ -49,7 +49,6 @@ func simulateOnce(t *testing.T, pr *sched.Problem, d engine.Dispatcher) engine.R
 func TestMemoizedDispatchersMatchFresh(t *testing.T) {
 	for _, s := range []sched.Scheduler{
 		umr.Scheduler{},
-		umr.Scheduler{OutOfOrder: true},
 		rumr.Scheduler{},
 		rumr.Scheduler{FixedPhase1Fraction: 0.7},
 		rumr.Scheduler{PlainPhase1: true},

@@ -23,33 +23,22 @@ import (
 // error is unknown, Adaptive recovers most of the informed scheduler's
 // advantage whenever the first rounds are representative of the rest of
 // the run (stationary errors, which is also what the paper assumes).
-type Adaptive struct {
-	// MinSamples is the number of completed chunks required before the
-	// split decision; zero selects max(4, N/2) — early enough that the
-	// plan's tail is still undispatched even for two-round plans.
-	MinSamples int
-	// Factor overrides the phase-2 factoring divisor; zero selects 2.
-	Factor float64
-}
+//
+// The split waits for max(4, N/2) completed chunks — early enough that the
+// plan's tail is still undispatched even for two-round plans.
+type Adaptive struct{}
 
 // Name implements sched.Scheduler.
 func (Adaptive) Name() string { return "RUMR-adaptive" }
 
 // NewDispatcher implements sched.Scheduler.
-func (a Adaptive) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
+func (Adaptive) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
 	plan, err := umr.Build(pr)
 	if err != nil {
 		return nil, err
-	}
-	minSamples := a.MinSamples
-	if minSamples <= 0 {
-		minSamples = pr.Platform.N() / 2
-		if minSamples < 4 {
-			minSamples = 4
-		}
 	}
 	phase1 := sched.NewStatic(plan.Chunks(), true)
 	// Just-in-time dispatch: at most one chunk queued or in flight beyond
@@ -59,8 +48,7 @@ func (a Adaptive) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	return &adaptiveDispatcher{
 		problem:    pr,
 		phase1:     phase1,
-		minSamples: minSamples,
-		factor:     a.Factor,
+		minSamples: max(4, pr.Platform.N()/2),
 	}, nil
 }
 
@@ -71,7 +59,6 @@ type adaptiveDispatcher struct {
 	phase2     *sched.Demand
 	est        perferr.Estimator
 	minSamples int
-	factor     float64
 	decided    bool
 	events     obs.Sink
 }
@@ -115,8 +102,8 @@ func (d *adaptiveDispatcher) OnComplete(workerIdx int, c engine.Chunk, at, predi
 	if withdrawn <= 0 {
 		return
 	}
-	min := (Scheduler{Factor: d.factor}).minChunk(&measured)
-	sizer := factoring.NewSizer(d.problem.Platform.N(), d.factor)
+	min := (Scheduler{}).minChunk(&measured)
+	sizer := factoring.NewSizer(d.problem.Platform.N())
 	d.phase2 = sched.NewDemand(withdrawn, sizer, min, 2)
 	if d.events != nil {
 		d.phase2.AttachEvents(d.events)

@@ -25,7 +25,7 @@ import (
 // variant to wrap instead.
 type FaultTolerant struct {
 	// Variant configures the underlying RUMR (fixed split, plain phase 1,
-	// factoring divisor, phase-2 bound).
+	// phase-2 bound).
 	Variant Scheduler
 }
 
@@ -134,7 +134,7 @@ func (d *ftDispatcher) replan(at float64, cause string) {
 	}
 	// Fallback: route the tail through demand-driven factoring.
 	if d.phase2 == nil {
-		sizer := factoring.NewSizer(d.pr.Platform.N(), d.variant.Factor)
+		sizer := factoring.NewSizer(d.pr.Platform.N())
 		d.phase2 = sched.NewDemand(remaining, sizer, d.variant.minChunk(&d.pr), 2)
 		if d.events != nil {
 			d.phase2.AttachEvents(d.events)

@@ -130,6 +130,18 @@ const (
 	BoundPlain
 )
 
+// NameSuffix is what the mode adds to Scheduler.Name: nothing for the
+// default BoundTimesError, "-boundOverError" or "-boundPlain" otherwise.
+func (m BoundMode) NameSuffix() string {
+	switch m {
+	case BoundOverError:
+		return "-boundOverError"
+	case BoundPlain:
+		return "-boundPlain"
+	}
+	return ""
+}
+
 // dispatcher chains the two phases: the static phase-1 plan first, then
 // demand-driven factoring over the phase-2 share.
 type dispatcher struct {
@@ -204,35 +216,32 @@ func (d *dispatcher) Exhausted() bool {
 
 // Scheduler adapts RUMR to the sched.Scheduler interface. The zero value
 // is the original algorithm; the fields select the paper's §5.2 ablation
-// variants.
+// variants, and Name spells every one of them.
 type Scheduler struct {
 	// FixedPhase1Fraction, when in (0, 1], schedules exactly that fraction
 	// of the workload in phase 1 regardless of the error magnitude (the
 	// RUMR-50% … RUMR-90% variants of Fig. 6), bypassing the overhead
-	// threshold.
+	// threshold. It must be a whole percent, as the name prints it.
 	FixedPhase1Fraction float64
 	// PlainPhase1 disables out-of-order dispatch in phase 1 (the Fig. 7
 	// variant).
 	PlainPhase1 bool
-	// Factor overrides the phase-2 factoring divisor; zero selects 2.
-	Factor float64
 	// Phase2Bound selects the minimum-chunk scaling of design choice
 	// (iii); see BoundMode.
 	Phase2Bound BoundMode
 }
 
-// Name implements sched.Scheduler.
+// Name implements sched.Scheduler:
+// RUMR[-fixed<pct>][-plain][-boundOverError|-boundPlain].
 func (s Scheduler) Name() string {
-	switch {
-	case s.FixedPhase1Fraction > 0 && s.PlainPhase1:
-		return fmt.Sprintf("RUMR-fixed%.0f-plain", 100*s.FixedPhase1Fraction)
-	case s.FixedPhase1Fraction > 0:
-		return fmt.Sprintf("RUMR-fixed%.0f", 100*s.FixedPhase1Fraction)
-	case s.PlainPhase1:
-		return "RUMR-plain"
-	default:
-		return "RUMR"
+	name := "RUMR"
+	if s.FixedPhase1Fraction > 0 {
+		name += fmt.Sprintf("-fixed%.0f", 100*s.FixedPhase1Fraction)
 	}
+	if s.PlainPhase1 {
+		name += "-plain"
+	}
+	return name + s.Phase2Bound.NameSuffix()
 }
 
 // NewDispatcher implements sched.Scheduler.
@@ -251,6 +260,14 @@ func (s Scheduler) NewDispatcherMemo(pr *sched.Problem, m *sched.Memo) (engine.D
 // be nil) for the phase-1 plan. Phase 2's sizer and demand pool carry
 // per-run state and are always fresh.
 func (s Scheduler) newDispatcher(pr *sched.Problem, m *sched.Memo) (engine.Dispatcher, error) {
+	// Refuse what Name cannot spell, so a name never stands for two
+	// schedulers: %.0f would print 0.705 as a neighbouring percent.
+	if f := s.FixedPhase1Fraction; f != math.Round(100*f)/100 || f < 0 || f > 1 {
+		return nil, fmt.Errorf("rumr: fixed phase-1 fraction %g is not a whole percent in [0, 1]", f)
+	}
+	if s.Phase2Bound < BoundTimesError || s.Phase2Bound > BoundPlain {
+		return nil, fmt.Errorf("rumr: unknown phase-2 bound mode %d", s.Phase2Bound)
+	}
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
@@ -268,7 +285,7 @@ func (s Scheduler) newDispatcher(pr *sched.Problem, m *sched.Memo) (engine.Dispa
 	}
 	if split.Phase2 > 0 {
 		min := s.minChunk(pr)
-		sizer := factoring.NewSizer(pr.Platform.N(), s.Factor)
+		sizer := factoring.NewSizer(pr.Platform.N())
 		d.phase2 = sched.NewDemand(split.Phase2, sizer, min, 2)
 	}
 	return d, nil

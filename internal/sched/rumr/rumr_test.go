@@ -84,10 +84,31 @@ func TestNames(t *testing.T) {
 		{Scheduler{PlainPhase1: true}, "RUMR-plain"},
 		{Scheduler{FixedPhase1Fraction: 0.8}, "RUMR-fixed80"},
 		{Scheduler{FixedPhase1Fraction: 0.5, PlainPhase1: true}, "RUMR-fixed50-plain"},
+		{Scheduler{Phase2Bound: BoundOverError}, "RUMR-boundOverError"},
+		{Scheduler{FixedPhase1Fraction: 0.8, PlainPhase1: true, Phase2Bound: BoundPlain}, "RUMR-fixed80-plain-boundPlain"},
 	}
 	for _, c := range cases {
 		if got := c.s.Name(); got != c.want {
 			t.Fatalf("name = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestUnspellableVariantsRejected: field values the name cannot spell
+// would alias another scheduler's name, so NewDispatcher refuses them.
+func TestUnspellableVariantsRejected(t *testing.T) {
+	pr := paperProblem(10, 1.5, 0.2, 0.2, 0.1)
+	for _, s := range []Scheduler{
+		{FixedPhase1Fraction: 0.705},
+		{FixedPhase1Fraction: 1.5},
+		{FixedPhase1Fraction: -0.2},
+		{Phase2Bound: BoundPlain + 1},
+	} {
+		if _, err := s.NewDispatcher(pr); err == nil {
+			t.Fatalf("%+v accepted", s)
+		}
+		if _, err := (FaultTolerant{Variant: s}).NewDispatcher(pr); err == nil {
+			t.Fatalf("fault-tolerant %+v accepted", s)
 		}
 	}
 }

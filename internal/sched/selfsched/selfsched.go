@@ -1,11 +1,16 @@
 // Package selfsched implements plain greedy self-scheduling: every idle
 // worker receives one fixed quantum of work (default: one workload unit,
-// or Quantum units). It is the naive baseline the factoring literature
-// improves on; the study uses it for sanity checks — every serious policy
-// must beat it whenever per-chunk overhead is non-negligible.
+// or Quantum units, which the name then carries: SelfSched-64). It is the
+// naive baseline the factoring literature improves on; the study uses it
+// for sanity checks — every serious policy must beat it whenever
+// per-chunk overhead is non-negligible.
 package selfsched
 
 import (
+	"fmt"
+	"math"
+	"strconv"
+
 	"rumr/internal/engine"
 	"rumr/internal/sched"
 )
@@ -26,8 +31,14 @@ type Scheduler struct {
 	Quantum float64
 }
 
-// Name implements sched.Scheduler.
-func (Scheduler) Name() string { return "SelfSched" }
+// Name implements sched.Scheduler: "SelfSched", or "SelfSched-<quantum>"
+// when Quantum is set.
+func (s Scheduler) Name() string {
+	if s.Quantum > 0 {
+		return "SelfSched-" + strconv.FormatFloat(s.Quantum, 'g', -1, 64)
+	}
+	return "SelfSched"
+}
 
 // NewDispatcher implements sched.Scheduler.
 func (s Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
@@ -35,7 +46,10 @@ func (s Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 		return nil, err
 	}
 	q := s.Quantum
-	if q <= 0 {
+	if !(q >= 0) || math.IsInf(q, 1) {
+		return nil, fmt.Errorf("selfsched: quantum %g, need finite and >= 0", q)
+	}
+	if q == 0 {
 		q = pr.EffectiveMinUnit()
 	}
 	return sched.NewDemand(pr.Total, unitSizer{q}, pr.EffectiveMinUnit(), 0), nil

@@ -54,13 +54,34 @@ func TestCustomQuantum(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if (Scheduler{}).Name() != "SelfSched" {
-		t.Fatal("name")
+	for _, c := range []struct {
+		s    Scheduler
+		want string
+	}{
+		{Scheduler{}, "SelfSched"},
+		{Scheduler{Quantum: 64}, "SelfSched-64"},
+		{Scheduler{Quantum: 0.5}, "SelfSched-0.5"},
+	} {
+		if got := c.s.Name(); got != c.want {
+			t.Fatalf("Name() = %q, want %q", got, c.want)
+		}
 	}
 }
 
 func TestInvalidProblemRejected(t *testing.T) {
 	if _, err := (Scheduler{}).NewDispatcher(&sched.Problem{}); err == nil {
 		t.Fatal("invalid problem accepted")
+	}
+}
+
+// TestInvalidQuantumRejected: a negative or non-finite quantum
+// has no name of its own, so it is rejected rather than run under
+// another scheduler's name.
+func TestInvalidQuantumRejected(t *testing.T) {
+	pr := &sched.Problem{Platform: platform.Homogeneous(4, 1, 8, 0.05, 0.05), Total: 100, MinUnit: 1}
+	for _, q := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := (Scheduler{Quantum: q}).NewDispatcher(pr); err == nil {
+			t.Fatalf("quantum %g accepted", q)
+		}
 	}
 }

@@ -39,30 +39,20 @@ func (s *sizer) NextSize(_ int, remaining float64) float64 {
 // first chunk size.
 func (s *sizer) Reset() { s.next = s.first }
 
-// Scheduler adapts TSS to the sched.Scheduler interface.
-type Scheduler struct {
-	// First overrides the initial chunk size; zero selects W/(2N).
-	First float64
-	// Last overrides the final chunk size; zero selects the minimal unit.
-	Last float64
-}
+// Scheduler adapts TSS to the sched.Scheduler interface with the
+// canonical endpoints: first W/(2N), last the minimal unit.
+type Scheduler struct{}
 
 // Name implements sched.Scheduler.
 func (Scheduler) Name() string { return "TSS" }
 
 // NewDispatcher implements sched.Scheduler.
-func (s Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
+func (Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	first := s.First
-	if first <= 0 {
-		first = pr.Total / (2 * float64(pr.Platform.N()))
-	}
-	last := s.Last
-	if last <= 0 {
-		last = pr.EffectiveMinUnit()
-	}
+	first := pr.Total / (2 * float64(pr.Platform.N()))
+	last := pr.EffectiveMinUnit()
 	if first < last {
 		first = last
 	}

@@ -58,25 +58,13 @@ func TestLinearDecrease(t *testing.T) {
 	}
 }
 
-func TestCustomEndpoints(t *testing.T) {
-	res := run(t, Scheduler{First: 100, Last: 20}, 600)
-	recs := res.Trace.Records
-	if math.Abs(recs[0].Size-100) > 1e-9 {
-		t.Fatalf("first = %v", recs[0].Size)
-	}
-	for i, r := range recs[:len(recs)-1] {
-		if r.Size < 20-1e-9 {
-			t.Fatalf("chunk %d = %v below Last", i, r.Size)
-		}
-	}
-}
-
 func TestDegenerateFirstBelowLast(t *testing.T) {
-	// First < Last clamps to a flat sequence rather than growing.
-	res := run(t, Scheduler{First: 5, Last: 50}, 300)
+	// W/(2N) = 6/8 = 0.75 lies below the 1-unit minimum, so First < Last
+	// clamps to a flat sequence of minimal units rather than growing.
+	res := run(t, Scheduler{}, 6)
 	for i, r := range res.Trace.Records[:len(res.Trace.Records)-1] {
-		if math.Abs(r.Size-50) > 1e-9 {
-			t.Fatalf("chunk %d = %v, want flat 50", i, r.Size)
+		if math.Abs(r.Size-1) > 1e-9 {
+			t.Fatalf("chunk %d = %v, want flat 1", i, r.Size)
 		}
 	}
 }

@@ -369,23 +369,21 @@ func ContinuousRounds(pr *sched.Problem) (float64, error) {
 	return m, nil
 }
 
-// Scheduler adapts UMR to the sched.Scheduler interface. OutOfOrder
-// enables the RUMR phase-1 revision (serve idle workers out of plan
-// order); plain UMR leaves it false.
-type Scheduler struct {
-	OutOfOrder bool
-}
+// Scheduler adapts UMR to the sched.Scheduler interface. It plays the
+// plan strictly in order; RUMR's phase 1 builds its own out-of-order
+// sched.Static from BuildChunksMemo.
+type Scheduler struct{}
 
 // Name implements sched.Scheduler.
-func (s Scheduler) Name() string { return "UMR" }
+func (Scheduler) Name() string { return "UMR" }
 
 // NewDispatcher implements sched.Scheduler.
-func (s Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
+func (Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	plan, err := Build(pr)
 	if err != nil {
 		return nil, err
 	}
-	return sched.NewStatic(plan.Chunks(), s.OutOfOrder), nil
+	return sched.NewStatic(plan.Chunks(), false), nil
 }
 
 // BuildChunksMemo returns Build(pr).Chunks() through the memo: the round
@@ -415,10 +413,10 @@ func BuildChunksMemo(pr *sched.Problem, m *sched.Memo) ([]engine.Chunk, error) {
 }
 
 // NewDispatcherMemo implements sched.Memoizer.
-func (s Scheduler) NewDispatcherMemo(pr *sched.Problem, m *sched.Memo) (engine.Dispatcher, error) {
+func (Scheduler) NewDispatcherMemo(pr *sched.Problem, m *sched.Memo) (engine.Dispatcher, error) {
 	chunks, err := BuildChunksMemo(pr, m)
 	if err != nil {
 		return nil, err
 	}
-	return sched.NewStatic(chunks, s.OutOfOrder), nil
+	return sched.NewStatic(chunks, false), nil
 }

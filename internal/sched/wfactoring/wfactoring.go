@@ -19,31 +19,27 @@ import (
 	"rumr/internal/sched"
 )
 
-// sizer allocates batches of remaining/Factor, split by worker weight.
+// sizer allocates batches of remaining/2, split by worker weight.
 type sizer struct {
 	weights []float64 // S_i / ΣS
-	factor  float64
-	batch   float64 // total size of the current batch
-	left    int     // allocations left in the current batch
-	batches int     // batches started so far
+	batch   float64   // total size of the current batch
+	left    int       // allocations left in the current batch
+	batches int       // batches started so far
 }
 
-func newSizer(p *platform.Platform, factor float64) *sizer {
-	if factor <= 1 {
-		factor = 2
-	}
+func newSizer(p *platform.Platform) *sizer {
 	total := p.TotalSpeed()
 	weights := make([]float64, p.N())
 	for i, w := range p.Workers {
 		weights[i] = w.S / total
 	}
-	return &sizer{weights: weights, factor: factor}
+	return &sizer{weights: weights}
 }
 
 // NextSize implements sched.ChunkSizer.
 func (s *sizer) NextSize(worker int, remaining float64) float64 {
 	if s.left == 0 {
-		s.batch = remaining / s.factor
+		s.batch = remaining / 2
 		s.left = len(s.weights)
 		s.batches++
 	}
@@ -64,19 +60,16 @@ func (s *sizer) Reset() {
 }
 
 // Scheduler adapts Weighted Factoring to the sched.Scheduler interface.
-type Scheduler struct {
-	// Factor overrides the batch divisor; zero selects 2.
-	Factor float64
-}
+type Scheduler struct{}
 
 // Name implements sched.Scheduler.
 func (Scheduler) Name() string { return "WFactoring" }
 
 // NewDispatcher implements sched.Scheduler.
-func (s Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
+func (Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	return sched.NewDemand(pr.Total, newSizer(pr.Platform, s.Factor),
+	return sched.NewDemand(pr.Total, newSizer(pr.Platform),
 		pr.EffectiveMinUnit(), 0), nil
 }

@@ -133,7 +133,7 @@ func TestNameAndValidation(t *testing.T) {
 // a homogeneous platform: each worker's share of a batch is the same.
 func TestSizerEqualSpeedsSplitEvenly(t *testing.T) {
 	p := platform.Homogeneous(4, 1, 8, 0, 0)
-	s := newSizer(p, 0)
+	s := newSizer(p)
 	// Equal speeds split batches evenly.
 	if got := s.NextSize(0, 80); math.Abs(got-10) > 1e-12 { // 80/2/4
 		t.Fatalf("NextSize = %v, want 10", got)
@@ -141,14 +141,5 @@ func TestSizerEqualSpeedsSplitEvenly(t *testing.T) {
 	// Remaining allocations of the batch keep the frozen batch size.
 	if got := s.NextSize(1, 70); math.Abs(got-10) > 1e-12 {
 		t.Fatalf("second NextSize = %v, want 10", got)
-	}
-}
-
-func TestCustomFactor(t *testing.T) {
-	p := platform.Homogeneous(2, 1, 8, 0, 0)
-	s := newSizer(p, 4)
-	// Batch = remaining/4, split over 2 equal workers.
-	if got := s.NextSize(0, 80); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("NextSize = %v, want 10", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -422,7 +421,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed mean block", http.StatusBadRequest)
 		return
 	}
-	if !makespansOK(mean) {
+	if !experiment.MakespansOK(mean) {
 		http.Error(w, "impossible makespan in mean block", http.StatusBadRequest)
 		return
 	}
@@ -464,20 +463,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.finishLocked(js, nil)
 	}
 	w.WriteHeader(http.StatusOK)
-}
-
-// makespansOK reports whether every value of a paper-sweep block is a
-// possible mean makespan: NaN (the algorithm failed on the configuration)
-// or positive and finite. A block that fails is never persisted.
-func makespansOK(block [][]float64) bool {
-	for _, row := range block {
-		for _, v := range row {
-			if !math.IsNaN(v) && (v <= 0 || math.IsInf(v, 1)) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

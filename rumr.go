@@ -100,7 +100,9 @@ func HomogeneousPlatform(n int, s, b, cLat, nLat float64) *Platform {
 func RUMR() Scheduler { return rumrsched.Scheduler{} }
 
 // RUMRFixedSplit returns the §5.2.1 variant that puts exactly frac of the
-// workload in phase 1 regardless of the error magnitude.
+// workload in phase 1 regardless of the error magnitude. frac must be a
+// whole percent in (0, 1] (0.8, not 0.805), as the variant's name
+// RUMR-fixed80 carries it; other values fail at simulation time.
 func RUMRFixedSplit(frac float64) Scheduler {
 	return rumrsched.Scheduler{FixedPhase1Fraction: frac}
 }
@@ -136,7 +138,9 @@ func Factoring() Scheduler { return factoring.Scheduler{} }
 func FSC() Scheduler { return fsc.Scheduler{} }
 
 // SelfScheduling returns greedy self-scheduling with the given fixed
-// quantum (0 selects one workload unit).
+// quantum (0 selects one workload unit). The name carries the quantum
+// (SelfSched-64), so results of different quanta never share a cache
+// entry; a negative or non-finite quantum fails at simulation time.
 func SelfScheduling(quantum float64) Scheduler {
 	return selfsched.Scheduler{Quantum: quantum}
 }
