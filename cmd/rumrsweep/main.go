@@ -40,21 +40,21 @@
 //	curl localhost:6060/metrics
 //	go tool pprof localhost:6060/debug/pprof/profile
 //
-// Sweeps distribute across processes (and machines) with -serve/-join: the
-// serving process coordinates — it restores finished configurations from
-// the checkpoint/cache, leases the rest to joined workers in batches, and
-// merges their results — while each -join process computes leases until
-// the coordinator finishes. Results are byte-identical to a single-process
-// run regardless of how many workers join or die; a killed worker's leases
-// expire and are re-issued. -cache gives any mode (local, serving, or a
-// later re-run) a content-addressed result cache keyed by sweep parameters
-// and configuration values, so extending a grid recomputes only new cells:
+// Every study distributes across processes (and machines) with
+// -serve/-join: the serving process coordinates — it restores finished
+// cells from the checkpoint/cache, leases the rest to joined workers in
+// batches, and merges their results — while each -join process computes
+// leases until the coordinator finishes. The paper sweep, -multijob,
+// -resilience and -hetero all lease their cells this way; the serving
+// process computes none itself. Results are byte-identical to a
+// single-process run regardless of how many workers join or die; a killed
+// worker's leases expire and are re-issued. -cache gives any mode (local,
+// serving, or a later re-run) a content-addressed result cache keyed by
+// study parameters and cell values, so extending a grid recomputes only
+// new cells:
 //
 //	rumrsweep -serve :9090 -cache cache -table2   # terminal 1: coordinator
 //	rumrsweep -join localhost:9090                # terminal 2..N: workers
-//
-// -serve distributes only the paper sweep; -multijob, -resilience and
-// -hetero run in the serving process.
 //
 // While serving with -debug-addr, /shards reports per-worker lease
 // accounting next to /metrics, and /trace serves the fused distributed
@@ -104,7 +104,7 @@ type sweepCtx struct {
 	outDir   string
 	ckptDir  string
 	cacheDir string
-	coord    *shard.Coordinator // non-nil in -serve mode
+	fleet    experiment.Fleet   // the coordinator under -serve; nil computes locally
 	std      *rumr.SweepResults // cached standard-algorithm sweep
 }
 
@@ -281,7 +281,10 @@ func main() {
 		}
 	}
 	sc := &sweepCtx{ctx: ctx, grid: grid, workers: *workers, unknown: *unknown, met: met,
-		outDir: *outDir, ckptDir: *ckptDir, cacheDir: *cacheDir, coord: coord}
+		outDir: *outDir, ckptDir: *ckptDir, cacheDir: *cacheDir}
+	if coord != nil {
+		sc.fleet = coord
+	}
 	if *uniform {
 		sc.model = experiment.UniformError
 	}
@@ -465,41 +468,23 @@ func logProgress(s rumr.MetricsSnapshot) {
 // checkpoints to its own file, keyed by name, because checkpoint files
 // are fingerprinted per study. The cache directory, by contrast, is
 // shared by every artifact: its keys already encode the study
-// parameters.
+// parameters. Under -serve every study's cells compute on the
+// coordinator's joined workers.
 func (sc *sweepCtx) runner(name string, algos []rumr.Scheduler) *experiment.Runner {
 	if algos == nil {
 		algos = rumr.StandardAlgorithms()
 	}
 	r := &experiment.Runner{Algorithms: algos, Workers: sc.workers, ErrorModel: sc.model,
-		UnknownError: sc.unknown, Metrics: sc.met, CachePath: sc.cacheDir}
+		UnknownError: sc.unknown, Metrics: sc.met, CachePath: sc.cacheDir, Fleet: sc.fleet}
 	if sc.ckptDir != "" {
 		r.CheckpointPath = filepath.Join(sc.ckptDir, name+".jsonl")
 	}
 	return r
 }
 
-// sweep runs one paper sweep locally, or — in -serve mode — through the
-// coordinator and its joined workers. Both paths produce byte-identical
-// Results. The other studies always run locally.
+// sweep runs one paper sweep.
 func (sc *sweepCtx) sweep(g rumr.Grid, name string, algos []rumr.Scheduler) (*rumr.SweepResults, error) {
-	r := sc.runner(name, algos)
-	if sc.coord == nil {
-		return r.SweepContext(sc.ctx, g)
-	}
-	names := make([]string, len(r.Algorithms))
-	for i, a := range r.Algorithms {
-		names[i] = a.Name()
-	}
-	return sc.coord.Run(sc.ctx, shard.SweepJob{
-		Grid:         g,
-		Algorithms:   names,
-		Model:        r.ErrorModel,
-		UnknownError: r.UnknownError,
-	}, shard.RunOptions{
-		CheckpointPath: r.CheckpointPath,
-		CachePath:      r.CachePath,
-		Metrics:        r.Metrics,
-	})
+	return sc.runner(name, algos).SweepContext(sc.ctx, g)
 }
 
 // standardSweep runs (or reuses) the sweep over the seven §5.1 algorithms.

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"rumr/internal/metrics"
@@ -23,20 +27,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns the command running main with args.
+func command(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	return cmd
+}
+
 // rumrsweep runs the command with args and returns its stdout and final
 // metrics snapshot.
 func rumrsweep(t *testing.T, args ...string) ([]byte, metrics.Snapshot) {
 	t.Helper()
 	metOut := filepath.Join(t.TempDir(), "metrics.json")
-	cmd := exec.Command(os.Args[0], append(args, "-metrics", metOut)...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd := command(append(args, "-metrics", metOut)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("rumrsweep %v: %v\n%s", args, err, stderr.Bytes())
 	}
-	blob, err := os.ReadFile(metOut)
+	return out, readMetrics(t, metOut)
+}
+
+// readMetrics reads a -metrics dump.
+func readMetrics(t *testing.T, path string) metrics.Snapshot {
+	t.Helper()
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +60,7 @@ func rumrsweep(t *testing.T, args ...string) ([]byte, metrics.Snapshot) {
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		t.Fatal(err)
 	}
-	return out, snap
+	return snap
 }
 
 // TestCheckpointResumeRestoresEveryStudy runs the paper sweep, the
@@ -135,5 +151,94 @@ func TestCurveFiguresWriteEveryArtifact(t *testing.T) {
 		if !bytes.HasPrefix(svg, []byte("<svg")) || !bytes.HasSuffix(bytes.TrimSpace(svg), []byte("</svg>")) {
 			t.Errorf("%s.svg is not a complete SVG document", name)
 		}
+	}
+}
+
+// listenAddr finds the address in the coordinator's "listening" log line.
+var listenAddr = regexp.MustCompile(`msg="coordinator listening[^"]*" addr=(\S+)`)
+
+// serve runs the command with -serve on a free port, joins it with the
+// given number of workers, and returns its stdout and final metrics
+// snapshot once it has finished.
+func serve(t *testing.T, workers int, args ...string) ([]byte, metrics.Snapshot) {
+	t.Helper()
+	metOut := filepath.Join(t.TempDir(), "metrics.json")
+	cmd := command(append(args, "-serve", "127.0.0.1:0", "-metrics", metOut)...)
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	lines := bufio.NewScanner(stderr)
+	addr := ""
+	for addr == "" && lines.Scan() {
+		fmt.Fprintln(&log, lines.Text())
+		if m := listenAddr.FindStringSubmatch(lines.Text()); m != nil {
+			addr = m[1]
+		}
+	}
+	// The rest of the log drains until the command exits; Wait may
+	// only follow the last read.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		io.Copy(&log, stderr) //nolint:errcheck // diagnostics only
+	}()
+	if addr == "" {
+		<-drained
+		cmd.Wait() //nolint:errcheck // the log below says why it stopped
+		t.Fatalf("no listening address in the coordinator's log:\n%s", log.Bytes())
+	}
+	for i := 0; i < workers; i++ {
+		w := command("-join", addr, "-q", "-workers", "1")
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// A worker whose coordinator exited retries the address for a
+		// while before it gives up; it has nothing left to do.
+		t.Cleanup(func() {
+			w.Process.Kill() //nolint:errcheck // it may have exited already
+			w.Wait()         //nolint:errcheck // killed
+		})
+	}
+	<-drained
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("rumrsweep %v -serve: %v\n%s", args, err, log.Bytes())
+	}
+	return stdout.Bytes(), readMetrics(t, metOut)
+}
+
+// TestServeJoinEveryStudy drives the paper sweep and the multi-job,
+// resilience and heterogeneity studies through -serve/-join with 1, 2
+// and 4 workers, and from a warm cache with none: every run prints the
+// bytes of a local run, and the serving process simulates nothing
+// itself — the workers compute every cell of every study.
+func TestServeJoinEveryStudy(t *testing.T) {
+	studies := []string{"-smoke", "-table2", "-multijob", "-resilience", "-hetero", "-q", "-workers", "1"}
+	cache := filepath.Join(t.TempDir(), "cache")
+	want, cold := rumrsweep(t, append(studies, "-cache", cache)...)
+	if warm, snap := rumrsweep(t, append(studies, "-cache", cache)...); !bytes.Equal(warm, want) || snap.ConfigsSkipped != snap.ConfigsTotal {
+		t.Fatalf("local warm-cache run restored %d of %d cells; output equal: %v",
+			snap.ConfigsSkipped, snap.ConfigsTotal, bytes.Equal(warm, want))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, snap := serve(t, workers, studies...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("-serve with %d workers printed\n%s\nwant\n%s", workers, got, want)
+		}
+		if snap.Simulations != 0 || snap.ConfigsDone != cold.ConfigsTotal {
+			t.Fatalf("-serve with %d workers: the coordinator simulated %d runs and counted %d of %d cells done",
+				workers, snap.Simulations, snap.ConfigsDone, cold.ConfigsTotal)
+		}
+	}
+	got, snap := serve(t, 0, append(studies, "-cache", cache)...)
+	if !bytes.Equal(got, want) || snap.ConfigsSkipped != cold.ConfigsTotal {
+		t.Fatalf("-serve from a warm cache restored %d of %d cells and printed\n%s\nwant\n%s",
+			snap.ConfigsSkipped, cold.ConfigsTotal, got, want)
 	}
 }

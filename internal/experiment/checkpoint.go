@@ -23,19 +23,13 @@ import (
 	"sync"
 )
 
-// Fingerprint identifies a sweep for checkpointing: the grid, the
-// algorithm names (order matters — it fixes the mean-block layout), the
-// error model and whether the error magnitude is hidden from the
-// schedulers. Two sweeps share a checkpoint file iff they agree on all of
-// these.
-func Fingerprint(g Grid, algorithms []string, model ErrorModelKind, unknownError bool) string {
-	return studyFingerprint(g, algorithms, model, unknownError)
-}
-
-// studyFingerprint is Fingerprint for any study's grid type: the grid
-// marshals under the same field name, so a paper-sweep fingerprint is
-// unchanged and studies of different kinds cannot share a checkpoint.
-func studyFingerprint(grid any, algorithms []string, model ErrorModelKind, unknownError bool) string {
+// Fingerprint identifies a study for checkpointing: its grid (of any
+// study's type: they marshal under one field name, so studies of
+// different kinds cannot share a checkpoint), the algorithm names (order
+// matters — it fixes the block layout), the error model and whether the
+// error magnitude is hidden from the schedulers. Two studies share a
+// checkpoint file iff they agree on all of these.
+func Fingerprint(grid any, algorithms []string, model ErrorModelKind, unknownError bool) string {
 	return hashJSON(struct {
 		Grid         any
 		Algorithms   []string

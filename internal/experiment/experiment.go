@@ -6,9 +6,11 @@
 //
 // The sweep is embarrassingly parallel. Every Runner study — this sweep,
 // the multi-job study, the resilience study and the heterogeneity study —
-// is a list of keyed cells that runs through one worker pool (one
-// goroutine per CPU by default) and one SweepState, which restores and
-// persists cells through the checkpoint and the result cache.
+// is a list of keyed cells described by one study value and run by one
+// driver (study.go): its SweepState restores and persists cells through
+// the checkpoint and the result cache, and the rest compute on one worker
+// pool (one goroutine per CPU by default) or on a Fleet of other
+// processes.
 // Reproducibility is exact: the sweep's error streams are seeded from
 // (base seed, configuration values, error value, repetition), independent
 // of scheduling order, and the same streams are shared by all algorithms
@@ -22,7 +24,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"rumr/internal/engine"
 	"rumr/internal/metrics"
@@ -129,18 +130,30 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("%w: every platform axis (Ns, Rs, CLats, NLats) needs at least one value", errEmptyGrid)
 	case len(g.Errors) == 0:
 		return fmt.Errorf("%w: no error magnitudes", errEmptyGrid)
-	case g.Reps <= 0:
-		return fmt.Errorf("experiment: Reps=%d, need at least one repetition", g.Reps)
-	case !(g.Total > 0) || math.IsInf(g.Total, 1):
-		return fmt.Errorf("experiment: Total=%g, the workload must be finite and positive", g.Total)
 	}
-	for _, e := range g.Errors {
+	if err := validRuns(g.Reps, g.Total, g.Errors...); err != nil {
+		return err
+	}
+	// Not Configs: ComputeCellInto validates per cell and must not allocate.
+	return g.eachConfig(Config.Validate)
+}
+
+// validRuns checks what every study's grid has: a positive repetition
+// count, a finite positive workload and finite non-negative error
+// magnitudes.
+func validRuns(reps int, total float64, errs ...float64) error {
+	switch {
+	case reps <= 0:
+		return fmt.Errorf("experiment: Reps=%d, need at least one repetition", reps)
+	case !(total > 0) || math.IsInf(total, 1):
+		return fmt.Errorf("experiment: Total=%g, the workload must be finite and positive", total)
+	}
+	for _, e := range errs {
 		if !(e >= 0) || math.IsInf(e, 1) {
 			return fmt.Errorf("experiment: error magnitude %g, need finite and >= 0", e)
 		}
 	}
-	// Not Configs: ComputeCellInto validates per cell and must not allocate.
-	return g.eachConfig(Config.Validate)
+	return nil
 }
 
 // seq returns {from, from+step, ..., to} inclusive (within fp tolerance).
@@ -308,6 +321,11 @@ type Runner struct {
 	// completed, DES events, chunks dispatched, configurations done — that
 	// callers can snapshot concurrently for progress display.
 	Metrics *metrics.Collector
+	// Fleet, when non-nil, is where every study's cells compute: the
+	// runner still restores, persists and counts them, but hands the
+	// pending ones to the Fleet (the shard coordinator, under
+	// rumrsweep -serve) instead of its own pool.
+	Fleet Fleet
 
 	// cells pools CellStates across the configurations this runner
 	// computes, so the platform, memo, dispatcher prototypes and RNG
@@ -346,22 +364,34 @@ func (r *Runner) Sweep(g Grid) (*Results, error) {
 // external cancellation) and the partial Results must not be used — resume
 // via CheckpointPath instead.
 func (r *Runner) SweepContext(ctx context.Context, g Grid) (*Results, error) {
-	if len(r.Algorithms) == 0 {
-		return nil, errNoAlgorithms
-	}
-	st, err := OpenSweepState(g, r.names(), r.ErrorModel, r.UnknownError, r.CheckpointPath, r.CachePath)
-	if err != nil {
+	return runAs[*Results](ctx, r, (*Runner).sweepStudy, g)
+}
+
+// sweepStudy describes the paper sweep of g: cell ci is configuration
+// ci, an [error][algorithm] block of mean makespans. Pending
+// configurations run most expensive first.
+func (r *Runner) sweepStudy(job Job, g Grid) (*study, error) {
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	configs := st.Results.Configs
-	if err := r.runCells(ctx, st, func(ctx context.Context, ci int) ([][]float64, error) {
-		block, _, err := r.ComputeConfig(ctx, g, configs[ci])
-		return block, err
-	}); err != nil {
-		return nil, err
-	}
-	return st.Results, nil
+	job.Study = ""
+	configs := g.Configs()
+	names := job.Algorithms
+	res := &Results{Grid: g, Configs: configs, Algorithms: names}
+	return &study{
+		job: job, grid: g, cells: len(configs), rows: len(g.Errors), cols: len(names),
+		key: func(i int) (string, Config) {
+			return CellKey(g, names, job.Model, job.UnknownError, configs[i]), configs[i]
+		},
+		compute: func(ctx context.Context, i int) ([][]float64, CellCounters, error) {
+			return r.ComputeConfig(ctx, g, configs[i])
+		},
+		order: func(pending []int) { orderByCost(g, configs, len(names), pending) },
+		results: func(blocks [][][]float64) any {
+			res.Mean = blocks
+			return res
+		},
+	}, nil
 }
 
 // names returns the algorithms' names, the column labels of every study.
@@ -371,38 +401,6 @@ func (r *Runner) names() []string {
 		names[i] = a.Name()
 	}
 	return names
-}
-
-// runCells computes st's pending cells on the runner's pool and
-// completes each into st. Both progress denominators count every cell of
-// the study: cells restored by the last restore are reported as done
-// (and as skipped in the metrics, so rate/ETA reflect only real
-// compute). Progress calls are serialized.
-func (r *Runner) runCells(ctx context.Context, st *SweepState, compute func(ctx context.Context, i int) ([][]float64, error)) error {
-	if r.Metrics != nil {
-		r.Metrics.AddTotalConfigs(st.staged)
-		r.Metrics.SkipConfigs(st.Restored())
-	}
-	return r.ForEach(ctx, st.Pending, func(ctx context.Context, i int) error {
-		start := time.Now()
-		block, err := compute(ctx, i)
-		if err != nil {
-			return err
-		}
-		if err := st.Complete(i, block); err != nil {
-			return err
-		}
-		if r.Metrics != nil {
-			r.Metrics.ConfigDone(time.Since(start))
-		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		st.done++
-		if r.Progress != nil {
-			r.Progress(st.done, len(st.blocks))
-		}
-		return nil
-	})
 }
 
 // ForEach calls do for every index of cells on the runner's worker pool

@@ -95,24 +95,15 @@ func (g HeteroGrid) Validate() error {
 		return fmt.Errorf("%w: the hetero grid needs at least one spread and one error magnitude", errEmptyGrid)
 	case !(g.MeanS > 0) || math.IsInf(g.MeanS, 1):
 		return fmt.Errorf("experiment: hetero grid needs a finite MeanS > 0, got %g", g.MeanS)
-	case !(g.Total > 0) || math.IsInf(g.Total, 1):
-		return fmt.Errorf("experiment: hetero grid needs a finite Total > 0, got %g", g.Total)
 	case g.Platforms <= 0:
 		return fmt.Errorf("experiment: hetero grid needs Platforms > 0, got %d", g.Platforms)
-	case g.Reps <= 0:
-		return fmt.Errorf("experiment: hetero grid needs Reps > 0, got %d", g.Reps)
 	}
 	for _, h := range g.Spreads {
 		if !(h >= 0 && h < 2) {
 			return fmt.Errorf("experiment: hetero spread %g outside [0, 2)", h)
 		}
 	}
-	for _, e := range g.Errors {
-		if !(e >= 0) || math.IsInf(e, 1) {
-			return fmt.Errorf("experiment: error magnitude %g, need finite and >= 0", e)
-		}
-	}
-	return nil
+	return validRuns(g.Reps, g.Total, g.Errors...)
 }
 
 // config is the grid's mean platform point: it validates the worker
@@ -129,50 +120,51 @@ func (r *Runner) Hetero(g HeteroGrid) (*HeteroResults, error) {
 // HeteroContext runs the heterogeneity study under ctx: Algorithms[0] is
 // the baseline. Cell si*len(Errors)+ei is the (Spreads[si], Errors[ei])
 // point, a 1 × (algorithms-1) block of mean ratios; cells fan out to the
-// runner's worker pool and are restored from its checkpoint and cache
-// like the paper sweep's. A scheduler that rejects a platform fails the
-// study.
+// runner's worker pool (or Fleet) and are restored from its checkpoint
+// and cache like the paper sweep's. A scheduler that rejects a platform
+// fails the study.
 func (r *Runner) HeteroContext(ctx context.Context, g HeteroGrid) (*HeteroResults, error) {
-	if len(r.Algorithms) < 2 {
+	return runAs[*HeteroResults](ctx, r, (*Runner).heteroStudy, g)
+}
+
+// heteroStudy describes the heterogeneity study of g: cells of positive
+// mean ratios, keyed by the whole grid and the cell index, not the cell's
+// values, because error streams are seeded with the error index.
+func (r *Runner) heteroStudy(job Job, g HeteroGrid) (*study, error) {
+	if len(job.Algorithms) < 2 {
 		return nil, fmt.Errorf("experiment: hetero study needs a baseline and at least one competitor")
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	names := r.names()
+	job.Study = "hetero"
+	names := job.Algorithms
 	nE := len(g.Errors)
-	n := len(g.Spreads) * nE
-	st, err := openState(n, 1, len(names)-1, func() string {
-		return studyFingerprint(g, names, r.ErrorModel, r.UnknownError)
-	}, r.CheckpointPath, r.CachePath)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	// The key hashes the whole grid and the cell index, not the cell's
-	// values: error streams are seeded with the error index.
-	st.restore(0, n, func(i int) (string, Config) {
-		return hashJSON(struct {
-			Grid         HeteroGrid
-			Algorithms   []string
-			Model        ErrorModelKind
-			UnknownError bool
-			Cell         int
-		}{g, names, r.ErrorModel, r.UnknownError, i}, 16), g.config()
-	})
-	if err := r.runCells(ctx, st, func(ctx context.Context, i int) ([][]float64, error) {
-		return r.heteroCell(ctx, g, i/nE, i%nE)
-	}); err != nil {
-		return nil, err
-	}
-	res := &HeteroResults{Grid: g, Algorithms: names[1:], Ratio: make([][][]float64, len(g.Spreads))}
-	for si := range g.Spreads {
-		res.Ratio[si] = make([][]float64, nE)
-		for ei := range g.Errors {
-			res.Ratio[si][ei] = st.blocks[si*nE+ei][0]
-		}
-	}
-	return res, nil
+	return &study{
+		job: job, grid: g, cells: len(g.Spreads) * nE, rows: 1, cols: len(names) - 1,
+		key: func(i int) (string, Config) {
+			return hashJSON(struct {
+				Grid         HeteroGrid
+				Algorithms   []string
+				Model        ErrorModelKind
+				UnknownError bool
+				Cell         int
+			}{g, names, job.Model, job.UnknownError, i}, 16), g.config()
+		},
+		compute: func(ctx context.Context, i int) ([][]float64, CellCounters, error) {
+			return r.heteroCell(ctx, g, i/nE, i%nE)
+		},
+		results: func(blocks [][][]float64) any {
+			res := &HeteroResults{Grid: g, Algorithms: names[1:], Ratio: make([][][]float64, len(g.Spreads))}
+			for si := range g.Spreads {
+				res.Ratio[si] = make([][]float64, nE)
+				for ei := range g.Errors {
+					res.Ratio[si][ei] = blocks[si*nE+ei][0]
+				}
+			}
+			return res
+		},
+	}, nil
 }
 
 // heteroCell simulates every (platform, rep, algorithm) run at
@@ -180,16 +172,16 @@ func (r *Runner) HeteroContext(ctx context.Context, g HeteroGrid) (*HeteroResult
 // makespan ratios. Each ensemble platform gets one prototype set; the
 // error streams are seeded from (BaseSeed+1, spread, platform, error
 // index, rep) and shared by all algorithms (common random numbers).
-func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]float64, error) {
+func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]float64, CellCounters, error) {
 	spread, errMag := g.Spreads[si], g.Errors[ei]
 	nAlg := len(r.Algorithms)
 	acc := make([]stats.Welford, nAlg-1)
 	mks := make([]float64, nAlg)
 	var (
-		protos   protoSet
-		master   rng.Source
-		streams  perferr.Pair
-		counters engine.Counters
+		protos  protoSet
+		master  rng.Source
+		streams perferr.Pair
+		ctrs    CellCounters
 	)
 	for pi := 0; pi < g.Platforms; pi++ {
 		p := g.platformFor(spread, pi)
@@ -197,19 +189,21 @@ func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]
 		protos.reset(&r.plans, p, nAlg)
 		for ai, algo := range r.Algorithms {
 			if err := protos.build(ai, algo, pr); err != nil {
-				return nil, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
+				return nil, CellCounters{}, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
 					algo.Name(), spread, pi, err)
 			}
 		}
-		protos.flushPlans(r.Metrics)
+		built, shared := protos.flushPlans(r.Metrics)
+		ctrs.PlansBuilt += built
+		ctrs.PlansShared += shared
 		for rep := 0; rep < g.Reps; rep++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, CellCounters{}, err
 			}
 			for ai, algo := range r.Algorithms {
 				d, err := protos.dispatcher(ai, algo, pr)
 				if err != nil {
-					return nil, fmt.Errorf("experiment: spread %g platform %d: %w", spread, pi, err)
+					return nil, CellCounters{}, fmt.Errorf("experiment: spread %g platform %d: %w", spread, pi, err)
 				}
 				master.ReseedFrom(g.BaseSeed+1, math.Float64bits(spread), uint64(pi), uint64(ei), uint64(rep))
 				comm, comp := streams.Split(&master, r.ErrorModel, errMag)
@@ -217,14 +211,14 @@ func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]
 					CommModel: comm,
 					CompModel: comp,
 					Metrics:   r.Metrics,
-					Counters:  &counters,
+					Counters:  &ctrs.Engine,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
+					return nil, CellCounters{}, fmt.Errorf("experiment: %s on spread %g platform %d: %w",
 						algo.Name(), spread, pi, err)
 				}
 				if math.Abs(out.DispatchedWork-g.Total) > 1e-6*g.Total {
-					return nil, fmt.Errorf("experiment: %s dispatched %g of %g",
+					return nil, CellCounters{}, fmt.Errorf("experiment: %s dispatched %g of %g",
 						algo.Name(), out.DispatchedWork, g.Total)
 				}
 				mks[ai] = out.Makespan
@@ -235,11 +229,11 @@ func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]
 		}
 	}
 	if r.Metrics != nil {
-		r.Metrics.AddEngineCounters(counters)
+		r.Metrics.AddEngineCounters(ctrs.Engine)
 	}
 	block := NewCellBlock(1, nAlg-1)
 	for ai := range acc {
 		block[0][ai] = acc[ai].Mean()
 	}
-	return block, nil
+	return block, ctrs, nil
 }

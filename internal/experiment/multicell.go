@@ -86,9 +86,11 @@ type MultiCellState struct {
 	inv         []float64 // inverse slowdowns for the Jain index
 	resp, slows []float64 // per-job observations fed to Metrics
 
-	// counters accumulates the cell's engine hot-path telemetry, exactly
-	// as CellState does for the single-job path.
-	counters engine.Counters
+	// counters is the telemetry of the last ComputeMultiJobCellInto
+	// call, exactly as CellState keeps it for the single-job path: the
+	// plan counts when the call prepared the state, the engine counters
+	// of its runs.
+	counters CellCounters
 }
 
 // NewMultiCellState returns an empty MultiCellState; all storage is sized
@@ -134,7 +136,7 @@ func (cs *MultiCellState) prepare(r *Runner, g MultiJobGrid) {
 			}
 		}
 	}
-	cs.protos.flushPlans(r.Metrics)
+	cs.counters.PlansBuilt, cs.counters.PlansShared = cs.protos.flushPlans(r.Metrics)
 	cs.accResp = resize(cs.accResp, nAlg)
 	cs.accSlow = resize(cs.accSlow, nAlg)
 	cs.accFair = resize(cs.accFair, nAlg)
@@ -213,6 +215,7 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 	if !cellShapeOK(dst, multiCellRows, nAlg) {
 		return fmt.Errorf("experiment: destination block is not %d x %d", multiCellRows, nAlg)
 	}
+	cs.counters = CellCounters{}
 	if !cs.preparedFor(r, g) {
 		cs.prepare(r, g)
 	}
@@ -220,7 +223,6 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 	if lb <= 0 {
 		return fmt.Errorf("experiment: degenerate platform %v: zero lower bound", g.Config)
 	}
-	cs.counters = engine.Counters{}
 	for ai := range cs.accResp {
 		cs.accResp[ai] = stats.Welford{}
 		cs.accSlow[ai] = stats.Welford{}
@@ -262,7 +264,7 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 			out, err := engine.RunMulti(cs.p, cs.jobs, engine.MultiOptions{
 				Policy:     pol,
 				Metrics:    r.Metrics,
-				Counters:   &cs.counters,
+				Counters:   &cs.counters.Engine,
 				JobResults: cs.jobRes,
 			})
 			if err != nil {
@@ -311,11 +313,7 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 		dst[multiRowMakespan][ai] = cs.accMk[ai].Sum() / reps
 	}
 	if r.Metrics != nil {
-		r.Metrics.AddEngineCounters(cs.counters)
+		r.Metrics.AddEngineCounters(cs.counters.Engine)
 	}
 	return nil
 }
-
-// Counters returns the engine hot-path telemetry of the last
-// ComputeMultiJobCellInto call.
-func (cs *MultiCellState) Counters() engine.Counters { return cs.counters }

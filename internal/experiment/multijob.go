@@ -79,14 +79,8 @@ func (g MultiJobGrid) Validate() error {
 			return fmt.Errorf("experiment: invalid arrival rate %g", r)
 		}
 	}
-	if g.Reps <= 0 {
-		return fmt.Errorf("experiment: multi-job grid needs Reps > 0, got %d", g.Reps)
-	}
-	if !(g.Total > 0) || math.IsInf(g.Total, 1) {
-		return fmt.Errorf("experiment: multi-job grid needs a finite Total > 0, got %g", g.Total)
-	}
-	if !(g.Error >= 0) || math.IsInf(g.Error, 1) {
-		return fmt.Errorf("experiment: error magnitude %g, need finite and >= 0", g.Error)
+	if err := validRuns(g.Reps, g.Total, g.Error); err != nil {
+		return err
 	}
 	for _, name := range g.Policies {
 		if engine.LinkPolicyByName(name) == nil {
@@ -133,64 +127,69 @@ func (r *Runner) MultiJob(g MultiJobGrid) (*MultiJobResults, error) {
 }
 
 // MultiJobContext runs the multi-job sweep under ctx, fanning
-// (policy, arrival rate) cells out to the runner's worker pool. Cell
-// pi*len(ArrivalRates)+ri is policy pi at rate ri; cells are restored
-// from the runner's checkpoint and cache like the paper sweep's. The
-// shared Metrics collector (if any) sees every run's per-job responses,
-// slowdowns and fairness.
+// (policy, arrival rate) cells out to the runner's worker pool (or
+// Fleet). Cell pi*len(ArrivalRates)+ri is policy pi at rate ri; cells are
+// restored from the runner's checkpoint and cache like the paper sweep's.
+// The shared Metrics collector (if any) sees every run's per-job
+// responses, slowdowns and fairness.
 func (r *Runner) MultiJobContext(ctx context.Context, g MultiJobGrid) (*MultiJobResults, error) {
-	if len(r.Algorithms) == 0 {
-		return nil, errNoAlgorithms
-	}
+	return runAs[*MultiJobResults](ctx, r, (*Runner).multiJobStudy, g)
+}
+
+// multiJobStudy describes the multi-job sweep of g: blocks whose fairness
+// row may hold zeros and whose other rows are positive.
+func (r *Runner) multiJobStudy(job Job, g MultiJobGrid) (*study, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	job.Study = "multijob"
 	pols := g.policies()
-	names := r.names()
+	names := job.Algorithms
 	nR := len(g.ArrivalRates)
-	st, err := openState(len(pols)*nR, multiCellRows, len(names), func() string {
-		return studyFingerprint(g, names, r.ErrorModel, r.UnknownError)
-	}, r.CheckpointPath, r.CachePath)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	st.restore(0, len(pols)*nR, func(i int) (string, Config) {
-		return MultiCellKey(g, names, r.ErrorModel, r.UnknownError, pols[i/nR].Name(), g.ArrivalRates[i%nR]), g.Config
-	})
-	if err := r.runCells(ctx, st, func(ctx context.Context, i int) ([][]float64, error) {
-		cs, _ := r.mcells.Get().(*MultiCellState)
-		if cs == nil {
-			cs = NewMultiCellState()
-		}
-		defer r.mcells.Put(cs)
-		cell := NewCellBlock(multiCellRows, len(names))
-		return cell, r.ComputeMultiJobCellInto(ctx, g, pols[i/nR], g.ArrivalRates[i%nR], cs, cell)
-	}); err != nil {
-		return nil, err
-	}
-	res := &MultiJobResults{
-		Grid:         g,
-		Algorithms:   names,
-		Policies:     make([]string, len(pols)),
-		MeanResponse: make([][][]float64, len(pols)),
-		MeanSlowdown: make([][][]float64, len(pols)),
-		MeanFairness: make([][][]float64, len(pols)),
-		MeanMakespan: make([][][]float64, len(pols)),
-	}
-	for pi, pol := range pols {
-		res.Policies[pi] = pol.Name()
-		res.MeanResponse[pi] = make([][]float64, nR)
-		res.MeanSlowdown[pi] = make([][]float64, nR)
-		res.MeanFairness[pi] = make([][]float64, nR)
-		res.MeanMakespan[pi] = make([][]float64, nR)
-		for ri := range g.ArrivalRates {
-			cell := st.blocks[pi*nR+ri]
-			res.MeanResponse[pi][ri] = cell[multiRowResponse]
-			res.MeanSlowdown[pi][ri] = cell[multiRowSlowdown]
-			res.MeanFairness[pi][ri] = cell[multiRowFairness]
-			res.MeanMakespan[pi][ri] = cell[multiRowMakespan]
-		}
-	}
-	return res, nil
+	return &study{
+		job: job, grid: g, cells: len(pols) * nR, rows: multiCellRows, cols: len(names),
+		key: func(i int) (string, Config) {
+			return MultiCellKey(g, names, job.Model, job.UnknownError, pols[i/nR].Name(), g.ArrivalRates[i%nR]), g.Config
+		},
+		compute: func(ctx context.Context, i int) ([][]float64, CellCounters, error) {
+			cs, _ := r.mcells.Get().(*MultiCellState)
+			if cs == nil {
+				cs = NewMultiCellState()
+			}
+			defer r.mcells.Put(cs)
+			cell := NewCellBlock(multiCellRows, len(names))
+			err := r.ComputeMultiJobCellInto(ctx, g, pols[i/nR], g.ArrivalRates[i%nR], cs, cell)
+			return cell, cs.counters, err
+		},
+		zeroRows: []int{multiRowFairness},
+		results: func(blocks [][][]float64) any {
+			// One [policy][rate][algorithm] table per block row, all
+			// sliced from two arrays: a one-cell study must stay within
+			// TestMultiJobContextSingleCellAllocs's bound.
+			nP := len(pols)
+			tables := make([][][]float64, multiCellRows*nP)
+			rows := make([][]float64, multiCellRows*nP*nR)
+			table := func(row int) [][][]float64 { return tables[row*nP : (row+1)*nP] }
+			res := &MultiJobResults{
+				Grid:         g,
+				Algorithms:   names,
+				Policies:     make([]string, nP),
+				MeanResponse: table(multiRowResponse),
+				MeanSlowdown: table(multiRowSlowdown),
+				MeanFairness: table(multiRowFairness),
+				MeanMakespan: table(multiRowMakespan),
+			}
+			for pi, pol := range pols {
+				res.Policies[pi] = pol.Name()
+				for row := 0; row < multiCellRows; row++ {
+					t := row*nP + pi
+					tables[t] = rows[t*nR : (t+1)*nR]
+					for ri := range g.ArrivalRates {
+						tables[t][ri] = blocks[pi*nR+ri][row]
+					}
+				}
+			}
+			return res
+		},
+	}, nil
 }

@@ -64,17 +64,10 @@ func (g ResilienceGrid) Validate() error {
 			return fmt.Errorf("experiment: resilience probability %g outside [0,1]", p)
 		}
 	}
-	switch {
-	case !(g.Error >= 0) || math.IsInf(g.Error, 1):
-		return fmt.Errorf("experiment: resilience grid needs a finite Error >= 0, got %g", g.Error)
-	case g.Horizon < 0 || math.IsNaN(g.Horizon):
+	if g.Horizon < 0 || math.IsNaN(g.Horizon) {
 		return fmt.Errorf("experiment: resilience grid needs Horizon >= 0, got %g", g.Horizon)
-	case g.Reps <= 0:
-		return fmt.Errorf("experiment: resilience grid needs Reps > 0, got %d", g.Reps)
-	case !(g.Total > 0) || math.IsInf(g.Total, 1):
-		return fmt.Errorf("experiment: resilience grid needs a finite Total > 0, got %g", g.Total)
 	}
-	return nil
+	return validRuns(g.Reps, g.Total, g.Error)
 }
 
 // DefaultResilienceGrid is the resilience counterpart of ReducedGrid: the
@@ -129,30 +122,35 @@ const (
 )
 
 // ResilienceContext runs the resilience sweep under ctx, fanning its
-// cells out to the runner's worker pool: the fault-free baseline first
-// — it normalises degradation and sizes the default horizon — then every
-// crash rate. Cells are restored from the runner's checkpoint and cache
-// like the paper sweep's; a crash-rate cell's cache key includes the
-// derived horizon. The shared Metrics collector (if any) sees every
-// simulation.
+// cells out to the runner's worker pool (or Fleet) in two waves: the
+// fault-free baseline first — it normalises degradation and sizes the
+// default horizon — then every crash rate. Cells are restored from the
+// runner's checkpoint and cache like the paper sweep's; a crash-rate
+// cell's cache key includes the derived horizon. The shared Metrics
+// collector (if any) sees every simulation.
 func (r *Runner) ResilienceContext(ctx context.Context, g ResilienceGrid) (*ResilienceResults, error) {
-	if len(r.Algorithms) == 0 {
-		return nil, errNoAlgorithms
-	}
+	return runAs[*ResilienceResults](ctx, r, (*Runner).resilienceStudy, g)
+}
+
+// resilienceStudy describes the resilience sweep of g: the baseline wave
+// (cell 0), then the crash-rate wave, whose horizon the job carries once
+// the baseline has set it. Mean makespans are positive; completed
+// fractions and re-send counts may be zero.
+func (r *Runner) resilienceStudy(job Job, g ResilienceGrid) (*study, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	names := r.names()
+	job.Study = "resilience"
+	names := job.Algorithms
 	k := len(g.CrashRates)
-	st, err := openState(1+k, resCellRows, len(names), func() string {
-		return studyFingerprint(g, names, r.ErrorModel, r.UnknownError)
-	}, r.CheckpointPath, r.CachePath)
-	if err != nil {
-		return nil, err
+	s := &study{job: job, grid: g, cells: 1 + k, rows: resCellRows, cols: len(names), first: 1,
+		zeroRows: []int{resRowCompletion, resRowRedispatches}}
+	s.advance = func(blocks [][][]float64) error {
+		h, err := g.horizon(blocks[0][resRowMean])
+		s.job.Horizon = h
+		return err
 	}
-	defer st.Close()
-	horizon := 0.0
-	key := func(i int) (string, Config) {
+	s.key = func(i int) (string, Config) {
 		return hashJSON(struct {
 			Grid         ResilienceGrid
 			Algorithms   []string
@@ -160,51 +158,54 @@ func (r *Runner) ResilienceContext(ctx context.Context, g ResilienceGrid) (*Resi
 			UnknownError bool
 			Cell         int
 			Horizon      float64
-		}{g, names, r.ErrorModel, r.UnknownError, i, horizon}, 16), g.Config
+		}{g, names, job.Model, job.UnknownError, i, s.job.Horizon}, 16), g.Config
 	}
-	cell := func(ctx context.Context, i int) ([][]float64, error) {
-		return r.resilienceCell(ctx, g, i, horizon)
+	s.compute = func(ctx context.Context, i int) ([][]float64, CellCounters, error) {
+		return r.resilienceCell(ctx, g, i, s.job.Horizon)
 	}
-	st.restore(0, 1, key)
-	if err := r.runCells(ctx, st, cell); err != nil {
-		return nil, err
-	}
-	baseline := st.blocks[0][resRowMean]
-	horizon = g.Horizon
-	if horizon <= 0 {
-		for _, b := range baseline {
-			if !math.IsNaN(b) && 1.5*b > horizon {
-				horizon = 1.5 * b
+	s.results = func(blocks [][][]float64) any {
+		baseline := blocks[0][resRowMean]
+		res := &ResilienceResults{
+			Grid:         g,
+			Algorithms:   names,
+			Baseline:     baseline,
+			Mean:         make([][]float64, k),
+			Degradation:  make([][]float64, k),
+			Completion:   make([][]float64, k),
+			Redispatches: make([][]float64, k),
+		}
+		for ri := range g.CrashRates {
+			b := blocks[1+ri]
+			res.Mean[ri] = b[resRowMean]
+			res.Completion[ri] = b[resRowCompletion]
+			res.Redispatches[ri] = b[resRowRedispatches]
+			res.Degradation[ri] = make([]float64, len(names))
+			for ai, m := range b[resRowMean] {
+				res.Degradation[ri][ai] = m / baseline[ai]
 			}
 		}
-		if horizon <= 0 {
-			return nil, fmt.Errorf("experiment: no algorithm produced a baseline to derive a horizon from")
+		return res
+	}
+	return s, nil
+}
+
+// horizon returns the window the crash-rate cells draw faults in: the
+// grid's Horizon, or 1.5x the slowest algorithm's fault-free mean
+// makespan.
+func (g ResilienceGrid) horizon(baseline []float64) (float64, error) {
+	if g.Horizon > 0 {
+		return g.Horizon, nil
+	}
+	horizon := 0.0
+	for _, b := range baseline {
+		if !math.IsNaN(b) && 1.5*b > horizon {
+			horizon = 1.5 * b
 		}
 	}
-	st.restore(1, 1+k, key)
-	if err := r.runCells(ctx, st, cell); err != nil {
-		return nil, err
+	if horizon <= 0 {
+		return 0, fmt.Errorf("experiment: no algorithm produced a baseline to derive a horizon from")
 	}
-	res := &ResilienceResults{
-		Grid:         g,
-		Algorithms:   names,
-		Baseline:     baseline,
-		Mean:         make([][]float64, k),
-		Degradation:  make([][]float64, k),
-		Completion:   make([][]float64, k),
-		Redispatches: make([][]float64, k),
-	}
-	for ri := range g.CrashRates {
-		b := st.blocks[1+ri]
-		res.Mean[ri] = b[resRowMean]
-		res.Completion[ri] = b[resRowCompletion]
-		res.Redispatches[ri] = b[resRowRedispatches]
-		res.Degradation[ri] = make([]float64, len(names))
-		for ai, m := range b[resRowMean] {
-			res.Degradation[ri][ai] = m / baseline[ai]
-		}
-	}
-	return res, nil
+	return horizon, nil
 }
 
 // resilienceCell simulates every (rep, algorithm) run of cell i: the
@@ -214,7 +215,7 @@ func (r *Runner) ResilienceContext(ctx context.Context, g ResilienceGrid) (*Resi
 // common random numbers across crash rates and the baseline — so
 // degradation isolates the fault effect and results are independent of
 // pool scheduling.
-func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, horizon float64) ([][]float64, error) {
+func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, horizon float64) ([][]float64, CellCounters, error) {
 	p := g.Config.Platform()
 	pr := &sched.Problem{Platform: p, Total: g.Total, KnownError: r.knownError(g.Error), MinUnit: 1}
 	var protos protoSet
@@ -222,14 +223,14 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 	for ai, algo := range r.Algorithms {
 		protos.build(ai, algo, pr) // a failure leaves the slot nil: NaN for the cell
 	}
-	protos.flushPlans(r.Metrics)
+	var ctrs CellCounters
+	ctrs.PlansBuilt, ctrs.PlansShared = protos.flushPlans(r.Metrics)
 	label := "baseline"
 	var (
-		master   rng.Source
-		streams  perferr.Pair
-		counters engine.Counters
+		master  rng.Source
+		streams perferr.Pair
 	)
-	opts := engine.Options{Metrics: r.Metrics, Counters: &counters}
+	opts := engine.Options{Metrics: r.Metrics, Counters: &ctrs.Engine}
 	var scenario fault.Scenario
 	if i > 0 {
 		label = fmt.Sprintf("crash rate %g", g.CrashRates[i-1])
@@ -246,7 +247,7 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 	block := NewCellBlock(resCellRows, len(r.Algorithms))
 	for rep := 0; rep < g.Reps; rep++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, CellCounters{}, err
 		}
 		if i > 0 {
 			master.ReseedFrom(g.BaseSeed, uint64(i-1), uint64(rep), 0xFA)
@@ -258,13 +259,13 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 			}
 			d, err := protos.dispatcher(ai, algo, pr)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: %s: %w", label, err)
+				return nil, CellCounters{}, fmt.Errorf("experiment: %s: %w", label, err)
 			}
 			master.ReseedFrom(g.BaseSeed, uint64(rep))
 			opts.CommModel, opts.CompModel = streams.Split(&master, r.ErrorModel, g.Error)
 			out, err := engine.Run(p, d, opts)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: %s at %s: %w", algo.Name(), label, err)
+				return nil, CellCounters{}, fmt.Errorf("experiment: %s at %s: %w", algo.Name(), label, err)
 			}
 			block[resRowMean][ai] += out.Makespan
 			block[resRowCompletion][ai] += out.CompletedWork / g.Total
@@ -272,7 +273,7 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 		}
 	}
 	if r.Metrics != nil {
-		r.Metrics.AddEngineCounters(counters)
+		r.Metrics.AddEngineCounters(ctrs.Engine)
 	}
 	for ai := range r.Algorithms {
 		for _, row := range block {
@@ -283,5 +284,5 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 			}
 		}
 	}
-	return block, nil
+	return block, ctrs, nil
 }

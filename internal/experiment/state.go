@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"time"
+
+	"rumr/internal/metrics"
 )
 
 var (
@@ -13,42 +18,45 @@ var (
 	errEmptyGrid    = errors.New("experiment: empty grid")
 )
 
-// SweepState is the scaffolding one study execution shares between the
-// local Runner pool and the shard coordinator. A study is a list of
-// cells, each with a fixed rows × cols result block: the paper sweep's
-// cells are configurations with [error][algorithm] mean blocks, the
-// multi-job study's are (policy, arrival rate) points, the resilience
-// study's are its fault-free baseline and its crash rates. The state
-// holds every cell's block — restored from the checkpoint and the
-// content-addressed cache, or completed since — the cells still to
-// compute as a work queue, and the persistence layers that completed
-// blocks are written back to.
+// SweepState is one study execution, shared by the Runner's driver and
+// the Fleet its cells may compute on. A study is a list of cells, each
+// with a fixed rows × cols result block: the paper sweep's cells are
+// configurations with [error][algorithm] mean blocks, the multi-job
+// study's are (policy, arrival rate) points, the resilience study's are
+// its fault-free baseline and its crash rates, the heterogeneity study's
+// are (spread, error) points. The state holds every cell's block —
+// restored from the checkpoint and the content-addressed cache, or
+// completed since — the current wave's cells still to compute, and the
+// persistence layers that completed blocks are written back to.
 //
 // Complete may be called concurrently as long as no cell index is
-// completed twice — the Runner's job feed and the coordinator's done-set
-// both guarantee that.
+// completed twice — the Runner's job feed and the coordinator's pending
+// set both guarantee that.
 type SweepState struct {
 	// Results has Mean[ci] filled for every restored configuration and nil
-	// for every pending one. Only the paper sweep (OpenSweepState) has it.
+	// for every pending one. Only OpenSweepState sets it.
 	Results *Results
-	// Fingerprint identifies the sweep (grid, algorithms, error model).
-	// Other studies compute it only when they checkpoint.
+	// Fingerprint identifies the study (grid, algorithms, error model,
+	// visibility). It is computed when a checkpoint or a Fleet needs it,
+	// and always by OpenSweepState.
 	Fingerprint string
-	// Pending lists the cell indices still to compute. OpenSweepState
-	// orders them most expensive first, so the longest configurations
-	// cannot land last and stretch the sweep's tail. Ordering is
-	// wall-clock-only: cell seeding is position-independent, so results
-	// are unaffected.
+	// Pending lists the current wave's cells still to compute. The paper
+	// sweep orders them most expensive first, so the longest
+	// configurations cannot land last and stretch the sweep's tail.
+	// Ordering is wall-clock-only: cell seeding is position-independent,
+	// so results are unaffected.
 	Pending []int
 
-	blocks     [][][]float64
-	rows, cols int
-	cp         *Checkpoint
-	cache      *Cache
-	keys       []cellKey  // per cell, filled by restore when a cache is open
-	staged     int        // cells the last restore looked at
-	done       int        // cells restored or completed, for Progress
-	mu         sync.Mutex // guards done and serializes Progress in runCells
+	study    *study
+	blocks   [][][]float64
+	cp       *Checkpoint
+	cache    *Cache
+	keys     []cellKey // per cell, filled by restore when a cache is open
+	staged   int       // cells the last restore looked at
+	met      *metrics.Collector
+	progress func(done, total int)
+	mu       sync.Mutex // guards done and serializes progress
+	done     int        // cells restored or completed
 }
 
 // cellKey is a cell's content address and the configuration that labels
@@ -63,35 +71,33 @@ type cellKey struct {
 // remaining work queue. checkpointPath and cachePath may each be empty to
 // disable that layer.
 func OpenSweepState(g Grid, algorithms []string, model ErrorModelKind, unknownError bool, checkpointPath, cachePath string) (*SweepState, error) {
-	if len(algorithms) == 0 {
-		return nil, errNoAlgorithms
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	fp := Fingerprint(g, algorithms, model, unknownError)
-	configs := g.Configs()
-	st, err := openState(len(configs), len(g.Errors), len(algorithms), func() string { return fp }, checkpointPath, cachePath)
+	// The state is opened, never run: no Runner computes its cells.
+	s, err := (*Runner).sweepStudy(nil, Job{Algorithms: algorithms, Model: model, UnknownError: unknownError}, g)
 	if err != nil {
 		return nil, err
 	}
-	st.Fingerprint = fp
-	st.Results = &Results{Grid: g, Configs: configs, Algorithms: algorithms, Mean: st.blocks}
-	st.restore(0, len(configs), func(ci int) (string, Config) {
-		return CellKey(g, algorithms, model, unknownError, configs[ci]), configs[ci]
-	})
-	orderByCost(g, configs, len(algorithms), st.Pending)
+	st, err := openState(s, checkpointPath, cachePath, true)
+	if err != nil {
+		return nil, err
+	}
+	st.Results = s.results(st.blocks).(*Results)
+	st.restore(0, s.cells)
 	return st, nil
 }
 
-// openState opens the persistence layers of an n-cell study with
-// rows × cols blocks. fingerprint is called only when a checkpoint is
-// opened, because hashing the study costs allocations a small study
-// without persistence would feel.
-func openState(n, rows, cols int, fingerprint func() string, checkpointPath, cachePath string) (*SweepState, error) {
-	st := &SweepState{blocks: make([][][]float64, n), rows: rows, cols: cols}
+// openState opens the persistence layers of study s. The fingerprint is
+// computed only when a checkpoint is opened or fingerprint is set,
+// because hashing the study costs allocations a small study without
+// persistence would feel.
+func openState(s *study, checkpointPath, cachePath string, fingerprint bool) (*SweepState, error) {
+	if len(s.job.Algorithms) == 0 {
+		return nil, errNoAlgorithms
+	}
+	st := &SweepState{study: s, blocks: make([][][]float64, s.cells)}
+	if fingerprint || checkpointPath != "" {
+		st.Fingerprint = Fingerprint(s.grid, s.job.Algorithms, s.job.Model, s.job.UnknownError)
+	}
 	if checkpointPath != "" {
-		st.Fingerprint = fingerprint()
 		cp, err := OpenCheckpoint(checkpointPath, st.Fingerprint)
 		if err != nil {
 			return nil, err
@@ -105,30 +111,30 @@ func openState(n, rows, cols int, fingerprint func() string, checkpointPath, cac
 			return nil, err
 		}
 		st.cache = cache
-		st.keys = make([]cellKey, n)
+		st.keys = make([]cellKey, s.cells)
 	}
 	return st, nil
 }
 
-// restore stages cells [from, to): each is restored from the checkpoint,
-// then the cache, and otherwise queued on Pending, which restore
-// replaces. key is called only when a cache is open. A study whose later
-// cells depend on earlier results restores and runs them in stages.
-func (s *SweepState) restore(from, to int, key func(i int) (string, Config)) {
+// restore stages the wave of cells [from, to): each is restored from the
+// checkpoint, then the cache, and otherwise queued on Pending, which
+// restore replaces and the study may reorder. Cell keys are computed
+// only when a cache is open.
+func (s *SweepState) restore(from, to int) {
 	s.Pending = s.Pending[:0]
 	s.staged = to - from
 	for i := from; i < to; i++ {
 		if s.cp != nil {
-			if b, ok := s.cp.Completed(i); ok && s.restorable(b) {
+			if b, ok := s.cp.Completed(i); ok && s.Accepts(b) {
 				s.blocks[i] = b
 				s.done++
 				continue
 			}
 		}
 		if s.cache != nil {
-			k, cfg := key(i)
+			k, cfg := s.study.key(i)
 			s.keys[i] = cellKey{k, cfg}
-			if b, ok := s.cache.Get(k, s.rows, s.cols); ok && s.restorable(b) {
+			if b, ok := s.cache.Get(k, s.study.rows, s.study.cols); ok && s.Accepts(b) {
 				s.blocks[i] = b
 				s.done++
 				continue
@@ -136,25 +142,26 @@ func (s *SweepState) restore(from, to int, key func(i int) (string, Config)) {
 		}
 		s.Pending = append(s.Pending, i)
 	}
+	if s.study.order != nil {
+		s.study.order(s.Pending)
+	}
 }
 
-// restorable reports whether a checkpoint or cache block may stand in for
-// computing its cell: it must fit the cells' shape, and a paper-sweep
-// block (only the paper sweep has Results) must pass MakespansOK. Other
-// studies' blocks hold counts and zeros legitimately.
-func (s *SweepState) restorable(b [][]float64) bool {
-	return cellShapeOK(b, s.rows, s.cols) && (s.Results == nil || MakespansOK(b))
-}
-
-// MakespansOK reports whether every value of a paper-sweep block is a
-// possible mean makespan: NaN (the algorithm failed on the configuration)
-// or positive and finite. It is the one rule for blocks from outside the
-// process: a checkpoint or cache block that fails it is recomputed, and
-// the shard coordinator refuses a posted block that fails it.
-func MakespansOK(block [][]float64) bool {
-	for _, row := range block {
-		for _, v := range row {
-			if !math.IsNaN(v) && (v <= 0 || math.IsInf(v, 1)) {
+// Accepts reports whether block may stand for one of the study's cells:
+// it has the cells' shape, and every value is NaN (an algorithm that
+// failed) or finite and positive — or zero, in the rows that may hold
+// zeros (fairness indices, completed fractions, re-send counts). It is
+// the one rule for blocks from outside the process: a checkpoint or cache
+// block that fails it is recomputed, and the shard coordinator refuses a
+// posted block that fails it.
+func (s *SweepState) Accepts(block [][]float64) bool {
+	if !cellShapeOK(block, s.study.rows, s.study.cols) {
+		return false
+	}
+	for row, vals := range block {
+		zeroOK := slices.Contains(s.study.zeroRows, row)
+		for _, v := range vals {
+			if !math.IsNaN(v) && (v < 0 || v == 0 && !zeroOK || math.IsInf(v, 1)) {
 				return false
 			}
 		}
@@ -162,37 +169,67 @@ func MakespansOK(block [][]float64) bool {
 	return true
 }
 
-// Complete records cell ci's computed block and persists it to the
-// checkpoint and the cache (whichever are enabled), encoding it once for
-// both.
-func (s *SweepState) Complete(ci int, block [][]float64) error {
-	s.blocks[ci] = block
-	if s.cp == nil && s.cache == nil {
-		return nil
-	}
-	raw, err := EncodeCell(block)
+// Job returns the job of the current wave: the study, its grid and the
+// inputs its pending cells need.
+func (s *SweepState) Job() Job { return s.study.job }
+
+// Cells returns the study's cell count; cell indices run below it.
+func (s *SweepState) Cells() int { return len(s.blocks) }
+
+// Done returns how many of the study's cells are restored or complete.
+func (s *SweepState) Done() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.done
+}
+
+// computeLocal computes cell ci in this process and completes it. Its
+// runs reached the runner's metrics as they ran.
+func (s *SweepState) computeLocal(ctx context.Context, ci int) error {
+	start := time.Now()
+	block, _, err := s.study.compute(ctx, ci)
 	if err != nil {
-		return fmt.Errorf("experiment: encode cell %d: %w", ci, err)
+		return err
 	}
-	if s.cp != nil {
-		if err := s.cp.appendEncoded(ci, block, raw); err != nil {
-			return err
+	return s.Complete(ci, block, time.Since(start), CellCounters{})
+}
+
+// Complete records cell ci's block, which must pass Accepts, and persists
+// it to the checkpoint and the cache (whichever are enabled), encoding it
+// once for both. It then counts the cell: its wall time and ctrs — the
+// telemetry of a block computed elsewhere, zero for a local one — into
+// the metrics, one more done cell into the serialized progress report.
+func (s *SweepState) Complete(ci int, block [][]float64, wall time.Duration, ctrs CellCounters) error {
+	s.blocks[ci] = block
+	if s.cp != nil || s.cache != nil {
+		raw, err := EncodeCell(block)
+		if err != nil {
+			return fmt.Errorf("experiment: encode cell %d: %w", ci, err)
+		}
+		if s.cp != nil {
+			if err := s.cp.appendEncoded(ci, block, raw); err != nil {
+				return err
+			}
+		}
+		if s.cache != nil {
+			if err := s.cache.putEncoded(s.keys[ci].key, s.keys[ci].cfg, raw); err != nil {
+				return err
+			}
 		}
 	}
-	if s.cache != nil {
-		if err := s.cache.putEncoded(s.keys[ci].key, s.keys[ci].cfg, raw); err != nil {
-			return err
-		}
+	if s.met != nil {
+		s.met.AddEngineCounters(ctrs.Engine)
+		s.met.AddPlans(ctrs.PlansBuilt, ctrs.PlansShared)
+		s.met.ConfigDone(wall)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.done++
+	if s.progress != nil {
+		s.progress(s.done, len(s.blocks))
 	}
 	return nil
 }
-
-// Fits reports whether block has the rows × cols shape of the cells.
-func (s *SweepState) Fits(block [][]float64) bool { return cellShapeOK(block, s.rows, s.cols) }
-
-// Restored returns how many of the cells the last restore staged were
-// loaded from the checkpoint/cache rather than queued.
-func (s *SweepState) Restored() int { return s.staged - len(s.Pending) }
 
 // Close releases the checkpoint file. The cache needs no teardown.
 func (s *SweepState) Close() error {

@@ -28,11 +28,11 @@ const DefaultFactor = 2
 
 // MinChunk returns the paper's lower bound on chunk sizes for a platform:
 // the overhead of dispatching one round of empty chunks, (cLat + nLat·N)
-// — averaged parameters for heterogeneous platforms — divided by the error
-// magnitude when it is known (pass err < 0 when unknown). The result is
+// — averaged parameters for heterogeneous platforms. The result is
 // expressed in workload units via the mean worker speed, and floored at
-// minUnit.
-func MinChunk(p *platform.Platform, err, minUnit float64) float64 {
+// minUnit. Callers that know the error magnitude scale it themselves
+// (RUMR's Phase2Bound).
+func MinChunk(p *platform.Platform, minUnit float64) float64 {
 	n := float64(p.N())
 	var cLat, nLat, speed float64
 	for _, w := range p.Workers {
@@ -44,9 +44,6 @@ func MinChunk(p *platform.Platform, err, minUnit float64) float64 {
 	nLat /= n
 	speed /= n
 	overhead := cLat + nLat*n // seconds
-	if err > 0 && err < 1 {
-		overhead /= err
-	}
 	bound := overhead * speed // convert seconds of work to units
 	if bound < minUnit {
 		bound = minUnit
@@ -118,7 +115,7 @@ func (s Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	}
 	min := pr.EffectiveMinUnit()
 	if s.OverheadBound {
-		min = MinChunk(pr.Platform, -1, min)
+		min = MinChunk(pr.Platform, min)
 	}
 	sizer := NewSizer(pr.Platform.N())
 	return sched.NewDemand(pr.Total, sizer, min, 2), nil

@@ -26,24 +26,16 @@ func TestSizerHalvesPerBatch(t *testing.T) {
 	}
 }
 
-func TestMinChunkKnownError(t *testing.T) {
-	p := platform.Homogeneous(10, 1, 15, 0.3, 0.2)
-	// overhead = 0.3 + 0.2*10 = 2.3 s; err = 0.2 -> 11.5 s -> 11.5 units.
-	if got := MinChunk(p, 0.2, 1); math.Abs(got-11.5) > 1e-12 {
-		t.Fatalf("min chunk = %v, want 11.5", got)
-	}
-}
-
 func TestMinChunkUnknownError(t *testing.T) {
 	p := platform.Homogeneous(10, 1, 15, 0.3, 0.2)
-	if got := MinChunk(p, -1, 1); math.Abs(got-2.3) > 1e-12 {
+	if got := MinChunk(p, 1); math.Abs(got-2.3) > 1e-12 {
 		t.Fatalf("min chunk = %v, want 2.3", got)
 	}
 }
 
 func TestMinChunkFloorsAtUnit(t *testing.T) {
 	p := platform.Homogeneous(10, 1, 15, 0, 0)
-	if got := MinChunk(p, -1, 1); got != 1 {
+	if got := MinChunk(p, 1); got != 1 {
 		t.Fatalf("zero-latency min chunk = %v, want the unit floor 1", got)
 	}
 }
@@ -51,7 +43,7 @@ func TestMinChunkFloorsAtUnit(t *testing.T) {
 func TestMinChunkSpeedConversion(t *testing.T) {
 	// With S=2 the same seconds of overhead is twice the workload units.
 	p := platform.Homogeneous(10, 2, 30, 0.3, 0.2)
-	if got := MinChunk(p, -1, 1); math.Abs(got-4.6) > 1e-12 {
+	if got := MinChunk(p, 1); math.Abs(got-4.6) > 1e-12 {
 		t.Fatalf("min chunk = %v, want 4.6", got)
 	}
 }

@@ -301,7 +301,7 @@ func (s Scheduler) minChunk(pr *sched.Problem) float64 {
 		// workload's natural unit.
 		return pr.EffectiveMinUnit()
 	}
-	base := factoring.MinChunk(pr.Platform, -1, pr.EffectiveMinUnit())
+	base := factoring.MinChunk(pr.Platform, pr.EffectiveMinUnit())
 	if !pr.ErrorKnown() || pr.KnownError <= 0 {
 		return base
 	}

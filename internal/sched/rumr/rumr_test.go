@@ -209,7 +209,7 @@ func TestPhase2ChunksRespectMinBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Default bound mode: (cLat + nLat·N)·error, floored at one unit.
-	bound := math.Max(factoring.MinChunk(pr.Platform, -1, 1)*0.4, 1)
+	bound := math.Max(factoring.MinChunk(pr.Platform, 1)*0.4, 1)
 	records := res.Trace.Records
 	for i, rec := range records {
 		if rec.Phase == 2 && i < len(records)-1 && rec.Size < bound-1e-9 {

@@ -53,9 +53,6 @@ func (Scheduler) NewDispatcher(pr *sched.Problem) (engine.Dispatcher, error) {
 	}
 	first := pr.Total / (2 * float64(pr.Platform.N()))
 	last := pr.EffectiveMinUnit()
-	if first < last {
-		first = last
-	}
 	k := math.Ceil(2 * pr.Total / (first + last))
 	step := 0.0
 	if k > 1 {

@@ -59,8 +59,8 @@ func TestLinearDecrease(t *testing.T) {
 }
 
 func TestDegenerateFirstBelowLast(t *testing.T) {
-	// W/(2N) = 6/8 = 0.75 lies below the 1-unit minimum, so First < Last
-	// clamps to a flat sequence of minimal units rather than growing.
+	// W/(2N) = 6/8 = 0.75 lies below the 1-unit minimum, so the sequence
+	// would grow toward Last; the minimal-unit floor keeps it flat.
 	res := run(t, Scheduler{}, 6)
 	for i, r := range res.Trace.Records[:len(res.Trace.Records)-1] {
 		if math.Abs(r.Size-1) > 1e-9 {

@@ -18,13 +18,12 @@ import (
 )
 
 // DefaultLeaseTTL is how long a worker may sit on a lease without
-// heartbeating before the coordinator re-issues its configurations.
+// heartbeating before the coordinator re-issues its cells.
 const DefaultLeaseTTL = 15 * time.Second
 
-// DefaultBatch is the default number of configurations per lease. Small
-// batches keep the tail short (a dead worker strands little work); the
-// per-lease HTTP overhead is negligible next to even one configuration's
-// simulation time.
+// DefaultBatch is the default number of cells per lease. Small batches
+// keep the tail short (a dead worker strands little work); the per-lease
+// HTTP overhead is negligible next to even one cell's simulation time.
 const DefaultBatch = 4
 
 // SweepJob names one sweep for Coordinator.Run.
@@ -52,9 +51,10 @@ type RunOptions struct {
 	Progress func(done, total int)
 }
 
-// Coordinator serves sweep configurations to workers over HTTP. Create one
-// with NewCoordinator, mount Handler on a server, then call Run once per
-// sweep (sequentially; concurrent Runs queue on an internal gate).
+// Coordinator serves study cells to workers over HTTP. Create one with
+// NewCoordinator, mount Handler on a server, then make it the Fleet of a
+// Runner (or call Run for a paper sweep): it computes one wave at a time
+// (concurrent waves queue on an internal gate).
 type Coordinator struct {
 	// LeaseTTL and Batch default to DefaultLeaseTTL / DefaultBatch.
 	LeaseTTL time.Duration
@@ -62,7 +62,7 @@ type Coordinator struct {
 
 	now func() time.Time
 
-	runGate chan struct{} // capacity 1: serializes Run
+	runGate chan struct{} // capacity 1: serializes Compute
 
 	mu      sync.Mutex
 	closed  bool
@@ -70,12 +70,14 @@ type Coordinator struct {
 	job     *jobState
 	workers map[string]*workerStats
 
-	// rec fuses the current sweep's trace: the coordinator's own
+	// rec fuses the current study's trace: the coordinator's own
 	// sweep/lease spans plus everything workers ship back. It outlives the
-	// jobState so spans arriving after Run returns (a worker's final lease
+	// jobState so spans arriving after a wave ends (a worker's final lease
 	// span rides its next poll) still land, and /trace and -trace-out can
-	// serve the finished sweep; the next Run replaces it.
+	// serve the finished study; a study's later waves add to it, the next
+	// study replaces it.
 	rec       *span.Recorder
+	recState  *experiment.SweepState // the study rec traces
 	sweepSpan span.ID
 	leaseSpan map[uint64]span.ID
 }
@@ -94,20 +96,17 @@ type lease struct {
 	deadline time.Time
 }
 
-// jobState is the mutable state of the sweep currently being served, all
+// jobState is the mutable state of the wave currently being served, all
 // guarded by Coordinator.mu.
 type jobState struct {
-	spec      JobSpec
-	state     *experiment.SweepState
-	queue     []int // pending, not currently leased; cost-ordered
-	leases    map[uint64]*lease
-	done      map[int]bool
-	remaining int
-	doneCount int // completed + restored, for Progress
-	opts      RunOptions
-	finished  chan struct{}
-	ended     bool // finished has been closed
-	err       error
+	spec     JobSpec
+	state    *experiment.SweepState
+	queue    []int // pending, not currently leased
+	leases   map[uint64]*lease
+	pending  map[int]bool // the wave's cells not yet completed
+	finished chan struct{}
+	ended    bool // finished has been closed
+	err      error
 }
 
 // NewCoordinator returns a coordinator with default tuning.
@@ -121,64 +120,70 @@ func NewCoordinator() *Coordinator {
 	}
 }
 
-// Run executes one sweep through the worker fleet and returns the merged
-// results — byte-identical to a local Runner sweep of the same grid and
-// seed. Completed configurations are restored from the checkpoint/cache
-// first; only the remainder is served. Run returns when every
-// configuration is merged, ctx is cancelled, or persistence fails.
+// Run executes one paper sweep through the worker fleet and returns the
+// merged results — byte-identical to a local Runner sweep of the same
+// grid and seed. It runs the sweep on a Runner whose Fleet is c, which
+// restores completed configurations from the checkpoint/cache first and
+// serves only the remainder. Run returns when every configuration is
+// merged, ctx is cancelled, or persistence fails.
 func (c *Coordinator) Run(ctx context.Context, job SweepJob, opts RunOptions) (*experiment.Results, error) {
+	if err := job.Grid.Validate(); err != nil {
+		return nil, err
+	}
+	grid, err := json.Marshal(job.Grid)
+	if err != nil {
+		return nil, err
+	}
+	r := &experiment.Runner{CheckpointPath: opts.CheckpointPath, CachePath: opts.CachePath,
+		Metrics: opts.Metrics, Progress: opts.Progress, Fleet: c}
+	res, err := r.Run(ctx, experiment.Job{Grid: grid, Algorithms: job.Algorithms,
+		Model: job.Model, UnknownError: job.UnknownError})
+	if err != nil {
+		return nil, err
+	}
+	return res.(*experiment.Results), nil
+}
+
+// Compute serves st's pending cells to the workers and completes each
+// posted block into st; it makes c an experiment.Fleet. It returns when
+// every pending cell is complete, ctx is cancelled, a worker reports a
+// compute failure, or persistence fails.
+func (c *Coordinator) Compute(ctx context.Context, st *experiment.SweepState) error {
 	select {
 	case c.runGate <- struct{}{}:
 		defer func() { <-c.runGate }()
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	st, err := experiment.OpenSweepState(job.Grid, job.Algorithms, job.Model, job.UnknownError,
-		opts.CheckpointPath, opts.CachePath)
-	if err != nil {
-		return nil, err
+	js := &jobState{
+		spec:     JobSpec{Fingerprint: st.Fingerprint, Job: st.Job()},
+		state:    st,
+		queue:    st.Pending,
+		leases:   make(map[uint64]*lease),
+		pending:  make(map[int]bool, len(st.Pending)),
+		finished: make(chan struct{}),
 	}
-	defer st.Close()
-	total := len(st.Results.Configs)
-	if opts.Metrics != nil {
-		opts.Metrics.AddTotalConfigs(total)
-		opts.Metrics.SkipConfigs(st.Restored())
+	for _, ci := range st.Pending {
+		js.pending[ci] = true
 	}
-	rec := span.NewRecorder(span.TraceID(st.Fingerprint), span.CoordinatorProc)
 	c.mu.Lock()
-	c.rec = rec
-	c.leaseSpan = make(map[uint64]span.ID)
+	if c.recState != st { // a study's later waves join its trace
+		c.rec = span.NewRecorder(span.TraceID(st.Fingerprint), span.CoordinatorProc)
+		c.recState = st
+		c.leaseSpan = make(map[uint64]span.ID)
+	}
+	rec := c.rec
 	c.sweepSpan = rec.Start(span.Span{
 		Kind: span.KindSweep, Name: "sweep " + shortFP(st.Fingerprint), Config: -1,
 	})
-	sweepID := c.sweepSpan
-	c.mu.Unlock()
-	defer rec.End(sweepID)
-	if len(st.Pending) == 0 {
-		return st.Results, nil
-	}
-
-	js := &jobState{
-		spec: JobSpec{
-			Fingerprint:  st.Fingerprint,
-			Grid:         job.Grid,
-			Algorithms:   job.Algorithms,
-			Model:        job.Model,
-			UnknownError: job.UnknownError,
-		},
-		state:     st,
-		queue:     st.Pending,
-		leases:    make(map[uint64]*lease),
-		done:      make(map[int]bool),
-		remaining: len(st.Pending),
-		doneCount: st.Restored(),
-		opts:      opts,
-		finished:  make(chan struct{}),
-	}
-	c.mu.Lock()
-	if c.closed {
+	defer rec.End(c.sweepSpan)
+	switch {
+	case len(st.Pending) == 0:
 		c.mu.Unlock()
-		return nil, errors.New("shard: coordinator closed")
+		return nil
+	case c.closed:
+		c.mu.Unlock()
+		return errors.New("shard: coordinator closed")
 	}
 	c.job = js
 	c.mu.Unlock()
@@ -190,15 +195,15 @@ func (c *Coordinator) Run(ctx context.Context, job SweepJob, opts RunOptions) (*
 	c.mu.Lock()
 	c.job = nil
 	ended := js.ended
-	err = js.err
+	err := js.err
 	c.mu.Unlock()
 	switch {
 	case err != nil:
-		return nil, err
+		return err
 	case !ended:
-		return nil, ctx.Err() // cancelled mid-sweep; resume via checkpoint/cache
+		return ctx.Err() // cancelled mid-wave; resume via checkpoint/cache
 	}
-	return st.Results, nil
+	return nil
 }
 
 // Close makes every endpoint answer 410 Gone, which is the workers' signal
@@ -208,7 +213,7 @@ func (c *Coordinator) Close() {
 	defer c.mu.Unlock()
 	c.closed = true
 	if c.job != nil {
-		c.failLocked(c.job, errors.New("shard: coordinator closed"))
+		c.finishLocked(c.job, errors.New("shard: coordinator closed"))
 	}
 }
 
@@ -223,11 +228,8 @@ func (c *Coordinator) finishLocked(js *jobState, err error) {
 	close(js.finished)
 }
 
-// failLocked is finishLocked for error paths. Callers hold c.mu.
-func (c *Coordinator) failLocked(js *jobState, err error) { c.finishLocked(js, err) }
-
-// reclaimLocked returns every expired lease's unfinished configurations to
-// the queue. Callers hold c.mu.
+// reclaimLocked returns every expired lease's unfinished cells to the
+// queue. Callers hold c.mu.
 func (c *Coordinator) reclaimLocked(js *jobState) {
 	now := c.now()
 	for id, l := range js.leases {
@@ -241,12 +243,12 @@ func (c *Coordinator) reclaimLocked(js *jobState) {
 		}
 		var back []int
 		for _, ci := range l.configs {
-			if !js.done[ci] {
+			if js.pending[ci] {
 				back = append(back, ci)
 			}
 		}
-		// Reclaimed configurations jump the queue: they are the sweep's
-		// current stragglers.
+		// Reclaimed cells jump the queue: they are the wave's current
+		// stragglers.
 		js.queue = append(back, js.queue...)
 	}
 }
@@ -413,36 +415,33 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Error != "" {
-		c.failLocked(js, fmt.Errorf("shard: worker %s: %s", res.Worker, res.Error))
+		c.finishLocked(js, fmt.Errorf("shard: worker %s: %s", res.Worker, res.Error))
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if decodeErr != nil || res.Config < 0 || res.Config >= len(js.state.Results.Configs) || !js.state.Fits(mean) {
-		http.Error(w, "malformed mean block", http.StatusBadRequest)
+	if decodeErr != nil || res.Config < 0 || res.Config >= js.state.Cells() || !js.state.Accepts(mean) {
+		http.Error(w, "malformed block, or a value the study's rule refuses", http.StatusBadRequest)
 		return
 	}
-	if !experiment.MakespansOK(mean) {
-		http.Error(w, "impossible makespan in mean block", http.StatusBadRequest)
+	if !js.pending[res.Config] {
+		// A duplicate from a re-issued lease (same bytes, idempotent), or
+		// a cell this wave does not compute: nothing to record.
+		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if js.done[res.Config] {
-		w.WriteHeader(http.StatusOK) // duplicate from a re-issued lease: same bytes, idempotent
-		return
-	}
-	if err := js.state.Complete(res.Config, mean); err != nil {
-		c.failLocked(js, err)
+	ctrs := experiment.CellCounters{Engine: res.Engine, PlansBuilt: res.PlansBuilt, PlansShared: res.PlansShared}
+	if err := js.state.Complete(res.Config, mean, time.Duration(res.WallMillis)*time.Millisecond, ctrs); err != nil {
+		c.finishLocked(js, err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	js.done[res.Config] = true
-	js.remaining--
-	js.doneCount++
+	delete(js.pending, res.Config)
 	ws.completed++
 	if l := js.leases[res.Lease]; l != nil && l.worker == res.Worker {
 		l.deadline = c.now().Add(c.ttl()) // a result is as good as a heartbeat
 		allDone := true
 		for _, ci := range l.configs {
-			if !js.done[ci] {
+			if js.pending[ci] {
 				allDone = false
 				break
 			}
@@ -451,15 +450,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			c.endLeaseSpanLocked(l.id)
 		}
 	}
-	if js.opts.Metrics != nil {
-		js.opts.Metrics.ConfigDone(time.Duration(res.WallMillis) * time.Millisecond)
-		js.opts.Metrics.AddEngineCounters(res.Engine)
-		js.opts.Metrics.AddPlans(res.PlansBuilt, res.PlansShared)
-	}
-	if js.opts.Progress != nil {
-		js.opts.Progress(js.doneCount, len(js.state.Results.Configs))
-	}
-	if js.remaining == 0 {
+	if len(js.pending) == 0 {
 		c.finishLocked(js, nil)
 	}
 	w.WriteHeader(http.StatusOK)
@@ -514,12 +505,12 @@ func (c *Coordinator) Status() Status {
 		c.reclaimLocked(js)
 		s.Active = true
 		s.Fingerprint = js.spec.Fingerprint
-		s.Total = len(js.state.Results.Configs)
-		s.Done = js.doneCount
+		s.Total = js.state.Cells()
+		s.Done = js.state.Done()
 		s.Queued = len(js.queue)
 		for _, l := range js.leases {
 			for _, ci := range l.configs {
-				if !js.done[ci] {
+				if js.pending[ci] {
 					s.Leased++
 				}
 			}

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -30,8 +31,9 @@ var fuzzEndpoints = []struct {
 
 // FuzzProtocolDecode posts arbitrary bodies to the coordinator's POST
 // endpoints while a small sweep is active. Every answer must be a
-// documented status, nothing may panic, and every block that reaches the
-// sweep state must have the sweep's [error][algorithm] shape.
+// documented status, nothing may panic, and every block the coordinator
+// takes must have the sweep's [error][algorithm] shape and pass its value
+// rule.
 func FuzzProtocolDecode(f *testing.F) {
 	g := experiment.Grid{Ns: []int{10}, Rs: []float64{1.5}, CLats: []float64{0.1}, NLats: []float64{0.1, 0.5},
 		Errors: []float64{0, 0.2}, Reps: 1, Total: 1000, BaseSeed: 2003}
@@ -74,11 +76,14 @@ func FuzzProtocolDecode(f *testing.F) {
 		if !documented {
 			t.Fatalf("POST %s answered %d (%q), not a documented status", ep.path, rec.Code, rec.Body.String())
 		}
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		for ci, block := range st.Results.Mean {
-			if block != nil && !st.Fits(block) {
-				t.Fatalf("config %d holds a block of the wrong shape: %v", ci, block)
+		// A block the coordinator took (200 for a block, not an error
+		// report; decoded as the coordinator decodes it) must fit the
+		// study: its shape and its values.
+		var res Result
+		if ep.path == "/v1/result" && rec.Code == http.StatusOK &&
+			json.NewDecoder(bytes.NewReader(body)).Decode(&res) == nil && res.Error == "" {
+			if block, err := experiment.DecodeCell(res.Mean); err != nil || !st.Accepts(block) {
+				t.Fatalf("config %d: accepted a block the study refuses: %s", res.Config, res.Mean)
 			}
 		}
 	})

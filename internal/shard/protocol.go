@@ -1,31 +1,33 @@
-// Package shard scales a parameter sweep across processes: a coordinator
-// partitions the pending configuration set into batched leases and serves
-// them over HTTP to worker processes, which compute each configuration's
-// mean block through a worker-lifetime experiment.Runner and post it back.
+// Package shard scales a study across processes: a coordinator — the
+// experiment.Fleet of a Runner — partitions the pending cells of any
+// study (the paper sweep, the multi-job, resilience or heterogeneity
+// study) into batched leases and serves them over HTTP to worker
+// processes, which compute each cell's block through a worker-lifetime
+// experiment.Runner and post it back.
 //
-// Determinism is the design invariant. Cell results depend only on
-// (BaseSeed, configuration values, error value, repetition) — never on
-// which worker computed them, in what order, or how often a lease was
-// re-issued — and the coordinator merges blocks by configuration index, so
-// the aggregate Results are byte-identical to a single-process sweep on
-// the same grid and seed for any topology. Fault handling follows from
-// that: leases carry a TTL and are kept alive by heartbeats; when a worker
-// vanishes, its lease expires and the coordinator re-issues the
-// configurations to whoever asks next; a straggler's late result for an
-// already re-issued configuration is accepted idempotently (it is the same
-// bytes by construction).
+// Determinism is the design invariant. Cell results depend only on the
+// study's job and the cell — never on which worker computed them, in what
+// order, or how often a lease was re-issued — and the Runner merges
+// blocks by cell index, so the aggregate results are byte-identical to a
+// single-process run of the same study for any topology. Fault handling
+// follows from that: leases carry a TTL and are kept alive by heartbeats;
+// when a worker vanishes, its lease expires and the coordinator re-issues
+// the cells to whoever asks next; a straggler's late result for an
+// already re-issued cell is accepted idempotently (it is the same bytes
+// by construction). A posted block is held to the study's value rule
+// (experiment.SweepState.Accepts), like a restored one.
 //
 // The wire format is JSON over four endpoints:
 //
 //	POST /v1/lease      LeaseRequest -> Lease   (503 no work yet, 410 shut down)
-//	POST /v1/result     Result       -> 200     (409 stale fingerprint, 410 shut down)
+//	POST /v1/result     Result       -> 200     (400 bad block, 409 stale fingerprint, 410 shut down)
 //	POST /v1/heartbeat  Heartbeat    -> 200     (404 lease expired/unknown)
 //	GET  /v1/status     Status
 //
 // Schedulers cross the wire as the names Scheduler.Name() prints; workers
 // reconstruct the coordinator's algorithm slice via
 // experiment.AlgorithmsByName, so both sides must run the same build — the
-// fingerprint guards the sweep's parameters, not the code version.
+// fingerprint guards the study's parameters, not the code version.
 package shard
 
 import (
@@ -36,23 +38,18 @@ import (
 	"rumr/internal/obs/span"
 )
 
-// JobSpec describes one sweep to the workers: everything a worker needs to
-// recompute any configuration of the grid bit-identically.
+// JobSpec describes one study wave to the workers: everything a worker
+// needs to recompute any of its cells bit-identically.
 type JobSpec struct {
-	// Fingerprint identifies the sweep (experiment.Fingerprint of the
-	// fields below); every Result must echo it.
+	// Fingerprint identifies the study (its grid, algorithms, error model
+	// and visibility); every Result must echo it.
 	Fingerprint string `json:"fingerprint"`
-	// Grid is the full sweep grid; workers index into Grid.Configs().
-	Grid experiment.Grid `json:"grid"`
-	// Algorithms are scheduler names, index 0 the baseline.
-	Algorithms []string `json:"algorithms"`
-	// Model selects the error distribution.
-	Model experiment.ErrorModelKind `json:"model"`
-	// UnknownError hides the error magnitude from the schedulers.
-	UnknownError bool `json:"unknown_error"`
+	// Job names the study and carries its grid; workers compute its
+	// cells through experiment.Runner.Cells.
+	experiment.Job
 }
 
-// LeaseRequest asks the coordinator for a batch of configurations.
+// LeaseRequest asks the coordinator for a batch of cells.
 type LeaseRequest struct {
 	// Worker is the requester's self-chosen stable identity (it keys the
 	// coordinator's per-worker stats).
@@ -63,11 +60,12 @@ type LeaseRequest struct {
 	Spans []span.Span `json:"spans,omitempty"`
 }
 
-// Lease grants a batch of configurations for a bounded time.
+// Lease grants a batch of cells for a bounded time.
 type Lease struct {
 	ID  uint64  `json:"id"`
 	Job JobSpec `json:"job"`
-	// Configs are indices into Job.Grid.Configs().
+	// Configs are indices of the study's cells (for the paper sweep,
+	// indices into Grid.Configs()).
 	Configs []int `json:"configs"`
 	// TTLMillis is the lease lifetime; heartbeats renew it. A lease that
 	// outlives its TTL without a heartbeat is re-issued to other workers.
@@ -78,13 +76,13 @@ type Lease struct {
 	Trace span.Context `json:"trace"`
 }
 
-// Heartbeat renews a lease while its configurations are still computing.
+// Heartbeat renews a lease while its cells are still computing.
 type Heartbeat struct {
 	Worker string `json:"worker"`
 	Lease  uint64 `json:"lease"`
 }
 
-// Result posts one completed configuration.
+// Result posts one completed cell.
 type Result struct {
 	Worker string `json:"worker"`
 	// Lease is informational; a result is accepted on fingerprint + config
@@ -93,7 +91,7 @@ type Result struct {
 	Lease       uint64 `json:"lease"`
 	Fingerprint string `json:"fingerprint"`
 	Config      int    `json:"config"`
-	// Mean is the [error][algorithm] block in experiment.EncodeCell form.
+	// Mean is the cell's block in experiment.EncodeCell form.
 	Mean json.RawMessage `json:"mean"`
 	// WallMillis is how long the block took to compute, for the
 	// coordinator's config-wall histogram and ETA.
@@ -140,8 +138,8 @@ type Status struct {
 	// Active reports whether a sweep is currently being served.
 	Active      bool   `json:"active"`
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Done / Total count configurations of the active sweep (Done includes
-	// restored ones). Queued and Leased partition the remainder.
+	// Done / Total count cells of the active study (Done includes restored
+	// ones). Queued and Leased partition the current wave's remainder.
 	Done    int            `json:"done"`
 	Total   int            `json:"total"`
 	Queued  int            `json:"queued"`

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"slices"
 	"time"
 
 	"rumr/internal/experiment"
@@ -25,14 +24,14 @@ type Worker struct {
 	Base string
 	// ID is the worker's stable identity; defaults to host-pid.
 	ID string
-	// Procs bounds how many configurations of a lease compute in parallel
+	// Procs bounds how many cells of a lease compute in parallel
 	// (0 = all CPUs).
 	Procs int
 	// Client overrides the HTTP client (tests inject the httptest one).
 	Client *http.Client
 	// Metrics, when non-nil, collects this worker's local run counters
 	// (simulations, DES events, chunks) — the coordinator only ever sees
-	// whole configurations.
+	// whole cells.
 	Metrics *metrics.Collector
 	// Backoff and MaxBackoff tune the retry loop for "no work yet" and
 	// transient network errors: the delay starts at Backoff and doubles to
@@ -41,17 +40,17 @@ type Worker struct {
 	MaxBackoff time.Duration
 
 	// runner computes every lease. It is replaced only when a lease names
-	// other algorithms, error model or UnknownError, never for a new grid,
-	// so its pooled cell states and shared MI plans outlive sweeps.
-	runner      *experiment.Runner
-	runnerAlgos []string // the algorithm names runner was built for
+	// other algorithms, error model or UnknownError, never for a new study
+	// or grid, so its pooled cell states and shared MI plans outlive
+	// studies.
+	runner *experiment.Runner
 
 	// rec records this worker's spans for the sweep trace stamped into its
 	// leases; it is created (or replaced) when a lease carries a new trace
 	// ID. Completed spans ship on result posts and lease polls.
 	rec *span.Recorder
 
-	// cellDelay is a test-only seam: extra blocking time per configuration,
+	// cellDelay is a test-only seam: extra blocking time per cell,
 	// modelling compute happening on the worker's own core. The scaling
 	// measurement (TestMeasureScaling) uses it to demonstrate worker
 	// overlap on machines with fewer cores than workers.
@@ -176,16 +175,15 @@ func (w *Worker) requestLease(ctx context.Context) (l *Lease, d leaseDisposition
 	}
 }
 
-// processLease computes every configuration of the lease and posts the
-// blocks back, heartbeating in the background. A lease the coordinator no
+// processLease computes every cell of the lease and posts the blocks
+// back, heartbeating in the background. A lease the coordinator no
 // longer recognises (expired and re-issued while we were slow) is
 // abandoned silently — whoever re-leased it produces the same bytes.
 func (w *Worker) processLease(parent context.Context, l *Lease) error {
-	r, err := w.resolve(l.Job)
+	r, cell, err := w.cells(l.Job.Job)
 	if err != nil {
 		return err
 	}
-	configs := l.Job.Grid.Configs()
 
 	// A lease carrying a new trace ID starts a fresh sweep: replace the
 	// recorder. All worker spans parent directly on the coordinator's
@@ -205,7 +203,7 @@ func (w *Worker) processLease(parent context.Context, l *Lease) error {
 
 	// The heartbeat goroutine renews the lease at a third of its TTL; if
 	// the coordinator reports the lease dead, the remaining computations
-	// are cancelled (their configurations belong to someone else now).
+	// are cancelled (their cells belong to someone else now).
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	hbDone := make(chan struct{})
@@ -260,7 +258,7 @@ func (w *Worker) processLease(parent context.Context, l *Lease) error {
 				Parent: l.Trace.Span, Lease: l.ID, Config: ci,
 			})
 		}
-		mean, ctrs, err := r.ComputeConfig(ctx, l.Job.Grid, configs[ci])
+		mean, ctrs, err := cell(ctx, ci)
 		if rec != nil {
 			rec.End(cellSpan)
 		}
@@ -338,24 +336,26 @@ func (w *Worker) postResult(ctx context.Context, l *Lease, ci int, mean [][]floa
 	}
 }
 
-// resolve returns the Runner that computes job's cells, building a new
-// one only when the algorithms, error model or UnknownError differ from
-// the cached one's.
-func (w *Worker) resolve(job JobSpec) (*experiment.Runner, error) {
-	if r := w.runner; r != nil && slices.Equal(w.runnerAlgos, job.Algorithms) &&
-		r.ErrorModel == job.Model && r.UnknownError == job.UnknownError {
-		return r, nil
+// cells returns the Runner that computes job's cells and its cell
+// function, building a new Runner only when the cached one computes other
+// algorithms, another error model or visibility — never for a new study
+// or grid.
+func (w *Worker) cells(job experiment.Job) (*experiment.Runner, func(context.Context, int) ([][]float64, experiment.CellCounters, error), error) {
+	if w.runner != nil {
+		if cell, err := w.runner.Cells(job); err == nil {
+			return w.runner, cell, nil
+		}
 	}
 	algos, err := experiment.AlgorithmsByName(job.Algorithms)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w.runner = &experiment.Runner{
 		Algorithms: algos, Workers: w.Procs, ErrorModel: job.Model,
 		UnknownError: job.UnknownError, Metrics: w.Metrics,
 	}
-	w.runnerAlgos = job.Algorithms
-	return w.runner, nil
+	cell, err := w.runner.Cells(job)
+	return w.runner, cell, err
 }
 
 // postJSON posts body and decodes a 200 response into out (when non-nil).
