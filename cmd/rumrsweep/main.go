@@ -211,7 +211,10 @@ func main() {
 		stopCPU()
 		os.Exit(2)
 	}
-	var coord *shard.Coordinator
+	var (
+		coord    *shard.Coordinator
+		coordSrv *http.Server
+	)
 	if *serve != "" {
 		coord = shard.NewCoordinator()
 		ln, err := net.Listen("tcp", *serve)
@@ -220,7 +223,7 @@ func main() {
 		}
 		logger.Info("coordinator listening; workers join with -join",
 			"addr", ln.Addr().String())
-		go serveHTTP(ln, coord.Handler(), "coordinator")
+		coordSrv = serveHTTP(ln, coord.Handler(), "coordinator")
 	}
 
 	// The debug server shares the sweep's metrics collector, so /metrics
@@ -242,7 +245,7 @@ func main() {
 			endpoints += " /shards /trace"
 		}
 		logger.Info("debug server listening", "addr", ln.Addr().String(), "endpoints", endpoints)
-		go serveHTTP(ln, metrics.DebugHandler(met, extra...), "debug")
+		serveHTTP(ln, metrics.DebugHandler(met, extra...), "debug")
 	}
 
 	// Progress is rendered by a snapshot loop over the shared metrics
@@ -359,6 +362,12 @@ func main() {
 	}
 	if coord != nil {
 		coord.Close() // tells polling workers to exit their loop
+		coord.Drain(ctx)
+		// Shutdown lets the last 410s reach their workers before the
+		// process exits.
+		shut, cancel := context.WithTimeout(context.Background(), time.Second)
+		coordSrv.Shutdown(shut) //nolint:errcheck // best effort at exit
+		cancel()
 	}
 	if *traceOut != "" {
 		if err := writeFleetTrace(*traceOut, coord); err != nil {
@@ -415,14 +424,18 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// serveHTTP serves h on ln until the process exits. ReadHeaderTimeout
-// stops a client that opens a connection and never finishes its headers
-// from holding it forever.
-func serveHTTP(ln net.Listener, h http.Handler, name string) {
+// serveHTTP serves h on ln in the background until the process exits or
+// the returned server is shut down. ReadHeaderTimeout stops a client that
+// opens a connection and never finishes its headers from holding it
+// forever.
+func serveHTTP(ln net.Listener, h http.Handler, name string) *http.Server {
 	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	if err := srv.Serve(ln); err != nil {
-		logger.Error(name+" server stopped", "err", err)
-	}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			logger.Error(name+" server stopped", "err", err)
+		}
+	}()
+	return srv
 }
 
 // writeFleetTrace validates the coordinator's fused sweep trace and writes

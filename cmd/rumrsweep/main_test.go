@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+	"time"
 
 	"rumr/internal/metrics"
 )
@@ -194,21 +195,43 @@ func serve(t *testing.T, workers int, args ...string) ([]byte, metrics.Snapshot)
 		cmd.Wait() //nolint:errcheck // the log below says why it stopped
 		t.Fatalf("no listening address in the coordinator's log:\n%s", log.Bytes())
 	}
-	for i := 0; i < workers; i++ {
+	type joined struct {
+		done chan struct{} // closed when the worker has exited
+		err  error
+	}
+	fleet := make([]*joined, workers)
+	for i := range fleet {
 		w := command("-join", addr, "-q", "-workers", "1")
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
-		// A worker whose coordinator exited retries the address for a
-		// while before it gives up; it has nothing left to do.
+		j := &joined{done: make(chan struct{})}
+		go func() {
+			j.err = w.Wait()
+			close(j.done)
+		}()
+		fleet[i] = j
 		t.Cleanup(func() {
-			w.Process.Kill() //nolint:errcheck // it may have exited already
-			w.Wait()         //nolint:errcheck // killed
+			w.Process.Kill() //nolint:errcheck // it has normally exited already
+			<-j.done
 		})
 	}
 	<-drained
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("rumrsweep %v -serve: %v\n%s", args, err, log.Bytes())
+	}
+	// The coordinator answers 410 until every worker has heard it, so the
+	// workers exit cleanly right after it instead of retrying its address.
+	deadline := time.After(2 * time.Second)
+	for i, j := range fleet {
+		select {
+		case <-j.done:
+			if j.err != nil {
+				t.Fatalf("-join worker %d of %d exited with %v", i, workers, j.err)
+			}
+		case <-deadline:
+			t.Fatalf("-join worker %d of %d still running 2s after its coordinator exited", i, workers)
+		}
 	}
 	return stdout.Bytes(), readMetrics(t, metOut)
 }

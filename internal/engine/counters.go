@@ -20,19 +20,26 @@ type Counters = metrics.EngineCounters
 
 // drawCounter classifies a perturbation model once per run, returning the
 // counter field a Perturb call should bump — nil for perfect prediction
-// (no draws) or when counting is off. The hot path then pays one nil
-// check per draw instead of a type switch.
+// (no draws) or when counting is off. A recording *perferr.Tape counts by
+// the distribution it draws from, whether its ratios are fresh or
+// replayed. The hot path then pays one nil check per draw instead of a
+// type switch.
 func drawCounter(c *Counters, m perferr.Model) *int64 {
 	if c == nil {
 		return nil
 	}
-	switch m.(type) {
+	switch m := m.(type) {
 	case perferr.Perfect, *perferr.Perfect:
 		return nil
 	case *perferr.TruncNormal:
 		return &c.TruncNormalDraws
 	case *perferr.Uniform:
 		return &c.UniformDraws
+	case *perferr.Tape:
+		if m.Kind() == perferr.UniformError {
+			return &c.UniformDraws
+		}
+		return &c.TruncNormalDraws
 	default:
 		return &c.OtherDraws
 	}

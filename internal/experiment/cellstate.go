@@ -19,9 +19,10 @@ import (
 // batch. It owns the platform (refilled in place per configuration), the
 // plan memo, one dispatcher prototype per (error, algorithm) that is
 // Reset between repetitions instead of reconstructed, the error streams
-// (re-split in place per repetition) and the per-algorithm makespan
-// accumulators. At steady state — the same cell computed repeatedly, as
-// in BenchmarkSweepCell — a cell executes with zero heap allocations.
+// (re-split in place per repetition and replayed to every algorithm) and
+// the per-algorithm makespan accumulators. At steady state — the same
+// cell computed repeatedly, as in BenchmarkSweepCell — a cell executes
+// with zero heap allocations.
 //
 // A CellState serves one goroutine at a time. Runner keeps a sync.Pool of
 // them; external callers (the benchmark harness) create one with
@@ -53,7 +54,7 @@ type CellState struct {
 
 	// src is the per-(config, error, rep) master stream; the engine's
 	// comm and comp streams are split from it exactly as the unbatched
-	// path did.
+	// path did, once per repetition, and replayed to each algorithm.
 	src     rng.Source
 	seed    [7]uint64
 	streams perferr.Pair
@@ -280,6 +281,12 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			// Each algorithm sees identical streams per (error, rep) —
+			// common random numbers, split in the unbatched path's order
+			// (comm first, then comp) once, and replayed to every
+			// algorithm.
+			cs.reseedCell(g, cfg, errMag, rep)
+			commM, compM := cs.streams.Split(&cs.src, r.ErrorModel, errMag)
 			for ai, algo := range r.Algorithms {
 				idx := ei*nAlg + ai
 				if !cs.protos.built(idx) {
@@ -289,11 +296,7 @@ func (r *Runner) ComputeCellInto(ctx context.Context, g Grid, cfg Config, cs *Ce
 				if err != nil {
 					return fmt.Errorf("experiment: %s: %w", cfg, err)
 				}
-				// Each algorithm sees identical fresh streams per
-				// (error, rep) — common random numbers, same split order as
-				// the unbatched path: comm first, then comp.
-				cs.reseedCell(g, cfg, errMag, rep)
-				commM, compM := cs.streams.Split(&cs.src, r.ErrorModel, errMag)
+				cs.streams.Replay()
 				out, err := engine.Run(cs.p, d, engine.Options{
 					CommModel: commM,
 					CompModel: compM,

@@ -171,7 +171,8 @@ func (r *Runner) heteroStudy(job Job, g HeteroGrid) (*study, error) {
 // (Spreads[si], Errors[ei]) and returns the mean competitor/baseline
 // makespan ratios. Each ensemble platform gets one prototype set; the
 // error streams are seeded from (BaseSeed+1, spread, platform, error
-// index, rep) and shared by all algorithms (common random numbers).
+// index, rep), split once and replayed to every algorithm (common random
+// numbers).
 func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]float64, CellCounters, error) {
 	spread, errMag := g.Spreads[si], g.Errors[ei]
 	nAlg := len(r.Algorithms)
@@ -200,13 +201,14 @@ func (r *Runner) heteroCell(ctx context.Context, g HeteroGrid, si, ei int) ([][]
 			if err := ctx.Err(); err != nil {
 				return nil, CellCounters{}, err
 			}
+			master.ReseedFrom(g.BaseSeed+1, math.Float64bits(spread), uint64(pi), uint64(ei), uint64(rep))
+			comm, comp := streams.Split(&master, r.ErrorModel, errMag)
 			for ai, algo := range r.Algorithms {
 				d, err := protos.dispatcher(ai, algo, pr)
 				if err != nil {
 					return nil, CellCounters{}, fmt.Errorf("experiment: spread %g platform %d: %w", spread, pi, err)
 				}
-				master.ReseedFrom(g.BaseSeed+1, math.Float64bits(spread), uint64(pi), uint64(ei), uint64(rep))
-				comm, comp := streams.Split(&master, r.ErrorModel, errMag)
+				streams.Replay()
 				out, err := engine.Run(p, d, engine.Options{
 					CommModel: comm,
 					CompModel: comp,

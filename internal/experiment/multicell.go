@@ -37,11 +37,12 @@ const MultiCellRows = multiCellRows
 // owns the platform (refilled in place), the plan memo, one dispatcher
 // prototype per (algorithm, job) that is Reset between repetitions via
 // sched.Replayable instead of reconstructed, the per-job error streams
-// (re-split in place per run), the arrival-time buffer regenerated in
-// place per repetition, the job spec and JobResult buffers handed to
-// engine.RunMulti, and the per-algorithm Welford accumulators. At
-// steady state — the same cell computed repeatedly, as in
-// BenchmarkMultiJobCell — a cell executes with zero heap allocations.
+// (re-split in place per repetition and replayed to every algorithm),
+// the arrival-time buffer regenerated in place per repetition, the job
+// spec and JobResult buffers handed to engine.RunMulti, and the
+// per-algorithm Welford accumulators. At steady state — the same cell
+// computed repeatedly, as in BenchmarkMultiJobCell — a cell executes with
+// zero heap allocations.
 //
 // A MultiCellState serves one goroutine at a time. Runner keeps a
 // sync.Pool of them; external callers (the benchmark harness) create one
@@ -77,7 +78,8 @@ type MultiCellState struct {
 	accResp, accSlow, accFair, accMk []stats.Welford
 
 	// src is the per-(rate, rep) master stream; each job's comm and comp
-	// streams are split from it exactly as the unbatched path did.
+	// streams are split from it exactly as the unbatched path did, once
+	// per repetition, and replayed to each algorithm.
 	src     rng.Source
 	streams []perferr.Pair
 	seed    [4]uint64
@@ -235,31 +237,34 @@ func (r *Runner) ComputeMultiJobCellInto(ctx context.Context, g MultiJobGrid, po
 		}
 		cs.regenArrivals(g, rate, rep)
 		seed := cs.instanceSeed(g, rate, rep)
+		// Each algorithm sees identical streams per (rate, rep) — common
+		// random numbers, split in the unbatched path's order (per job,
+		// comm first, then comp) once, and replayed to every algorithm.
+		cs.seed[0] = seed
+		cs.src.ReseedFrom(cs.seed[:1]...)
+		for j := 0; j < g.Jobs; j++ {
+			comm, comp := cs.streams[j].Split(&cs.src, r.ErrorModel, g.Error)
+			cs.jobs[j] = engine.Job{
+				Name:      cs.names[j],
+				Arrival:   cs.arr[j],
+				Priority:  g.Jobs - 1 - j,
+				Weight:    1,
+				Total:     g.Total,
+				CommModel: comm,
+				CompModel: comp,
+			}
+		}
 		for ai, algo := range r.Algorithms {
 			if cs.failed[ai] {
 				continue
 			}
-			// Each algorithm sees the identical fresh master stream per
-			// (rate, rep) — common random numbers, same split order as
-			// the unbatched path: per job, comm first, then comp.
-			cs.seed[0] = seed
-			cs.src.ReseedFrom(cs.seed[:1]...)
 			for j := 0; j < g.Jobs; j++ {
 				d, err := cs.protos.dispatcher(ai*g.Jobs+j, algo, &cs.prob)
 				if err != nil {
 					return fmt.Errorf("experiment: %s: %w", g.Config, err)
 				}
-				comm, comp := cs.streams[j].Split(&cs.src, r.ErrorModel, g.Error)
-				cs.jobs[j] = engine.Job{
-					Name:       cs.names[j],
-					Arrival:    cs.arr[j],
-					Priority:   g.Jobs - 1 - j,
-					Weight:     1,
-					Total:      g.Total,
-					Dispatcher: d,
-					CommModel:  comm,
-					CompModel:  comp,
-				}
+				cs.jobs[j].Dispatcher = d
+				cs.streams[j].Replay()
 			}
 			out, err := engine.RunMulti(cs.p, cs.jobs, engine.MultiOptions{
 				Policy:     pol,

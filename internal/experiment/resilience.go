@@ -212,7 +212,8 @@ func (g ResilienceGrid) horizon(baseline []float64) (float64, error) {
 // fault-free baseline (i = 0, no faults, no recovery) or crash rate i-1
 // under the given fault horizon. Scenarios are derived from (BaseSeed,
 // rate index, rep) and the error streams from (BaseSeed, rep) alone —
-// common random numbers across crash rates and the baseline — so
+// split once per repetition and replayed to every algorithm: common
+// random numbers across algorithms, crash rates and the baseline — so
 // degradation isolates the fault effect and results are independent of
 // pool scheduling.
 func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, horizon float64) ([][]float64, CellCounters, error) {
@@ -253,6 +254,8 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 			master.ReseedFrom(g.BaseSeed, uint64(i-1), uint64(rep), 0xFA)
 			opts.Faults = scenario.Generate(p.N(), &master)
 		}
+		master.ReseedFrom(g.BaseSeed, uint64(rep))
+		opts.CommModel, opts.CompModel = streams.Split(&master, r.ErrorModel, g.Error)
 		for ai, algo := range r.Algorithms {
 			if !protos.built(ai) {
 				continue
@@ -261,8 +264,7 @@ func (r *Runner) resilienceCell(ctx context.Context, g ResilienceGrid, i int, ho
 			if err != nil {
 				return nil, CellCounters{}, fmt.Errorf("experiment: %s: %w", label, err)
 			}
-			master.ReseedFrom(g.BaseSeed, uint64(rep))
-			opts.CommModel, opts.CompModel = streams.Split(&master, r.ErrorModel, g.Error)
+			streams.Replay()
 			out, err := engine.Run(p, d, opts)
 			if err != nil {
 				return nil, CellCounters{}, fmt.Errorf("experiment: %s at %s: %w", algo.Name(), label, err)

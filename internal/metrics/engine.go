@@ -30,7 +30,11 @@ type EngineCounters struct {
 	SyncViewBytes  int64 `json:"sync_view_bytes"`
 	// RNG draws by perturbation model: one draw per perturbed transfer or
 	// computation. OtherDraws covers models beyond the two standard ones
-	// (e.g. random walks); perfect (error-free) runs draw nothing.
+	// (e.g. random walks); perfect (error-free) runs draw nothing. They
+	// count the ratios a run consumes: the studies replay one recorded
+	// set of ratios to every algorithm (perferr.Pair.Replay), and a
+	// replayed ratio counts as a draw of its distribution just as a
+	// fresh one does, so these exceed the ratios actually drawn.
 	TruncNormalDraws int64 `json:"trunc_normal_draws"`
 	UniformDraws     int64 `json:"uniform_draws"`
 	OtherDraws       int64 `json:"other_draws"`

@@ -32,9 +32,9 @@ type Model interface {
 	Error() float64
 }
 
-// Kind selects the distribution of the prediction-error ratio. Stream.Bind
-// is the one place a kind becomes a model, so a new kind is added there
-// and here only.
+// Kind selects the distribution of the prediction-error ratio. A kind
+// becomes a model in Stream.Bind and a ratio in Tape.Perturb, so a new
+// kind is added there and here only.
 type Kind int
 
 const (
@@ -47,14 +47,16 @@ const (
 )
 
 // Stream is one reusable error stream — the transfer or the computation
-// side of a run. It owns its source and the model values bound to it, so
-// re-splitting and rebinding allocate nothing. A bound model points into
-// the Stream, which therefore must not be copied or moved while the model
-// is in use.
+// side of a run. It owns its source, the model values bound to it and the
+// tape of ratios it has drawn, so re-splitting, rebinding and replaying
+// allocate nothing once the tape has grown to a run's length. A bound
+// model points into the Stream, which therefore must not be copied or
+// moved while the model is in use.
 type Stream struct {
-	src rng.Source
-	tn  TruncNormal
-	un  Uniform
+	src  rng.Source
+	tn   TruncNormal
+	un   Uniform
+	tape Tape
 }
 
 // Split reseeds the stream from master's next output, advancing master
@@ -78,17 +80,83 @@ func (s *Stream) Bind(kind Kind, err float64) Model {
 	}
 }
 
+// record empties the stream's tape and returns it bound to (kind, err):
+// Perfect when err <= 0, otherwise the *Tape drawing from the stream's
+// source.
+func (s *Stream) record(kind Kind, err float64) Model {
+	if err <= 0 {
+		return Perfect{}
+	}
+	ratios := s.tape.ratios[:0]
+	if ratios == nil {
+		// Skip append's smallest growth steps: a fresh stream would
+		// otherwise reallocate its tape six times before 64 ratios.
+		ratios = make([]float64, 0, 64)
+	}
+	s.tape = Tape{kind: kind, err: err, src: &s.src, ratios: ratios}
+	return &s.tape
+}
+
 // Pair is the two error streams of one run (or of one job in a
 // multi-job run): transfers and computations.
 type Pair struct{ Comm, Comp Stream }
 
 // Split re-splits both streams from master, comm first, then comp, and
-// returns their models bound to (kind, err).
+// returns their recording models bound to (kind, err). Each draws the
+// ratios a *TruncNormal or *Uniform on a master.Split source would, and
+// records them for Replay.
 func (p *Pair) Split(master *rng.Source, kind Kind, err float64) (comm, comp Model) {
 	p.Comm.Split(master)
 	p.Comp.Split(master)
-	return p.Comm.Bind(kind, err), p.Comp.Bind(kind, err)
+	return p.Comm.record(kind, err), p.Comp.record(kind, err)
 }
+
+// Replay rewinds both streams to the start of the last Split: the models
+// it returned read back the ratios recorded since, and past the tape's
+// end draw fresh ones from the same, still-advancing source. A replayed
+// run therefore perturbs exactly as a run on a freshly split Pair with
+// the same master state would — common random numbers, each ratio drawn
+// once however many runs consume it.
+func (p *Pair) Replay() {
+	p.Comm.tape.pos = 0
+	p.Comp.tape.pos = 0
+}
+
+// Tape is the recording model Pair.Split binds: the paper's ratio
+// distribution of its Kind, drawn from its stream's source, with every
+// drawn ratio kept so Pair.Replay can serve them again.
+type Tape struct {
+	kind   Kind
+	err    float64
+	src    *rng.Source
+	ratios []float64 // every ratio drawn since the last Split
+	pos    int       // next ratio to serve
+}
+
+// Perturb returns predicted/ratio with the tape's next ratio, drawing and
+// recording a fresh one past the tape's end. A zero prediction consumes
+// no ratio.
+func (t *Tape) Perturb(predicted float64) float64 {
+	if predicted == 0 {
+		return predicted
+	}
+	if t.pos == len(t.ratios) {
+		if t.kind == UniformError {
+			t.ratios = append(t.ratios, uniformRatio(t.src, t.err))
+		} else {
+			t.ratios = append(t.ratios, t.src.TruncNormal(1, t.err, minRatio))
+		}
+	}
+	ratio := t.ratios[t.pos]
+	t.pos++
+	return predicted / ratio
+}
+
+// Error returns the model's magnitude parameter.
+func (t *Tape) Error() float64 { return t.err }
+
+// Kind returns the ratio distribution the tape draws from.
+func (t *Tape) Kind() Kind { return t.kind }
 
 // Perfect is the zero-error model: effective == predicted.
 type Perfect struct{}
@@ -146,12 +214,18 @@ func (m *Uniform) Perturb(predicted float64) float64 {
 	if predicted == 0 || m.Err <= 0 {
 		return predicted
 	}
-	half := math.Sqrt(3) * m.Err
-	ratio := m.Src.Uniform(1-half, 1+half)
+	return predicted / uniformRatio(m.Src, m.Err)
+}
+
+// uniformRatio draws one ratio from U(1-√3·err, 1+√3·err), truncated
+// below at minRatio.
+func uniformRatio(src *rng.Source, err float64) float64 {
+	half := math.Sqrt(3) * err
+	ratio := src.Uniform(1-half, 1+half)
 	if ratio < minRatio {
 		ratio = minRatio
 	}
-	return predicted / ratio
+	return ratio
 }
 
 // Error returns the model's magnitude parameter.

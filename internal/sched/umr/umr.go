@@ -21,7 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"rumr/internal/engine"
 	"rumr/internal/numeric"
@@ -54,7 +56,7 @@ type Plan struct {
 // Chunks flattens the plan into engine dispatch order: round by round,
 // workers in selection order.
 func (p *Plan) Chunks() []engine.Chunk {
-	var out []engine.Chunk
+	out := make([]engine.Chunk, 0, len(p.Sizes)*len(p.Workers))
 	for j, round := range p.Sizes {
 		for k, size := range round {
 			if size <= 0 {
@@ -130,110 +132,145 @@ func newInstance(pr *sched.Problem) instance {
 	return inst
 }
 
-// roundTimes returns the M round times of the schedule whose chunks sum
-// to the workload. The induction R_{j+1} = (R_j - δ)/β has the closed
-// form R_j = R_fp + u0·q^j with q = 1/β and fixed point R_fp = δ/(1-β);
-// the total-work constraint Σ_j R_j = (W + M·ΣS·cLat)/ΣS determines u0.
-// Using the closed form matters: iterating the recursion forward
-// multiplies the rounding error of R_0 by q^M, which for the paper's
-// platforms (q up to 2) and large M turns one ulp into whole workload
-// units.
-func (in *instance) roundTimes(m int) ([]float64, error) {
+// roundTimes fills rs with the len(rs) round times of the schedule whose
+// chunks sum to the workload. The induction R_{j+1} = (R_j - δ)/β has the
+// closed form R_j = R_fp + u0·q^j with q = 1/β and fixed point
+// R_fp = δ/(1-β); the total-work constraint Σ_j R_j = (W + M·ΣS·cLat)/ΣS
+// determines u0. Using the closed form matters: iterating the recursion
+// forward multiplies the rounding error of R_0 by q^M, which for the
+// paper's platforms (q up to 2) and large M turns one ulp into whole
+// workload units.
+func (in *instance) roundTimes(rs []float64) error {
+	m := len(rs)
 	target := (in.total + float64(m)*in.sumCLat) / in.stot
-	rs := make([]float64, m)
 	if math.Abs(in.beta-1) < 1e-12 {
 		// β = 1: arithmetic progression R_j = R_0 - j·δ.
 		r0 := (target + in.delta*float64(m)*float64(m-1)/2) / float64(m)
 		for j := 0; j < m; j++ {
 			rs[j] = r0 - float64(j)*in.delta
 		}
-		return rs, nil
+		return nil
 	}
 	q := 1 / in.beta
 	rfp := in.delta / (1 - in.beta)
 	g := numeric.GeomSum(q, m)
 	if g == 0 || math.IsNaN(g) || math.IsInf(g, 0) {
-		return nil, fmt.Errorf("umr: degenerate round recursion for M=%d", m)
+		return errDegenerate
 	}
 	u0 := (target - float64(m)*rfp) / g
 	for j := 0; j < m; j++ {
 		rs[j] = rfp + u0*math.Pow(q, float64(j))
 	}
-	return rs, nil
+	return nil
 }
 
-// planForM builds the schedule for a fixed round count, or returns an
-// error when some chunk would be non-positive / below the validity floor.
-func (in *instance) planForM(m int) (*Plan, error) {
-	rs, err := in.roundTimes(m)
-	if err != nil {
-		return nil, err
+// Reasons a round count is rejected. Build only tests for an error, so
+// these carry no per-candidate detail.
+var (
+	errDegenerate = errors.New("umr: degenerate round recursion")
+	errDiverged   = errors.New("umr: round time diverged")
+	errDecreasing = errors.New("umr: rounds would decrease")
+	errBelowFloor = errors.New("umr: chunk below floor")
+	errResidual   = errors.New("umr: residual cannot be absorbed")
+)
+
+// candidate is one round count's schedule under evaluation: its round
+// times and its chunk sizes, row-major with one row of len(sel) per
+// round. Build's search evaluates every round count into one of two
+// recycled candidates, so a rejected round count allocates nothing.
+type candidate struct {
+	rs        []float64
+	sizes     []float64
+	predicted float64
+}
+
+// scratch recycles Build's two candidates across calls: Build copies its
+// winner out, so no Plan aliases them.
+var scratch = sync.Pool{New: func() any { return new([2]candidate) }}
+
+// eval computes the schedule for m rounds into c, or returns an error
+// when some chunk would be non-positive / below the validity floor.
+func (in *instance) eval(m int, c *candidate) error {
+	k := len(in.sel)
+	// The search tries M = 1, 2, 3, ...: grow amortized, as append does.
+	c.rs = slices.Grow(c.rs[:0], m)[:m]
+	c.sizes = slices.Grow(c.sizes[:0], m*k)[:m*k]
+	if err := in.roundTimes(c.rs); err != nil {
+		return err
 	}
 	// The smallest chunk must stay above a floor: the workload's minimal
 	// unit, relaxed for tiny per-worker workloads.
-	perWorker := in.total / float64(len(in.sel))
+	perWorker := in.total / float64(k)
 	floor := math.Min(in.minUnit, perWorker/float64(m))
-	sizes := make([][]float64, m)
-	for j, r := range rs {
+	for j, r := range c.rs {
 		if math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("umr: round time diverged for M=%d", m)
+			return errDiverged
 		}
 		// UMR's premise is that chunk sizes never shrink between rounds
 		// (Fig. 3 of the paper); plans whose rounds would decrease are
 		// rejected, which is what makes UMR degenerate to a single round
 		// in high-latency regimes — a behaviour §5.1 of the RUMR paper
 		// relies on ("RUMR often uses only one round in phase #1").
-		if j > 0 && r < rs[j-1]-1e-9 {
-			return nil, fmt.Errorf("umr: rounds would decrease for M=%d", m)
+		if j > 0 && r < c.rs[j-1]-1e-9 {
+			return errDecreasing
 		}
-		row := make([]float64, len(in.sel))
-		for k, i := range in.sel {
+		row := c.sizes[j*k : (j+1)*k]
+		for kk, i := range in.sel {
 			w := in.p.Workers[i]
-			c := w.S * (r - w.CLat)
-			if c < floor {
-				return nil, fmt.Errorf("umr: round %d chunk %g below floor %g for M=%d", j, c, floor, m)
+			size := w.S * (r - w.CLat)
+			if size < floor {
+				return errBelowFloor
 			}
-			row[k] = c
+			row[kk] = size
 		}
-		sizes[j] = row
 	}
 	// Absorb the floating-point residual into the largest chunk of the
 	// last round so the plan sums to the workload exactly.
 	total := 0.0
-	for _, row := range sizes {
-		for _, s := range row {
-			total += s
-		}
+	for _, s := range c.sizes {
+		total += s
 	}
 	residual := in.total - total
-	last := sizes[m-1]
+	last := c.sizes[(m-1)*k:]
 	big := 0
-	for k := range last {
-		if last[k] > last[big] {
-			big = k
+	for kk := range last {
+		if last[kk] > last[big] {
+			big = kk
 		}
 	}
 	if last[big]+residual <= 0 {
-		return nil, fmt.Errorf("umr: residual %g cannot be absorbed for M=%d", residual, m)
+		return errResidual
 	}
 	last[big] += residual
-
-	return &Plan{
-		Workers:    append([]int(nil), in.sel...),
-		Rounds:     m,
-		Sizes:      sizes,
-		RoundTimes: rs,
-		Predicted:  in.predict(sizes, rs),
-	}, nil
+	c.predicted = in.predict(c.sizes[:k], c.rs)
+	return nil
 }
 
-// predict estimates the makespan of a plan: ramp-up of round 0 plus the
-// (equal) compute times of all rounds on the last-served worker.
-func (in *instance) predict(sizes [][]float64, rs []float64) float64 {
+// plan materializes candidate c as a Plan with storage of its own.
+func (in *instance) plan(c *candidate) *Plan {
+	k := len(in.sel)
+	slab := append([]float64(nil), c.sizes...)
+	sizes := make([][]float64, len(c.rs))
+	for j := range sizes {
+		sizes[j] = slab[j*k : (j+1)*k : (j+1)*k]
+	}
+	return &Plan{
+		Workers:    append([]int(nil), in.sel...),
+		Rounds:     len(c.rs),
+		Sizes:      sizes,
+		RoundTimes: append([]float64(nil), c.rs...),
+		Predicted:  c.predicted,
+	}
+}
+
+// predict estimates the makespan of a plan from its first round's chunk
+// sizes and its round times: ramp-up of round 0 plus the (equal) compute
+// times of all rounds on the last-served worker.
+func (in *instance) predict(first, rs []float64) float64 {
 	ramp := 0.0
 	for k, i := range in.sel {
 		w := in.p.Workers[i]
-		ramp += w.NLat + sizes[0][k]/w.B
+		ramp += w.NLat + first[k]/w.B
 	}
 	lastW := in.p.Workers[in.sel[len(in.sel)-1]]
 	total := ramp + lastW.TLat
@@ -250,20 +287,26 @@ func Build(pr *sched.Problem) (*Plan, error) {
 		return nil, err
 	}
 	in := newInstance(pr)
-	var best *Plan
+	// cur is the candidate under evaluation; an improving one swaps places
+	// with best, so only the winner is ever copied out.
+	sc := scratch.Get().(*[2]candidate)
+	defer scratch.Put(sc)
+	cur, best := &sc[0], &sc[1]
+	found := false
 	objective := func(m int) float64 {
-		plan, err := in.planForM(m)
-		if err != nil {
+		if in.eval(m, cur) != nil {
 			return math.Inf(1)
 		}
-		if best == nil || plan.Predicted < best.Predicted {
-			best = plan
+		if !found || cur.predicted < best.predicted {
+			found = true
+			cur, best = best, cur
+			return best.predicted
 		}
-		return plan.Predicted
+		return cur.predicted
 	}
 	numeric.MinimizeUnimodalInt(objective, 1, MaxRounds, 4)
-	if best != nil {
-		return best, nil
+	if found {
+		return in.plan(best), nil
 	}
 	// No M admits a uniform schedule above the floor (e.g. a tiny
 	// workload): fall back to a single round of proportional chunks.
@@ -281,13 +324,12 @@ func singleRoundFallback(in instance) (*Plan, error) {
 		row[k] = in.total * in.p.Workers[i].S / in.stot
 	}
 	rs := []float64{in.total/in.stot + in.maxCLat}
-	sizes := [][]float64{row}
 	return &Plan{
 		Workers:    append([]int(nil), in.sel...),
 		Rounds:     1,
-		Sizes:      sizes,
+		Sizes:      [][]float64{row},
 		RoundTimes: rs,
-		Predicted:  in.predict(sizes, rs),
+		Predicted:  in.predict(row, rs),
 	}, nil
 }
 

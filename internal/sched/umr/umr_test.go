@@ -477,3 +477,27 @@ func TestPlanChunksSkipEmptyRows(t *testing.T) {
 		t.Fatalf("chunks = %+v", chunks)
 	}
 }
+
+// Build evaluates every round count its search tries in recycled scratch
+// and copies out only the winner, so its allocations do not grow with
+// the number of candidates: here the search tries 14 round counts and
+// settles on 10 (8 allocations; 164 when each candidate built a full
+// Plan). The bound leaves room for the race detector, under which
+// sync.Pool drops recycled scratch at random.
+func TestBuildAllocsIndependentOfCandidates(t *testing.T) {
+	pr := &sched.Problem{Platform: platform.Homogeneous(15, 1, 22.5, 0.1, 0.1), Total: 1000, MinUnit: 1}
+	var rounds int
+	allocs := testing.AllocsPerRun(20, func() {
+		plan, err := Build(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = plan.Rounds
+	})
+	if rounds != 10 {
+		t.Fatalf("M = %d, want 10", rounds)
+	}
+	if allocs > 40 {
+		t.Fatalf("Build allocated %v times, want at most 40", allocs)
+	}
+}

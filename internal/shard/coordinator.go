@@ -26,6 +26,11 @@ const DefaultLeaseTTL = 15 * time.Second
 // HTTP overhead is negligible next to even one cell's simulation time.
 const DefaultBatch = 4
 
+// closeGrace bounds Drain. It exceeds a worker's default maximum backoff
+// (5 s), so an idle worker polls within it; a worker that was killed or
+// cut off is waited for no longer.
+const closeGrace = 6 * time.Second
+
 // SweepJob names one sweep for Coordinator.Run.
 type SweepJob struct {
 	Grid         experiment.Grid
@@ -66,6 +71,7 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	closed  bool
+	drained chan struct{} // closed once every seen worker has heard the 410
 	seq     uint64
 	job     *jobState
 	workers map[string]*workerStats
@@ -87,6 +93,7 @@ type workerStats struct {
 	completed int64
 	expired   int64
 	lastSeen  time.Time
+	told      bool // answered 410 on a lease poll since Close
 }
 
 type lease struct {
@@ -116,6 +123,7 @@ func NewCoordinator() *Coordinator {
 		Batch:    DefaultBatch,
 		now:      time.Now,
 		runGate:  make(chan struct{}, 1),
+		drained:  make(chan struct{}),
 		workers:  make(map[string]*workerStats),
 	}
 }
@@ -215,6 +223,38 @@ func (c *Coordinator) Close() {
 	if c.job != nil {
 		c.finishLocked(c.job, errors.New("shard: coordinator closed"))
 	}
+	c.checkDrainedLocked()
+}
+
+// Drain blocks after Close until every worker the coordinator has seen
+// has polled for a lease and been answered 410, closeGrace has passed,
+// or ctx is done. A process serving the coordinator calls it before it
+// exits, so its workers stop at once instead of retrying an address that
+// no longer answers.
+func (c *Coordinator) Drain(ctx context.Context) {
+	grace := time.NewTimer(closeGrace)
+	defer grace.Stop()
+	select {
+	case <-c.drained:
+	case <-grace.C:
+	case <-ctx.Done():
+	}
+}
+
+// checkDrainedLocked releases Drain once the coordinator is closed and
+// every worker it has seen has been told. Callers hold c.mu.
+func (c *Coordinator) checkDrainedLocked() {
+	select {
+	case <-c.drained:
+		return
+	default:
+	}
+	for _, ws := range c.workers {
+		if !ws.told {
+			return
+		}
+	}
+	close(c.drained)
 }
 
 // finishLocked releases Run once, recording err if it is the first cause.
@@ -341,6 +381,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
+		if ws := c.workers[req.Worker]; ws != nil {
+			ws.told = true
+			c.checkDrainedLocked()
+		}
 		http.Error(w, "coordinator shut down", http.StatusGone)
 		return
 	}

@@ -26,3 +26,34 @@ func TestWorkerExitsWhenCoordinatorVanishes(t *testing.T) {
 		t.Fatal("worker did not exit after coordinator vanished")
 	}
 }
+
+// A served sweep's worker learns of the shutdown from the coordinator
+// itself: the serving side drains before its server goes away, so the
+// worker's Run returns nil promptly instead of retrying a dead address
+// for tens of seconds.
+func TestWorkerExitsPromptlyAfterDrain(t *testing.T) {
+	coord := NewCoordinator()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	w := &Worker{Base: srv.URL, ID: "w0", Procs: 1, Client: srv.Client()}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+	if _, err := coord.Run(context.Background(), testJob(), RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ended := time.Now()
+	coord.Close()
+	coord.Drain(context.Background())
+	srv.Close() // the serving process exits
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("worker returned %v, want nil", err)
+		}
+		if d := time.Since(ended); d > 2*time.Second {
+			t.Fatalf("worker exited %v after the sweep ended, want within 2s", d)
+		}
+	case <-time.After(2*time.Second - time.Since(ended)):
+		t.Fatal("worker still running 2s after the sweep ended")
+	}
+}
