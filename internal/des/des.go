@@ -12,6 +12,15 @@
 // increasing sequence number), which makes simulations deterministic
 // regardless of heap internals.
 //
+// The caller owns the run loop: Peek reports the earliest live event and
+// Step fires it. A caller may also keep a few events in its own queue —
+// the engine keeps the master port's pending send ends, of which at most
+// ParallelSends exist — by taking each one's sequence number with Reserve
+// and firing it with Advance when it precedes the live root by (time,
+// seq). The merged firing order is then exactly the one a single queue
+// holding every event would give, and the kernel's counters still count
+// those events.
+//
 // The queue is built for the sweep hot path: a typed 4-ary heap of inline
 // (time, seq) slots — no interface boxing, no container/heap indirection —
 // an Event free-list so steady-state scheduling allocates nothing, and
@@ -89,7 +98,6 @@ type Simulator struct {
 	free    []*Event
 	live    int // scheduled and not cancelled
 	dead    int // cancelled but still occupying a heap slot
-	stopped bool
 	// processed counts events executed, for tests and diagnostics.
 	processed uint64
 	// pushes/cancels/maxDepth are the always-on kernel counters behind
@@ -99,20 +107,22 @@ type Simulator struct {
 	cancels  uint64
 	replaced uint64
 	maxDepth int
-	// rootHole is true while RunUntil is firing the former root and has
-	// left q[0] as a hole (ev == nil) instead of popping it: the first
-	// schedule issued by the callback fills the hole with one siftDown —
+	// rootHole is true while Step is firing the former root and has left
+	// q[0] as a hole (ev == nil) instead of popping it: the first schedule
+	// issued by the callback fills the hole with one siftDown —
 	// replace-top — instead of paying pop-sift + push-sift. An unfilled
 	// hole is removed when the callback returns.
 	rootHole bool
 }
 
-// Stats are the kernel's cheap always-on counters, reset by Reset. Fired
-// is the same count Processed returns; MaxDepth is the largest physical
-// heap size observed (live + lazily-cancelled slots), the quantity that
-// bounds sift cost. Replaced counts the pushes that took the replace-top
-// fast path (filled the just-fired root's slot with a single siftDown);
-// it is a subset of Pushed.
+// Stats are the kernel's cheap always-on counters, reset by Reset. Pushed
+// and Fired count the events a caller reserved and advanced to outside the
+// queue as well as the queued ones; Fired is the same count Processed
+// returns. MaxDepth is the largest physical heap size observed (live +
+// lazily-cancelled slots), the quantity that bounds sift cost. Replaced
+// counts the pushes that took the replace-top fast path (filled the
+// just-fired root's slot with a single siftDown); it is a subset of
+// Pushed.
 type Stats struct {
 	Pushed    uint64
 	Fired     uint64
@@ -146,7 +156,6 @@ func (s *Simulator) Reset() {
 	s.seq = 0
 	s.live = 0
 	s.dead = 0
-	s.stopped = false
 	s.processed = 0
 	s.pushes = 0
 	s.cancels = 0
@@ -170,43 +179,6 @@ func (s *Simulator) QueueLen() int { return len(s.q) }
 
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
-
-// PendingBy reports whether a scheduled, uncancelled event is due at or
-// before time t. It visits only the heap nodes due by t (plus their
-// children), so asking about the current instant costs a handful of
-// comparisons. Safe to call from a firing callback.
-func (s *Simulator) PendingBy(t float64) bool {
-	q := s.q
-	if len(q) == 0 || q[0].time > t {
-		return false
-	}
-	if ev := q[0].ev; ev != nil && !ev.cancelled {
-		return true
-	}
-	// The root is the replace-top hole of the firing callback (ev == nil)
-	// or a cancelled slot: not pending itself, but its children may be.
-	for c := 1; c <= 4 && c < len(q); c++ {
-		if q[c].time <= t && s.pendingBy(c, t) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Simulator) pendingBy(i int, t float64) bool {
-	if i >= len(s.q) || s.q[i].time > t {
-		return false
-	}
-	if ev := s.q[i].ev; ev != nil && !ev.cancelled {
-		return true
-	}
-	for c := 4*i + 1; c <= 4*i+4; c++ {
-		if s.pendingBy(c, t) {
-			return true
-		}
-	}
-	return false
-}
 
 func (s *Simulator) alloc() *Event {
 	if e := s.scratch; e != nil {
@@ -236,13 +208,28 @@ func (s *Simulator) recycle(e *Event) {
 	s.free = append(s.free, e)
 }
 
-func (s *Simulator) schedule(t float64, fn func(any, int), arg any, aux int) Handle {
+// checkTime panics for a NaN time or one before the clock: either always
+// indicates a bug in a model. One comparison catches both, so the check
+// inlines.
+func (s *Simulator) checkTime(t float64) {
+	if !(t >= s.now) {
+		s.badTime(t)
+	}
+}
+
+// badTime is checkTime's cold path. It is kept out of line: inlined, it
+// would push checkTime over the inlining budget.
+//
+//go:noinline
+func (s *Simulator) badTime(t float64) {
 	if math.IsNaN(t) {
 		panic("des: scheduling at NaN time")
 	}
-	if t < s.now {
-		panic(fmt.Sprintf("des: scheduling in the past: t=%g now=%g", t, s.now))
-	}
+	panic(fmt.Sprintf("des: scheduling in the past: t=%g now=%g", t, s.now))
+}
+
+func (s *Simulator) schedule(t float64, fn func(any, int), arg any, aux int) Handle {
+	s.checkTime(t)
 	e := s.alloc()
 	e.fn = fn
 	e.arg = arg
@@ -316,7 +303,7 @@ func (s *Simulator) compact() {
 		if sl.ev == nil {
 			// Unfilled replace-top hole (a cancellation inside a firing
 			// callback triggered this compaction): drop it here and tell
-			// RunUntil it is gone.
+			// Step it is gone.
 			s.rootHole = false
 		} else if sl.ev.cancelled {
 			s.recycle(sl.ev)
@@ -412,49 +399,74 @@ func (s *Simulator) fire(e *Event) {
 	fn(arg, aux)
 }
 
-// Stop makes Run return after the currently executing event.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events in timestamp order until the queue drains or Stop is
-// called. It returns the final virtual time.
-func (s *Simulator) Run() float64 {
-	return s.RunUntil(math.Inf(1))
+// Reserve takes the sequence number of an event due at t that the caller
+// keeps outside the queue, and counts it as pushed. The caller fires it
+// with Advance once it precedes the live root by (time, seq); the kernel
+// then orders it among the queued events exactly as if it had been
+// scheduled with AtCall at this point. Like AtCall it panics for a NaN or
+// past time.
+func (s *Simulator) Reserve(t float64) uint64 {
+	s.checkTime(t)
+	s.pushes++
+	s.seq++
+	return s.seq - 1
 }
 
-// RunUntil executes events with time <= deadline, then advances the clock
-// to min(deadline, time of next event) — or leaves it at the last executed
-// event when the queue drains first. It returns the final virtual time.
-func (s *Simulator) RunUntil(deadline float64) float64 {
-	s.stopped = false
-	for len(s.q) > 0 && !s.stopped {
+// Advance moves the clock to t to fire a reserved event, and counts it as
+// fired. The caller runs the event's action itself after Advance returns.
+// A NaN time or one before the clock panics, as in Reserve.
+func (s *Simulator) Advance(t float64) {
+	s.checkTime(t)
+	s.now = t
+	s.processed++
+}
+
+// Peek reports the time and sequence number of the earliest live event,
+// or ok == false when none is queued. Cancelled slots and an unfilled
+// replace-top hole at the root are dropped on the way, so Peek is safe
+// from a firing callback too.
+func (s *Simulator) Peek() (t float64, seq uint64, ok bool) {
+	for len(s.q) > 0 {
 		top := s.q[0]
-		if top.ev.cancelled {
-			e := top.ev
-			s.popTop()
-			s.dead--
-			s.recycle(e)
-			continue
+		if e := top.ev; e != nil && !e.cancelled {
+			return top.time, top.seq, true
 		}
-		if top.time > deadline {
-			s.now = deadline
-			return s.now
-		}
-		// Leave the root in place as a hole instead of popping: the
-		// dominant pattern is "fire, then immediately schedule a
-		// successor" (send → compute → next send), and filling the hole
-		// in schedule costs one siftDown where pop-then-push would cost
-		// two sifts. The callback must not re-enter RunUntil while
-		// the hole exists.
-		s.live--
-		s.now = top.time
-		s.q[0].ev = nil
-		s.rootHole = true
-		s.fire(top.ev)
-		if s.rootHole {
-			// No schedule claimed the hole; remove it like a normal pop.
+		s.popTop()
+		if top.ev == nil {
 			s.rootHole = false
-			s.popTop()
+		} else {
+			s.dead--
+			s.recycle(top.ev)
 		}
 	}
-	return s.now
+	return 0, 0, false
+}
+
+// Step fires the earliest live event, the one Peek reports, and reports
+// whether there was one. The clock moves to the event's time first.
+func (s *Simulator) Step() bool {
+	if len(s.q) == 0 || s.q[0].ev == nil || s.q[0].ev.cancelled {
+		// Not a live root: let Peek drop what is dead (the common case,
+		// a live root, skips the call).
+		if _, _, ok := s.Peek(); !ok {
+			return false
+		}
+	}
+	// Leave the root in place as a hole instead of popping: the dominant
+	// pattern is "fire, then immediately schedule a successor" (a compute
+	// end starting the worker's next queued chunk, an arrival starting its
+	// compute), and filling the hole in schedule costs one siftDown where
+	// pop-then-push would cost two sifts.
+	top := s.q[0]
+	s.live--
+	s.now = top.time
+	s.q[0].ev = nil
+	s.rootHole = true
+	s.fire(top.ev)
+	if s.rootHole {
+		// No schedule claimed the hole; remove it like a normal pop.
+		s.rootHole = false
+		s.popTop()
+	}
+	return true
 }

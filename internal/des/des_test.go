@@ -23,7 +23,7 @@ func TestEventsFireInOrder(t *testing.T) {
 	at(s, 3, func() { got = append(got, 3) })
 	at(s, 1, func() { got = append(got, 1) })
 	at(s, 2, func() { got = append(got, 2) })
-	end := s.Run()
+	end := run(s)
 	want := []float64{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -42,7 +42,7 @@ func TestTieBreakByInsertion(t *testing.T) {
 		i := i
 		at(s, 5, func() { got = append(got, i) })
 	}
-	s.Run()
+	run(s)
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("tie order = %v", got)
@@ -57,7 +57,7 @@ func TestAfterAdvancesRelative(t *testing.T) {
 		times = append(times, s.Now())
 		after(s, 2, func() { times = append(times, s.Now()) })
 	})
-	s.Run()
+	run(s)
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
 		t.Fatalf("times = %v", times)
 	}
@@ -73,7 +73,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		at(s, 5, func() {})
 	})
-	s.Run()
+	run(s)
 }
 
 func TestNaNPanics(t *testing.T) {
@@ -101,7 +101,7 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := at(s, 1, func() { fired = true })
 	s.Cancel(e)
-	s.Run()
+	run(s)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -117,7 +117,7 @@ func TestCancelDuringRun(t *testing.T) {
 	var e Handle
 	at(s, 1, func() { s.Cancel(e) })
 	e = at(s, 2, func() { fired = true })
-	s.Run()
+	run(s)
 	if fired {
 		t.Fatal("event cancelled at t=1 still fired at t=2")
 	}
@@ -127,7 +127,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	s := New()
 	count := 0
 	e := at(s, 1, func() { count++ })
-	s.Run()
+	run(s)
 	if e.Scheduled() || e.Cancelled() {
 		t.Fatal("handle should expire once the event fired")
 	}
@@ -135,49 +135,53 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	// occupy it. Cancelling the stale handle must not touch the new event.
 	f := at(s, 2, func() { count += 10 })
 	s.Cancel(e)
-	s.Run()
+	run(s)
 	if count != 11 {
 		t.Fatalf("count = %d; stale cancel hit a recycled event", count)
 	}
 	_ = f
 }
 
+// A caller that stops stepping between events — as the engine does once
+// a callback fails — leaves the rest pending at the last fired time, and
+// stepping again resumes where it stopped.
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
+	stop := false
 	for i := 1; i <= 10; i++ {
 		at(s, float64(i), func() {
 			count++
-			if count == 3 {
-				s.Stop()
-			}
+			stop = count == 3
 		})
 	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
+	for !stop && s.Step() {
 	}
-	// Run can resume after a stop.
-	s.Run()
+	if count != 3 || s.Pending() != 7 || s.Now() != 3 {
+		t.Fatalf("count = %d, pending = %d, now = %v; want 3, 7, 3", count, s.Pending(), s.Now())
+	}
+	run(s)
 	if count != 10 {
 		t.Fatalf("after resume count = %d, want 10", count)
 	}
 }
 
+// Peek reports the next event without firing it, so a driver can stop at
+// a deadline and resume later.
 func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
 		at(s, float64(i), func() { count++ })
 	}
-	end := s.RunUntil(5.5)
+	end := runUntil(s, 5.5)
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
 	}
 	if end != 5.5 {
 		t.Fatalf("clock = %v, want 5.5", end)
 	}
-	s.Run()
+	run(s)
 	if count != 10 {
 		t.Fatalf("final count = %d", count)
 	}
@@ -187,7 +191,7 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := New()
 	fired := false
 	at(s, 5, func() { fired = true })
-	s.RunUntil(5)
+	runUntil(s, 5)
 	if !fired {
 		t.Fatal("event exactly at the deadline should fire")
 	}
@@ -204,7 +208,7 @@ func TestPendingAndProcessed(t *testing.T) {
 	if s.Pending() != 1 {
 		t.Fatalf("pending after cancel = %d", s.Pending())
 	}
-	s.Run()
+	run(s)
 	if s.Processed() != 1 {
 		t.Fatalf("processed = %d", s.Processed())
 	}
@@ -224,7 +228,7 @@ func TestAtCallPassesArguments(t *testing.T) {
 	}
 	s.AtCall(1, cb, b, 7)
 	s.AfterCall(2, cb, b, 42)
-	s.Run()
+	run(s)
 	if b.hits != 2 || b.lastAux != 42 {
 		t.Fatalf("box = %+v", b)
 	}
@@ -234,7 +238,7 @@ func TestReset(t *testing.T) {
 	s := New()
 	at(s, 1, func() {})
 	e := at(s, 2, func() {})
-	s.Run()
+	run(s)
 	at(s, 5, func() { t.Fatal("event from before Reset fired") })
 	s.Cancel(e)
 	s.Reset()
@@ -249,7 +253,7 @@ func TestReset(t *testing.T) {
 		i := i
 		at(s, 1, func() { got = append(got, i) })
 	}
-	s.Run()
+	run(s)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("tie order after reset = %v", got)
@@ -271,7 +275,7 @@ func TestRandomSchedulesOrdered(t *testing.T) {
 			tt := times[i]
 			at(s, tt, func() { fired = append(fired, tt) })
 		}
-		s.Run()
+		run(s)
 		if len(fired) != n {
 			return false
 		}
@@ -313,7 +317,7 @@ func TestRandomTieBreakMatchesReferenceSort(t *testing.T) {
 		}
 		ref := append([]ev(nil), events...)
 		sort.SliceStable(ref, func(a, b int) bool { return ref[a].time < ref[b].time })
-		s.Run()
+		run(s)
 		if len(fired) != n {
 			return false
 		}
@@ -357,7 +361,7 @@ func TestRandomCancellations(t *testing.T) {
 		if s.Pending() != n-countTrue(cancelled) {
 			return false
 		}
-		s.Run()
+		run(s)
 		want := 0
 		for i := 0; i < n; i++ {
 			if !cancelled[i] {
@@ -415,7 +419,7 @@ func TestCancelledRetentionBounded(t *testing.T) {
 		// One real event per round keeps the clock moving.
 		next := s.Now() + 0.1
 		at(s, next, func() {})
-		s.RunUntil(next)
+		runUntil(s, next)
 		if q := s.QueueLen(); q > maxQ {
 			maxQ = q
 		}
@@ -444,7 +448,7 @@ func TestCascade(t *testing.T) {
 		}
 	}
 	after(s, 0, step)
-	end := s.Run()
+	end := run(s)
 	if depth != 1000 {
 		t.Fatalf("depth = %d", depth)
 	}
@@ -472,7 +476,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			at(s, float64(j%37), func() {})
 		}
-		s.Run()
+		run(s)
 	})
 }
 
@@ -485,15 +489,17 @@ func BenchmarkScheduleCancelRun(b *testing.B) {
 			at(s, float64(j%37), func() {})
 			s.Cancel(h)
 		}
-		s.Run()
+		run(s)
 	})
 }
 
-// PendingBy must agree with a brute-force scan over every handle at every
-// firing — including inside callbacks, where the fired root is a
-// replace-top hole, and after cancellations left dead slots in the heap.
-// Integer times make ties frequent.
-func TestPendingByMatchesScan(t *testing.T) {
+// Peek must report the (time, seq) of the earliest live event, as a
+// brute-force scan over every handle finds it, at every firing — including
+// inside callbacks, where the fired root is a replace-top hole, and after
+// cancellations left dead slots in the heap. Sequence numbers are
+// insertion indices on a fresh simulator; integer times make ties
+// frequent.
+func TestPeekMatchesScan(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		s := New()
@@ -503,29 +509,35 @@ func TestPendingByMatchesScan(t *testing.T) {
 		}
 		var all []rec
 		ok := true
+		check := func() {
+			var wantT float64
+			wantSeq, want := uint64(0), false
+			for i, r := range all {
+				if r.h.Scheduled() && (!want || r.time < wantT) {
+					wantT, wantSeq, want = r.time, uint64(i), true
+				}
+			}
+			gotT, gotSeq, got := s.Peek()
+			if got != want || (want && (gotT != wantT || gotSeq != wantSeq)) {
+				ok = false
+			}
+		}
 		var cb func()
 		schedule := func(t float64) {
 			all = append(all, rec{h: at(s, t, cb), time: t})
 		}
 		cb = func() {
 			now := s.Now()
+			if src.Float64() < 0.3 {
+				check() // drops the hole: the next schedule takes the append path
+			}
 			if src.Float64() < 0.5 {
 				schedule(now + float64(src.Intn(3)))
 			}
 			if len(all) > 0 && src.Float64() < 0.3 {
 				s.Cancel(all[src.Intn(len(all))].h)
 			}
-			for _, dt := range []float64{0, 0.5, 1} {
-				want := false
-				for _, r := range all {
-					if r.h.Scheduled() && r.time <= now+dt {
-						want = true
-					}
-				}
-				if s.PendingBy(now+dt) != want {
-					ok = false
-				}
-			}
+			check()
 		}
 		for i := 0; i < 1+src.Intn(200); i++ {
 			schedule(float64(src.Intn(15)))
@@ -535,10 +547,45 @@ func TestPendingByMatchesScan(t *testing.T) {
 				s.Cancel(all[i].h)
 			}
 		}
-		s.Run()
-		return ok && !s.PendingBy(math.Inf(1))
+		check()
+		run(s)
+		_, _, left := s.Peek()
+		return ok && !left && s.QueueLen() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Reserve takes its seq from the queue's counter and counts a push; Advance
+// moves the clock and counts a fire. Both refuse to go back in time.
+func TestReserveAndAdvance(t *testing.T) {
+	s := New()
+	at(s, 1, func() {})
+	if seq := s.Reserve(2); seq != 1 {
+		t.Fatalf("reserved seq = %d, want 1", seq)
+	}
+	at(s, 3, func() {})
+	if _, seq, _ := s.Peek(); seq != 0 {
+		t.Fatalf("root seq = %d, want 0", seq)
+	}
+	s.Step()
+	s.Advance(2)
+	if st := s.Stats(); st.Pushed != 3 || st.Fired != 2 || s.Now() != 2 || s.Pending() != 1 {
+		t.Fatalf("after advance: stats %+v, now %v, pending %d", st, s.Now(), s.Pending())
+	}
+	for name, fn := range map[string]func(){
+		"reserve in the past": func() { s.Reserve(1) },
+		"reserve at NaN":      func() { s.Reserve(math.NaN()) },
+		"advance backwards":   func() { s.Advance(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }

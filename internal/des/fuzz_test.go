@@ -1,26 +1,32 @@
 package des
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
 
-// FuzzPushPopCancel drives the queue through an arbitrary interleaving of
-// schedule / cancel / run-until operations decoded from the fuzz input —
-// every event fires through RunUntil, the production path, with its
-// replace-top hole — and checks the kernel's invariants after every
-// operation:
+// FuzzPushPopCancel drives the kernel through an arbitrary interleaving of
+// schedule / reserve / cancel / run-until operations decoded from the fuzz
+// input. Events fire through the engine's loop (runMerged): queued ones
+// through Step, with its replace-top hole, reserved ones through Advance
+// when they precede the live root by (time, seq). After every operation
+// it checks the kernel's invariants:
 //
-//   - events fire in (time, insertion) order, exactly the uncancelled ones;
-//   - Pending() equals scheduled minus fired minus cancelled;
+//   - events fire in (time, insertion) order, exactly the uncancelled ones,
+//     reserved and queued alike — the merge matches a sorted reference;
+//   - Pending() plus the reserved entries equals scheduled minus fired
+//     minus cancelled;
 //   - the physical queue never retains more than the live events plus the
 //     compaction slack;
-//   - the clock never goes backwards.
+//   - a deadline fires everything due by it and nothing later, and the
+//     clock never goes backwards.
 //
 // Two of the schedule ops install callbacks that act when fired —
-// scheduling successors (which exercises the replace-top hole fill) or
-// cancelling a pseudo-random pending event (which can force a compaction
-// while the hole is open). Run it as a regular test (seed corpus) or with
+// scheduling successors, queued and reserved in turn (the first queued one
+// fills the replace-top hole), or cancelling a pseudo-random pending event
+// (which can force a compaction while the hole is open). Run it as a
+// regular test (seed corpus) or with
 // `go test -fuzz=FuzzPushPopCancel ./internal/des/`.
 func FuzzPushPopCancel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -34,7 +40,8 @@ func FuzzPushPopCancel(f *testing.F) {
 			id   int
 		}
 		var fired []rec
-		var handles []Handle // handles[id] belongs to scheduled[id]
+		var port []reserved  // reserved entries not yet fired
+		var handles []Handle // handles[id] belongs to scheduled[id]; zero when reserved
 		var scheduled []rec  // by id
 		var cancelled []bool // by id
 		cancelledCount := 0
@@ -47,39 +54,62 @@ func FuzzPushPopCancel(f *testing.F) {
 			}
 			s.Cancel(handles[id])
 		}
-		// add schedules an event at tt. spawn > 0 makes its callback
-		// schedule that many successors when fired (the first lands in
-		// the replace-top hole under RunUntil); chainCancel makes the
-		// callback also cancel a pseudo-random pending event mid-fire.
-		var add func(tt float64, spawn int, chainCancel bool)
-		add = func(tt float64, spawn int, chainCancel bool) {
+		// add schedules an event at tt, or reserves it outside the queue
+		// when outside is set (a reserved entry cannot be cancelled). spawn
+		// > 0 makes its callback schedule that many successors when fired,
+		// queued and reserved in turn (the first lands in the replace-top
+		// hole under Step); chainCancel makes the callback also cancel a
+		// pseudo-random pending event mid-fire.
+		var add func(tt float64, spawn int, chainCancel, outside bool)
+		add = func(tt float64, spawn int, chainCancel, outside bool) {
 			id := len(scheduled)
 			e := rec{time: tt, id: id}
 			scheduled = append(scheduled, e)
 			cancelled = append(cancelled, false)
-			handles = append(handles, at(s, tt, func() {
+			fn := func() {
+				if s.Now() != e.time {
+					t.Fatalf("event %+v fired at %v", e, s.Now())
+				}
 				fired = append(fired, e)
 				for k := 0; k < spawn; k++ {
 					// Successors at now+k: k=0 ties the fire time,
 					// stressing the seq tie-break through the hole path.
-					add(s.Now()+float64(k), 0, false)
+					add(s.Now()+float64(k), 0, false, k%2 == 1)
 				}
 				if chainCancel && len(handles) > 0 {
 					cancelPending((id*31 + 7) % len(handles))
 				}
-			}))
+			}
+			if outside {
+				handles = append(handles, Handle{})
+				reserve(s, &port, tt, fn)
+				return
+			}
+			handles = append(handles, at(s, tt, fn))
+		}
+		// due reports whether an uncancelled, unfired event is due by t.
+		due := func(t float64) bool {
+			for _, e := range port {
+				if e.time <= t {
+					return true
+				}
+			}
+			tt, _, ok := s.Peek()
+			return ok && tt <= t
 		}
 
 		for i := 0; i < len(data); i++ {
 			op := data[i] % 8
 			v := float64(data[i] >> 3)
 			switch {
-			case op < 2: // plain schedule (most common)
-				add(s.Now()+v, 0, false)
+			case op == 0: // plain schedule
+				add(s.Now()+v, 0, false, false)
+			case op == 1: // reserve outside the queue
+				add(s.Now()+v, 0, false, true)
 			case op == 2: // schedule an event that spawns successors
-				add(s.Now()+v, 1+int(data[i]>>6), false)
+				add(s.Now()+v, 1+int(data[i]>>6), false, false)
 			case op == 3: // schedule an event that cancels when fired
-				add(s.Now()+v, 0, true)
+				add(s.Now()+v, 0, true, false)
 			case op == 4 || op == 5: // cancel a pseudo-random prior handle
 				if len(handles) > 0 {
 					id := int(data[i]) % len(handles)
@@ -87,19 +117,24 @@ func FuzzPushPopCancel(f *testing.F) {
 					s.Cancel(handles[id]) // double cancel must be a no-op
 				}
 			case op == 6: // fire only what is due now (time ties)
-				s.RunUntil(s.Now())
+				if now := runMerged(s, s.Now(), &port); due(now) {
+					t.Fatalf("op %d: an event due by %v is still pending", i, now)
+				}
 			default:
-				s.RunUntil(s.Now() + v)
+				deadline := s.Now() + v
+				if now := runMerged(s, deadline, &port); due(now) || (now != deadline && s.Pending()+len(port) > 0) {
+					t.Fatalf("op %d: run to %v stopped at %v with events due", i, deadline, now)
+				}
 			}
-			if live := len(scheduled) - len(fired) - cancelledCount; s.Pending() != live {
-				t.Fatalf("op %d: pending = %d, want %d", i, s.Pending(), live)
+			if live := len(scheduled) - len(fired) - cancelledCount; s.Pending()+len(port) != live {
+				t.Fatalf("op %d: pending = %d + %d reserved, want %d", i, s.Pending(), len(port), live)
 			}
 			if s.QueueLen() > 2*s.Pending()+4*compactMin {
 				t.Fatalf("op %d: queue len %d exceeds retention bound (pending %d)", i, s.QueueLen(), s.Pending())
 			}
 		}
 		prevNow := s.Now()
-		s.Run()
+		runMerged(s, math.Inf(1), &port)
 		if s.Now() < prevNow {
 			t.Fatalf("clock went backwards: %v -> %v", prevNow, s.Now())
 		}
@@ -125,8 +160,8 @@ func FuzzPushPopCancel(f *testing.F) {
 				t.Fatalf("fire order[%d] = %+v, want %+v", i, fired[i], want[i])
 			}
 		}
-		if s.Pending() != 0 || s.QueueLen() != 0 {
-			t.Fatalf("drained queue: pending=%d qlen=%d", s.Pending(), s.QueueLen())
+		if s.Pending() != 0 || s.QueueLen() != 0 || len(port) != 0 {
+			t.Fatalf("drained queue: pending=%d qlen=%d reserved=%d", s.Pending(), s.QueueLen(), len(port))
 		}
 	})
 }

@@ -5,7 +5,7 @@ import "testing"
 // replaceWorkload drives sim through a deterministic self-scheduling
 // workload derived from seed: chain events whose callbacks schedule up
 // to two successors (the first lands in the replace-top hole when run
-// via RunUntil) and occasionally cancel an earlier pending event. It
+// via Step) and occasionally cancel an earlier pending event. It
 // returns the fired (time, id) sequence.
 func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 	time float64
@@ -34,7 +34,7 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 		h := at(sim, t, func() {
 			fired = append(fired, rec{time: t, id: id})
 			if depth > 0 {
-				// First successor: fills the hole under RunUntil.
+				// First successor: fills the hole under Step.
 				spawn(sim.Now()+float64(next(7)), depth-1)
 				if next(3) == 0 {
 					// Occasional second successor, sometimes a time tie.
@@ -54,12 +54,12 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 		for popThenFire(sim) {
 		}
 	} else {
-		sim.Run()
+		run(sim)
 	}
 	return fired
 }
 
-// popThenFire is the reference path RunUntil's replace-top hole must
+// popThenFire is the reference path Step's replace-top hole must
 // match: pop the earliest live event, then fire it, so a successor the
 // callback schedules is always a separate push. It reports whether an
 // event fired.
@@ -81,7 +81,7 @@ func popThenFire(s *Simulator) bool {
 }
 
 // TestReplaceTopMatchesPopThenPush is the differential property test for
-// the replace-top fast path: the same workload executed through RunUntil
+// the replace-top fast path: the same workload executed through Step
 // (which fuses pop+push into a root replacement) and through repeated
 // popThenFire calls (which always pop then push, never leaving a hole) must
 // fire the identical (time, id) sequence. (time, seq) being a strict
@@ -92,7 +92,7 @@ func TestReplaceTopMatchesPopThenPush(t *testing.T) {
 		run := New()
 		a := replaceWorkload(run, seed, false)
 		if got := run.Stats(); got.Replaced == 0 {
-			t.Fatalf("seed %d: RunUntil workload never took the replace-top path (stats %+v)", seed, got)
+			t.Fatalf("seed %d: Step workload never took the replace-top path (stats %+v)", seed, got)
 		} else if got.Replaced > got.Pushed {
 			t.Fatalf("seed %d: Replaced %d exceeds Pushed %d", seed, got.Replaced, got.Pushed)
 		}
@@ -102,11 +102,11 @@ func TestReplaceTopMatchesPopThenPush(t *testing.T) {
 			t.Fatalf("seed %d: pop-then-fire path unexpectedly replaced %d roots", seed, got.Replaced)
 		}
 		if len(a) != len(b) {
-			t.Fatalf("seed %d: RunUntil fired %d events, pop-then-fire %d", seed, len(a), len(b))
+			t.Fatalf("seed %d: Step fired %d events, pop-then-fire %d", seed, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("seed %d: fire order diverges at %d: RunUntil %+v, pop-then-fire %+v", seed, i, a[i], b[i])
+				t.Fatalf("seed %d: fire order diverges at %d: Step %+v, pop-then-fire %+v", seed, i, a[i], b[i])
 			}
 		}
 		if run.Pending() != 0 || run.QueueLen() != 0 {
@@ -124,7 +124,7 @@ func TestReplaceTopUnfilledHole(t *testing.T) {
 		i := i
 		at(s, float64(10-i), func() { order = append(order, i) })
 	}
-	s.Run()
+	run(s)
 	if s.Stats().Replaced != 0 {
 		t.Fatalf("no callback scheduled, yet Replaced = %d", s.Stats().Replaced)
 	}
@@ -158,7 +158,7 @@ func TestReplaceTopHoleSurvivesCompaction(t *testing.T) {
 		after(s, 1, func() { resumed = true })
 	})
 	at(s, 2, func() { fired++ })
-	s.Run()
+	run(s)
 	if !resumed || fired != 1 {
 		t.Fatalf("post-compaction scheduling broken: resumed=%v fired=%d", resumed, fired)
 	}

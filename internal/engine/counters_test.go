@@ -39,7 +39,7 @@ func TestCountersAccumulate(t *testing.T) {
 		t.Fatalf("syncView: %d copies, %d bytes for %d consults",
 			ctrs.SyncViewCopies, ctrs.SyncViewBytes, d.consults)
 	}
-	if ctrs.EventsReplaced == 0 || ctrs.EventsReplaced > ctrs.EventsPushed {
+	if ctrs.EventsReplaced > ctrs.EventsPushed {
 		t.Fatalf("EventsReplaced = %d of %d pushed", ctrs.EventsReplaced, ctrs.EventsPushed)
 	}
 	// Both models are truncated normals; each chunk draws once per leg.
@@ -59,6 +59,28 @@ func TestCountersAccumulate(t *testing.T) {
 	}
 	if ctrs.EventsPopped <= first.EventsPopped || ctrs.SyncViewCopies <= first.SyncViewCopies {
 		t.Fatalf("counters did not accumulate: %+v -> %+v", first, ctrs)
+	}
+
+	// Send ends stay out of the DES heap, so the run above (TLat = 0, no
+	// chunk ever queued) takes no replace-top fill: a compute end's
+	// callback only hands the freed port slot to a send. Here four chunks
+	// per worker are sent back to back and queue behind the first, so each
+	// compute end but the last on a worker fills the just-fired root's slot
+	// with the next chunk's compute end.
+	plan := make([]Chunk, 4*p.N())
+	for i := range plan {
+		plan[i] = Chunk{Worker: i % p.N(), Size: 5}
+	}
+	var queued Counters
+	res, err = Run(p, &listDispatcher{plan: plan}, Options{Counters: &queued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(plan) - p.N()); queued.EventsReplaced < want || queued.EventsReplaced > queued.EventsPushed {
+		t.Fatalf("EventsReplaced = %d of %d pushed, want at least %d", queued.EventsReplaced, queued.EventsPushed, want)
+	}
+	if queued.EventsPopped != int64(res.Events) || queued.EventsPushed < queued.EventsPopped {
+		t.Fatalf("queued run: pushed %d, popped %d, %d events", queued.EventsPushed, queued.EventsPopped, res.Events)
 	}
 }
 

@@ -37,7 +37,11 @@
 // kernel, worker states, job records, chunk structs) is pooled and reset
 // between runs, and every per-chunk callback is a shared top-level
 // function scheduled through des.AfterCall with the chunk as its argument
-// — no closures are captured per chunk-hop. BenchmarkEngineRun and
+// — no closures are captured per chunk-hop. The master port's send ends
+// never enter the DES heap: at most ParallelSends are pending, so the
+// core keeps them in a small slice and its run loop merges them with the
+// DES root by (time, seq), each send end holding the seq it reserved
+// from the kernel when it was sent. BenchmarkEngineRun and
 // BenchmarkMultiJobRun measure it, and their zero-alloc twins in
 // alloc_test.go require 0 allocs per run. Pooling is invisible to
 // results: same-seed runs stay byte-identical (see

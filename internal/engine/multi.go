@@ -94,9 +94,9 @@ type MultiOptions struct {
 	// run (total chunks, DES events, overall makespan).
 	Metrics *metrics.Collector
 	// Counters, when non-nil, accumulates the engine's hot-path telemetry
-	// (events, syncView bytes, RNG draws) into the pointed-to struct with
-	// plain integer adds, exactly as Options.Counters does for Run. Not
-	// safe to share across concurrent runs.
+	// (DES events, dispatcher consults, RNG draws) into the pointed-to
+	// struct with plain integer adds, exactly as Options.Counters does for
+	// Run. Not safe to share across concurrent runs.
 	Counters *Counters
 	// JobResults, when non-nil and with capacity for every job, becomes
 	// the backing store of MultiResult.Jobs, so batch callers avoid the
@@ -194,6 +194,16 @@ type mjJob struct {
 	res JobResult
 }
 
+// portEnd is one transfer pending on the master's port: the attempt's
+// send end at time, ordered against the DES events by the seq reserved for
+// it, with the chunk and the attempt's packed aux (see packAux).
+type portEnd struct {
+	time float64
+	seq  uint64
+	pc   *mjChunk
+	aux  int
+}
+
 // multiRun is the complete state of one simulation. Instances are
 // pooled: Run and RunMulti borrow one, reset every field, execute, and
 // return it. mjChunk structs are pooled per instance (a cursor-recycled
@@ -210,9 +220,13 @@ type multiRun struct {
 
 	n        int
 	slots    int
-	sending  int
 	chunks   int // global dispatch counter (first attempts)
 	makespan float64
+
+	// port holds the transfers occupying the master's port, at most slots
+	// of them, in no particular order. Their send ends stay out of the DES
+	// heap; run merges them with its root.
+	port []portEnd
 
 	workers []mjWorker
 	// states is the dispatcher-visible worker state and idle its
@@ -266,7 +280,6 @@ func unpackAux(aux int) (attempt, worker int) {
 // Shared des callbacks: one top-level function per event kind for the
 // whole process, so scheduling a chunk-hop allocates nothing.
 func mjActivateCB(arg any, aux int) { mr := arg.(*multiRun); mr.activate(aux) }
-func mjSendEndCB(arg any, aux int)  { pc := arg.(*mjChunk); pc.mr.onSendEnd(pc, aux) }
 func mjArriveCB(arg any, aux int)   { pc := arg.(*mjChunk); pc.mr.onArrive(pc, aux) }
 func mjCompEndCB(arg any, _ int)    { pc := arg.(*mjChunk); pc.mr.onCompEnd(pc) }
 func mjTimeoutCB(arg any, _ int)    { pc := arg.(*mjChunk); pc.mr.onTimeout(pc) }
@@ -329,7 +342,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	if mr.slots <= 0 {
 		mr.slots = 1
 	}
-	mr.sending = 0
+	mr.port = mr.port[:0]
 	mr.chunks = 0
 	mr.makespan = 0
 	mr.lostChunks, mr.redispatches = 0, 0
@@ -416,7 +429,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 		}
 	}
 
-	mr.sim.Run()
+	mr.run()
 	if mr.err != nil {
 		return mr.err
 	}
@@ -457,6 +470,31 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 		opts.Metrics.AddRun(mr.chunks, mr.sim.Processed(), mr.makespan)
 	}
 	return nil
+}
+
+// run plays the events in (time, seq) order until none is left or a
+// callback fails. Each step fires the earlier of the DES root and the
+// earliest send end on the port; as every send end took its seq from the
+// simulator when it was sent, the order is the one a single queue holding
+// both would give.
+func (mr *multiRun) run() {
+	for mr.err == nil {
+		t, seq, ok := mr.sim.Peek()
+		next := -1
+		for i := range mr.port {
+			if e := &mr.port[i]; !ok || e.time < t || (e.time == t && e.seq < seq) {
+				next, t, seq, ok = i, e.time, e.seq, true
+			}
+		}
+		switch {
+		case next >= 0:
+			mr.onSendEnd(next)
+		case ok:
+			mr.sim.Step()
+		default:
+			return
+		}
+	}
 }
 
 // release drops every borrowed reference before the instance goes back to
@@ -516,7 +554,6 @@ func (mr *multiRun) fail(err error) {
 	if mr.err == nil {
 		mr.err = err
 	}
-	mr.sim.Stop()
 }
 
 func (mr *multiRun) emit(job int, e obs.Event) {
@@ -573,13 +610,18 @@ func (mr *multiRun) place(j int) {
 }
 
 // reposition moves job j to its new port-offer position after its key
-// changed. A job that already left mr.active stays out: a re-dispatched
-// chunk can belong to a job that is exhausted.
+// grew (a grant under weighted share): j can only move back, past the jobs
+// that now offer before it, so it shifts them forward in place. A job that
+// already left mr.active stays out: a re-dispatched chunk can belong to a
+// job that is exhausted.
 func (mr *multiRun) reposition(j int) {
-	for i, a := range mr.active {
-		if a == j {
-			mr.active = append(mr.active[:i], mr.active[i+1:]...)
-			mr.place(j)
+	a := mr.active
+	for i := range a {
+		if a[i] == j {
+			for ; i+1 < len(a) && mr.offersBefore(a[i+1], j); i++ {
+				a[i] = a[i+1]
+			}
+			a[i] = j
 			return
 		}
 	}
@@ -626,7 +668,7 @@ var consultAudit func(mr *multiRun)
 // the port is saturated or every arrived job declines; lost work waiting
 // for re-dispatch goes first.
 func (mr *multiRun) kick() {
-	for mr.sending < mr.slots && mr.err == nil {
+	for len(mr.port) < mr.slots && mr.err == nil {
 		if len(mr.lostQueue) > 0 && mr.redispatch() {
 			continue
 		}
@@ -679,9 +721,9 @@ func (mr *multiRun) kick() {
 	}
 }
 
-// send grants the port to one attempt of pc: occupies a slot, accounts
-// the grant for weighted arbitration, appends the attempt's trace record,
-// arms the completion timer and schedules the transfer completion. Shared
+// send grants the port to one attempt of pc: occupies a slot with the
+// transfer's send end, accounts the grant for weighted arbitration,
+// appends the attempt's trace record and arms the completion timer. Shared
 // by first dispatches and re-dispatches.
 func (mr *multiRun) send(pc *mjChunk) {
 	js := &mr.jobs[pc.job]
@@ -693,7 +735,6 @@ func (mr *multiRun) send(pc *mjChunk) {
 	}
 	sendDur := js.comm.Perturb(spec.NLat + c.Size/spec.B)
 	now := mr.sim.Now()
-	mr.sending++
 	pc.phase = chSending
 	pc.record = -1
 	pc.timeout = des.Handle{}
@@ -716,23 +757,29 @@ func (mr *multiRun) send(pc *mjChunk) {
 	mr.emitChunk(obs.KindSendStart, pc, wi, pc.attempt, "")
 	// The send slot frees when the non-overlappable part completes; the
 	// worker holds the data tLat later (scheduled from onSendEnd). The
-	// send end is scheduled before the far-off completion timer so that,
-	// when it fills the DES replace-top slot, the sift is short.
-	mr.sim.AfterCall(sendDur, mjSendEndCB, pc, packAux(pc.attempt, wi))
+	// send end takes its seq here, before the completion timer's, exactly
+	// where it would be scheduled if it were a DES event.
+	end := now + sendDur
+	mr.port = append(mr.port, portEnd{time: end, seq: mr.sim.Reserve(end), pc: pc, aux: packAux(pc.attempt, wi)})
 	if mr.rec.Enabled && mr.rec.TimeoutFactor > 0 {
 		mr.armTimeout(pc)
 	}
 }
 
-// onSendEnd is the port-freed des callback for one attempt. aux carries
-// the attempt's (attempt, worker): both can differ from the chunk's
-// current fields when the attempt was written off and re-dispatched
-// while still in transit.
-func (mr *multiRun) onSendEnd(pc *mjChunk, aux int) {
+// onSendEnd frees the port slot of mr.port[i] at its send end. The
+// entry's aux carries the attempt's (attempt, worker): both can differ
+// from the chunk's current fields when the attempt was written off and
+// re-dispatched while still in transit.
+func (mr *multiRun) onSendEnd(i int) {
+	e := mr.port[i]
+	last := len(mr.port) - 1
+	mr.port[i] = mr.port[last]
+	mr.port = mr.port[:last]
+	mr.sim.Advance(e.time)
+	pc, aux := e.pc, e.aux
 	attempt, wi := unpackAux(aux)
-	mr.sending--
 	mr.emitChunk(obs.KindSendEnd, pc, wi, attempt, "")
-	if tl := mr.p.Workers[wi].TLat; tl != 0 || mr.sim.PendingBy(mr.sim.Now()) {
+	if tl := mr.p.Workers[wi].TLat; tl != 0 || mr.dueNow() {
 		mr.sim.AfterCall(tl, mjArriveCB, pc, aux)
 		mr.kick()
 		return
@@ -749,6 +796,21 @@ func (mr *multiRun) onSendEnd(pc *mjChunk, aux int) {
 	if mr.err == nil {
 		mr.onArrive(pc, aux)
 	}
+}
+
+// dueNow reports whether another event is due at the current instant:
+// the live DES root or another send end on the port.
+func (mr *multiRun) dueNow() bool {
+	now := mr.sim.Now()
+	if t, _, ok := mr.sim.Peek(); ok && t <= now {
+		return true
+	}
+	for i := range mr.port {
+		if mr.port[i].time <= now {
+			return true
+		}
+	}
+	return false
 }
 
 // onArrive is the data-arrival des callback for one attempt.

@@ -12,7 +12,8 @@ import (
 )
 
 // FuzzMultiJobRun feeds the multi-job engine randomized platforms, job
-// counts, arrival times, weights, priorities and link policies, and
+// counts, arrival times, weights, priorities, link policies and port
+// widths (1 to 3 concurrent sends), and
 // asserts the shared-platform invariants on every input: the run
 // terminates without error, every job's workload is dispatched and
 // computed exactly, no transfer starts before its job arrives, and the
@@ -55,13 +56,15 @@ func FuzzMultiJobRun(f *testing.F) {
 			}
 			specs[j] = trace.MultiJobSpec{Arrival: arr[j], Total: total}
 		}
+		slots := 1 + src.Intn(3)
 		res, err := RunMulti(p, jobs, MultiOptions{
-			Policy:      policy,
-			RecordTrace: true,
+			Policy:        policy,
+			ParallelSends: slots,
+			RecordTrace:   true,
 		})
 		if err != nil {
-			t.Fatalf("multi-job engine failed (n=%d jobs=%d policy=%s): %v",
-				n, nJobs, policy.Name(), err)
+			t.Fatalf("multi-job engine failed (n=%d jobs=%d policy=%s slots=%d): %v",
+				n, nJobs, policy.Name(), slots, err)
 		}
 		for j, jr := range res.Jobs {
 			if math.Abs(jr.DispatchedWork-jobs[j].Total) > 1e-6 {
@@ -75,7 +78,7 @@ func FuzzMultiJobRun(f *testing.F) {
 			}
 		}
 		if err := res.Trace.ValidateMultiJob(p, specs); err != nil {
-			t.Fatalf("trace invalid (policy=%s): %v", policy.Name(), err)
+			t.Fatalf("trace invalid (policy=%s slots=%d): %v", policy.Name(), slots, err)
 		}
 	})
 }

@@ -5,9 +5,12 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 
+	"rumr/internal/des"
 	"rumr/internal/obs"
 	"rumr/internal/platform"
+	"rumr/internal/rng"
 	"rumr/internal/trace"
 )
 
@@ -296,5 +299,67 @@ func TestRunMultiRejectsBadDispatch(t *testing.T) {
 		Dispatcher: &listDispatcher{plan: []Chunk{{Worker: 0, Size: -1}}}}}, MultiOptions{})
 	if err == nil || !strings.Contains(err.Error(), "invalid chunk size") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// dueNow — onSendEnd's "is another event due at this instant" — must agree
+// with a brute-force scan over every DES event and send end scheduled so
+// far, at every step of a random run: events land at now+{0,1,2}, so ties
+// with the clock are frequent, several send ends are pending at once (a
+// port wider than one slot), and cancellations leave dead slots at the
+// heap root for Peek to drop.
+func TestDueNowMatchesScan(t *testing.T) {
+	noop := func(any, int) {}
+	f := func(seed uint64) bool {
+		src := rng.New(seed)
+		mr := &multiRun{sim: des.New()}
+		type rec struct {
+			h    des.Handle
+			time float64
+		}
+		var queued []rec
+		for step := 0; step < 200; step++ {
+			now := mr.sim.Now()
+			for k := src.Intn(3); k > 0; k-- {
+				tt := now + float64(src.Intn(3))
+				queued = append(queued, rec{h: mr.sim.AtCall(tt, noop, nil, 0), time: tt})
+			}
+			for k := src.Intn(2); k > 0 && len(mr.port) < 3; k-- {
+				tt := now + float64(src.Intn(3))
+				mr.port = append(mr.port, portEnd{time: tt, seq: mr.sim.Reserve(tt)})
+			}
+			if len(queued) > 0 && src.Float64() < 0.4 {
+				mr.sim.Cancel(queued[src.Intn(len(queued))].h)
+			}
+			want := false
+			for _, r := range queued {
+				want = want || (r.h.Scheduled() && r.time <= now)
+			}
+			for _, e := range mr.port {
+				want = want || e.time <= now
+			}
+			if mr.dueNow() != want {
+				return false
+			}
+			// Fire the earliest event by (time, seq), as run does.
+			tt, seq, ok := mr.sim.Peek()
+			next := -1
+			for i, e := range mr.port {
+				if !ok || e.time < tt || (e.time == tt && e.seq < seq) {
+					next, tt, seq, ok = i, e.time, e.seq, true
+				}
+			}
+			switch {
+			case next >= 0:
+				mr.port = append(mr.port[:next], mr.port[next+1:]...)
+				mr.sim.Advance(tt)
+			case ok:
+				mr.sim.Step()
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

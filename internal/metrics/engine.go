@@ -11,11 +11,13 @@ package metrics
 // is the largest physical event-queue size any single run reached, the
 // quantity that bounds heap sift cost.
 type EngineCounters struct {
-	// EventsPushed/EventsPopped count DES schedule and fire operations;
-	// EventsReplaced is the subset of pushes that took the kernel's
-	// replace-top fast path (one siftDown instead of pop-sift +
-	// push-sift); LazyCancels counts completion timers cancelled before
-	// firing.
+	// EventsPushed/EventsPopped count DES schedule and fire operations,
+	// the master port's send ends included: the engine keeps those out of
+	// the heap, but each reserves its sequence number from the kernel and
+	// counts as a push and a fire. EventsReplaced is the subset of pushes
+	// that took the kernel's replace-top fast path (one siftDown instead
+	// of pop-sift + push-sift); LazyCancels counts completion timers
+	// cancelled before firing; MaxHeapDepth counts heap slots only.
 	EventsPushed   int64 `json:"events_pushed"`
 	EventsPopped   int64 `json:"events_popped"`
 	EventsReplaced int64 `json:"events_replaced"`

@@ -33,8 +33,8 @@ type Model interface {
 }
 
 // Kind selects the distribution of the prediction-error ratio. A kind
-// becomes a model in Stream.Bind and a ratio in Tape.Perturb, so a new
-// kind is added there and here only.
+// becomes a ratio in Tape.Perturb only, so a new kind is added there and
+// here.
 type Kind int
 
 const (
@@ -47,15 +47,12 @@ const (
 )
 
 // Stream is one reusable error stream — the transfer or the computation
-// side of a run. It owns its source, the model values bound to it and the
-// tape of ratios it has drawn, so re-splitting, rebinding and replaying
-// allocate nothing once the tape has grown to a run's length. A bound
-// model points into the Stream, which therefore must not be copied or
-// moved while the model is in use.
+// side of a run. It owns its source and the tape of ratios it has drawn,
+// so re-splitting and replaying allocate nothing once the tape has grown
+// to a run's length. The bound tape points into the Stream, which
+// therefore must not be copied or moved while the tape is in use.
 type Stream struct {
 	src  rng.Source
-	tn   TruncNormal
-	un   Uniform
 	tape Tape
 }
 
@@ -63,22 +60,6 @@ type Stream struct {
 // exactly as master.Split does, so the stream draws what a Source
 // returned by master.Split would.
 func (s *Stream) Split(master *rng.Source) { master.SplitInto(&s.src) }
-
-// Bind returns the stream's model for kind at magnitude err: Perfect when
-// err <= 0, otherwise a *TruncNormal or *Uniform drawing from the
-// stream's source.
-func (s *Stream) Bind(kind Kind, err float64) Model {
-	switch {
-	case err <= 0:
-		return Perfect{}
-	case kind == UniformError:
-		s.un = Uniform{Err: err, Src: &s.src}
-		return &s.un
-	default:
-		s.tn = TruncNormal{Err: err, Src: &s.src}
-		return &s.tn
-	}
-}
 
 // record empties the stream's tape and returns it bound to (kind, err):
 // Perfect when err <= 0, otherwise the *Tape drawing from the stream's

@@ -230,27 +230,30 @@ func newModel(kind Kind, errMag float64, src *rng.Source) Model {
 	return NewTruncNormal(errMag, src)
 }
 
-// Bound models keep the pointer types the engine's draw counters
-// classify, and rebinding a stream allocates nothing.
-func TestStreamBind(t *testing.T) {
-	var s Stream
-	if _, ok := s.Bind(NormalError, 0).(Perfect); !ok {
-		t.Error("zero magnitude must bind Perfect")
-	}
-	if m, ok := s.Bind(NormalError, 0.2).(*TruncNormal); !ok || m.Error() != 0.2 {
-		t.Errorf("NormalError bound %#v", m)
-	}
-	if m, ok := s.Bind(UniformError, 0.4).(*Uniform); !ok || m.Error() != 0.4 {
-		t.Errorf("UniformError bound %#v", m)
-	}
+// Pair.Split binds both streams to Perfect at zero magnitude and
+// otherwise to a *Tape of the asked kind and magnitude — the model the
+// engine's draw counters classify by Tape.Kind — and re-splitting
+// allocates nothing.
+func TestPairSplitKinds(t *testing.T) {
 	var p Pair
 	master := rng.New(1)
+	if comm, comp := p.Split(master, UniformError, 0); comm != (Perfect{}) || comp != (Perfect{}) {
+		t.Errorf("zero magnitude bound %#v, %#v; want Perfect", comm, comp)
+	}
+	for _, kind := range []Kind{NormalError, UniformError} {
+		comm, comp := p.Split(master, kind, 0.2)
+		for _, m := range []Model{comm, comp} {
+			if tp, ok := m.(*Tape); !ok || tp.Kind() != kind || tp.Error() != 0.2 {
+				t.Errorf("kind %d bound %#v", kind, m)
+			}
+		}
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		master.Reseed(3)
 		comm, comp := p.Split(master, UniformError, 0.3)
 		comm.Perturb(1)
 		comp.Perturb(1)
 	}); n != 0 {
-		t.Errorf("Split+Bind: %v allocs", n)
+		t.Errorf("Split: %v allocs", n)
 	}
 }
