@@ -9,20 +9,12 @@ import (
 	"rumr/internal/rng"
 )
 
-// at and after schedule a closure through AtCall/AfterCall, so the kernel
-// tests can keep writing their callbacks inline.
-func at(s *Simulator, t float64, fn func()) Handle { return s.AtCall(t, callFn, fn, 0) }
-func after(s *Simulator, d float64, fn func()) Handle {
-	return s.AfterCall(d, callFn, fn, 0)
-}
-func callFn(arg any, _ int) { arg.(func())() }
-
 func TestEventsFireInOrder(t *testing.T) {
-	s := New()
+	s := newTsim()
 	var got []float64
-	at(s, 3, func() { got = append(got, 3) })
-	at(s, 1, func() { got = append(got, 1) })
-	at(s, 2, func() { got = append(got, 2) })
+	s.at(3, func() { got = append(got, 3) })
+	s.at(1, func() { got = append(got, 1) })
+	s.at(2, func() { got = append(got, 2) })
 	end := run(s)
 	want := []float64{1, 2, 3}
 	for i := range want {
@@ -36,11 +28,11 @@ func TestEventsFireInOrder(t *testing.T) {
 }
 
 func TestTieBreakByInsertion(t *testing.T) {
-	s := New()
+	s := newTsim()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		at(s, 5, func() { got = append(got, i) })
+		s.at(5, func() { got = append(got, i) })
 	}
 	run(s)
 	for i := 0; i < 10; i++ {
@@ -51,11 +43,11 @@ func TestTieBreakByInsertion(t *testing.T) {
 }
 
 func TestAfterAdvancesRelative(t *testing.T) {
-	s := New()
+	s := newTsim()
 	var times []float64
-	after(s, 1, func() {
+	s.after(1, func() {
 		times = append(times, s.Now())
-		after(s, 2, func() { times = append(times, s.Now()) })
+		s.after(2, func() { times = append(times, s.Now()) })
 	})
 	run(s)
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
@@ -64,26 +56,26 @@ func TestAfterAdvancesRelative(t *testing.T) {
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	s := New()
-	at(s, 10, func() {
+	s := newTsim()
+	s.at(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past should panic")
 			}
 		}()
-		at(s, 5, func() {})
+		s.at(5, func() {})
 	})
 	run(s)
 }
 
 func TestNaNPanics(t *testing.T) {
-	s := New()
+	s := newTsim()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NaN time should panic")
 		}
 	}()
-	at(s, math.NaN(), func() {})
+	s.at(math.NaN(), func() {})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -93,30 +85,30 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay should panic")
 		}
 	}()
-	after(s, -1, func() {})
+	s.After(-1, 0)
 }
 
 func TestCancel(t *testing.T) {
-	s := New()
+	s := newTsim()
 	fired := false
-	e := at(s, 1, func() { fired = true })
-	s.Cancel(e)
+	e := s.at(1, func() { fired = true })
+	s.cancel(e)
 	run(s)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() && e.Scheduled() {
-		t.Fatal("event should not report scheduled after cancel")
+	if s.QueueLen() != 0 || s.Processed() != 0 {
+		t.Fatalf("dropped entry left qlen=%d, processed=%d", s.QueueLen(), s.Processed())
 	}
-	s.Cancel(Handle{}) // zero handle must not panic
+	s.cancel(e) // a second cancel is a no-op
 }
 
 func TestCancelDuringRun(t *testing.T) {
-	s := New()
+	s := newTsim()
 	fired := false
-	var e Handle
-	at(s, 1, func() { s.Cancel(e) })
-	e = at(s, 2, func() { fired = true })
+	var e int
+	s.at(1, func() { s.cancel(e) })
+	e = s.at(2, func() { fired = true })
 	run(s)
 	if fired {
 		t.Fatal("event cancelled at t=1 still fired at t=2")
@@ -124,41 +116,37 @@ func TestCancelDuringRun(t *testing.T) {
 }
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
-	s := New()
+	s := newTsim()
 	count := 0
-	e := at(s, 1, func() { count++ })
+	e := s.at(1, func() { count++ })
 	run(s)
-	if e.Scheduled() || e.Cancelled() {
-		t.Fatal("handle should expire once the event fired")
-	}
-	// The Event struct behind e has been recycled; a second event may now
-	// occupy it. Cancelling the stale handle must not touch the new event.
-	f := at(s, 2, func() { count += 10 })
-	s.Cancel(e)
+	// A second entry is queued; cancelling the fired one must not mark
+	// anything stale.
+	s.at(2, func() { count += 10 })
+	s.cancel(e)
 	run(s)
-	if count != 11 {
-		t.Fatalf("count = %d; stale cancel hit a recycled event", count)
+	if count != 11 || s.stale != 0 {
+		t.Fatalf("count = %d, stale = %d; cancel after fire was not a no-op", count, s.stale)
 	}
-	_ = f
 }
 
 // A caller that stops stepping between events — as the engine does once
-// a callback fails — leaves the rest pending at the last fired time, and
+// an event fails the run — leaves the rest pending at the last fired time, and
 // stepping again resumes where it stopped.
 func TestStop(t *testing.T) {
-	s := New()
+	s := newTsim()
 	count := 0
 	stop := false
 	for i := 1; i <= 10; i++ {
-		at(s, float64(i), func() {
+		s.at(float64(i), func() {
 			count++
 			stop = count == 3
 		})
 	}
-	for !stop && s.Step() {
+	for !stop && s.step() {
 	}
-	if count != 3 || s.Pending() != 7 || s.Now() != 3 {
-		t.Fatalf("count = %d, pending = %d, now = %v; want 3, 7, 3", count, s.Pending(), s.Now())
+	if count != 3 || s.pending() != 7 || s.Now() != 3 {
+		t.Fatalf("count = %d, pending = %d, now = %v; want 3, 7, 3", count, s.pending(), s.Now())
 	}
 	run(s)
 	if count != 10 {
@@ -169,10 +157,10 @@ func TestStop(t *testing.T) {
 // Peek reports the next event without firing it, so a driver can stop at
 // a deadline and resume later.
 func TestRunUntil(t *testing.T) {
-	s := New()
+	s := newTsim()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		at(s, float64(i), func() { count++ })
+		s.at(float64(i), func() { count++ })
 	}
 	end := runUntil(s, 5.5)
 	if count != 5 {
@@ -188,9 +176,9 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilBoundaryInclusive(t *testing.T) {
-	s := New()
+	s := newTsim()
 	fired := false
-	at(s, 5, func() { fired = true })
+	s.at(5, func() { fired = true })
 	runUntil(s, 5)
 	if !fired {
 		t.Fatal("event exactly at the deadline should fire")
@@ -198,60 +186,71 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 }
 
 func TestPendingAndProcessed(t *testing.T) {
-	s := New()
-	e := at(s, 1, func() {})
-	at(s, 2, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d", s.Pending())
+	s := newTsim()
+	e := s.at(1, func() {})
+	s.at(2, func() {})
+	if s.pending() != 2 {
+		t.Fatalf("pending = %d", s.pending())
 	}
-	s.Cancel(e)
-	if s.Pending() != 1 {
-		t.Fatalf("pending after cancel = %d", s.Pending())
+	s.cancel(e)
+	if s.pending() != 1 {
+		t.Fatalf("pending after cancel = %d", s.pending())
 	}
 	run(s)
+	// The dropped entry is not counted as fired.
 	if s.Processed() != 1 {
 		t.Fatalf("processed = %d", s.Processed())
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending after run = %d", s.Pending())
+	if s.pending() != 0 || s.QueueLen() != 0 {
+		t.Fatalf("after run: pending = %d, qlen = %d", s.pending(), s.QueueLen())
 	}
 }
 
-func TestAtCallPassesArguments(t *testing.T) {
+// Peek and Step hand back each entry's payload bit for bit, at its time.
+func TestAtPassesPayload(t *testing.T) {
 	s := New()
-	type box struct{ hits, lastAux int }
-	b := &box{}
-	cb := func(arg any, aux int) {
-		bb := arg.(*box)
-		bb.hits++
-		bb.lastAux = aux
+	s.At(1, 7)
+	s.After(2, 42)
+	s.At(1.5, ^uint64(0))
+	want := []struct {
+		time float64
+		data uint64
+	}{{1, 7}, {1.5, ^uint64(0)}, {2, 42}}
+	for i, w := range want {
+		tt, _, data, ok := s.Peek()
+		if !ok || tt != w.time || data != w.data {
+			t.Fatalf("peek %d = %v, %d, %v; want %v, %d", i, tt, data, ok, w.time, w.data)
+		}
+		if got := s.Step(); got != w.data || s.Now() != w.time {
+			t.Fatalf("step %d = %d at %v; want %d at %v", i, got, s.Now(), w.data, w.time)
+		}
+		s.Settle()
 	}
-	s.AtCall(1, cb, b, 7)
-	s.AfterCall(2, cb, b, 42)
-	run(s)
-	if b.hits != 2 || b.lastAux != 42 {
-		t.Fatalf("box = %+v", b)
+	if _, _, _, ok := s.Peek(); ok {
+		t.Fatal("queue not drained")
 	}
 }
 
 func TestReset(t *testing.T) {
-	s := New()
-	at(s, 1, func() {})
-	e := at(s, 2, func() {})
+	s := newTsim()
+	s.at(1, func() {})
+	e := s.at(2, func() {})
 	run(s)
-	at(s, 5, func() { t.Fatal("event from before Reset fired") })
-	s.Cancel(e)
+	s.at(5, func() { t.Fatal("event from before Reset fired") })
+	s.cancel(e)
+	s.Peek()
+	s.Step() // leaves a replace-top hole open across the reset
 	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.QueueLen() != 0 || s.Processed() != 0 {
-		t.Fatalf("reset state: now=%v pending=%d qlen=%d processed=%d",
-			s.Now(), s.Pending(), s.QueueLen(), s.Processed())
+	if s.Now() != 0 || s.QueueLen() != 0 || s.Processed() != 0 || s.Stats() != (Stats{}) || s.rootHole {
+		t.Fatalf("reset state: now=%v qlen=%d processed=%d stats=%+v hole=%v",
+			s.Now(), s.QueueLen(), s.Processed(), s.Stats(), s.rootHole)
 	}
 	// After a reset the simulator behaves exactly like a fresh one,
 	// including the tie-break sequence numbering.
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		at(s, 1, func() { got = append(got, i) })
+		s.at(1, func() { got = append(got, i) })
 	}
 	run(s)
 	for i := range got {
@@ -266,14 +265,14 @@ func TestReset(t *testing.T) {
 func TestRandomSchedulesOrdered(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		s := New()
+		s := newTsim()
 		n := 1 + src.Intn(200)
 		var fired []float64
 		times := make([]float64, n)
 		for i := 0; i < n; i++ {
 			times[i] = src.Uniform(0, 100)
 			tt := times[i]
-			at(s, tt, func() { fired = append(fired, tt) })
+			s.at(tt, func() { fired = append(fired, tt) })
 		}
 		run(s)
 		if len(fired) != n {
@@ -305,7 +304,7 @@ func TestRandomTieBreakMatchesReferenceSort(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		s := New()
+		s := newTsim()
 		n := 1 + src.Intn(300)
 		events := make([]ev, n)
 		var fired []ev
@@ -313,7 +312,7 @@ func TestRandomTieBreakMatchesReferenceSort(t *testing.T) {
 			// Coarse times force plenty of exact ties.
 			events[i] = ev{time: float64(src.Intn(10)), idx: i}
 			e := events[i]
-			at(s, e.time, func() { fired = append(fired, e) })
+			s.at(e.time, func() { fired = append(fired, e) })
 		}
 		ref := append([]ev(nil), events...)
 		sort.SliceStable(ref, func(a, b int) bool { return ref[a].time < ref[b].time })
@@ -342,23 +341,23 @@ func TestRandomCancellations(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		s := New()
+		s := newTsim()
 		n := 1 + src.Intn(300)
-		handles := make([]Handle, n)
+		handles := make([]int, n)
 		var fired []ev
 		for i := 0; i < n; i++ {
 			e := ev{time: float64(src.Intn(20)), idx: i}
-			handles[i] = at(s, e.time, func() { fired = append(fired, e) })
+			handles[i] = s.at(e.time, func() { fired = append(fired, e) })
 		}
 		cancelled := make([]bool, n)
 		for i := 0; i < n; i++ {
 			if src.Float64() < 0.5 {
 				cancelled[i] = true
-				s.Cancel(handles[i])
-				s.Cancel(handles[i]) // double cancel must be a no-op
+				s.cancel(handles[i])
+				s.cancel(handles[i]) // double cancel must be a no-op
 			}
 		}
-		if s.Pending() != n-countTrue(cancelled) {
+		if s.pending() != n-countTrue(cancelled) {
 			return false
 		}
 		run(s)
@@ -377,7 +376,7 @@ func TestRandomCancellations(t *testing.T) {
 				return false
 			}
 		}
-		return s.Pending() == 0
+		return s.pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -394,60 +393,19 @@ func countTrue(bs []bool) int {
 	return n
 }
 
-// TestCancelledRetentionBounded is the regression test for cancelled-event
-// retention: a fault-heavy run arms one timeout per chunk and cancels
-// almost all of them (chunks usually complete before timing out). Before
-// compaction, every cancelled timer stayed in the heap until its deadline
-// reached the top — the queue grew with total scheduled events. Now the
-// physical queue length must stay bounded by the live events plus the
-// compaction slack, no matter how many events have been through it.
-func TestCancelledRetentionBounded(t *testing.T) {
-	s := New()
-	const rounds = 200
-	const perRound = 50
-	maxQ := 0
-	for r := 0; r < rounds; r++ {
-		handles := make([]Handle, perRound)
-		for i := range handles {
-			// Far-future timeouts, like per-chunk completion timers.
-			handles[i] = at(s, s.Now()+1000+float64(i), func() {})
-		}
-		// The chunk completes: its timer is cancelled.
-		for _, h := range handles {
-			s.Cancel(h)
-		}
-		// One real event per round keeps the clock moving.
-		next := s.Now() + 0.1
-		at(s, next, func() {})
-		runUntil(s, next)
-		if q := s.QueueLen(); q > maxQ {
-			maxQ = q
-		}
-	}
-	// 200*50 = 10k events were scheduled and cancelled; the bound must be
-	// in the order of the compaction threshold, not the total.
-	limit := 2*s.Pending() + 4*compactMin
-	if maxQ > limit {
-		t.Fatalf("queue grew to %d slots (pending %d, limit %d): cancelled events retained", maxQ, s.Pending(), limit)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", s.Pending())
-	}
-}
-
-// Events scheduled from within callbacks (a cascading chain) must work; this
+// Events scheduled from within actions (a cascading chain) must work; this
 // is the pattern the engine uses everywhere.
 func TestCascade(t *testing.T) {
-	s := New()
+	s := newTsim()
 	depth := 0
 	var step func()
 	step = func() {
 		depth++
 		if depth < 1000 {
-			after(s, 0.001, step)
+			s.after(0.001, step)
 		}
 	}
-	after(s, 0, step)
+	s.after(0, step)
 	end := run(s)
 	if depth != 1000 {
 		t.Fatalf("depth = %d", depth)
@@ -458,8 +416,8 @@ func TestCascade(t *testing.T) {
 }
 
 // benchSim runs body b.N times on one simulator, after one untimed run
-// that grows the heap and the event free-list, so even a -benchtime=1x
-// iteration measures the steady state.
+// that grows the heap, so even a -benchtime=1x iteration measures the
+// steady state.
 func benchSim(b *testing.B, body func(s *Simulator)) {
 	b.ReportAllocs()
 	s := New()
@@ -471,60 +429,76 @@ func benchSim(b *testing.B, body func(s *Simulator)) {
 	}
 }
 
-func BenchmarkScheduleAndRun(b *testing.B) {
+// BenchmarkPushStep measures the bare kernel loop: 1,000 entries queued,
+// then peeked and stepped until the queue drains.
+func BenchmarkPushStep(b *testing.B) {
 	benchSim(b, func(s *Simulator) {
 		for j := 0; j < 1000; j++ {
-			at(s, float64(j%37), func() {})
+			s.At(float64(j%37), uint64(j))
 		}
-		run(s)
+		for _, _, _, ok := s.Peek(); ok; _, _, _, ok = s.Peek() {
+			s.Step()
+			s.Settle()
+		}
 	})
 }
 
-// BenchmarkScheduleCancelRun measures the fault-heavy pattern: every
-// event is shadowed by a far-future timer that gets cancelled.
-func BenchmarkScheduleCancelRun(b *testing.B) {
+// BenchmarkPushDropStep measures the fault-heavy pattern: every entry is
+// shadowed by a far-future timer (odd payload) that its caller disarms
+// at once, so timers are dropped at the root or compacted away under the
+// engine's rule.
+func BenchmarkPushDropStep(b *testing.B) {
+	live := func(data uint64) bool { return data&1 == 0 }
 	benchSim(b, func(s *Simulator) {
+		stale := 0
 		for j := 0; j < 1000; j++ {
-			h := at(s, float64(j%37)+1000, func() {})
-			at(s, float64(j%37), func() {})
-			s.Cancel(h)
+			s.At(float64(j%37)+1000, 1)
+			s.At(float64(j%37), 0)
+			if stale++; stale > compactMin && stale > s.QueueLen()/2 {
+				s.Compact(live)
+				stale = 0
+			}
 		}
-		run(s)
+		for _, _, data, ok := s.Peek(); ok; _, _, data, ok = s.Peek() {
+			if data&1 == 1 {
+				s.Drop()
+			} else {
+				s.Step()
+				s.Settle()
+			}
+		}
 	})
 }
 
-// Peek must report the (time, seq) of the earliest live event, as a
-// brute-force scan over every handle finds it, at every firing — including
-// inside callbacks, where the fired root is a replace-top hole, and after
-// cancellations left dead slots in the heap. Sequence numbers are
-// insertion indices on a fresh simulator; integer times make ties
-// frequent.
+// Peek must report the (time, seq) of the earliest live entry, as a
+// brute-force scan over every queued entry finds it, at every firing —
+// including inside actions, where the fired root is a replace-top hole,
+// and after cancellations left stale entries in the heap. Sequence
+// numbers are insertion indices (the ids) on a fresh simulator; integer
+// times make ties frequent.
 func TestPeekMatchesScan(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		s := New()
-		type rec struct {
-			h    Handle
-			time float64
-		}
-		var all []rec
+		s := newTsim()
+		var times []float64 // by id
 		ok := true
 		check := func() {
 			var wantT float64
 			wantSeq, want := uint64(0), false
-			for i, r := range all {
-				if r.h.Scheduled() && (!want || r.time < wantT) {
-					wantT, wantSeq, want = r.time, uint64(i), true
+			for id, tt := range times {
+				if s.state[id] == queued && (!want || tt < wantT) {
+					wantT, wantSeq, want = tt, uint64(id), true
 				}
 			}
-			gotT, gotSeq, got := s.Peek()
+			gotT, gotSeq, _, got := s.peek()
 			if got != want || (want && (gotT != wantT || gotSeq != wantSeq)) {
 				ok = false
 			}
 		}
 		var cb func()
 		schedule := func(t float64) {
-			all = append(all, rec{h: at(s, t, cb), time: t})
+			times = append(times, t)
+			s.at(t, cb)
 		}
 		cb = func() {
 			now := s.Now()
@@ -534,22 +508,22 @@ func TestPeekMatchesScan(t *testing.T) {
 			if src.Float64() < 0.5 {
 				schedule(now + float64(src.Intn(3)))
 			}
-			if len(all) > 0 && src.Float64() < 0.3 {
-				s.Cancel(all[src.Intn(len(all))].h)
+			if len(times) > 0 && src.Float64() < 0.3 {
+				s.cancel(src.Intn(len(times)))
 			}
 			check()
 		}
 		for i := 0; i < 1+src.Intn(200); i++ {
 			schedule(float64(src.Intn(15)))
 		}
-		for i := range all {
+		for id := range times {
 			if src.Float64() < 0.3 {
-				s.Cancel(all[i].h)
+				s.cancel(id)
 			}
 		}
 		check()
 		run(s)
-		_, _, left := s.Peek()
+		_, _, _, left := s.peek()
 		return ok && !left && s.QueueLen() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -560,19 +534,19 @@ func TestPeekMatchesScan(t *testing.T) {
 // Reserve takes its seq from the queue's counter and counts a push; Advance
 // moves the clock and counts a fire. Both refuse to go back in time.
 func TestReserveAndAdvance(t *testing.T) {
-	s := New()
-	at(s, 1, func() {})
+	s := newTsim()
+	s.at(1, func() {})
 	if seq := s.Reserve(2); seq != 1 {
 		t.Fatalf("reserved seq = %d, want 1", seq)
 	}
-	at(s, 3, func() {})
-	if _, seq, _ := s.Peek(); seq != 0 {
+	s.at(3, func() {})
+	if _, seq, _, _ := s.Peek(); seq != 0 {
 		t.Fatalf("root seq = %d, want 0", seq)
 	}
-	s.Step()
+	s.step()
 	s.Advance(2)
-	if st := s.Stats(); st.Pushed != 3 || st.Fired != 2 || s.Now() != 2 || s.Pending() != 1 {
-		t.Fatalf("after advance: stats %+v, now %v, pending %d", st, s.Now(), s.Pending())
+	if st := s.Stats(); st.Pushed != 3 || st.Fired != 2 || s.Now() != 2 || s.pending() != 1 {
+		t.Fatalf("after advance: stats %+v, now %v, pending %d", st, s.Now(), s.pending())
 	}
 	for name, fn := range map[string]func(){
 		"reserve in the past": func() { s.Reserve(1) },

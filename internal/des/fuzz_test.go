@@ -10,19 +10,23 @@ import (
 // schedule / reserve / cancel / run-until operations decoded from the fuzz
 // input. Events fire through the engine's loop (runMerged): queued ones
 // through Step, with its replace-top hole, reserved ones through Advance
-// when they precede the live root by (time, seq). After every operation
-// it checks the kernel's invariants:
+// when they precede the live root by (time, seq). Cancelling is the
+// engine's too: a cancelled entry is marked stale, dropped when it reaches
+// the root, and removed with the rest by Compact once stale entries are
+// more than compactMin and half the queue. After every operation it checks
+// the kernel's invariants:
 //
 //   - events fire in (time, insertion) order, exactly the uncancelled ones,
 //     reserved and queued alike — the merge matches a sorted reference;
-//   - Pending() plus the reserved entries equals scheduled minus fired
-//     minus cancelled;
+//   - the live queued entries plus the reserved ones equal scheduled minus
+//     fired minus cancelled, and the queue holds exactly the live and the
+//     stale entries;
 //   - the physical queue never retains more than the live events plus the
 //     compaction slack;
 //   - a deadline fires everything due by it and nothing later, and the
 //     clock never goes backwards.
 //
-// Two of the schedule ops install callbacks that act when fired —
+// Two of the schedule ops install actions that act when fired —
 // scheduling successors, queued and reserved in turn (the first queued one
 // fills the replace-top hole), or cancelling a pseudo-random pending event
 // (which can force a compaction while the hole is open). Run it as a
@@ -34,31 +38,31 @@ func FuzzPushPopCancel(f *testing.F) {
 	f.Add([]byte{255, 254, 253, 0, 0, 0, 128, 128})
 	f.Add([]byte{2, 66, 130, 194, 2, 66, 7, 3, 67, 131, 7, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := New()
+		s := newTsim()
 		type rec struct {
 			time float64
 			id   int
 		}
 		var fired []rec
 		var port []reserved  // reserved entries not yet fired
-		var handles []Handle // handles[id] belongs to scheduled[id]; zero when reserved
+		var entry []int      // entry[id] is scheduled[id]'s tsim id; -1 when reserved
 		var scheduled []rec  // by id
 		var cancelled []bool // by id
 		cancelledCount := 0
 
-		// cancelPending marks + cancels handles[id] if still pending.
+		// cancelPending marks + cancels entry[id] if still queued.
 		cancelPending := func(id int) {
-			if handles[id].Scheduled() {
+			if e := entry[id]; e >= 0 && s.state[e] == queued {
 				cancelled[id] = true
 				cancelledCount++
+				s.cancel(e)
 			}
-			s.Cancel(handles[id])
 		}
 		// add schedules an event at tt, or reserves it outside the queue
 		// when outside is set (a reserved entry cannot be cancelled). spawn
-		// > 0 makes its callback schedule that many successors when fired,
+		// > 0 makes its action schedule that many successors when fired,
 		// queued and reserved in turn (the first lands in the replace-top
-		// hole under Step); chainCancel makes the callback also cancel a
+		// hole under Step); chainCancel makes the action also cancel a
 		// pseudo-random pending event mid-fire.
 		var add func(tt float64, spawn int, chainCancel, outside bool)
 		add = func(tt float64, spawn int, chainCancel, outside bool) {
@@ -76,16 +80,16 @@ func FuzzPushPopCancel(f *testing.F) {
 					// stressing the seq tie-break through the hole path.
 					add(s.Now()+float64(k), 0, false, k%2 == 1)
 				}
-				if chainCancel && len(handles) > 0 {
-					cancelPending((id*31 + 7) % len(handles))
+				if chainCancel && len(entry) > 0 {
+					cancelPending((id*31 + 7) % len(entry))
 				}
 			}
 			if outside {
-				handles = append(handles, Handle{})
-				reserve(s, &port, tt, fn)
+				entry = append(entry, -1)
+				s.reserve(&port, tt, fn)
 				return
 			}
-			handles = append(handles, at(s, tt, fn))
+			entry = append(entry, s.at(tt, fn))
 		}
 		// due reports whether an uncancelled, unfired event is due by t.
 		due := func(t float64) bool {
@@ -94,7 +98,7 @@ func FuzzPushPopCancel(f *testing.F) {
 					return true
 				}
 			}
-			tt, _, ok := s.Peek()
+			tt, _, _, ok := s.peek()
 			return ok && tt <= t
 		}
 
@@ -110,11 +114,13 @@ func FuzzPushPopCancel(f *testing.F) {
 				add(s.Now()+v, 1+int(data[i]>>6), false, false)
 			case op == 3: // schedule an event that cancels when fired
 				add(s.Now()+v, 0, true, false)
-			case op == 4 || op == 5: // cancel a pseudo-random prior handle
-				if len(handles) > 0 {
-					id := int(data[i]) % len(handles)
+			case op == 4 || op == 5: // cancel a pseudo-random prior entry
+				if len(entry) > 0 {
+					id := int(data[i]) % len(entry)
 					cancelPending(id)
-					s.Cancel(handles[id]) // double cancel must be a no-op
+					if e := entry[id]; e >= 0 {
+						s.cancel(e) // double cancel must be a no-op
+					}
 				}
 			case op == 6: // fire only what is due now (time ties)
 				if now := runMerged(s, s.Now(), &port); due(now) {
@@ -122,15 +128,18 @@ func FuzzPushPopCancel(f *testing.F) {
 				}
 			default:
 				deadline := s.Now() + v
-				if now := runMerged(s, deadline, &port); due(now) || (now != deadline && s.Pending()+len(port) > 0) {
+				if now := runMerged(s, deadline, &port); due(now) || (now != deadline && s.pending()+len(port) > 0) {
 					t.Fatalf("op %d: run to %v stopped at %v with events due", i, deadline, now)
 				}
 			}
-			if live := len(scheduled) - len(fired) - cancelledCount; s.Pending()+len(port) != live {
-				t.Fatalf("op %d: pending = %d + %d reserved, want %d", i, s.Pending(), len(port), live)
+			if live := len(scheduled) - len(fired) - cancelledCount; s.pending()+len(port) != live {
+				t.Fatalf("op %d: pending = %d + %d reserved, want %d", i, s.pending(), len(port), live)
 			}
-			if s.QueueLen() > 2*s.Pending()+4*compactMin {
-				t.Fatalf("op %d: queue len %d exceeds retention bound (pending %d)", i, s.QueueLen(), s.Pending())
+			if q := s.QueueLen(); q != s.pending()+s.stale {
+				t.Fatalf("op %d: queue len %d, want %d live + %d stale", i, q, s.pending(), s.stale)
+			}
+			if s.QueueLen() > 2*s.pending()+4*compactMin {
+				t.Fatalf("op %d: queue len %d exceeds retention bound (pending %d)", i, s.QueueLen(), s.pending())
 			}
 		}
 		prevNow := s.Now()
@@ -160,8 +169,8 @@ func FuzzPushPopCancel(f *testing.F) {
 				t.Fatalf("fire order[%d] = %+v, want %+v", i, fired[i], want[i])
 			}
 		}
-		if s.Pending() != 0 || s.QueueLen() != 0 || len(port) != 0 {
-			t.Fatalf("drained queue: pending=%d qlen=%d reserved=%d", s.Pending(), s.QueueLen(), len(port))
+		if s.pending() != 0 || s.QueueLen() != 0 || s.stale != 0 || len(port) != 0 {
+			t.Fatalf("drained queue: pending=%d qlen=%d stale=%d reserved=%d", s.pending(), s.QueueLen(), s.stale, len(port))
 		}
 	})
 }

@@ -3,11 +3,11 @@ package des
 import "testing"
 
 // replaceWorkload drives sim through a deterministic self-scheduling
-// workload derived from seed: chain events whose callbacks schedule up
+// workload derived from seed: chain events whose actions schedule up
 // to two successors (the first lands in the replace-top hole when run
 // via Step) and occasionally cancel an earlier pending event. It
 // returns the fired (time, id) sequence.
-func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
+func replaceWorkload(sim *tsim, seed uint64, step bool) []struct {
 	time float64
 	id   int
 } {
@@ -16,7 +16,7 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 		id   int
 	}
 	var fired []rec
-	var handles []Handle
+	var handles []int
 	nextID := 0
 	rnd := seed
 	next := func(n uint64) uint64 {
@@ -31,7 +31,7 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 	spawn = func(t float64, depth int) {
 		id := nextID
 		nextID++
-		h := at(sim, t, func() {
+		h := sim.at(t, func() {
 			fired = append(fired, rec{time: t, id: id})
 			if depth > 0 {
 				// First successor: fills the hole under Step.
@@ -42,7 +42,7 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 				}
 			}
 			if len(handles) > 0 && next(4) == 0 {
-				sim.Cancel(handles[int(next(uint64(len(handles))))])
+				sim.cancel(handles[int(next(uint64(len(handles))))])
 			}
 		})
 		handles = append(handles, h)
@@ -61,23 +61,18 @@ func replaceWorkload(sim *Simulator, seed uint64, step bool) []struct {
 
 // popThenFire is the reference path Step's replace-top hole must
 // match: pop the earliest live event, then fire it, so a successor the
-// callback schedules is always a separate push. It reports whether an
+// action schedules is always a separate push. It reports whether an
 // event fired.
-func popThenFire(s *Simulator) bool {
-	for len(s.q) > 0 {
-		top := s.q[0]
-		s.popTop()
-		if top.ev.cancelled {
-			s.dead--
-			s.recycle(top.ev)
-			continue
-		}
-		s.live--
-		s.now = top.time
-		s.fire(top.ev)
-		return true
+func popThenFire(s *tsim) bool {
+	tt, _, data, ok := s.peek()
+	if !ok {
+		return false
 	}
-	return false
+	s.popTop()
+	s.now = tt
+	s.processed++
+	s.fire(data)
+	return true
 }
 
 // TestReplaceTopMatchesPopThenPush is the differential property test for
@@ -89,14 +84,14 @@ func popThenFire(s *Simulator) bool {
 // the outside; this pins that down.
 func TestReplaceTopMatchesPopThenPush(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		run := New()
+		run := newTsim()
 		a := replaceWorkload(run, seed, false)
 		if got := run.Stats(); got.Replaced == 0 {
 			t.Fatalf("seed %d: Step workload never took the replace-top path (stats %+v)", seed, got)
 		} else if got.Replaced > got.Pushed {
 			t.Fatalf("seed %d: Replaced %d exceeds Pushed %d", seed, got.Replaced, got.Pushed)
 		}
-		stepSim := New()
+		stepSim := newTsim()
 		b := replaceWorkload(stepSim, seed, true)
 		if got := stepSim.Stats(); got.Replaced != 0 {
 			t.Fatalf("seed %d: pop-then-fire path unexpectedly replaced %d roots", seed, got.Replaced)
@@ -109,60 +104,69 @@ func TestReplaceTopMatchesPopThenPush(t *testing.T) {
 				t.Fatalf("seed %d: fire order diverges at %d: Step %+v, pop-then-fire %+v", seed, i, a[i], b[i])
 			}
 		}
-		if run.Pending() != 0 || run.QueueLen() != 0 {
-			t.Fatalf("seed %d: queue not drained: pending=%d qlen=%d", seed, run.Pending(), run.QueueLen())
+		if run.pending() != 0 || run.QueueLen() != 0 {
+			t.Fatalf("seed %d: queue not drained: pending=%d qlen=%d", seed, run.pending(), run.QueueLen())
+		}
+		if sa, sb := run.Stats(), stepSim.Stats(); sa.Pushed != sb.Pushed || sa.Fired != sb.Fired {
+			t.Fatalf("seed %d: Step counted %+v, pop-then-fire %+v", seed, sa, sb)
 		}
 	}
 }
 
-// TestReplaceTopUnfilledHole checks the hole-removal path: a callback
+// TestReplaceTopUnfilledHole checks the hole-removal path: an action
 // that schedules nothing must leave the queue exactly as a pop would.
 func TestReplaceTopUnfilledHole(t *testing.T) {
-	s := New()
+	s := newTsim()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		at(s, float64(10-i), func() { order = append(order, i) })
+		s.at(float64(10-i), func() { order = append(order, i) })
 	}
 	run(s)
 	if s.Stats().Replaced != 0 {
-		t.Fatalf("no callback scheduled, yet Replaced = %d", s.Stats().Replaced)
+		t.Fatalf("no action scheduled, yet Replaced = %d", s.Stats().Replaced)
 	}
 	for k, id := range order {
 		if want := 9 - k; id != want {
 			t.Fatalf("order[%d] = %d, want %d", k, id, want)
 		}
 	}
-	if s.Pending() != 0 || s.QueueLen() != 0 {
-		t.Fatalf("queue not drained: pending=%d qlen=%d", s.Pending(), s.QueueLen())
+	if s.pending() != 0 || s.QueueLen() != 0 {
+		t.Fatalf("queue not drained: pending=%d qlen=%d", s.pending(), s.QueueLen())
 	}
 }
 
 // TestReplaceTopHoleSurvivesCompaction forces a compaction while the
-// root hole is open: the firing callback cancels enough events to
-// trigger compact(), which must drop the hole without recycling a nil
-// event, and the follow-up schedule must take the normal append path.
+// root hole is open: the firing action cancels enough events to trigger
+// Compact, which must drop the hole, and the follow-up schedule must take
+// the normal append path rather than overwrite a live root.
 func TestReplaceTopHoleSurvivesCompaction(t *testing.T) {
-	s := New()
-	var handles []Handle
+	s := newTsim()
+	var handles []int
 	// A large pool of cancellable fillers well after the trigger event.
 	for i := 0; i < 4*compactMin; i++ {
-		handles = append(handles, at(s, 100+float64(i), func() {}))
+		handles = append(handles, s.at(100+float64(i), func() {}))
 	}
 	fired := 0
 	resumed := false
-	at(s, 1, func() {
+	s.at(1, func() {
 		for _, h := range handles {
-			s.Cancel(h) // crosses the compaction threshold mid-hole
+			s.cancel(h) // crosses the compaction threshold mid-hole
 		}
-		after(s, 1, func() { resumed = true })
+		if s.rootHole {
+			t.Error("compaction left the replace-top hole open")
+		}
+		s.after(1, func() { resumed = true })
 	})
-	at(s, 2, func() { fired++ })
+	s.at(2, func() { fired++ })
 	run(s)
 	if !resumed || fired != 1 {
 		t.Fatalf("post-compaction scheduling broken: resumed=%v fired=%d", resumed, fired)
 	}
-	if s.Pending() != 0 || s.QueueLen() != 0 {
-		t.Fatalf("queue not drained: pending=%d qlen=%d", s.Pending(), s.QueueLen())
+	if st := s.Stats(); st.Replaced != 0 {
+		t.Fatalf("a schedule after the compaction filled a hole: %+v", st)
+	}
+	if s.pending() != 0 || s.QueueLen() != 0 {
+		t.Fatalf("queue not drained: pending=%d qlen=%d", s.pending(), s.QueueLen())
 	}
 }

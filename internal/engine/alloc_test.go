@@ -155,7 +155,7 @@ func assertZeroAlloc(t *testing.T, what string, run func() error) {
 
 // BenchmarkEngineRun is one fault-free run, the unit of work a sweep
 // multiplies by millions: pooled run state, typed event queue and
-// closure-free callbacks keep it at 0 allocs/op.
+// typed event payloads keep it at 0 allocs/op.
 func BenchmarkEngineRun(b *testing.B) { benchSteadyState(b, singleRun(Options{})) }
 
 // Run and RunMulti share one pool of run states, so a state that last

@@ -63,7 +63,7 @@ func TestCountersAccumulate(t *testing.T) {
 
 	// Send ends stay out of the DES heap, so the run above (TLat = 0, no
 	// chunk ever queued) takes no replace-top fill: a compute end's
-	// callback only hands the freed port slot to a send. Here four chunks
+	// action only hands the freed port slot to a send. Here four chunks
 	// per worker are sent back to back and queue behind the first, so each
 	// compute end but the last on a worker fills the just-fired root's slot
 	// with the next chunk's compute end.

@@ -35,9 +35,12 @@
 //
 // The hot path is allocation-free in steady state: run state (the DES
 // kernel, worker states, job records, chunk structs) is pooled and reset
-// between runs, and every per-chunk callback is a shared top-level
-// function scheduled through des.AfterCall with the chunk as its argument
-// — no closures are captured per chunk-hop. The master port's send ends
+// between runs, and every DES entry is a typed payload — kind, job, fault
+// or chunk index, worker and attempt packed into one uint64 — that the
+// core's run loop decodes and acts on directly, so no callback or closure
+// exists per chunk-hop. Cancelling is the core's own business: a disarmed
+// compute end or completion timer stays queued until it reaches the root,
+// where its stale generation drops it. The master port's send ends
 // never enter the DES heap: at most ParallelSends are pending, so the
 // core keeps them in a small slice and its run loop merges them with the
 // DES root by (time, seq), each send end holding the seq it reserved
@@ -313,13 +316,19 @@ type loneSink struct{ obs.Sink }
 
 func (s *loneSink) EmitJob(_ int, e obs.Event) { s.Emit(e) }
 
-// validate checks the inputs Run and RunMulti share: the worker count the
-// attempt-stamped event payload can address (see packAux; checked first,
-// so a huge platform is rejected without walking it), the platform, the
-// fault schedule and each job's spec.
+// validate checks the inputs Run and RunMulti share: the worker, job and
+// fault counts the event payload can address (see pack; checked first, so
+// a huge platform is rejected without walking it), the platform, the fault
+// schedule and each job's spec.
 func validate(p *platform.Platform, faults *fault.Schedule, jobs []Job) error {
-	if n := len(p.Workers); n >= 1<<auxWorkerBits {
-		return fmt.Errorf("engine: %d workers exceed the supported maximum %d", n, 1<<auxWorkerBits-1)
+	if n := len(p.Workers); n >= 1<<workerBits {
+		return fmt.Errorf("engine: %d workers exceed the supported maximum %d", n, 1<<workerBits-1)
+	}
+	if n := len(jobs); n > maxIndex+1 {
+		return fmt.Errorf("engine: %d jobs exceed the supported maximum %d", n, maxIndex+1)
+	}
+	if !faults.Empty() && len(faults.Events) > maxIndex+1 {
+		return fmt.Errorf("engine: %d fault events exceed the supported maximum %d", len(faults.Events), maxIndex+1)
 	}
 	if err := p.Validate(); err != nil {
 		return err

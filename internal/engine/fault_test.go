@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"rumr/internal/des"
 	"rumr/internal/fault"
 	"rumr/internal/obs"
 	"rumr/internal/perferr"
@@ -337,5 +339,96 @@ func TestFaultyRunDeterministic(t *testing.T) {
 		if a.Trace.Records[i] != b.Trace.Records[i] {
 			t.Fatalf("record %d differs:\n%+v\n%+v", i, a.Trace.Records[i], b.Trace.Records[i])
 		}
+	}
+}
+
+// TestCancelledRetentionBounded is the regression test for stale-entry
+// retention: a demand-driven recovery run arms one completion timer per
+// chunk at 1,000 times its predicted completion, so every chunk completes
+// long before its timer and disarms it. A disarmed timer stays queued
+// until it reaches the root, and none does before the last chunk
+// completes, so without compaction the queue would grow with every chunk
+// sent. At every consult the physical queue must stay within twice its
+// live entries plus the compaction slack, and once the run drains every
+// stale entry must have been dropped or compacted away.
+func TestCancelledRetentionBounded(t *testing.T) {
+	const chunks = 2000
+	p := platform.Homogeneous(4, 1, 40, 0.01, 0.01)
+	maxQ := 0
+	consultAudit = func(mr *multiRun) {
+		q := mr.sim.QueueLen()
+		if live := q - mr.stale; mr.stale < 0 || q > 2*live+4*compactMin {
+			t.Fatalf("queue holds %d entries, %d of them stale: disarmed timers retained", q, mr.stale)
+		}
+		maxQ = max(maxQ, q)
+	}
+	defer func() { consultAudit = nil }()
+	mr := &multiRun{sim: des.New()}
+	jobs := []Job{{Total: chunks, Dispatcher: &demandDispatcher{remaining: chunks, size: 1}}}
+	var ctr Counters
+	err := mr.exec(p, jobs, MultiOptions{Counters: &ctr}, nil, fault.Recovery{Enabled: true, TimeoutFactor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.jobs[0].res.CompletedWork != chunks || mr.redispatches != 0 {
+		t.Fatalf("completed %g of %d units with %d re-dispatches", mr.jobs[0].res.CompletedWork, chunks, mr.redispatches)
+	}
+	// Every completion disarmed its timer; the queue's peak must be in the
+	// order of the compaction threshold, not of the 2,000 disarms.
+	if ctr.LazyCancels != chunks || maxQ > 4*compactMin {
+		t.Fatalf("%d disarms, queue peaked at %d", ctr.LazyCancels, maxQ)
+	}
+	if mr.stale != 0 || mr.sim.QueueLen() != 0 {
+		t.Fatalf("drained run left %d stale of %d queued entries", mr.stale, mr.sim.QueueLen())
+	}
+	mr.release()
+}
+
+// A run that needs a chunk index, an attempt, a job or a fault beyond what
+// the event payload holds fails with an error instead of wrapping into
+// another entry's identity. The limits are lowered so small runs reach
+// them.
+func TestPayloadLimitsFailTheRun(t *testing.T) {
+	defer func(i, a int) { maxIndex, maxAttempt = i, a }(maxIndex, maxAttempt)
+	maxIndex, maxAttempt = 5, 3
+
+	p := homog(2)
+	plan := make([]Chunk, 10)
+	for i := range plan {
+		plan[i] = Chunk{Worker: i % 2, Size: 1}
+	}
+	if _, err := Run(p, &listDispatcher{plan: plan[:6]}, Options{}); err != nil {
+		t.Fatalf("6 chunks fit indices 0..5: %v", err)
+	}
+	if _, err := Run(p, &listDispatcher{plan: plan}, Options{}); err == nil || !strings.Contains(err.Error(), "index limit 5") {
+		t.Fatalf("10 chunks over index limit 5: err = %v", err)
+	}
+
+	// Both workers stall forever: every timeout kills the chunk and
+	// re-sends it, so its attempt count climbs past the limit.
+	stuck := &fault.Schedule{Events: []fault.Event{
+		{Time: 0, Worker: 0, Kind: fault.SlowStart, Factor: 1e12},
+		{Time: 0, Worker: 1, Kind: fault.SlowStart, Factor: 1e12},
+	}}
+	_, err := Run(p, &listDispatcher{plan: plan[:1]}, Options{
+		Faults: stuck, Recovery: fault.Recovery{Enabled: true, TimeoutFactor: 2},
+	})
+	if err == nil || !strings.Contains(err.Error(), "attempt limit 3") {
+		t.Fatalf("re-dispatch past attempt limit 3: err = %v", err)
+	}
+
+	jobs := make([]Job, 7)
+	for j := range jobs {
+		jobs[j] = Job{Total: 1, Dispatcher: &listDispatcher{plan: plan[:1]}}
+	}
+	if _, err := RunMulti(p, jobs, MultiOptions{}); err == nil || !strings.Contains(err.Error(), "7 jobs") {
+		t.Fatalf("7 jobs over index limit 5: err = %v", err)
+	}
+	many := &fault.Schedule{}
+	for i := 0; i < 7; i++ {
+		many.Events = append(many.Events, fault.Event{Time: float64(i), Worker: 0, Kind: fault.LinkDown})
+	}
+	if _, err := Run(p, &listDispatcher{plan: plan[:1]}, Options{Faults: many}); err == nil || !strings.Contains(err.Error(), "7 fault events") {
+		t.Fatalf("7 fault events over index limit 5: err = %v", err)
 	}
 }

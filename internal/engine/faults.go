@@ -7,7 +7,6 @@ package engine
 import (
 	"fmt"
 
-	"rumr/internal/des"
 	"rumr/internal/fault"
 	"rumr/internal/obs"
 )
@@ -17,8 +16,10 @@ import (
 // disabled). Worker-state bookkeeping is the caller's job.
 func (mr *multiRun) lose(pc *mjChunk, reason string) {
 	pc.phase = chLost
-	mr.sim.Cancel(pc.timeout)
-	pc.timeout = des.Handle{}
+	if pc.timer {
+		pc.timer = false
+		mr.disarm()
+	}
 	if mr.tr != nil && pc.record >= 0 {
 		rec := &mr.tr.Records[pc.record]
 		rec.Lost = true
@@ -42,9 +43,8 @@ func (mr *multiRun) killCompute(wi int) *mjChunk {
 	if pc == nil {
 		return nil
 	}
-	mr.sim.Cancel(w.compEvent)
-	w.compEvent = des.Handle{}
 	w.current = nil
+	mr.disarm() // the compute end of pc
 	mr.states[wi].Computing = false
 	mr.touch(wi)
 	if mr.tr != nil && pc.record >= 0 {
@@ -100,6 +100,10 @@ func (mr *multiRun) redispatch() bool {
 		mr.fail(fmt.Errorf("engine: recovery exceeded %d re-dispatches; livelocked fault scenario?", maxChunks))
 		return true
 	}
+	if pc.attempt > maxAttempt {
+		mr.fail(fmt.Errorf("engine: chunk %d exceeds the event payload's attempt limit %d", pc.seq, maxAttempt))
+		return true
+	}
 	mr.emitChunk(obs.KindRedispatch, pc, target, pc.attempt, "re-dispatching lost chunk to least-loaded live worker")
 	mr.send(pc)
 	return true
@@ -124,16 +128,17 @@ func (mr *multiRun) armTimeout(pc *mjChunk) {
 	}
 	pred := spec.NLat + pc.chunk.Size/spec.B + spec.TLat +
 		float64(queued+1)*spec.CLat + (backlog+pc.chunk.Size)/spec.S
-	pc.timeout = mr.sim.AfterCall(mr.rec.TimeoutFor(pred, pc.attempt), mjTimeoutCB, pc, 0)
+	pc.timer = true
+	mr.sim.After(mr.rec.TimeoutFor(pred, pc.attempt), pack(evTimeout, pc.seq, 0, pc.attempt))
 }
 
 func (mr *multiRun) onTimeout(pc *mjChunk) {
-	pc.timeout = des.Handle{}
+	pc.timer = false
 	switch pc.phase {
 	case chDone, chLost:
 		return
 	case chSending:
-		// Still in transit: written off now; the arrival callback
+		// Still in transit: written off now; onArrive
 		// sees chLost and only drops the in-flight counter.
 		mr.lose(pc, "completion timeout in transit")
 	case chQueued:
@@ -198,7 +203,7 @@ func (mr *multiRun) applyFault(fe fault.Event) {
 		w.queue = w.queue[:0]
 		st.Queued = 0
 		// In-flight data is heading to a dead machine; it is lost on
-		// arrival, where the arrival callback checks liveness.
+		// arrival, where onArrive checks liveness.
 		mr.notifyFaultAware(fe.Worker, false)
 		mr.kick() // lost work may be re-dispatched elsewhere right away
 	case fault.Rejoin:

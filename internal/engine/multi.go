@@ -150,26 +150,26 @@ const (
 // mjChunk is the life-cycle state of one chunk: send → pipeline tail →
 // queue → compute, with faults able to cut the chain at any hop.
 type mjChunk struct {
-	mr      *multiRun
 	job     int
 	chunk   Chunk
 	seq     int // global dispatch index across jobs; stable chunk identity
 	record  int // trace record of the current attempt, -1 when tracing is off
 	attempt int // 0 = original send, +1 per re-dispatch
 	phase   chunkPhase
-	timeout des.Handle // completion timer, cancellable
+	// timer is set while the current attempt's completion timer is queued
+	// and armed; clearing it before the timer fires disarms it (see live).
+	timer bool
 	// predicted and effective are captured at compute start for the
-	// completion callback and the job's Observer.
+	// compute end and the job's Observer.
 	predicted, effective float64
 }
 
 // mjWorker is the engine-private state of one worker; its
 // dispatcher-visible state is multiRun.states.
 type mjWorker struct {
-	queue     []*mjChunk // arrived, not yet computed (FIFO across jobs)
-	current   *mjChunk
-	compEvent des.Handle // completion of current, cancellable on faults
-	slow      float64    // compute slowdown factor (1 = nominal)
+	queue   []*mjChunk // arrived, not yet computed (FIFO across jobs)
+	current *mjChunk   // computing; its queued compute end is live (see live)
+	slow    float64    // compute slowdown factor (1 = nominal)
 }
 
 type mjJob struct {
@@ -196,20 +196,17 @@ type mjJob struct {
 
 // portEnd is one transfer pending on the master's port: the attempt's
 // send end at time, ordered against the DES events by the seq reserved for
-// it, with the chunk and the attempt's packed aux (see packAux).
+// it, with the attempt's arrival payload (see pack).
 type portEnd struct {
 	time float64
 	seq  uint64
-	pc   *mjChunk
-	aux  int
+	data uint64
 }
 
 // multiRun is the complete state of one simulation. Instances are
 // pooled: Run and RunMulti borrow one, reset every field, execute, and
 // return it. mjChunk structs are pooled per instance (a cursor-recycled
-// arena grown by slabs, see allocMC); their back-pointer to the owning run
-// is set once and stays valid because chunks never migrate between
-// instances.
+// arena grown by slabs, see allocMC).
 type multiRun struct {
 	sim  *des.Simulator
 	p    *platform.Platform
@@ -250,6 +247,10 @@ type multiRun struct {
 	lostQueue                  []*mjChunk
 	lostChunks, redispatches   int
 	lostWork, redispatchedWork float64
+	// stale counts the queued DES entries disarmed but not yet dropped or
+	// compacted away; cancels counts every disarm of the run, for
+	// Counters.LazyCancels.
+	stale, cancels int
 
 	// mcs is the persistent chunk arena: pointers into slabs of mjChunk
 	// that allocMC adds as it runs out. Structs are handed out by cursor
@@ -266,24 +267,48 @@ type multiRun struct {
 
 var multiRunPool = sync.Pool{New: func() any { return &multiRun{sim: des.New()} }}
 
-// aux packing for the send/arrive event chain: the des callback argument
-// carries the attempt number and that attempt's destination worker. A
-// chunk can be re-dispatched while a stale transfer to its old worker is
-// in flight, and the stale arrival must release that worker's counter.
-const auxWorkerBits = 20
+// evKind is the kind of a queued DES entry or port send end.
+type evKind uint64
 
-func packAux(attempt, worker int) int { return attempt<<auxWorkerBits | worker }
-func unpackAux(aux int) (attempt, worker int) {
-	return aux >> auxWorkerBits, aux & (1<<auxWorkerBits - 1)
+const (
+	evActivate evKind = iota // a job arrives; index is the job
+	evFault                  // index is the fault in mr.faults
+	evArrive                 // an attempt's data arrives at worker
+	evCompEnd                // index is the chunk; attempt its generation
+	evTimeout                // index is the chunk; attempt its generation
+)
+
+// An entry's payload packs kind | index | worker | attempt, low bits
+// last. The index is a job, a fault or a chunk's dispatch seq (its arena
+// slot); the worker is the attempt's destination, since a chunk can be
+// re-dispatched while a stale transfer to its old worker is in flight and
+// the stale arrival must release that worker's counter; the attempt is the
+// generation of a compute end or a timer (see live).
+const (
+	kindBits    = 3
+	indexBits   = 24
+	workerBits  = 20
+	attemptBits = 17
+	// The fields fill one uint64; a wider layout fails to compile here.
+	_ uint = 64 - kindBits - indexBits - workerBits - attemptBits
+)
+
+// maxIndex and maxAttempt are the largest index and attempt a payload
+// holds; a run that needs more fails with an error rather than wrapping.
+// Variables only so tests can lower them.
+var maxIndex, maxAttempt = 1<<indexBits - 1, 1<<attemptBits - 1
+
+func pack(k evKind, index, worker, attempt int) uint64 {
+	return uint64(k)<<(indexBits+workerBits+attemptBits) | uint64(index)<<(workerBits+attemptBits) |
+		uint64(worker)<<attemptBits | uint64(attempt)
 }
 
-// Shared des callbacks: one top-level function per event kind for the
-// whole process, so scheduling a chunk-hop allocates nothing.
-func mjActivateCB(arg any, aux int) { mr := arg.(*multiRun); mr.activate(aux) }
-func mjArriveCB(arg any, aux int)   { pc := arg.(*mjChunk); pc.mr.onArrive(pc, aux) }
-func mjCompEndCB(arg any, _ int)    { pc := arg.(*mjChunk); pc.mr.onCompEnd(pc) }
-func mjTimeoutCB(arg any, _ int)    { pc := arg.(*mjChunk); pc.mr.onTimeout(pc) }
-func mjFaultCB(arg any, aux int)    { mr := arg.(*multiRun); mr.applyFault(mr.faults[aux]) }
+func unpack(data uint64) (k evKind, index, worker, attempt int) {
+	return evKind(data >> (indexBits + workerBits + attemptBits)),
+		int(data >> (workerBits + attemptBits) & (1<<indexBits - 1)),
+		int(data >> attemptBits & (1<<workerBits - 1)),
+		int(data & (1<<attemptBits - 1))
+}
 
 // resize returns s with length n, reusing its backing array when it is
 // large enough. Old contents are kept; callers reset what they read.
@@ -347,6 +372,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	mr.makespan = 0
 	mr.lostChunks, mr.redispatches = 0, 0
 	mr.lostWork, mr.redispatchedWork = 0, 0
+	mr.stale, mr.cancels = 0, 0
 	mr.sim.Reset()
 
 	if opts.RecordTrace {
@@ -357,7 +383,6 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	mr.workers = resize(mr.workers, mr.n)
 	for i := range mr.workers {
 		w := &mr.workers[i]
-		w.compEvent = des.Handle{}
 		w.slow = 1
 	}
 	mr.states = resize(mr.states, mr.n)
@@ -379,7 +404,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	if !faults.Empty() {
 		mr.faults = faults.Events
 		for i, fe := range mr.faults {
-			mr.sim.AtCall(fe.Time, mjFaultCB, mr, i)
+			mr.sim.At(fe.Time, pack(evFault, i, 0, 0))
 		}
 	}
 
@@ -417,7 +442,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 			}
 		}
 		if spec.Arrival > 0 {
-			mr.sim.AtCall(spec.Arrival, mjActivateCB, mr, j)
+			mr.sim.At(spec.Arrival, pack(evActivate, j, 0, 0))
 		}
 	}
 	// Jobs present from the start enter now, in index order — exactly
@@ -457,7 +482,7 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 		mr.ctr.EventsPushed += int64(st.Pushed)
 		mr.ctr.EventsPopped += int64(st.Fired)
 		mr.ctr.EventsReplaced += int64(st.Replaced)
-		mr.ctr.LazyCancels += int64(st.Cancelled)
+		mr.ctr.LazyCancels += int64(mr.cancels)
 		if d := int64(st.MaxDepth); d > mr.ctr.MaxHeapDepth {
 			mr.ctr.MaxHeapDepth = d
 		}
@@ -472,14 +497,17 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 	return nil
 }
 
-// run plays the events in (time, seq) order until none is left or a
-// callback fails. Each step fires the earlier of the DES root and the
-// earliest send end on the port; as every send end took its seq from the
-// simulator when it was sent, the order is the one a single queue holding
-// both would give.
+// run plays the events in (time, seq) order until none is left or an
+// event fails the run. Each step fires the earlier of the live DES root
+// and the earliest send end on the port; as every send end took its seq
+// from the simulator when it was sent, the order is the one a single queue
+// holding both would give. A DES entry is acted on by its payload's kind.
 func (mr *multiRun) run() {
 	for mr.err == nil {
-		t, seq, ok := mr.sim.Peek()
+		t, seq, data, ok := mr.sim.Peek()
+		if ok && mr.stale > 0 && !mr.live(data) {
+			t, seq, data, ok = mr.dropStale()
+		}
 		next := -1
 		for i := range mr.port {
 			if e := &mr.port[i]; !ok || e.time < t || (e.time == t && e.seq < seq) {
@@ -491,17 +519,80 @@ func (mr *multiRun) run() {
 			mr.onSendEnd(next)
 		case ok:
 			mr.sim.Step()
+			switch k, index, wi, attempt := unpack(data); k {
+			case evCompEnd:
+				mr.onCompEnd(mr.mcs[index])
+			case evArrive:
+				mr.onArrive(mr.mcs[index], wi, attempt)
+			case evTimeout:
+				mr.onTimeout(mr.mcs[index])
+			case evActivate:
+				mr.activate(index)
+			case evFault:
+				mr.applyFault(mr.faults[index])
+			}
+			mr.sim.Settle()
 		default:
 			return
 		}
 	}
 }
 
+// dropStale drops the stale root and every stale entry below it that
+// surfaces, and reports the live root left, as Peek does. Callers check
+// the root first, and only while stale entries are queued: in every
+// fault-free run none is, and no chunk is read to peek.
+func (mr *multiRun) dropStale() (t float64, seq, data uint64, ok bool) {
+	for {
+		mr.sim.Drop()
+		mr.stale--
+		t, seq, data, ok = mr.sim.Peek()
+		if !ok || mr.stale == 0 || mr.live(data) {
+			return t, seq, data, ok
+		}
+	}
+}
+
+// live reports whether a queued entry is still armed. Compute ends and
+// completion timers carry the attempt they were queued for as their
+// generation: a compute end is live while its chunk is still computing
+// that attempt, a timer while that attempt's timer is armed. Every other
+// entry always is.
+func (mr *multiRun) live(data uint64) bool {
+	k, index, _, attempt := unpack(data)
+	switch k {
+	case evCompEnd:
+		pc := mr.mcs[index]
+		return pc.attempt == attempt && mr.workers[pc.chunk.Worker].current == pc
+	case evTimeout:
+		pc := mr.mcs[index]
+		return pc.attempt == attempt && pc.timer
+	}
+	return true
+}
+
+// disarm accounts one queued entry that live now rejects: it stays queued
+// until it reaches the root, or until stale entries are more than
+// compactMin and more than half the queue, when one compaction removes
+// them all (O(1) amortised per disarm). The caller updates the state live
+// reads first.
+func (mr *multiRun) disarm() {
+	mr.stale++
+	mr.cancels++
+	if mr.stale > compactMin && mr.stale > mr.sim.QueueLen()/2 {
+		mr.sim.Compact(mr.live)
+		mr.stale = 0
+	}
+}
+
+// compactMin is the minimum number of stale entries before a compaction
+// is considered; below it they are cheaper to drop at the root.
+const compactMin = 64
+
 // release drops every borrowed reference before the instance goes back to
 // the pool, and recycles this run's chunks by resetting the arena cursor
-// (chunk structs hold no pointers besides the intentional back-pointer to
-// this instance, and kick/send/beginCompute rewrite every lifecycle field,
-// so no per-chunk scrub is needed). Capacities (heap, arena, queues, worker
+// (chunk structs hold no pointers, and kick/send/beginCompute rewrite
+// every lifecycle field, so no per-chunk scrub is needed). Capacities (heap, arena, queues, worker
 // states) are retained — that is the point of pooling.
 func (mr *multiRun) release() {
 	mr.mcUsed = 0
@@ -525,18 +616,17 @@ func (mr *multiRun) release() {
 	mr.err = nil
 }
 
-// allocMC hands out the next chunk struct from the arena. An exhausted
-// arena grows by one slab of max(16, len(mcs)) structs, so a cold core
-// costs O(log n) allocations for n chunks; pointers into older slabs stay
-// valid. Structs come back with stale or zero lifecycle fields; kick
-// (job, chunk, seq, attempt), send (phase, record, timeout) and
-// beginCompute (predicted, effective) rewrite all of them before any
-// reader sees the struct.
+// allocMC hands out the next chunk struct from the arena: dispatch k gets
+// mcs[k], so a payload's index finds its chunk. An exhausted arena grows
+// by one slab of max(16, len(mcs)) structs, so a cold core costs O(log n)
+// allocations for n chunks; pointers into older slabs stay valid. Structs
+// come back with stale or zero lifecycle fields; kick (job, chunk, seq,
+// attempt), send (phase, record, timer) and beginCompute (predicted,
+// effective) rewrite all of them before any reader sees the struct.
 func (mr *multiRun) allocMC() *mjChunk {
 	if mr.mcUsed == len(mr.mcs) {
 		slab := make([]mjChunk, max(16, len(mr.mcs)))
 		for i := range slab {
-			slab[i].mr = mr
 			mr.mcs = append(mr.mcs, &slab[i])
 		}
 	}
@@ -547,7 +637,8 @@ func (mr *multiRun) allocMC() *mjChunk {
 
 // maxChunks aborts runaway dispatchers: it caps the chunks dispatched
 // across all jobs of a run, and separately the fault-recovery
-// re-dispatches. A variable only so tests can lower it.
+// re-dispatches. A variable only so tests can lower it; it stays below
+// maxIndex, which caps the chunks a payload can address.
 var maxChunks = 10_000_000
 
 func (mr *multiRun) fail(err error) {
@@ -629,10 +720,12 @@ func (mr *multiRun) reposition(j int) {
 
 // touch re-derives worker wi's bit of the shared idle mask. Every
 // mutation site completes its state writes before calling touch, so the
-// mask is never stale at a consult.
+// mask is never stale at a consult. It reads the fields WorkerState.Idle
+// reads one at a time: Idle's value receiver copies the struct with wide
+// loads, which stall on the one-field store a mutation site has just made.
 func (mr *multiRun) touch(wi int) {
 	w, b := wi>>6, uint64(1)<<(wi&63)
-	if mr.states[wi].Idle() {
+	if st := &mr.states[wi]; !st.Down && !st.LinkDown && !st.Computing && st.Queued == 0 && st.InFlight == 0 {
 		mr.idle[w] |= b
 	} else {
 		mr.idle[w] &^= b
@@ -701,6 +794,10 @@ func (mr *multiRun) kick() {
 				mr.fail(fmt.Errorf("engine: dispatchers exceeded %d chunks across jobs; runaway policy?", maxChunks))
 				return
 			}
+			if mr.chunks-1 > maxIndex {
+				mr.fail(fmt.Errorf("engine: chunk %d exceeds the event payload's index limit %d", mr.chunks-1, maxIndex))
+				return
+			}
 			if js.res.Chunks == 0 {
 				js.res.Start = mr.sim.Now()
 			}
@@ -737,7 +834,7 @@ func (mr *multiRun) send(pc *mjChunk) {
 	now := mr.sim.Now()
 	pc.phase = chSending
 	pc.record = -1
-	pc.timeout = des.Handle{}
+	pc.timer = false
 	mr.states[wi].InFlight++
 	mr.touchBusy(wi)
 	js.granted += c.Size
@@ -760,14 +857,14 @@ func (mr *multiRun) send(pc *mjChunk) {
 	// send end takes its seq here, before the completion timer's, exactly
 	// where it would be scheduled if it were a DES event.
 	end := now + sendDur
-	mr.port = append(mr.port, portEnd{time: end, seq: mr.sim.Reserve(end), pc: pc, aux: packAux(pc.attempt, wi)})
+	mr.port = append(mr.port, portEnd{time: end, seq: mr.sim.Reserve(end), data: pack(evArrive, pc.seq, wi, pc.attempt)})
 	if mr.rec.Enabled && mr.rec.TimeoutFactor > 0 {
 		mr.armTimeout(pc)
 	}
 }
 
 // onSendEnd frees the port slot of mr.port[i] at its send end. The
-// entry's aux carries the attempt's (attempt, worker): both can differ
+// entry's payload carries the attempt's (worker, attempt): both can differ
 // from the chunk's current fields when the attempt was written off and
 // re-dispatched while still in transit.
 func (mr *multiRun) onSendEnd(i int) {
@@ -776,11 +873,11 @@ func (mr *multiRun) onSendEnd(i int) {
 	mr.port[i] = mr.port[last]
 	mr.port = mr.port[:last]
 	mr.sim.Advance(e.time)
-	pc, aux := e.pc, e.aux
-	attempt, wi := unpackAux(aux)
+	_, index, wi, attempt := unpack(e.data)
+	pc := mr.mcs[index]
 	mr.emitChunk(obs.KindSendEnd, pc, wi, attempt, "")
 	if tl := mr.p.Workers[wi].TLat; tl != 0 || mr.dueNow() {
-		mr.sim.AfterCall(tl, mjArriveCB, pc, aux)
+		mr.sim.After(tl, e.data)
 		mr.kick()
 		return
 	}
@@ -794,7 +891,7 @@ func (mr *multiRun) onSendEnd(i int) {
 	// before it, which is why that case schedules the arrival instead.
 	mr.kick()
 	if mr.err == nil {
-		mr.onArrive(pc, aux)
+		mr.onArrive(pc, wi, attempt)
 	}
 }
 
@@ -802,7 +899,11 @@ func (mr *multiRun) onSendEnd(i int) {
 // the live DES root or another send end on the port.
 func (mr *multiRun) dueNow() bool {
 	now := mr.sim.Now()
-	if t, _, ok := mr.sim.Peek(); ok && t <= now {
+	t, _, data, ok := mr.sim.Peek()
+	if ok && mr.stale > 0 && !mr.live(data) {
+		t, _, _, ok = mr.dropStale()
+	}
+	if ok && t <= now {
 		return true
 	}
 	for i := range mr.port {
@@ -813,9 +914,8 @@ func (mr *multiRun) dueNow() bool {
 	return false
 }
 
-// onArrive is the data-arrival des callback for one attempt.
-func (mr *multiRun) onArrive(pc *mjChunk, aux int) {
-	attempt, wi := unpackAux(aux)
+// onArrive delivers the data of pc's attempt to worker wi.
+func (mr *multiRun) onArrive(pc *mjChunk, wi, attempt int) {
 	w, st := &mr.workers[wi], &mr.states[wi]
 	st.InFlight--
 	if pc.phase == chLost || pc.attempt != attempt {
@@ -893,18 +993,16 @@ func (mr *multiRun) beginCompute(wi int, pc *mjChunk) {
 		mr.tr.Records[pc.record].CompStart = mr.sim.Now()
 	}
 	mr.emitChunk(obs.KindCompStart, pc, wi, pc.attempt, "")
-	w.compEvent = mr.sim.AfterCall(pc.effective, mjCompEndCB, pc, 0)
+	mr.sim.After(pc.effective, pack(evCompEnd, pc.seq, wi, pc.attempt))
 }
 
 func (mr *multiRun) onCompEnd(pc *mjChunk) {
 	wi := pc.chunk.Worker
-	w := &mr.workers[wi]
-	w.compEvent = des.Handle{}
-	w.current = nil
+	mr.workers[wi].current = nil
 	pc.phase = chDone
-	if pc.timeout != (des.Handle{}) {
-		mr.sim.Cancel(pc.timeout)
-		pc.timeout = des.Handle{}
+	if pc.timer {
+		pc.timer = false
+		mr.disarm()
 	}
 	mr.states[wi].Computing = false
 	mr.touch(wi)

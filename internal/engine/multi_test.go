@@ -263,7 +263,7 @@ func TestRunMultiInputValidation(t *testing.T) {
 	// A platform one worker past what the attempt-stamped event payload
 	// can address. The zero-valued slice is never walked: the size check
 	// runs before per-worker validation, so its pages stay untouched.
-	huge := &platform.Platform{Workers: make([]platform.Worker, 1<<auxWorkerBits)}
+	huge := &platform.Platform{Workers: make([]platform.Worker, 1<<workerBits)}
 	cases := []struct {
 		name string
 		p    *platform.Platform
@@ -303,18 +303,19 @@ func TestRunMultiRejectsBadDispatch(t *testing.T) {
 }
 
 // dueNow — onSendEnd's "is another event due at this instant" — must agree
-// with a brute-force scan over every DES event and send end scheduled so
-// far, at every step of a random run: events land at now+{0,1,2}, so ties
-// with the clock are frequent, several send ends are pending at once (a
-// port wider than one slot), and cancellations leave dead slots at the
-// heap root for Peek to drop.
+// with a brute-force scan over every armed DES entry and send end queued
+// so far, at every step of a random run: entries land at now+{0,1,2}, so
+// ties with the clock are frequent, several send ends are pending at once
+// (a port wider than one slot), and disarmed timers leave stale entries at
+// the heap root for peek to drop (and, once they pile up, for disarm to
+// compact away).
 func TestDueNowMatchesScan(t *testing.T) {
-	noop := func(any, int) {}
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		mr := &multiRun{sim: des.New()}
+		mr.workers = make([]mjWorker, 1)
 		type rec struct {
-			h    des.Handle
+			pc   *mjChunk
 			time float64
 		}
 		var queued []rec
@@ -322,18 +323,24 @@ func TestDueNowMatchesScan(t *testing.T) {
 			now := mr.sim.Now()
 			for k := src.Intn(3); k > 0; k-- {
 				tt := now + float64(src.Intn(3))
-				queued = append(queued, rec{h: mr.sim.AtCall(tt, noop, nil, 0), time: tt})
+				pc := mr.allocMC()
+				pc.seq, pc.attempt, pc.timer = mr.mcUsed-1, 0, true
+				mr.sim.At(tt, pack(evTimeout, pc.seq, 0, 0))
+				queued = append(queued, rec{pc: pc, time: tt})
 			}
 			for k := src.Intn(2); k > 0 && len(mr.port) < 3; k-- {
 				tt := now + float64(src.Intn(3))
 				mr.port = append(mr.port, portEnd{time: tt, seq: mr.sim.Reserve(tt)})
 			}
 			if len(queued) > 0 && src.Float64() < 0.4 {
-				mr.sim.Cancel(queued[src.Intn(len(queued))].h)
+				if pc := queued[src.Intn(len(queued))].pc; pc.timer {
+					pc.timer = false
+					mr.disarm()
+				}
 			}
 			want := false
 			for _, r := range queued {
-				want = want || (r.h.Scheduled() && r.time <= now)
+				want = want || (r.pc.timer && r.time <= now)
 			}
 			for _, e := range mr.port {
 				want = want || e.time <= now
@@ -342,7 +349,10 @@ func TestDueNowMatchesScan(t *testing.T) {
 				return false
 			}
 			// Fire the earliest event by (time, seq), as run does.
-			tt, seq, ok := mr.sim.Peek()
+			tt, seq, data, ok := mr.sim.Peek()
+			if ok && mr.stale > 0 && !mr.live(data) {
+				tt, seq, data, ok = mr.dropStale()
+			}
 			next := -1
 			for i, e := range mr.port {
 				if !ok || e.time < tt || (e.time == tt && e.seq < seq) {
@@ -355,9 +365,12 @@ func TestDueNowMatchesScan(t *testing.T) {
 				mr.sim.Advance(tt)
 			case ok:
 				mr.sim.Step()
+				_, index, _, _ := unpack(data)
+				mr.mcs[index].timer = false
+				mr.sim.Settle()
 			}
 		}
-		return true
+		return mr.stale >= 0 && mr.stale <= mr.sim.QueueLen()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -38,22 +38,28 @@ func sweepCell(errors ...float64) func() error {
 	return func() error { return r.ComputeCellInto(context.Background(), g, cfg, cs, dst) }
 }
 
-// multiJobCell returns one multi-job cell the way MultiJob consumes it:
-// all repetitions of the (weighted, 0.02) point of the default multi-job
-// grid for the RUMR/Factoring/MI(1) trio, through the batched
-// ComputeMultiJobCellInto core with a reused MultiCellState and block.
+// multiJobCell returns the multi-job cells the way MultiJob consumes them:
+// all repetitions of every (link policy, arrival rate) point of the
+// default multi-job grid for the RUMR/Factoring/MI(1) trio, through the
+// batched ComputeMultiJobCellInto core with a reused MultiCellState and
+// block, so each policy's code weighs what it weighs in the sweep.
 func multiJobCell() func() error {
 	g := DefaultMultiJobGrid()
-	g.ArrivalRates = []float64{0.02}
-	g.Policies = []string{"weighted"}
 	r := &Runner{Algorithms: []sched.Scheduler{
 		rumr.Scheduler{}, factoring.Scheduler{}, mi.Scheduler{Installments: 1},
 	}, Workers: 1}
-	pol := engine.WeightedShare()
+	pols := g.policies()
 	cs := NewMultiCellState()
 	dst := NewCellBlock(multiCellRows, len(r.Algorithms))
 	return func() error {
-		return r.ComputeMultiJobCellInto(context.Background(), g, pol, g.ArrivalRates[0], cs, dst)
+		for _, pol := range pols {
+			for _, rate := range g.ArrivalRates {
+				if err := r.ComputeMultiJobCellInto(context.Background(), g, pol, rate, cs, dst); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
 }
 

@@ -16,8 +16,8 @@ type EngineCounters struct {
 	// the heap, but each reserves its sequence number from the kernel and
 	// counts as a push and a fire. EventsReplaced is the subset of pushes
 	// that took the kernel's replace-top fast path (one siftDown instead
-	// of pop-sift + push-sift); LazyCancels counts completion timers
-	// cancelled before firing; MaxHeapDepth counts heap slots only.
+	// of pop-sift + push-sift); LazyCancels counts compute ends and
+	// completion timers disarmed before firing; MaxHeapDepth counts heap slots only.
 	EventsPushed   int64 `json:"events_pushed"`
 	EventsPopped   int64 `json:"events_popped"`
 	EventsReplaced int64 `json:"events_replaced"`

@@ -345,9 +345,10 @@ func (s *Static) Next(v *engine.View) (engine.Chunk, bool) {
 	pick := head
 	// Before anything has been computed (the initial ramp-up), the plan
 	// order is authoritative even when all workers look idle; premature
-	// finishes can only exist once execution has started.
+	// finishes can only exist once execution has started. With no worker
+	// idle nothing can be promoted, so the scan is skipped.
 	if s.OutOfOrder && s.started {
-		if !v.WorkerIdle(s.Plan[head].Worker) {
+		if !v.WorkerIdle(s.Plan[head].Worker) && v.FirstIdle() >= 0 {
 			for i := head + 1; i < len(s.Plan); i++ {
 				if s.sent[i] {
 					continue

@@ -6,6 +6,7 @@ import (
 
 	"rumr/internal/engine"
 	"rumr/internal/platform"
+	"rumr/internal/rng"
 )
 
 func TestProblemValidate(t *testing.T) {
@@ -120,6 +121,89 @@ func TestStaticInOrderNeverPromotes(t *testing.T) {
 	c, _ := s.Next(v)
 	if c.Worker != 0 {
 		t.Fatalf("in-order dispatcher promoted: %+v", c)
+	}
+}
+
+// staticPickScan is the out-of-order Static's pick by full scan: the first
+// unsent, throttle-eligible plan entry, bypassed — once execution has
+// started and its worker is busy — for the first unsent entry whose worker
+// is idle. It reports -1 when Next must decline.
+func staticPickScan(s *Static, v *engine.View) int {
+	head := -1
+	for i := range s.Plan {
+		if !s.sent[i] && s.eligible(v, s.Plan[i].Worker) {
+			head = i
+			break
+		}
+	}
+	if head < 0 || !s.started || v.WorkerIdle(s.Plan[head].Worker) {
+		return head
+	}
+	for i := head + 1; i < len(s.Plan); i++ {
+		if !s.sent[i] && v.WorkerIdle(s.Plan[i].Worker) {
+			return i
+		}
+	}
+	return head
+}
+
+// Property: the out-of-order Static, which skips its promotion scan when
+// no worker is idle, picks exactly the entry the full scan picks, over
+// random plans, throttles and views in which no worker, a few workers or
+// most workers are idle. Each view is given both with an IdleMask, as the
+// engine builds it, and hand-built without one.
+func TestStaticOutOfOrderMatchesFullScan(t *testing.T) {
+	src := rng.New(30)
+	picks := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + src.Intn(130) // crosses IdleMask word boundaries
+		plan := make([]engine.Chunk, 1+src.Intn(60))
+		for i := range plan {
+			plan[i] = engine.Chunk{Worker: src.Intn(n), Size: float64(i + 1)}
+		}
+		s := NewStatic(plan, true)
+		s.MaxPending = src.Intn(3)
+		useMask := trial%2 == 0
+		idleP := []float64{0, 0.02, 0.5}[src.Intn(3)]
+		states := make([]engine.WorkerState, n)
+		for step := 0; step < 2*len(plan); step++ {
+			for i := range states {
+				states[i] = engine.WorkerState{}
+				if src.Float64() >= idleP {
+					switch src.Intn(4) {
+					case 0:
+						states[i].Computing = true
+					case 1:
+						states[i].Queued = 1 + src.Intn(2)
+					case 2:
+						states[i].InFlight = 1 + src.Intn(2)
+					default:
+						states[i].Down = true
+					}
+				}
+			}
+			v := staticView(states)
+			if useMask {
+				v.IdleMask = make([]uint64, (n+63)/64)
+				for i := range states {
+					if states[i].Idle() {
+						v.IdleMask[i>>6] |= 1 << (i & 63)
+					}
+				}
+			}
+			want := staticPickScan(s, v)
+			c, ok := s.Next(v)
+			if ok != (want >= 0) || (ok && (c != plan[want] || !s.sent[want])) {
+				t.Fatalf("trial %d step %d (mask %v): Next = %+v, %v; full scan picks %d",
+					trial, step, useMask, c, ok, want)
+			}
+			if ok {
+				picks++
+			}
+		}
+	}
+	if picks == 0 {
+		t.Fatal("no trial dispatched a chunk")
 	}
 }
 
