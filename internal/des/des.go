@@ -226,7 +226,9 @@ func (s *Simulator) Compact(keep func(data uint64) bool) {
 		}
 	}
 	s.q = kept
-	for i := (len(kept) - 2) / 4; i >= 0; i-- {
+	// (n-2)/4 truncates to 0 for n < 2, so an emptied queue must skip the
+	// loop rather than sift a root it no longer has.
+	for i := (len(kept) - 2) / 4; i >= 0 && len(kept) > 1; i-- {
 		s.siftDown(i)
 	}
 }

@@ -170,3 +170,33 @@ func TestReplaceTopHoleSurvivesCompaction(t *testing.T) {
 		t.Fatalf("queue not drained: pending=%d qlen=%d", s.pending(), s.QueueLen())
 	}
 }
+
+// TestCompactAllStale compacts a queue whose entries are all rejected,
+// with and without an open replace-top hole: the queue must come out
+// empty, with no hole left, and the next At must take the append path.
+func TestCompactAllStale(t *testing.T) {
+	for _, hole := range []bool{false, true} {
+		for _, n := range []int{1, 2, 5, 4*compactMin + 1} {
+			s := New()
+			for i := 0; i < n; i++ {
+				s.At(float64(i), uint64(i))
+			}
+			if hole {
+				s.Peek()
+				s.Step()
+			}
+			s.Compact(func(uint64) bool { return false })
+			if _, _, _, ok := s.Peek(); ok || s.QueueLen() != 0 || s.rootHole {
+				t.Fatalf("hole=%v n=%d: compacted queue holds %d entries, hole=%v", hole, n, s.QueueLen(), s.rootHole)
+			}
+			now := s.Now()
+			s.At(now+1, 7)
+			if tt, _, data, ok := s.Peek(); !ok || tt != now+1 || data != 7 || s.QueueLen() != 1 {
+				t.Fatalf("hole=%v n=%d: At after compaction: t=%g data=%d ok=%v qlen=%d", hole, n, tt, data, ok, s.QueueLen())
+			}
+			if st := s.Stats(); st.Replaced != 0 {
+				t.Fatalf("hole=%v n=%d: At after compaction filled a hole: %+v", hole, n, st)
+			}
+		}
+	}
+}

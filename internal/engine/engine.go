@@ -103,8 +103,10 @@ type WorkerState struct {
 // way — the paper's "finished prematurely" condition for out-of-order
 // dispatch. Crashed and disconnected workers are never idle, which is how
 // faults surface to fault-oblivious dispatchers: dead workers are never
-// returned by View.FirstIdle or reported by View.WorkerIdle.
-func (w WorkerState) Idle() bool {
+// returned by View.FirstIdle or reported by View.WorkerIdle. The pointer
+// receiver reads the fields in place: a value copy of the struct stalls
+// on the one-field store an engine mutation site has just made.
+func (w *WorkerState) Idle() bool {
 	return !w.Down && !w.LinkDown && !w.Computing && w.Queued == 0 && w.InFlight == 0
 }
 

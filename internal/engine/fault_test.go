@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -350,9 +351,17 @@ func TestFaultyRunDeterministic(t *testing.T) {
 // completes, so without compaction the queue would grow with every chunk
 // sent. At every consult the physical queue must stay within twice its
 // live entries plus the compaction slack, and once the run drains every
-// stale entry must have been dropped or compacted away.
+// stale entry must have been dropped or compacted away. A compaction
+// fires every compactMin+1 disarms, so a chunk count that is a multiple
+// of it has the last completion compact a queue whose only other entries
+// are stale.
 func TestCancelledRetentionBounded(t *testing.T) {
-	const chunks = 2000
+	for _, chunks := range []int{2000, 30 * (compactMin + 1)} {
+		t.Run(fmt.Sprint(chunks), func(t *testing.T) { cancelledRetention(t, chunks) })
+	}
+}
+
+func cancelledRetention(t *testing.T, chunks int) {
 	p := platform.Homogeneous(4, 1, 40, 0.01, 0.01)
 	maxQ := 0
 	consultAudit = func(mr *multiRun) {
@@ -364,18 +373,18 @@ func TestCancelledRetentionBounded(t *testing.T) {
 	}
 	defer func() { consultAudit = nil }()
 	mr := &multiRun{sim: des.New()}
-	jobs := []Job{{Total: chunks, Dispatcher: &demandDispatcher{remaining: chunks, size: 1}}}
+	jobs := []Job{{Total: float64(chunks), Dispatcher: &demandDispatcher{remaining: float64(chunks), size: 1}}}
 	var ctr Counters
 	err := mr.exec(p, jobs, MultiOptions{Counters: &ctr}, nil, fault.Recovery{Enabled: true, TimeoutFactor: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr.jobs[0].res.CompletedWork != chunks || mr.redispatches != 0 {
+	if mr.jobs[0].res.CompletedWork != float64(chunks) || mr.redispatches != 0 {
 		t.Fatalf("completed %g of %d units with %d re-dispatches", mr.jobs[0].res.CompletedWork, chunks, mr.redispatches)
 	}
 	// Every completion disarmed its timer; the queue's peak must be in the
-	// order of the compaction threshold, not of the 2,000 disarms.
-	if ctr.LazyCancels != chunks || maxQ > 4*compactMin {
+	// order of the compaction threshold, not of the disarm count.
+	if ctr.LazyCancels != int64(chunks) || maxQ > 4*compactMin {
 		t.Fatalf("%d disarms, queue peaked at %d", ctr.LazyCancels, maxQ)
 	}
 	if mr.stale != 0 || mr.sim.QueueLen() != 0 {

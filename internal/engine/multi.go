@@ -504,9 +504,12 @@ func (mr *multiRun) exec(p *platform.Platform, jobs []Job, opts MultiOptions, fa
 // holding both would give. A DES entry is acted on by its payload's kind.
 func (mr *multiRun) run() {
 	for mr.err == nil {
+		// peek does not inline (it calls live and Drop), so the run loop
+		// reads the root itself and calls peek only while a stale entry
+		// is queued, which no fault-free run does.
 		t, seq, data, ok := mr.sim.Peek()
-		if ok && mr.stale > 0 && !mr.live(data) {
-			t, seq, data, ok = mr.dropStale()
+		if mr.stale > 0 {
+			t, seq, data, ok = mr.peek()
 		}
 		next := -1
 		for i := range mr.port {
@@ -538,19 +541,18 @@ func (mr *multiRun) run() {
 	}
 }
 
-// dropStale drops the stale root and every stale entry below it that
-// surfaces, and reports the live root left, as Peek does. Callers check
-// the root first, and only while stale entries are queued: in every
-// fault-free run none is, and no chunk is read to peek.
-func (mr *multiRun) dropStale() (t float64, seq, data uint64, ok bool) {
-	for {
+// peek reports the live DES root, as Peek does, after dropping every
+// stale entry that has surfaced there. The root is only checked while
+// stale entries are queued: in every fault-free run none is, and no chunk
+// is read to peek.
+func (mr *multiRun) peek() (t float64, seq, data uint64, ok bool) {
+	t, seq, data, ok = mr.sim.Peek()
+	for ok && mr.stale > 0 && !mr.live(data) {
 		mr.sim.Drop()
 		mr.stale--
 		t, seq, data, ok = mr.sim.Peek()
-		if !ok || mr.stale == 0 || mr.live(data) {
-			return t, seq, data, ok
-		}
 	}
+	return t, seq, data, ok
 }
 
 // live reports whether a queued entry is still armed. Compute ends and
@@ -720,12 +722,10 @@ func (mr *multiRun) reposition(j int) {
 
 // touch re-derives worker wi's bit of the shared idle mask. Every
 // mutation site completes its state writes before calling touch, so the
-// mask is never stale at a consult. It reads the fields WorkerState.Idle
-// reads one at a time: Idle's value receiver copies the struct with wide
-// loads, which stall on the one-field store a mutation site has just made.
+// mask is never stale at a consult.
 func (mr *multiRun) touch(wi int) {
 	w, b := wi>>6, uint64(1)<<(wi&63)
-	if st := &mr.states[wi]; !st.Down && !st.LinkDown && !st.Computing && st.Queued == 0 && st.InFlight == 0 {
+	if mr.states[wi].Idle() {
 		mr.idle[w] |= b
 	} else {
 		mr.idle[w] &^= b
@@ -899,11 +899,7 @@ func (mr *multiRun) onSendEnd(i int) {
 // the live DES root or another send end on the port.
 func (mr *multiRun) dueNow() bool {
 	now := mr.sim.Now()
-	t, _, data, ok := mr.sim.Peek()
-	if ok && mr.stale > 0 && !mr.live(data) {
-		t, _, _, ok = mr.dropStale()
-	}
-	if ok && t <= now {
+	if t, _, _, ok := mr.peek(); ok && t <= now {
 		return true
 	}
 	for i := range mr.port {

@@ -349,10 +349,7 @@ func TestDueNowMatchesScan(t *testing.T) {
 				return false
 			}
 			// Fire the earliest event by (time, seq), as run does.
-			tt, seq, data, ok := mr.sim.Peek()
-			if ok && mr.stale > 0 && !mr.live(data) {
-				tt, seq, data, ok = mr.dropStale()
-			}
+			tt, seq, data, ok := mr.peek()
 			next := -1
 			for i, e := range mr.port {
 				if !ok || e.time < tt || (e.time == tt && e.seq < seq) {
